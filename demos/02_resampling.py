@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rqpipe import Frame, downsample_plane, lanczos_weight, resample_frame, upsample_plane_nn
+from rqpipe import LANCZOS3, NEAREST, Frame, downsample_plane, lanczos_weight, resample_frame, upsample_plane_nn
 
 HALF, TWICE = Fraction(1, 2), Fraction(2, 1)
 
@@ -20,16 +20,16 @@ for x in (0.0, 0.5, 1.0, 1.5, 2.5, 3.0):
 # Downsampling halves each dimension; weights are renormalized per phase,
 # so flat regions come through untouched.
 flat = np.full((16, 16), 142, np.uint8)
-print(f"\nconstant 16x16 plane -> {downsample_plane(flat, HALF).shape} "
-      f"still constant: {(downsample_plane(flat, HALF) == 142).all()}")
+print(f"\nconstant 16x16 plane -> {downsample_plane(flat, HALF, LANCZOS3, 8).shape} "
+      f"still constant: {(downsample_plane(flat, HALF, LANCZOS3, 8) == 142).all()}")
 
 rng = np.random.default_rng(0)
 textured = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-down = downsample_plane(textured, HALF)
+down = downsample_plane(textured, HALF, LANCZOS3, 8)
 print(f"textured 16x16 -> 8x8, sample means {textured.mean():.1f} -> {down.mean():.1f}")
 
 # Mirror symmetry is bit-exact: resampling commutes with flipping.
-mirrored = downsample_plane(textured[:, ::-1], HALF)
+mirrored = downsample_plane(textured[:, ::-1], HALF, LANCZOS3, 8)
 print(f"mirror-then-downsample == downsample-then-mirror: "
       f"{np.array_equal(mirrored, down[:, ::-1])}")
 
@@ -45,6 +45,6 @@ frame = Frame(
     cb=rng.integers(0, 256, (16, 16)).astype(np.uint8),
     cr=rng.integers(0, 256, (16, 16)).astype(np.uint8),
 )
-small = resample_frame(frame, HALF, direction="down")
-restored = resample_frame(small, TWICE, direction="up")
+small = resample_frame(frame, HALF, LANCZOS3, 8)
+restored = resample_frame(small, TWICE, NEAREST, 8)
 print(f"\nframe 32x32 -> down {small.y.shape}/{small.cb.shape} -> up {restored.y.shape}/{restored.cb.shape}")

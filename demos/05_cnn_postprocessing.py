@@ -34,8 +34,8 @@ weights = random_weights(net, seed=1, scale=0.02)
 
 rng = np.random.default_rng(2)
 clean = rng.integers(60, 196, (48, 48)).astype(np.uint8)
-(decoded,), _ = mock_encode_decode([Frame(y=clean)], qp=37)
-enhanced = apply_network(net, weights, decoded.y)
+(decoded,), _ = mock_encode_decode([Frame(y=clean)], qp=37, bit_depth=8)
+enhanced = apply_network(net, weights, decoded.y, 8)
 
 print(f"\ndecoded psnr vs clean:  {psnr_y(Frame(y=clean), Frame(y=decoded.y), 8):.2f} dB")
 print(f"enhanced psnr vs clean: {psnr_y(Frame(y=clean), Frame(y=enhanced), 8):.2f} dB "
@@ -43,9 +43,9 @@ print(f"enhanced psnr vs clean: {psnr_y(Frame(y=clean), Frame(y=enhanced), 8):.2
 
 # Large planes run tile by tile within a memory budget; with margins at
 # least the receptive radius, tiling is bit-exact against the whole-plane run.
-tiled = tiled_apply(net, weights, decoded.y, tile=16)
+tiled = tiled_apply(net, weights, decoded.y, 8, tile=16)
 print(f"\ntiled (16px tiles) == untiled: {np.array_equal(tiled, enhanced)}")
 
 # Inference is deterministic: rerunning produces the identical plane.
-again = apply_network(net, weights, decoded.y)
+again = apply_network(net, weights, decoded.y, 8)
 print(f"deterministic rerun: {np.array_equal(again, enhanced)}")

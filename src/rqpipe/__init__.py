@@ -25,7 +25,6 @@ from .postproc_cnn import (
     apply_network,
     build_mfrnet_style,
     conv2d,
-    forward_tensor,
     load_weights,
     random_weights,
     save_weights,
@@ -42,7 +41,6 @@ from .resample import (
     upsample_plane_nn,
 )
 from .pipeline import (
-    CTC_SEQUENCES,
     DEFAULT_QP_PAIRS,
     HALF_RES_QP_OFFSET,
     MethodConfig,

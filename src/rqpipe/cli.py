@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .bd_stats import RQCurve, RQPoint, bd_quality, bd_rate
 from .errors import ConfigError, RqpipeError
-from .frame_io import frame_size_bytes, parse_spec_string, read_sequence, write_sequence
+from .frame_io import VideoSpec, frame_size_bytes, parse_spec_string, read_sequence, write_sequence
 from .metrics import psnr_y_sequence
 from .pipeline import assemble_report, dump_patch, mock_encode_decode, run_experiment
 from .pipeline.manifest import RunManifest
@@ -29,6 +29,14 @@ from .resample import ResampleFilter, parse_scale, resample_frame
 def _spec_arg(parser, required=True):
     parser.add_argument("--spec", required=required,
                         help="WxH:bitdepth:chroma, e.g. 1920x1080:10:420")
+
+
+def _input_spec(args, path) -> VideoSpec:
+    """--spec with --frames frames, or as many whole frames as `path` holds."""
+    spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
+    if not spec.frame_count:
+        spec = replace(spec, frame_count=os.path.getsize(path) // frame_size_bytes(spec))
+    return spec
 
 
 def _load_curve(path, label) -> RQCurve:
@@ -59,18 +67,11 @@ def cmd_yuv_info(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
-    if not spec.frame_count:
-        spec = replace(spec, frame_count=os.path.getsize(args.infile) // frame_size_bytes(spec))
+    spec = _input_spec(args, args.infile)
     scale = parse_scale(args.scale)
     filt = ResampleFilter.parse(args.filter)
-    direction = "down" if scale < 1 else "up"
     out_spec = spec.scaled(scale)
-    frames = (
-        resample_frame(f, scale, down_filter=filt, up_filter=filt,
-                       direction=direction, bit_depth=spec.bit_depth)
-        for f in read_sequence(args.infile, spec)
-    )
+    frames = (resample_frame(f, scale, filt, spec.bit_depth) for f in read_sequence(args.infile, spec))
     written = write_sequence(frames, out_spec, args.out)
     print(f"wrote {out_spec.width}x{out_spec.height} x{spec.frame_count} frames "
           f"({written} bytes) to {args.out}")
@@ -78,9 +79,7 @@ def cmd_resample(args) -> int:
 
 
 def cmd_psnr(args) -> int:
-    spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
-    if not spec.frame_count:
-        spec = replace(spec, frame_count=os.path.getsize(args.ref) // frame_size_bytes(spec))
+    spec = _input_spec(args, args.ref)
     score = psnr_y_sequence(
         read_sequence(args.ref, spec), read_sequence(args.dist, spec), spec.bit_depth
     )
@@ -113,17 +112,14 @@ def cmd_bd(args) -> int:
 
 
 def cmd_postproc(args) -> int:
-    spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
-    if not spec.frame_count:
-        spec = replace(spec, frame_count=os.path.getsize(args.infile) // frame_size_bytes(spec))
+    spec = _input_spec(args, args.infile)
     net = NetworkSpec.from_json(Path(args.net).read_text())
     weights = load_weights(args.weights)
     tile = args.tile or max(spec.width, spec.height)
 
     def process():
         for frame in read_sequence(args.infile, spec):
-            frame.y = tiled_apply(net, weights, frame.y, tile, args.overlap,
-                                  bit_depth=spec.bit_depth)
+            frame.y = tiled_apply(net, weights, frame.y, spec.bit_depth, tile, args.overlap)
             yield frame
 
     written = write_sequence(process(), spec, args.out)
@@ -132,9 +128,7 @@ def cmd_postproc(args) -> int:
 
 
 def cmd_mock_codec(args) -> int:
-    spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
-    if not spec.frame_count:
-        spec = replace(spec, frame_count=os.path.getsize(args.infile) // frame_size_bytes(spec))
+    spec = _input_spec(args, args.infile)
     frames = list(read_sequence(args.infile, spec))
     decoded, bits = mock_encode_decode(frames, args.qp, spec.bit_depth)
     write_sequence(decoded, spec, args.out)

@@ -2,7 +2,6 @@
 
 from .codecs import ExternalCodec, MockCodec, mock_encode_decode, quant_step
 from .config import (
-    CTC_SEQUENCES,
     DEFAULT_QP_PAIRS,
     HALF_RES_QP_OFFSET,
     ExperimentConfig,
@@ -10,7 +9,6 @@ from .config import (
     PostprocConfig,
     QpPair,
     SequenceConfig,
-    SequencePreset,
     load_experiment,
 )
 from .manifest import JobRecord, RunManifest, sha256_file
@@ -18,7 +16,6 @@ from .report import ReportBundle, assemble_report, dump_patch
 from .runner import run_experiment
 
 __all__ = [
-    "CTC_SEQUENCES",
     "DEFAULT_QP_PAIRS",
     "HALF_RES_QP_OFFSET",
     "ExperimentConfig",
@@ -31,7 +28,6 @@ __all__ = [
     "ReportBundle",
     "RunManifest",
     "SequenceConfig",
-    "SequencePreset",
     "assemble_report",
     "dump_patch",
     "load_experiment",

@@ -71,7 +71,7 @@ def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) 
     return np.clip(np.floor(rec + 0.5), 0, maxv).astype(dtype)
 
 
-def mock_encode_decode(frames, qp: int, bit_depth: int = 8):
+def mock_encode_decode(frames, qp: int, bit_depth: int):
     """Encode and decode a frame list; returns (decoded frames, total bits).
 
     Deterministic: identical inputs always produce identical outputs.
@@ -80,7 +80,7 @@ def mock_encode_decode(frames, qp: int, bit_depth: int = 8):
     return mock_decode(enc, qp, bit_depth), bits
 
 
-def mock_encode(frames, qp: int, bit_depth: int = 8):
+def mock_encode(frames, qp: int, bit_depth: int):
     if not QP_MIN <= qp <= QP_MAX:
         raise ConfigError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
     payload = []
@@ -95,7 +95,7 @@ def mock_encode(frames, qp: int, bit_depth: int = 8):
     return payload, total_bits
 
 
-def mock_decode(payload, qp: int, bit_depth: int = 8):
+def mock_decode(payload, qp: int, bit_depth: int):
     frames = []
     for coded in payload:
         planes = [decode_plane(q, dims, qp, bit_depth) for q, dims in coded]

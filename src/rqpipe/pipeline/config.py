@@ -1,4 +1,4 @@
-"""Experiment configuration: presets, method definitions, and the INI loader.
+"""Experiment configuration: method definitions and the INI loader.
 
 Experiment files are INI-style:
 
@@ -18,7 +18,7 @@ Experiment files are INI-style:
     # depth_bit_depth = 8
 
     [method.<label>]
-    scale = 1/2                 # 1/1 disables resampling
+    scale = 1/2                 # in (0, 1]; 1/1 disables resampling
     down_filter = lanczos:3
     up_filter = nn
     qp_texture_offset = -6
@@ -66,29 +66,6 @@ class QpPair:
                 raise ConfigError(f"{name} qp {qp} outside [{QP_MIN}, {QP_MAX}]")
 
 
-@dataclass(frozen=True)
-class SequencePreset:
-    """One row of the standard immersive test-set table."""
-
-    id: str
-    name: str
-    content: str  # CG (computer generated) | NC (natural content)
-    width: int
-    height: int
-    views: int
-
-
-CTC_SEQUENCES = {
-    "A": SequencePreset("A", "Classroom", "CG", 4096, 2048, 14),
-    "B": SequencePreset("B", "Museum", "CG", 2048, 2048, 18),
-    "C": SequencePreset("C", "Hijack", "CG", 4096, 2048, 9),
-    "D": SequencePreset("D", "Painter", "NC", 2048, 1088, 16),
-    "E": SequencePreset("E", "Frog", "NC", 1920, 1080, 13),
-    "J": SequencePreset("J", "Kitchen", "CG", 1920, 1080, 24),
-    "L": SequencePreset("L", "Fencing", "NC", 1920, 1080, 9),
-}
-
-
 @dataclass
 class SequenceConfig:
     label: str
@@ -124,8 +101,8 @@ class MethodConfig:
     postproc: PostprocConfig | None = None
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigError(f"method {self.label!r}: scale must be positive")
+        if not 0 < self.scale <= 1:
+            raise ConfigError(f"method {self.label!r}: scale must be in (0, 1], got {self.scale}")
         if self.scale != 1 and self.up_filter is None:
             self.up_filter = NEAREST
         if self.postproc is not None and self.up_filter is None:

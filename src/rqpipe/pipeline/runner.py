@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import __version__
-from ..errors import RqpipeError
+from ..errors import ConfigError, RqpipeError
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import external_metric, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
@@ -31,7 +31,10 @@ def _worker_count(requested: int | None) -> int:
     if requested is not None:
         return max(1, requested)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"RQPIPE_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -56,20 +59,13 @@ def _code_stream(method, frames, spec, qp, workdir, tag, timer):
             down = method.down_filter
             if spec.chroma == "400" and method.depth_down_filter is not None:
                 down = method.depth_down_filter
-            frames = [
-                resample_frame(f, method.scale, down, direction="down", bit_depth=spec.bit_depth)
-                for f in frames
-            ]
+            frames = [resample_frame(f, method.scale, down, spec.bit_depth) for f in frames]
         coded_spec = spec.scaled(method.scale)
     decoded, bits = method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer)
     if method.resamples:
         with timer("upsample"):
             up = Fraction(1, 1) / method.scale
-            decoded = [
-                resample_frame(f, up, up_filter=method.up_filter, direction="up",
-                               bit_depth=spec.bit_depth)
-                for f in decoded
-            ]
+            decoded = [resample_frame(f, up, method.up_filter, spec.bit_depth) for f in decoded]
     return decoded, bits
 
 
@@ -172,6 +168,7 @@ def run_experiment(
     """
     cfg = load_experiment(config) if not isinstance(config, ExperimentConfig) else config
     cfg.validate()
+    n_workers = _worker_count(workers)
     out = Path(workdir) if workdir is not None else cfg.workdir
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / manifest_name
@@ -198,15 +195,7 @@ def run_experiment(
     ]
     todo = [j for j in jobs if not (resume and manifest.job_intact((j[0].label, j[1].label, j[2])))]
 
-    n = _worker_count(workers)
-    if n == 1:
-        for seq, method, qi, pair in todo:
-            manifest.append_job(
-                _run_job(seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
-            )
-        return manifest
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [
             pool.submit(_run_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
             for seq, method, qi, pair in todo

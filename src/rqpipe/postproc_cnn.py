@@ -332,25 +332,8 @@ def _apply_layers(net: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
     return values[net.output_id]
 
 
-def forward_tensor(net: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
-    """Evaluate the layer graph on a raw (C,H,W) float tensor.
-
-    No normalization, rounding, or global residual; useful for inspecting
-    the network's linear response.
-    """
-    net.validate()
-    validate_weights(net, weights)
-    return _apply_layers(net, weights, np.asarray(x))
-
-
-def apply_network(
-    net: NetworkSpec,
-    weights,
-    plane: np.ndarray,
-    bit_depth: int | None = None,
-    precision: str = "single",
-) -> np.ndarray:
-    """Run the network over one integer plane.
+def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) -> np.ndarray:
+    """Run the network over one integer plane in float32.
 
     Normalizes by 1/(2^bit_depth - 1), evaluates the graph, adds the
     global residual when flagged, then de-normalizes, rounds, and clamps.
@@ -358,11 +341,8 @@ def apply_network(
     """
     net.validate()
     validate_weights(net, weights)
-    if bit_depth is None:
-        bit_depth = 8 if plane.dtype == np.uint8 else 10
     maxv = (1 << bit_depth) - 1
-    dtype = np.float32 if precision == "single" else np.float64
-    x = (plane.astype(dtype) / dtype(maxv))[None, :, :]
+    x = (plane.astype(np.float32) / np.float32(maxv))[None, :, :]
     y = _apply_layers(net, weights, x)
     if y.shape[0] != 1:
         raise ShapeError(f"network output has {y.shape[0]} channels, expected 1")
@@ -380,10 +360,9 @@ def tiled_apply(
     net: NetworkSpec,
     weights,
     plane: np.ndarray,
+    bit_depth: int,
     tile: int,
     overlap: int | None = None,
-    bit_depth: int | None = None,
-    precision: str = "single",
 ) -> np.ndarray:
     """Memory-bounded inference: process tile x tile regions with margins.
 
@@ -410,7 +389,7 @@ def tiled_apply(
             tx0 = max(0, x0 - overlap)
             ty1 = min(h, y1 + overlap)
             tx1 = min(w, x1 + overlap)
-            region = apply_network(net, weights, plane[ty0:ty1, tx0:tx1], bit_depth, precision)
+            region = apply_network(net, weights, plane[ty0:ty1, tx0:tx1], bit_depth)
             out[y0:y1, x0:x1] = region[y0 - ty0 : y1 - ty0, x0 - tx0 : x1 - tx0]
     return out
 

@@ -105,13 +105,6 @@ def lanczos_weight(x, a: int):
     return out if out.ndim else float(out)
 
 
-def _infer_max_value(plane: np.ndarray, bit_depth: int | None) -> int:
-    # uint16 planes carry 10-bit samples everywhere in this toolkit
-    if bit_depth is None:
-        bit_depth = 8 if plane.dtype == np.uint8 else 10
-    return (1 << bit_depth) - 1
-
-
 def _axis_taps(in_len: int, out_len: int, filt: ResampleFilter):
     """Per-output tap indices and renormalized weights for one axis.
 
@@ -164,7 +157,10 @@ def _apply_axis(arr: np.ndarray, idx: np.ndarray, weights: np.ndarray, axis: int
     return acc.T if axis == 0 else acc
 
 
-def _resample_plane_lanczos(plane: np.ndarray, out_w: int, out_h: int, filt: ResampleFilter) -> np.ndarray:
+def _resample_plane_lanczos(
+    plane: np.ndarray, factor: Fraction, filt: ResampleFilter, bit_depth: int
+) -> np.ndarray:
+    out_w, out_h = _output_dims(plane, factor)
     h, w = plane.shape
     x = plane.astype(np.float64)
     if out_w != w:
@@ -173,7 +169,7 @@ def _resample_plane_lanczos(plane: np.ndarray, out_w: int, out_h: int, filt: Res
     if out_h != h:
         idx, wts = _axis_taps(h, out_h, filt)
         x = _apply_axis(x, idx, wts, axis=0)
-    return x
+    return np.clip(np.floor(x + 0.5), 0, (1 << bit_depth) - 1).astype(plane.dtype)
 
 
 def _output_dims(plane: np.ndarray, factor: Fraction) -> tuple[int, int]:
@@ -186,28 +182,24 @@ def _output_dims(plane: np.ndarray, factor: Fraction) -> tuple[int, int]:
 
 
 def downsample_plane(
-    plane: np.ndarray,
-    factor: Fraction,
-    filt: ResampleFilter = LANCZOS3,
-    bit_depth: int | None = None,
+    plane: np.ndarray, factor: Fraction, filt: ResampleFilter, bit_depth: int
 ) -> np.ndarray:
-    """Shrink a plane by `factor` (< 1), separably, horizontal then vertical.
+    """Shrink a plane by `factor` (<= 1), separably, horizontal then vertical.
 
-    Lanczos filtering is done in float64 with a single final rounding;
-    nearest-neighbor decimation picks the sample nearest each output
-    center (top-left of each 2x2 for factor 1/2). No silent padding:
-    non-integral output dimensions raise DimensionError.
+    Lanczos filtering is done in float64 with a single final rounding and
+    a clamp to [0, 2^bit_depth - 1]; nearest-neighbor decimation picks the
+    sample nearest each output center (top-left of each 2x2 for factor
+    1/2). No silent padding: non-integral output dimensions raise
+    DimensionError.
     """
     factor = Fraction(factor)
     if factor > 1:
         raise ConfigError(f"downsample factor must be <= 1, got {factor}")
-    out_w, out_h = _output_dims(plane, factor)
     if filt.kind == "nearest":
+        out_w, out_h = _output_dims(plane, factor)
         h, w = plane.shape
         return plane[np.ix_(_nearest_indices(h, out_h), _nearest_indices(w, out_w))].copy()
-    maxv = _infer_max_value(plane, bit_depth)
-    x = _resample_plane_lanczos(plane, out_w, out_h, filt)
-    return np.clip(np.floor(x + 0.5), 0, maxv).astype(plane.dtype)
+    return _resample_plane_lanczos(plane, factor, filt, bit_depth)
 
 
 def upsample_plane_nn(plane: np.ndarray, factor: Fraction) -> np.ndarray:
@@ -222,36 +214,20 @@ def upsample_plane_nn(plane: np.ndarray, factor: Fraction) -> np.ndarray:
     return np.repeat(np.repeat(plane, f, axis=0), f, axis=1)
 
 
-def _resample_one(plane, factor, down_filter, up_filter, direction, bit_depth):
-    if direction == "down":
-        return downsample_plane(plane, factor, down_filter, bit_depth)
-    if up_filter.kind == "nearest":
-        return upsample_plane_nn(plane, factor)
-    out_w, out_h = _output_dims(plane, factor)
-    maxv = _infer_max_value(plane, bit_depth)
-    x = _resample_plane_lanczos(plane, out_w, out_h, up_filter)
-    return np.clip(np.floor(x + 0.5), 0, maxv).astype(plane.dtype)
+def resample_frame(frame: Frame, factor: Fraction, filt: ResampleFilter, bit_depth: int) -> Frame:
+    """Scale luma and, when present, both chroma planes by `factor`.
 
-
-def resample_frame(
-    frame: Frame,
-    factor: Fraction,
-    down_filter: ResampleFilter = LANCZOS3,
-    up_filter: ResampleFilter = NEAREST,
-    direction: str = "down",
-    bit_depth: int | None = None,
-) -> Frame:
-    """Apply the plane resampler to luma and, when present, both chroma planes.
-
+    The factor gives the direction: at most 1 shrinks with
+    downsample_plane; above 1 enlarges, by sample duplication for nearest
+    neighbor and by the same center-aligned Lanczos filter otherwise.
     Chroma keeps its half-of-luma relation since every plane scales by the
     same factor.
     """
-    if direction not in ("down", "up"):
-        raise ConfigError(f"direction must be 'down' or 'up', got {direction!r}")
     factor = Fraction(factor)
-    y = _resample_one(frame.y, factor, down_filter, up_filter, direction, bit_depth)
-    if frame.cb is None:
-        return Frame(y=y)
-    cb = _resample_one(frame.cb, factor, down_filter, up_filter, direction, bit_depth)
-    cr = _resample_one(frame.cr, factor, down_filter, up_filter, direction, bit_depth)
-    return Frame(y=y, cb=cb, cr=cr)
+    if factor <= 1:
+        resample, args = downsample_plane, (factor, filt, bit_depth)
+    elif filt.kind == "nearest":
+        resample, args = upsample_plane_nn, (factor,)
+    else:
+        resample, args = _resample_plane_lanczos, (factor, filt, bit_depth)
+    return Frame(*(resample(plane, *args) for plane in frame.planes()))

@@ -58,15 +58,15 @@ class TestAcceptance:
 
         # constant planes preserved exactly
         for c in (0, 31, 255):
-            assert (downsample_plane(np.full((16, 16), c, np.uint8), HALF) == c).all()
-        assert (downsample_plane(np.full((12, 12), 1000, np.uint16), HALF, bit_depth=10) == 1000).all()
+            assert (downsample_plane(np.full((16, 16), c, np.uint8), HALF, LANCZOS3, 8) == c).all()
+        assert (downsample_plane(np.full((12, 12), 1000, np.uint16), HALF, LANCZOS3, 10) == 1000).all()
 
         # separable equals the direct 2-D oracle within 0.5 LSB, 200 planes
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(200):
             p = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            sep = downsample_plane(p, HALF).astype(float)
+            sep = downsample_plane(p, HALF, LANCZOS3, 8).astype(float)
             direct = np.clip(np.floor(oracle_resample_2d(p, 8, 8) + 0.5), 0, 255)
             worst = max(worst, np.abs(sep - direct).max())
         assert worst <= 0.5
@@ -157,7 +157,7 @@ class TestAcceptance:
             frame = Frame(y=rng.integers(0, 256, (32, 32)).astype(np.uint8))
             prev_bits, prev_mse = math.inf, -1.0
             for qp in ladder:
-                (dec,), bits = mock_encode_decode([frame], qp)
+                (dec,), bits = mock_encode_decode([frame], qp, 8)
                 mse = mse_plane(frame.y, dec.y)
                 assert bits < prev_bits, f"seed {seed} qp {qp}: bits not decreasing"
                 assert mse > prev_mse, f"seed {seed} qp {qp}: psnr not decreasing"
@@ -165,8 +165,8 @@ class TestAcceptance:
 
         rng = np.random.default_rng(99)
         frames = [Frame(y=rng.integers(0, 256, (24, 24)).astype(np.uint8)) for _ in range(2)]
-        dec1, bits1 = mock_encode_decode(frames, 27)
-        dec2, bits2 = mock_encode_decode(frames, 27)
+        dec1, bits1 = mock_encode_decode(frames, 27, 8)
+        dec2, bits2 = mock_encode_decode(frames, 27, 8)
         assert bits1 == bits2
         assert all(np.array_equal(a.y, b.y) for a, b in zip(dec1, dec2))
         announce("mock_codec")
@@ -194,18 +194,18 @@ class TestAcceptance:
         plane = rng.integers(0, 256, (32, 32)).astype(np.uint8)
         ident = identity_net(residual=False)
         w_ident = {"c": (np.ones((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))}
-        assert np.array_equal(apply_network(ident, w_ident, plane), plane)
+        assert np.array_equal(apply_network(ident, w_ident, plane, 8), plane)
         zero = identity_net(residual=True)
         w_zero = {"c": (np.zeros((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))}
-        assert np.array_equal(apply_network(zero, w_zero, plane), plane)
+        assert np.array_equal(apply_network(zero, w_zero, plane, 8), plane)
 
         # tiled inference is bit-exact against untiled with enough overlap
         net = build_mfrnet_style(1, 2, 4, 4)
         weights = random_weights(net, seed=5)
         big = rng.integers(0, 256, (64, 64)).astype(np.uint8)
-        whole = apply_network(net, weights, big)
+        whole = apply_network(net, weights, big, 8)
         for tile in (16, 24, 64):
-            assert np.array_equal(whole, tiled_apply(net, weights, big, tile=tile))
+            assert np.array_equal(whole, tiled_apply(net, weights, big, 8, tile=tile))
 
         # four dense blocks in the default-style build
         four = build_mfrnet_style(4, 4, 32, 16)

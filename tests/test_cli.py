@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,42 @@ class TestPsnrCommand:
         with open(csv_out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 and rows[0]["psnr_y_db"] == "inf"
+
+
+class TestFrameCount:
+    """resample, psnr, postproc and mock-codec read --spec/--frames alike."""
+
+    @pytest.fixture
+    def partial_yuv(self, yuv, tmp_path):
+        path, spec = yuv
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * (frame_size_bytes(spec) // 2))
+        net = build_mfrnet_style(1, 1, 2, 2)
+        (tmp_path / "net.json").write_text(net.to_json())
+        save_weights(tmp_path / "w.rqpw", random_weights(net))
+        return path, spec
+
+    @pytest.mark.parametrize("frames", [None, 2])
+    @pytest.mark.parametrize("command", ["resample", "psnr", "postproc", "mock-codec"])
+    def test_whole_frames_unless_frames_given(self, partial_yuv, tmp_path, capsys, command, frames):
+        path, spec = partial_yuv
+        out = tmp_path / "out.yuv"
+        args = {
+            "resample": ["--in", path, "--scale", "1/2", "--out", out],
+            "psnr": ["--ref", path, "--dist", path],
+            "postproc": ["--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
+                         "--in", path, "--out", out],
+            "mock-codec": ["--in", path, "--qp", "27", "--out", out],
+        }[command]
+        if frames is not None:
+            args += ["--frames", frames]
+        assert run_cli(command, *args, "--spec", "32x32:8:420") == 0
+        expected = frames or spec.frame_count  # the trailing half frame is never read
+        if command == "psnr":
+            assert f"over {expected} frames" in capsys.readouterr().out
+        else:
+            out_spec = spec.scaled(Fraction(1, 2)) if command == "resample" else spec
+            assert out.stat().st_size == expected * frame_size_bytes(out_spec)
 
 
 class TestBdCommand:
@@ -158,6 +195,12 @@ class TestRunAndReport:
     def test_error_exit_code(self, tmp_path, capsys):
         assert run_cli("run", tmp_path / "absent.ini") == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_integer_workers_env_exits_2(self, experiment_dir, monkeypatch, capsys):
+        monkeypatch.setenv("RQPIPE_WORKERS", "two")
+        assert run_cli("run", experiment_dir / "exp.ini") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "RQPIPE_WORKERS" in err and "'two'" in err
 
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")

@@ -44,7 +44,7 @@ class TestConstantPlanes:
     @pytest.mark.parametrize("value", [0, 16, 100, 200, 255])
     def test_decoded_plane_is_constant_and_matches_dc_trace(self, qp, value):
         frames = [Frame(y=np.full((16, 16), value, np.uint8))]
-        (decoded,), _ = mock_encode_decode(frames, qp)
+        (decoded,), _ = mock_encode_decode(frames, qp, 8)
         expected = dc_hand_trace(value, qp)
         assert (decoded.y == expected).all()
 
@@ -52,7 +52,7 @@ class TestConstantPlanes:
         # step <= 8 keeps the DC quantization error below half an LSB
         for qp in range(0, 23):
             frames = [Frame(y=np.full((8, 8), 77, np.uint8))]
-            (decoded,), _ = mock_encode_decode(frames, qp)
+            (decoded,), _ = mock_encode_decode(frames, qp, 8)
             assert (decoded.y == 77).all(), f"qp={qp}"
 
     def test_specific_hand_traced_values(self):
@@ -89,7 +89,7 @@ class TestMonotonicity:
         frames = [random_frame(rng, 16)]
         prev = math.inf
         for qp in range(0, 64):
-            _, bits = mock_encode_decode(frames, qp)
+            _, bits = mock_encode_decode(frames, qp, 8)
             assert bits <= prev, f"qp={qp}"
             prev = bits
 
@@ -99,7 +99,7 @@ class TestMonotonicity:
         frames = [random_frame(rng, 32)]
         prev_bits, prev_mse = math.inf, -1.0
         for qp in (16, 22, 27, 32, 37, 46):
-            (decoded,), bits = mock_encode_decode(frames, qp)
+            (decoded,), bits = mock_encode_decode(frames, qp, 8)
             mse = mse_plane(frames[0].y, decoded.y)
             assert bits < prev_bits
             assert mse > prev_mse  # psnr strictly decreases
@@ -110,12 +110,12 @@ class TestPaddingAndShape:
     def test_non_multiple_of_eight_dims(self):
         rng = np.random.default_rng(1)
         frames = [Frame(y=rng.integers(0, 256, (12, 10)).astype(np.uint8))]
-        (decoded,), _ = mock_encode_decode(frames, 22)
+        (decoded,), _ = mock_encode_decode(frames, 22, 8)
         assert decoded.y.shape == (12, 10)
 
     def test_constant_survives_edge_padding(self):
         frames = [Frame(y=np.full((11, 13), 50, np.uint8))]
-        (decoded,), _ = mock_encode_decode(frames, 10)
+        (decoded,), _ = mock_encode_decode(frames, 10, 8)
         assert (decoded.y == 50).all()
 
     def test_chroma_planes_coded_too(self):
@@ -125,9 +125,9 @@ class TestPaddingAndShape:
             cb=rng.integers(0, 256, (8, 8)).astype(np.uint8),
             cr=rng.integers(0, 256, (8, 8)).astype(np.uint8),
         )
-        (decoded,), bits = mock_encode_decode([frame], 22)
+        (decoded,), bits = mock_encode_decode([frame], 22, 8)
         assert decoded.cb is not None and decoded.cb.shape == (8, 8)
-        _, y_only_bits = mock_encode_decode([Frame(y=frame.y)], 22)
+        _, y_only_bits = mock_encode_decode([Frame(y=frame.y)], 22, 8)
         assert bits > y_only_bits
 
     def test_10bit_content(self):
@@ -142,20 +142,20 @@ class TestDeterminism:
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(4)
         frames = [random_frame(rng, 24) for _ in range(3)]
-        dec1, bits1 = mock_encode_decode(frames, 27)
-        dec2, bits2 = mock_encode_decode(frames, 27)
+        dec1, bits1 = mock_encode_decode(frames, 27, 8)
+        dec2, bits2 = mock_encode_decode(frames, 27, 8)
         assert bits1 == bits2
         for a, b in zip(dec1, dec2):
             assert np.array_equal(a.y, b.y)
 
     def test_qp_out_of_range(self):
         with pytest.raises(ConfigError):
-            mock_encode_decode([Frame(y=np.zeros((8, 8), np.uint8))], 64)
+            mock_encode_decode([Frame(y=np.zeros((8, 8), np.uint8))], 64, 8)
 
     def test_rate_and_quality_drop_from_22_to_37(self):
         rng = np.random.default_rng(5)
         frames = [random_frame(rng, 32)]
-        (d22,), bits22 = mock_encode_decode(frames, 22)
-        (d37,), bits37 = mock_encode_decode(frames, 37)
+        (d22,), bits22 = mock_encode_decode(frames, 22, 8)
+        (d37,), bits37 = mock_encode_decode(frames, 37, 8)
         assert bits37 < bits22
         assert mse_plane(frames[0].y, d37.y) > mse_plane(frames[0].y, d22.y)

@@ -8,7 +8,6 @@ import pytest
 from rqpipe import VideoSpec, read_frame, run_experiment, synthetic_sequence, write_sequence
 from rqpipe.errors import ConfigError, DimensionError
 from rqpipe.pipeline import (
-    CTC_SEQUENCES,
     DEFAULT_QP_PAIRS,
     HALF_RES_QP_OFFSET,
     QpPair,
@@ -27,13 +26,6 @@ class TestPresets:
     def test_half_resolution_shift(self):
         shifted = [t + HALF_RES_QP_OFFSET for t, _ in DEFAULT_QP_PAIRS]
         assert shifted == [16, 21, 26, 31]
-
-    def test_sequence_table(self):
-        assert CTC_SEQUENCES["A"].width == 4096
-        assert CTC_SEQUENCES["A"].content == "CG"
-        assert CTC_SEQUENCES["E"].name == "Frog"
-        assert CTC_SEQUENCES["L"].views == 9
-        assert len(CTC_SEQUENCES) == 7
 
     def test_qp_pair_range(self):
         with pytest.raises(ConfigError):
@@ -69,6 +61,13 @@ class TestConfigLoading:
             text.replace("qp_texture_offset = -6", "qp_texture_offset = -23", 1)
         )
         with pytest.raises(ConfigError, match="outside"):
+            load_experiment(experiment_dir / "broken.ini")
+
+    def test_upscaling_method_rejected(self, experiment_dir):
+        # the runner shrinks before coding, so a scale above 1 is a config error
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace("scale = 1/2", "scale = 2/1", 1))
+        with pytest.raises(ConfigError, match="scale must be in"):
             load_experiment(experiment_dir / "broken.ini")
 
     def test_nearest_qp_model_selection(self, experiment_dir):
@@ -190,6 +189,13 @@ class TestWorkerCount:
         assert _worker_count(5) == 5  # explicit argument beats the env
         monkeypatch.delenv("RQPIPE_WORKERS")
         assert _worker_count(None) >= 1
+
+    def test_non_integer_env_is_config_error(self, monkeypatch):
+        from rqpipe.pipeline.runner import _worker_count
+
+        monkeypatch.setenv("RQPIPE_WORKERS", "two")
+        with pytest.raises(ConfigError, match="RQPIPE_WORKERS.*'two'"):
+            _worker_count(None)
 
 
 class TestDepthStream:

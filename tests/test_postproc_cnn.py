@@ -6,14 +6,13 @@ from rqpipe import (
     apply_network,
     build_mfrnet_style,
     conv2d,
-    forward_tensor,
     load_weights,
     random_weights,
     save_weights,
     tiled_apply,
 )
 from rqpipe.errors import ConfigError, ShapeError, WeightFormatError
-from rqpipe.postproc_cnn import act_layer, add_layer, concat_layer, conv_layer
+from rqpipe.postproc_cnn import _apply_layers, act_layer, add_layer, concat_layer, conv_layer
 
 
 def conv2d_oracle(x, w, b, stride=1, pad=0):
@@ -124,7 +123,7 @@ class TestApplyNetwork:
         weights = {"c": (np.ones((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))}
         rng = np.random.default_rng(5)
         plane = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-        assert np.array_equal(apply_network(net, weights, plane), plane)
+        assert np.array_equal(apply_network(net, weights, plane, 8), plane)
 
     def test_zero_weights_with_global_residual(self):
         net = identity_net(residual=True)
@@ -168,7 +167,7 @@ class TestApplyNetwork:
         final = float(b2[0]) + float(w2[0, 0, 0, 0]) * feat[0] + float(w2[0, 1, 0, 0]) * feat[1]
         expected = np.clip(np.floor(final * 255.0 + 0.5), 0, 255).astype(np.uint8)
 
-        got = apply_network(net, weights, plane, precision="double")
+        got = apply_network(net, weights, plane, 8)
         assert np.abs(got.astype(int) - expected.astype(int)).max() <= 1
 
     def test_deterministic_repeat_runs(self):
@@ -176,14 +175,14 @@ class TestApplyNetwork:
         weights = random_weights(net, seed=8)
         rng = np.random.default_rng(9)
         plane = rng.integers(0, 256, (24, 24)).astype(np.uint8)
-        a = apply_network(net, weights, plane)
-        b = apply_network(net, weights, plane)
+        a = apply_network(net, weights, plane, 8)
+        b = apply_network(net, weights, plane, 8)
         assert np.array_equal(a, b)
 
     def test_missing_weights_rejected(self):
         net = identity_net()
         with pytest.raises(WeightFormatError, match="c"):
-            apply_network(net, {}, np.zeros((4, 4), np.uint8))
+            apply_network(net, {}, np.zeros((4, 4), np.uint8), 8)
 
     def test_multichannel_output_rejected(self):
         net = NetworkSpec(
@@ -193,7 +192,7 @@ class TestApplyNetwork:
         )
         weights = {"c": (np.zeros((2, 1, 1, 1), np.float32), np.zeros(2, np.float32))}
         with pytest.raises(ShapeError, match="channels"):
-            apply_network(net, weights, np.zeros((4, 4), np.uint8))
+            apply_network(net, weights, np.zeros((4, 4), np.uint8), 8)
 
 
 class TestTiledApply:
@@ -204,20 +203,20 @@ class TestTiledApply:
         self.plane = rng.integers(0, 256, (64, 64)).astype(np.uint8)
 
     def test_single_tile_equals_apply_network(self):
-        whole = apply_network(self.net, self.weights, self.plane)
-        tiled = tiled_apply(self.net, self.weights, self.plane, tile=64, overlap=8)
+        whole = apply_network(self.net, self.weights, self.plane, 8)
+        tiled = tiled_apply(self.net, self.weights, self.plane, 8, tile=64, overlap=8)
         assert np.array_equal(whole, tiled)
 
     def test_small_tiles_bit_exact_with_sufficient_overlap(self):
-        whole = apply_network(self.net, self.weights, self.plane)
+        whole = apply_network(self.net, self.weights, self.plane, 8)
         radius = self.net.receptive_radius()
         for tile in (32, 24, 16):
-            tiled = tiled_apply(self.net, self.weights, self.plane, tile=tile, overlap=radius)
+            tiled = tiled_apply(self.net, self.weights, self.plane, 8, tile=tile, overlap=radius)
             assert np.array_equal(whole, tiled), f"tile={tile}"
 
     def test_default_overlap_is_receptive_radius(self):
-        whole = apply_network(self.net, self.weights, self.plane)
-        tiled = tiled_apply(self.net, self.weights, self.plane, tile=20)
+        whole = apply_network(self.net, self.weights, self.plane, 8)
+        tiled = tiled_apply(self.net, self.weights, self.plane, 8, tile=20)
         assert np.array_equal(whole, tiled)
 
     def test_insufficient_overlap_reports_required_minimum(self):
@@ -228,7 +227,7 @@ class TestTiledApply:
         )
         weights = {"c": (np.ones((1, 1, 3, 3), np.float32) / 9, np.zeros(1, np.float32))}
         with pytest.raises(ConfigError, match=">= 1"):
-            tiled_apply(net, weights, self.plane, tile=16, overlap=0)
+            tiled_apply(net, weights, self.plane, 8, tile=16, overlap=0)
 
 
 class TestBuildMfrnetStyle:
@@ -307,10 +306,10 @@ class TestReceptiveField:
         size = 15
         center = size // 2
         x = np.zeros((1, size, size))
-        base = forward_tensor(net, weights, x)
+        base = _apply_layers(net, weights, x)
         x2 = x.copy()
         x2[0, center, center] = 1.0
-        diff = np.abs(forward_tensor(net, weights, x2) - base)[0]
+        diff = np.abs(_apply_layers(net, weights, x2) - base)[0]
         affected = np.argwhere(diff > 1e-12)
         radius = np.abs(affected - center).max()
         assert radius == 3
@@ -362,7 +361,7 @@ class TestWeightFiles:
         path = tmp_path / "w.rqpw"
         save_weights(path, {"c": (np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))})
         with pytest.raises(WeightFormatError, match="shape"):
-            apply_network(net, load_weights(path), np.zeros((4, 4), np.uint8))
+            apply_network(net, load_weights(path), np.zeros((4, 4), np.uint8), 8)
 
 
 class TestGraphValidation:

@@ -76,28 +76,28 @@ class TestDownsample:
     def test_constant_plane_preserved_exactly(self):
         for c in (0, 1, 77, 255):
             p = np.full((12, 16), c, np.uint8)
-            out = downsample_plane(p, HALF)
+            out = downsample_plane(p, HALF, LANCZOS3, 8)
             assert out.shape == (6, 8)
             assert (out == c).all()
 
     def test_constant_10bit(self):
         p = np.full((8, 8), 1001, np.uint16)
-        assert (downsample_plane(p, HALF, bit_depth=10) == 1001).all()
+        assert (downsample_plane(p, HALF, LANCZOS3, 10) == 1001).all()
 
     def test_hd_dimensions(self):
         p = np.zeros((1080, 1920), np.uint8)
-        assert downsample_plane(p, HALF).shape == (540, 960)
+        assert downsample_plane(p, HALF, LANCZOS3, 8).shape == (540, 960)
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(DimensionError):
-            downsample_plane(np.zeros((5, 8), np.uint8), HALF)
+            downsample_plane(np.zeros((5, 8), np.uint8), HALF, LANCZOS3, 8)
 
     def test_matches_direct_2d_oracle(self):
         rng = np.random.default_rng(123)
         worst = 0
         for _ in range(25):
             p = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            sep = downsample_plane(p, HALF).astype(int)
+            sep = downsample_plane(p, HALF, LANCZOS3, 8).astype(int)
             ora = np.clip(np.floor(oracle_resample_2d(p, 8, 8) + 0.5), 0, 255).astype(int)
             worst = max(worst, np.abs(sep - ora).max())
         assert worst <= 0.5
@@ -105,7 +105,7 @@ class TestDownsample:
     def test_impulse_matches_oracle_tap_by_tap(self):
         p = np.zeros((16, 16), np.uint8)
         p[8, 8] = 200
-        sep = downsample_plane(p, HALF).astype(int)
+        sep = downsample_plane(p, HALF, LANCZOS3, 8).astype(int)
         ora = np.clip(np.floor(oracle_resample_2d(p, 8, 8) + 0.5), 0, 255).astype(int)
         assert np.array_equal(sep, ora)
 
@@ -113,8 +113,8 @@ class TestDownsample:
         rng = np.random.default_rng(7)
         for _ in range(50):
             p = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            a = downsample_plane(p, HALF)
-            b = downsample_plane(p[:, ::-1], HALF)
+            a = downsample_plane(p, HALF, LANCZOS3, 8)
+            b = downsample_plane(p[:, ::-1], HALF, LANCZOS3, 8)
             assert np.array_equal(a[:, ::-1], b)
 
     def test_partition_of_unity_every_phase_and_boundary(self):
@@ -124,14 +124,14 @@ class TestDownsample:
 
     def test_nn_decimation_picks_top_left(self):
         p = np.arange(16, dtype=np.uint8).reshape(4, 4)
-        out = downsample_plane(p, HALF, NEAREST)
+        out = downsample_plane(p, HALF, NEAREST, 8)
         assert out.tolist() == [[0, 2], [8, 10]]
 
     def test_nn_decimation_inverts_nn_upsample(self):
         rng = np.random.default_rng(5)
         p = rng.integers(0, 256, (6, 7)).astype(np.uint8)
         up = upsample_plane_nn(p, TWICE)
-        assert np.array_equal(downsample_plane(up, HALF, NEAREST), p)
+        assert np.array_equal(downsample_plane(up, HALF, NEAREST, 8), p)
 
 
 class TestUpsampleNN:
@@ -171,14 +171,14 @@ class TestResampleFrame:
             cb=np.zeros((540, 960), np.uint8),
             cr=np.zeros((540, 960), np.uint8),
         )
-        out = resample_frame(frame, HALF, direction="down")
+        out = resample_frame(frame, HALF, LANCZOS3, 8)
         assert out.y.shape == (540, 960)
         assert out.cb.shape == (270, 480)
         assert out.cr.shape == (270, 480)
 
     def test_mono_frame_resamples_luma_only(self):
         frame = Frame(y=np.zeros((16, 16), np.uint8))
-        out = resample_frame(frame, HALF, direction="down")
+        out = resample_frame(frame, HALF, LANCZOS3, 8)
         assert out.y.shape == (8, 8) and out.cb is None
 
     def test_down_then_up_preserves_constant(self):
@@ -187,9 +187,53 @@ class TestResampleFrame:
             cb=np.full((8, 8), 100, np.uint8),
             cr=np.full((8, 8), 200, np.uint8),
         )
-        down = resample_frame(frame, HALF, direction="down")
-        up = resample_frame(down, TWICE, direction="up")
+        down = resample_frame(frame, HALF, LANCZOS3, 8)
+        up = resample_frame(down, TWICE, NEAREST, 8)
         assert (up.y == 42).all() and (up.cb == 100).all() and (up.cr == 200).all()
+
+
+class TestLanczosUpsample:
+    """Factor 2/1 with lanczos:3, as `resample --scale 2/1 --filter lanczos:3` runs it."""
+
+    TWICE = parse_scale("2/1")
+    LANCZOS = ResampleFilter.parse("lanczos:3")
+
+    def test_420_dimensions_double(self):
+        frame = Frame(
+            y=np.zeros((18, 32), np.uint8),
+            cb=np.zeros((9, 16), np.uint8),
+            cr=np.zeros((9, 16), np.uint8),
+        )
+        out = resample_frame(frame, self.TWICE, self.LANCZOS, 8)
+        assert out.y.shape == (36, 64)
+        assert out.cb.shape == (18, 32) and out.cr.shape == (18, 32)
+
+    @pytest.mark.parametrize(
+        "bit_depth, value",
+        [(8, 0), (8, 77), (8, 255), (10, 0), (10, 513), (10, 1023)],
+    )
+    def test_constant_planes_stay_constant(self, bit_depth, value):
+        dtype = np.uint8 if bit_depth == 8 else np.uint16
+        frame = Frame(
+            y=np.full((12, 16), value, dtype),
+            cb=np.full((6, 8), value, dtype),
+            cr=np.full((6, 8), value, dtype),
+        )
+        out = resample_frame(frame, self.TWICE, self.LANCZOS, bit_depth)
+        for plane in out.planes():
+            assert plane.dtype == dtype
+            assert (plane == value).all()
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_mirrored_input_gives_mirrored_output(self, bit_depth):
+        rng = np.random.default_rng(40 + bit_depth)
+        dtype = np.uint8 if bit_depth == 8 else np.uint16
+        for _ in range(10):
+            y = rng.integers(0, 1 << bit_depth, (14, 18)).astype(dtype)
+            out = resample_frame(Frame(y=y), self.TWICE, self.LANCZOS, bit_depth).y
+            for flip in (np.fliplr, np.flipud):
+                flipped = resample_frame(Frame(y=flip(y)), self.TWICE, self.LANCZOS, bit_depth).y
+                assert np.array_equal(flipped, flip(out))
 
 
 class TestParsing:
