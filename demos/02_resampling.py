@@ -1,4 +1,5 @@
-"""Spatial resampling: Lanczos downscale for coding, nearest-neighbor upscale after.
+"""Spatial resampling: Lanczos downscale for coding, nearest-neighbor upscale after,
+both through the one resampler, resample_plane.
 
 Run: python demos/02_resampling.py
 """
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rqpipe import LANCZOS3, NEAREST, Frame, downsample_plane, lanczos_weight, resample_frame, upsample_plane_nn
+from rqpipe import LANCZOS3, NEAREST, Frame, lanczos_weight, resample_frame, resample_plane
 
 HALF, TWICE = Fraction(1, 2), Fraction(2, 1)
 
@@ -20,23 +21,23 @@ for x in (0.0, 0.5, 1.0, 1.5, 2.5, 3.0):
 # Downsampling halves each dimension; weights are renormalized per phase,
 # so flat regions come through untouched.
 flat = np.full((16, 16), 142, np.uint8)
-print(f"\nconstant 16x16 plane -> {downsample_plane(flat, HALF, LANCZOS3, 8).shape} "
-      f"still constant: {(downsample_plane(flat, HALF, LANCZOS3, 8) == 142).all()}")
+print(f"\nconstant 16x16 plane -> {resample_plane(flat, HALF, LANCZOS3, 8).shape} "
+      f"still constant: {(resample_plane(flat, HALF, LANCZOS3, 8) == 142).all()}")
 
 rng = np.random.default_rng(0)
 textured = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-down = downsample_plane(textured, HALF, LANCZOS3, 8)
+down = resample_plane(textured, HALF, LANCZOS3, 8)
 print(f"textured 16x16 -> 8x8, sample means {textured.mean():.1f} -> {down.mean():.1f}")
 
 # Mirror symmetry is bit-exact: resampling commutes with flipping.
-mirrored = downsample_plane(textured[:, ::-1], HALF, LANCZOS3, 8)
+mirrored = resample_plane(textured[:, ::-1], HALF, LANCZOS3, 8)
 print(f"mirror-then-downsample == downsample-then-mirror: "
       f"{np.array_equal(mirrored, down[:, ::-1])}")
 
 # Nearest-neighbor upsampling is pure duplication, no arithmetic at all.
 tiny = np.array([[10, 20], [30, 40]], np.uint8)
 print(f"\nNN upsample of {tiny.tolist()}:")
-print(upsample_plane_nn(tiny, TWICE))
+print(resample_plane(tiny, TWICE, NEAREST, 8))
 
 # Frames resample all planes together; chroma keeps its half-of-luma
 # relation automatically.

@@ -34,11 +34,10 @@ from .resample import (
     LANCZOS3,
     NEAREST,
     ResampleFilter,
-    downsample_plane,
     lanczos_weight,
     parse_scale,
     resample_frame,
-    upsample_plane_nn,
+    resample_plane,
 )
 from .pipeline import (
     DEFAULT_QP_PAIRS,

@@ -69,13 +69,16 @@ class VideoSpec:
 
     def scaled(self, factor: Fraction) -> "VideoSpec":
         """Spec with dimensions multiplied by factor (must stay integral)."""
-        w = self.width * factor.numerator
-        h = self.height * factor.numerator
-        if w % factor.denominator or h % factor.denominator:
-            raise DimensionError(
-                f"scale {factor} of {self.width}x{self.height} is not integral"
-            )
-        return replace(self, width=w // factor.denominator, height=h // factor.denominator)
+        width, height = scaled_dims(self.width, self.height, factor)
+        return replace(self, width=width, height=height)
+
+
+def scaled_dims(width: int, height: int, factor: Fraction) -> tuple[int, int]:
+    """Width and height multiplied by factor; DimensionError unless both are integral."""
+    w, h = width * factor.numerator, height * factor.numerator
+    if w % factor.denominator or h % factor.denominator:
+        raise DimensionError(f"scale {factor} of {width}x{height} is not integral")
+    return w // factor.denominator, h // factor.denominator
 
 
 @dataclass

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import __version__
-from ..errors import ConfigError, RqpipeError
+from ..errors import ConfigError
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import external_metric, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
@@ -51,15 +51,12 @@ class _StageTimer:
             self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
-def _code_stream(method, frames, spec, qp, workdir, tag, timer):
-    """Downsample, code, and restore one stream; returns (frames, bits)."""
+def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer):
+    """Downsample with down_filter, code, and restore one stream; returns (frames, bits)."""
     coded_spec = spec
     if method.resamples:
         with timer("downsample"):
-            down = method.down_filter
-            if spec.chroma == "400" and method.depth_down_filter is not None:
-                down = method.depth_down_filter
-            frames = [resample_frame(f, method.scale, down, spec.bit_depth) for f in frames]
+            frames = [resample_frame(f, method.scale, down_filter, spec.bit_depth) for f in frames]
         coded_spec = spec.scaled(method.scale)
     decoded, bits = method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer)
     if method.resamples:
@@ -97,7 +94,7 @@ def _run_job(
             original = list(read_sequence(seq.path, seq.spec))
 
         frames, bits = _code_stream(
-            method, original, seq.spec, pair.qp_texture, workdir, tag, timer
+            method, method.down_filter, original, seq.spec, pair.qp_texture, workdir, tag, timer
         )
         total_bits = bits
 
@@ -105,7 +102,8 @@ def _run_job(
             with timer("read"):
                 depth = list(read_sequence(seq.depth_path, seq.depth_spec))
             _, depth_bits = _code_stream(
-                method, depth, seq.depth_spec, pair.qp_depth, workdir, f"{tag}_depth", timer
+                method, method.depth_down_filter or method.down_filter, depth,
+                seq.depth_spec, pair.qp_depth, workdir, f"{tag}_depth", timer,
             )
             total_bits += depth_bits
             rec.notes["depth_bits"] = depth_bits
@@ -147,7 +145,7 @@ def _run_job(
 
         rec.total_bits = total_bits
         rec.bitrate_kbps = total_bits * seq.frame_rate / seq.spec.frame_count / 1000.0
-    except RqpipeError as exc:
+    except Exception as exc:  # every job ends in a record, whatever went wrong
         rec.status = "failed"
         rec.error = f"{type(exc).__name__}: {exc}"
     rec.stage_seconds = {k: round(v, 6) for k, v in timer.seconds.items()}

@@ -1,4 +1,4 @@
-"""Spatial resampling: Lanczos-windowed downsampling, nearest-neighbor upsampling.
+"""Spatial resampling: one Lanczos or nearest-neighbor resampler for either direction.
 
 Conventions, all recorded in run manifests for reproducibility:
 
@@ -6,10 +6,14 @@ Conventions, all recorded in run manifests for reproducibility:
   (i + 0.5) / scale - 0.5
 - downscaling stretches the kernel by 1/scale (anti-aliasing support of
   a/scale source samples each side)
-- boundary taps clamp to the edge sample; per-phase weights are
-  renormalized to sum to exactly 1, so constant planes are preserved
-- filtering runs in float64 and the result is rounded once (half away
-  from zero) and clamped to the bit-depth range
+- weights depend only on the output phase: with scale p/q in lowest
+  terms, output i + p uses the weights of output i on the source q
+  samples further on, so each tap is one strided slice
+- the plane is edge-padded, so boundary taps read the edge sample;
+  per-phase weights are renormalized to sum to exactly 1, so constant
+  planes are preserved
+- Lanczos filtering runs in float64 and the result is rounded once (half
+  up) and clamped to the bit-depth range; nearest neighbor only copies
 
 Tap windows and the pairwise accumulation order are constructed so that
 mirroring the input mirrors the output bit-exactly.
@@ -23,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .frame_io import Frame
+from .errors import ConfigError
+from .frame_io import Frame, scaled_dims
 
 __all__ = [
     "ResampleFilter",
@@ -32,8 +36,7 @@ __all__ = [
     "NEAREST",
     "lanczos_weight",
     "parse_scale",
-    "downsample_plane",
-    "upsample_plane_nn",
+    "resample_plane",
     "resample_frame",
 ]
 
@@ -106,128 +109,93 @@ def lanczos_weight(x, a: int):
 
 
 def _axis_taps(in_len: int, out_len: int, filt: ResampleFilter):
-    """Per-output tap indices and renormalized weights for one axis.
+    """First source index and weights of each output phase along one axis.
 
-    Windows are placed around floor(center) with a fixed width so that the
-    window of a mirrored output index is exactly the mirrored window; the
-    extra positions this brings in carry zero kernel weight.
+    With out_len / in_len = p / q in lowest terms, output i + p reads the
+    source samples q after those of output i with the same weights, so p
+    rows describe the whole axis. Nearest neighbor is one tap of weight 1,
+    ties going to the lower index (factor 1/2 picks the top-left of each
+    2x2). Lanczos windows are placed around floor(center) with a fixed
+    width so that the window of a mirrored output index is exactly the
+    mirrored window; the extra positions this brings in carry zero kernel
+    weight.
     """
+    i = np.arange(Fraction(out_len, in_len).numerator, dtype=np.float64)
+    if filt.kind == "nearest":
+        centers = (i + 0.5) * in_len / out_len - 0.5
+        return np.ceil(centers - 0.5).astype(np.int64), np.ones((len(i), 1))
     scale = out_len / in_len
     stretch = min(scale, 1.0)  # kernel stretch applies only when shrinking
-    radius = filt.a / stretch
-    half = math.ceil(radius)
-    taps = 2 * half
+    half = math.ceil(filt.a / stretch)
 
-    i = np.arange(out_len, dtype=np.float64)
     centers = (i + 0.5) / scale - 0.5
     n0 = np.floor(centers).astype(np.int64)
     idx = n0[:, None] + np.arange(-half + 1, half + 1, dtype=np.int64)[None, :]
-    offsets = (idx - centers[:, None]) * stretch
-    weights = lanczos_weight(offsets, filt.a)
-    idx = np.clip(idx, 0, in_len - 1)
+    weights = lanczos_weight((idx - centers[:, None]) * stretch, filt.a)
     # exact per-phase normalization; fsum keeps mirrored rows bit-identical
     sums = np.array([math.fsum(row) for row in weights], dtype=np.float64)
-    weights = weights / sums[:, None]
-    return idx, weights
+    return idx[:, 0], weights / sums[:, None]
 
 
-def _nearest_indices(in_len: int, out_len: int) -> np.ndarray:
-    centers = (np.arange(out_len, dtype=np.float64) + 0.5) * in_len / out_len - 0.5
-    # round half down: factor 1/2 decimation picks the top-left of each 2x2
-    idx = np.ceil(centers - 0.5).astype(np.int64)
-    return np.clip(idx, 0, in_len - 1)
+def _filter_axis(x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter) -> np.ndarray:
+    """Resample one axis: each tap of each phase is one strided slice.
 
-
-def _apply_axis(arr: np.ndarray, idx: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Weighted gather along one axis, accumulating symmetric tap pairs.
-
-    Pairing tap t with tap T-1-t makes the accumulation order invariant
-    under mirroring, which keeps mirrored inputs bit-exact.
+    Taps t and T-1-t are accumulated as a pair, which makes the
+    accumulation order invariant under mirroring.
     """
-    if axis == 0:
-        arr = arr.T
-    out_len, taps = weights.shape
-    acc = np.zeros((arr.shape[0], out_len), dtype=np.float64)
-    for t in range(taps // 2):
-        u = taps - 1 - t
-        acc += arr[:, idx[:, t]] * weights[None, :, t] + arr[:, idx[:, u]] * weights[None, :, u]
-    if taps % 2:
-        t = taps // 2
-        acc += arr[:, idx[:, t]] * weights[None, :, t]
-    return acc.T if axis == 0 else acc
+    in_len = x.shape[axis]
+    starts, weights = _axis_taps(in_len, out_len, filt)
+    phases, taps = weights.shape
+    step = in_len * phases // out_len
+    count = out_len // phases  # outputs per phase
+    lo = max(0, -int(starts.min()))
+    hi = max(0, int(starts.max()) + taps - 1 + (count - 1) * step - (in_len - 1))
+    if lo or hi:  # edge padding: index j now holds source sample clamp(j - lo)
+        x = x.take(np.clip(np.arange(-lo, in_len + hi), 0, in_len - 1), axis=axis)
+
+    def along(arr, first, stride):
+        return arr[(slice(None),) * axis + (slice(first, first + (count - 1) * stride + 1, stride),)]
+
+    shape = list(x.shape)
+    shape[axis] = out_len
+    out = np.zeros(shape, dtype=x.dtype)
+    for r, (start, w) in enumerate(zip(starts + lo, weights)):
+        acc = along(out, r, phases)
+        if taps == 1:  # nearest neighbor: a copy, no arithmetic
+            acc[...] = along(x, start, step)
+        for t in range(taps // 2):
+            u = taps - 1 - t
+            acc += along(x, start + t, step) * w[t] + along(x, start + u, step) * w[u]
+    return out
 
 
-def _resample_plane_lanczos(
+def resample_plane(
     plane: np.ndarray, factor: Fraction, filt: ResampleFilter, bit_depth: int
 ) -> np.ndarray:
-    out_w, out_h = _output_dims(plane, factor)
-    h, w = plane.shape
-    x = plane.astype(np.float64)
-    if out_w != w:
-        idx, wts = _axis_taps(w, out_w, filt)
-        x = _apply_axis(x, idx, wts, axis=1)
-    if out_h != h:
-        idx, wts = _axis_taps(h, out_h, filt)
-        x = _apply_axis(x, idx, wts, axis=0)
-    return np.clip(np.floor(x + 0.5), 0, (1 << bit_depth) - 1).astype(plane.dtype)
-
-
-def _output_dims(plane: np.ndarray, factor: Fraction) -> tuple[int, int]:
-    h, w = plane.shape
-    if (w * factor.numerator) % factor.denominator or (h * factor.numerator) % factor.denominator:
-        raise DimensionError(
-            f"scale {factor} of {w}x{h} plane has non-integral output dimensions"
-        )
-    return (w * factor.numerator // factor.denominator, h * factor.numerator // factor.denominator)
-
-
-def downsample_plane(
-    plane: np.ndarray, factor: Fraction, filt: ResampleFilter, bit_depth: int
-) -> np.ndarray:
-    """Shrink a plane by `factor` (<= 1), separably, horizontal then vertical.
+    """Scale a plane by `factor`, either direction, horizontal then vertical.
 
     Lanczos filtering is done in float64 with a single final rounding and
-    a clamp to [0, 2^bit_depth - 1]; nearest-neighbor decimation picks the
-    sample nearest each output center (top-left of each 2x2 for factor
-    1/2). No silent padding: non-integral output dimensions raise
-    DimensionError.
+    a clamp to [0, 2^bit_depth - 1]; nearest neighbor copies the sample
+    nearest each output center and does no arithmetic. No silent padding:
+    non-integral output dimensions raise DimensionError.
     """
-    factor = Fraction(factor)
-    if factor > 1:
-        raise ConfigError(f"downsample factor must be <= 1, got {factor}")
-    if filt.kind == "nearest":
-        out_w, out_h = _output_dims(plane, factor)
-        h, w = plane.shape
-        return plane[np.ix_(_nearest_indices(h, out_h), _nearest_indices(w, out_w))].copy()
-    return _resample_plane_lanczos(plane, factor, filt, bit_depth)
-
-
-def upsample_plane_nn(plane: np.ndarray, factor: Fraction) -> np.ndarray:
-    """Integer-factor nearest-neighbor upsampling: exact sample duplication.
-
-    output(i, j) = input(i // f, j // f); no arithmetic is performed.
-    """
-    factor = Fraction(factor)
-    if factor.denominator != 1 or factor.numerator < 1:
-        raise ConfigError(f"nearest-neighbor upsampling needs an integral factor, got {factor}")
-    f = factor.numerator
-    return np.repeat(np.repeat(plane, f, axis=0), f, axis=1)
+    h, w = plane.shape
+    out_w, out_h = scaled_dims(w, h, Fraction(factor))
+    nearest = filt.kind == "nearest"
+    x = plane.astype(plane.dtype if nearest else np.float64)
+    if out_w != w:
+        x = _filter_axis(x, 1, out_w, filt)
+    if out_h != h:
+        x = _filter_axis(x, 0, out_h, filt)
+    if nearest:
+        return x
+    return np.clip(np.floor(x + 0.5), 0, (1 << bit_depth) - 1).astype(plane.dtype)
 
 
 def resample_frame(frame: Frame, factor: Fraction, filt: ResampleFilter, bit_depth: int) -> Frame:
     """Scale luma and, when present, both chroma planes by `factor`.
 
-    The factor gives the direction: at most 1 shrinks with
-    downsample_plane; above 1 enlarges, by sample duplication for nearest
-    neighbor and by the same center-aligned Lanczos filter otherwise.
     Chroma keeps its half-of-luma relation since every plane scales by the
     same factor.
     """
-    factor = Fraction(factor)
-    if factor <= 1:
-        resample, args = downsample_plane, (factor, filt, bit_depth)
-    elif filt.kind == "nearest":
-        resample, args = upsample_plane_nn, (factor,)
-    else:
-        resample, args = _resample_plane_lanczos, (factor, filt, bit_depth)
-    return Frame(*(resample(plane, *args) for plane in frame.planes()))
+    return Frame(*(resample_plane(plane, factor, filt, bit_depth) for plane in frame.planes()))

@@ -22,20 +22,19 @@ from rqpipe import (
     bd_rate,
     build_mfrnet_style,
     conv2d,
-    downsample_plane,
     integrate_interpolant,
     mock_encode_decode,
     pchip_slopes,
     psnr_y,
     random_weights,
+    resample_plane,
     run_experiment,
     tiled_apply,
-    upsample_plane_nn,
 )
 from rqpipe.metrics import mse_plane
 from rqpipe.pipeline import assemble_report
 from rqpipe.postproc_cnn import apply_network
-from rqpipe.resample import LANCZOS3, _axis_taps
+from rqpipe.resample import LANCZOS3, NEAREST, _axis_taps
 
 from test_postproc_cnn import conv2d_oracle, identity_net
 from test_resample import oracle_resample_2d
@@ -58,22 +57,22 @@ class TestAcceptance:
 
         # constant planes preserved exactly
         for c in (0, 31, 255):
-            assert (downsample_plane(np.full((16, 16), c, np.uint8), HALF, LANCZOS3, 8) == c).all()
-        assert (downsample_plane(np.full((12, 12), 1000, np.uint16), HALF, LANCZOS3, 10) == 1000).all()
+            assert (resample_plane(np.full((16, 16), c, np.uint8), HALF, LANCZOS3, 8) == c).all()
+        assert (resample_plane(np.full((12, 12), 1000, np.uint16), HALF, LANCZOS3, 10) == 1000).all()
 
         # separable equals the direct 2-D oracle within 0.5 LSB, 200 planes
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(200):
             p = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            sep = downsample_plane(p, HALF, LANCZOS3, 8).astype(float)
+            sep = resample_plane(p, HALF, LANCZOS3, 8).astype(float)
             direct = np.clip(np.floor(oracle_resample_2d(p, 8, 8) + 0.5), 0, 255)
             worst = max(worst, np.abs(sep - direct).max())
         assert worst <= 0.5
 
         # nearest-neighbor upsampling is bit-exact duplication
         p = rng.integers(0, 1024, (16, 16)).astype(np.uint16)
-        up = upsample_plane_nn(p, Fraction(2, 1))
+        up = resample_plane(p, Fraction(2, 1), NEAREST, 10)
         assert np.array_equal(up, np.repeat(np.repeat(p, 2, 0), 2, 1))
         assert np.array_equal(up[::2, ::2], p)
 

@@ -253,6 +253,41 @@ psnr_y = native
         assert rescaled.qp_depth == 7  # untouched by the texture offset
 
 
+class TestMonochromeTexture:
+    def test_depth_filter_leaves_texture_alone(self, tmp_path):
+        # a 4:0:0 texture sequence without a depth stream is downsampled
+        # with down_filter whether or not depth_down_filter is set
+        spec = VideoSpec(32, 32, 8, "400", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=3), spec, tmp_path / "s.yuv")
+        body = """
+[sequence.s]
+path = s.yuv
+width = 32
+height = 32
+chroma = 400
+frame_count = 2
+frame_rate = 30
+
+[method.rescaled]
+scale = 1/2
+down_filter = lanczos:3
+codec = mock
+
+[qps]
+pairs = 27:7
+
+[metrics]
+psnr_y = native
+"""
+        results = []
+        for name, extra in (("plain", ""), ("depth_nn", "depth_down_filter = nn\n")):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(body.replace("codec = mock\n", "codec = mock\n" + extra))
+            (rec,) = run_experiment(ini, workdir=tmp_path / name, workers=1).ok_jobs()
+            results.append((rec.artifacts["recon"]["sha256"], rec.total_bits))
+        assert results[0] == results[1]
+
+
 class TestPostprocLumaOnly:
     def test_chroma_untouched_by_default(self, experiment_dir):
         manifest = run_experiment(experiment_dir / "exp.ini", workers=1)
@@ -388,6 +423,56 @@ psnr_y = native
         assert len(failed) == 1 and failed[0].method == "broken"
         assert "exited" in failed[0].error
         assert len(manifest.ok_jobs()) == 1
+
+
+    def test_any_exception_ends_in_failed_record(self, tmp_path):
+        # a decoder that exits 0 without writing its output makes the
+        # reader raise FileNotFoundError, which is not an RqpipeError
+        import sys as _sys
+
+        codec = tmp_path / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[method.silent]
+codec = external
+encode_cmd = {_sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+decode_cmd = true {{in}} {{out}}
+
+[method.rescaled]
+scale = 1/2
+codec = mock
+
+[qps]
+pairs = 22:4, 32:11
+
+[metrics]
+psnr_y = native
+"""
+        )
+        manifest = run_experiment(tmp_path / "exp.ini", workers=2)
+        assert len(manifest.jobs) == 6
+        failed = [r for r in manifest.jobs.values() if r.status == "failed"]
+        assert sorted((r.method, r.qp_index) for r in failed) == [("silent", 0), ("silent", 1)]
+        assert all(r.error.startswith("FileNotFoundError: ") for r in failed)
+        assert sorted((r.method, r.qp_index) for r in manifest.ok_jobs()) == [
+            ("anchor", 0), ("anchor", 1), ("rescaled", 0), ("rescaled", 1)
+        ]
 
 
 def synthetic_record(sequence, method, qi, rate, quality):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rqpipe import Frame, downsample_plane, lanczos_weight, resample_frame, upsample_plane_nn
+from rqpipe import Frame, lanczos_weight, resample_frame, resample_plane
 from rqpipe.errors import ConfigError, DimensionError
-from rqpipe.resample import LANCZOS3, NEAREST, ResampleFilter, _axis_taps, parse_scale
+from rqpipe.resample import LANCZOS3, NEAREST, ResampleFilter, _axis_taps, _filter_axis, parse_scale
 
 HALF = Fraction(1, 2)
 TWICE = Fraction(2, 1)
@@ -51,6 +51,51 @@ def oracle_resample_2d(plane, out_h, out_w, a=3):
     return out
 
 
+def oracle_filter_axis(x, axis, out_len, filt):
+    """Lanczos along one axis of a float plane, as an index table with one
+    row per output sample: each row holds the clamped source indices and
+    the weights of one output, the rows are fancy-index gathered, and taps
+    t and T-1-t are accumulated as a pair."""
+    arr = x.T if axis == 0 else x
+    in_len = arr.shape[1]
+    scale = out_len / in_len
+    stretch = min(scale, 1.0)
+    half = math.ceil(filt.a / stretch)
+    centers = (np.arange(out_len, dtype=np.float64) + 0.5) / scale - 0.5
+    n0 = np.floor(centers).astype(np.int64)
+    idx = n0[:, None] + np.arange(-half + 1, half + 1, dtype=np.int64)[None, :]
+    weights = lanczos_weight((idx - centers[:, None]) * stretch, filt.a)
+    weights /= np.array([math.fsum(row) for row in weights], dtype=np.float64)[:, None]
+    idx = np.clip(idx, 0, in_len - 1)
+    acc = np.zeros((arr.shape[0], out_len), dtype=np.float64)
+    taps = weights.shape[1]
+    for t in range(taps // 2):
+        u = taps - 1 - t
+        acc += arr[:, idx[:, t]] * weights[None, :, t] + arr[:, idx[:, u]] * weights[None, :, u]
+    return acc.T if axis == 0 else acc
+
+
+def gather_oracle(plane, factor, filt, bit_depth):
+    """The resampler as per-output index gathers. Nearest neighbor gathers
+    the index nearest each output center, ties to the lower one."""
+
+    def nearest_indices(in_len, out_len):
+        centers = (np.arange(out_len, dtype=np.float64) + 0.5) * in_len / out_len - 0.5
+        return np.clip(np.ceil(centers - 0.5).astype(np.int64), 0, in_len - 1)
+
+    h, w = plane.shape
+    out_h = h * factor.numerator // factor.denominator
+    out_w = w * factor.numerator // factor.denominator
+    if filt.kind == "nearest":
+        return plane[np.ix_(nearest_indices(h, out_h), nearest_indices(w, out_w))]
+    x = plane.astype(np.float64)
+    if out_w != w:
+        x = oracle_filter_axis(x, 1, out_w, filt)
+    if out_h != h:
+        x = oracle_filter_axis(x, 0, out_h, filt)
+    return np.clip(np.floor(x + 0.5), 0, (1 << bit_depth) - 1).astype(plane.dtype)
+
+
 class TestLanczosWeight:
     def test_center_is_one(self):
         assert lanczos_weight(0.0, 3) == 1.0
@@ -76,28 +121,28 @@ class TestDownsample:
     def test_constant_plane_preserved_exactly(self):
         for c in (0, 1, 77, 255):
             p = np.full((12, 16), c, np.uint8)
-            out = downsample_plane(p, HALF, LANCZOS3, 8)
+            out = resample_plane(p, HALF, LANCZOS3, 8)
             assert out.shape == (6, 8)
             assert (out == c).all()
 
     def test_constant_10bit(self):
         p = np.full((8, 8), 1001, np.uint16)
-        assert (downsample_plane(p, HALF, LANCZOS3, 10) == 1001).all()
+        assert (resample_plane(p, HALF, LANCZOS3, 10) == 1001).all()
 
     def test_hd_dimensions(self):
         p = np.zeros((1080, 1920), np.uint8)
-        assert downsample_plane(p, HALF, LANCZOS3, 8).shape == (540, 960)
+        assert resample_plane(p, HALF, LANCZOS3, 8).shape == (540, 960)
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(DimensionError):
-            downsample_plane(np.zeros((5, 8), np.uint8), HALF, LANCZOS3, 8)
+            resample_plane(np.zeros((5, 8), np.uint8), HALF, LANCZOS3, 8)
 
     def test_matches_direct_2d_oracle(self):
         rng = np.random.default_rng(123)
         worst = 0
         for _ in range(25):
             p = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            sep = downsample_plane(p, HALF, LANCZOS3, 8).astype(int)
+            sep = resample_plane(p, HALF, LANCZOS3, 8).astype(int)
             ora = np.clip(np.floor(oracle_resample_2d(p, 8, 8) + 0.5), 0, 255).astype(int)
             worst = max(worst, np.abs(sep - ora).max())
         assert worst <= 0.5
@@ -105,7 +150,7 @@ class TestDownsample:
     def test_impulse_matches_oracle_tap_by_tap(self):
         p = np.zeros((16, 16), np.uint8)
         p[8, 8] = 200
-        sep = downsample_plane(p, HALF, LANCZOS3, 8).astype(int)
+        sep = resample_plane(p, HALF, LANCZOS3, 8).astype(int)
         ora = np.clip(np.floor(oracle_resample_2d(p, 8, 8) + 0.5), 0, 255).astype(int)
         assert np.array_equal(sep, ora)
 
@@ -113,8 +158,8 @@ class TestDownsample:
         rng = np.random.default_rng(7)
         for _ in range(50):
             p = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            a = downsample_plane(p, HALF, LANCZOS3, 8)
-            b = downsample_plane(p[:, ::-1], HALF, LANCZOS3, 8)
+            a = resample_plane(p, HALF, LANCZOS3, 8)
+            b = resample_plane(p[:, ::-1], HALF, LANCZOS3, 8)
             assert np.array_equal(a[:, ::-1], b)
 
     def test_partition_of_unity_every_phase_and_boundary(self):
@@ -124,20 +169,20 @@ class TestDownsample:
 
     def test_nn_decimation_picks_top_left(self):
         p = np.arange(16, dtype=np.uint8).reshape(4, 4)
-        out = downsample_plane(p, HALF, NEAREST, 8)
+        out = resample_plane(p, HALF, NEAREST, 8)
         assert out.tolist() == [[0, 2], [8, 10]]
 
     def test_nn_decimation_inverts_nn_upsample(self):
         rng = np.random.default_rng(5)
         p = rng.integers(0, 256, (6, 7)).astype(np.uint8)
-        up = upsample_plane_nn(p, TWICE)
-        assert np.array_equal(downsample_plane(up, HALF, NEAREST, 8), p)
+        up = resample_plane(p, TWICE, NEAREST, 8)
+        assert np.array_equal(resample_plane(up, HALF, NEAREST, 8), p)
 
 
 class TestUpsampleNN:
     def test_duplication_rule(self):
         p = np.array([[1, 2], [3, 4]], np.uint8)
-        out = upsample_plane_nn(p, TWICE)
+        out = resample_plane(p, TWICE, NEAREST, 8)
         assert out.tolist() == [
             [1, 1, 2, 2],
             [1, 1, 2, 2],
@@ -147,20 +192,61 @@ class TestUpsampleNN:
 
     def test_constant_plane(self):
         p = np.full((3, 5), 9, np.uint8)
-        out = upsample_plane_nn(p, TWICE)
+        out = resample_plane(p, TWICE, NEAREST, 8)
         assert out.shape == (6, 10) and (out == 9).all()
 
     def test_bit_exact_no_arithmetic(self):
         rng = np.random.default_rng(11)
         p = rng.integers(0, 1024, (9, 13)).astype(np.uint16)
-        out = upsample_plane_nn(p, TWICE)
+        out = resample_plane(p, TWICE, NEAREST, 10)
         for i in range(out.shape[0]):
             for j in range(out.shape[1]):
                 assert out[i, j] == p[i // 2, j // 2]
 
-    def test_fractional_factor_rejected(self):
-        with pytest.raises(ConfigError):
-            upsample_plane_nn(np.zeros((4, 4), np.uint8), HALF)
+
+class TestMatchesGatherOracle:
+    """Bit-exact against the per-output index gather, both directions."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("filt", ["nn", "lanczos:2", "lanczos:3", "lanczos:5"])
+    @pytest.mark.parametrize(
+        "factor", ["1/4", "1/3", "1/2", "2/3", "3/4", "3/2", "2", "3", "4"]
+    )
+    def test_bit_exact(self, factor, filt, bit_depth):
+        factor, filt = Fraction(factor), ResampleFilter.parse(filt)
+        rng = np.random.default_rng(1000 * factor.numerator + factor.denominator)
+        dtype = np.uint8 if bit_depth == 8 else np.uint16
+        q = factor.denominator
+        # a plane narrower than the widest kernel, a few periods, many periods
+        for rows, cols in [(2 * q, 3 * q), (5 * q, 7 * q), (12 * q, 31 * q)]:
+            p = rng.integers(0, 1 << bit_depth, (rows, cols)).astype(dtype)
+            out = resample_plane(p, factor, filt, bit_depth)
+            expected = gather_oracle(p, factor, filt, bit_depth)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("filt", ["lanczos:2", "lanczos:3", "lanczos:5"])
+    @pytest.mark.parametrize("factor", ["1/4", "1/2", "2", "4"])
+    def test_float_sums_bit_exact(self, factor, filt):
+        # at these factors every output center is an exact binary fraction,
+        # so the per-output weights repeat exactly from phase to phase and
+        # the unrounded sums must agree too: a change in accumulation order
+        # shows here even where rounding to integers would hide it
+        factor, filt = Fraction(factor), ResampleFilter.parse(filt)
+        rng = np.random.default_rng(factor.numerator + 7 * factor.denominator)
+        q = factor.denominator
+        x = rng.random((9 * q, 11 * q)) * 1023.0
+        for axis in (0, 1):
+            out_len = x.shape[axis] * factor.numerator // q
+            got = _filter_axis(x, axis, out_len, filt)
+            assert np.array_equal(got, oracle_filter_axis(x, axis, out_len, filt))
+
+    def test_nearest_at_fractional_enlarging_factor(self):
+        # 3/2: each group of two source samples becomes three outputs, the
+        # middle one tied between them and taking the lower
+        p = np.array([[10, 20, 30, 40]], np.uint8)
+        out = resample_plane(np.repeat(p, 2, axis=0), Fraction(3, 2), NEAREST, 8)
+        assert out.tolist() == [[10, 10, 20, 30, 30, 40]] * 3
 
 
 class TestResampleFrame:
