@@ -42,7 +42,9 @@ print(f"enhanced psnr vs clean: {psnr_y(Frame(y=clean), Frame(y=enhanced), 8):.2
       f"(random weights, so no gain expected; trained weights go here)")
 
 # Large planes run tile by tile within a memory budget; with margins at
-# least the receptive radius, tiling is bit-exact against the whole-plane run.
+# least the receptive radius, each tile sees the same inputs as the
+# whole-plane run. BLAS fixes the order of the conv sums, so equality is
+# a tested property (tests/test_postproc_cnn.py::TestGemmBanding).
 tiled = tiled_apply(net, weights, decoded.y, 8, tile=16)
 print(f"\ntiled (16px tiles) == untiled: {np.array_equal(tiled, enhanced)}")
 

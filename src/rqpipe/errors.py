@@ -22,12 +22,13 @@ class ConfigError(RqpipeError, ValueError):
 
 
 class ExternalToolError(RqpipeError, RuntimeError):
-    """An external command failed; carries the captured output."""
+    """An external command failed; carries its exit code and captured output."""
 
-    def __init__(self, message, stdout="", stderr=""):
+    def __init__(self, message, stdout="", stderr="", returncode=None):
         super().__init__(message)
         self.stdout = stdout
         self.stderr = stderr
+        self.returncode = returncode
 
 
 class MetricParseError(RqpipeError, ValueError):

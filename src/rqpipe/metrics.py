@@ -151,6 +151,7 @@ def external_metric(
                 f"{metric_id} command exited {proc.returncode}: {proc.stderr.strip()}",
                 stdout=proc.stdout,
                 stderr=proc.stderr,
+                returncode=proc.returncode,
             )
         text = Path(out_file).read_text() if out_file else proc.stdout
     finally:

@@ -164,6 +164,7 @@ class ExternalCodec:
                 f"codec command exited {proc.returncode}: {cmd}",
                 stdout=proc.stdout,
                 stderr=proc.stderr,
+                returncode=proc.returncode,
             )
 
     def encode_decode(self, frames, spec: VideoSpec, qp: int, workdir, tag, timer):

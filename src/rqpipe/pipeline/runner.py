@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import __version__
-from ..errors import ConfigError
+from ..errors import ConfigError, ExternalToolError
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import external_metric, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
@@ -148,6 +148,9 @@ def _run_job(
     except Exception as exc:  # every job ends in a record, whatever went wrong
         rec.status = "failed"
         rec.error = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, ExternalToolError):
+            rec.notes["exit_code"] = exc.returncode
+            rec.notes["stderr_tail"] = exc.stderr[-2000:]
     rec.stage_seconds = {k: round(v, 6) for k, v in timer.seconds.items()}
     return rec
 

@@ -4,6 +4,10 @@ A network is a small DAG of layers (conv2d, activation, add, concat) over
 (channels, height, width) float tensors. Planes are normalized to [0, 1]
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
+Each conv is im2col + one GEMM per band of output rows, with the column
+buffer bounded by _COLS_BYTES, and each intermediate tensor is freed once
+its last consumer has run, so the working set is a few live tensors plus
+one band rather than every channel of the network.
 build_mfrnet_style constructs the residual dense block cascade used for
 decoder-side enhancement; trained weights arrive through a small binary
 weight-file format, so any training pipeline can feed this engine.
@@ -32,6 +36,14 @@ import numpy as np
 from .errors import ConfigError, ShapeError, WeightFormatError
 
 MAGIC = b"RQPW1"
+
+# upper bound on one conv2d column buffer, which sets how many output rows
+# a band holds. At 8 MB the buffer is reused from the heap and mostly stays
+# in cache, which runs the default net faster than 64 MB does. When a plane
+# needs more than one band, each float32 band still fills a third of the
+# budget, so its GEMM has M*N*K >= 2 * 7e5, above OpenBLAS's small-matrix
+# cutoff (1e6)
+_COLS_BYTES = 8 << 20
 
 CONV2D = "conv2d"
 ACTIVATION = "activation"
@@ -276,9 +288,20 @@ def random_weights(net: NetworkSpec, seed: int = 0, scale: float = 0.05):
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of (C,H,W) input with (O,C,kh,kw) weights, zero padded.
 
-    The accumulation order is fixed per output pixel and independent of
-    the spatial extent, so tiled evaluation reproduces untiled results
-    bit-exactly.
+    Computed as im2col + GEMM over bands of output rows. Each band pads
+    only the input rows it reads, fills a (C, kh, kw, rows, ow) column
+    buffer with one strided slice per tap, and multiplies it by the
+    weights reshaped to (O, C*kh*kw); the bias is added once at the end.
+    The rows are split into equal bands whose buffers stay under
+    _COLS_BYTES, so no band is a thin remainder.
+
+    The accumulation order within an output pixel is whatever BLAS uses
+    for the GEMM's shape: OpenBLAS, for one, sends products with
+    M*N*K <= 1e6 to a small-matrix kernel that sums in another order.
+    Tiled and banded evaluation matching one whole-plane run bit for bit
+    is therefore a tested property (test_default_net_tiled_equals_untiled,
+    test_default_net_tiles_equal_whole_before_rounding,
+    test_row_bands_equal_one_band), not a guarantee by construction.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -288,47 +311,75 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1
     out_ch, in_ch, kh, kw = weights.shape
     if x.shape[0] != in_ch:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     _, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
-    acc = np.empty((out_ch, oh, ow), dtype=x.dtype)
-    acc[:] = bias.astype(x.dtype)[:, None, None]
-    for ci in range(in_ch):
+        raise ShapeError(
+            f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
+        )
+    k = in_ch * kh * kw
+    # numpy sends a one-row weight matrix to GEMV, whose sums depend on the
+    # column count and the thread split; a zero second row keeps it on GEMM
+    m = max(out_ch, 2)
+    wmat = np.zeros((m, k), dtype=x.dtype)
+    wmat[:out_ch] = weights.reshape(out_ch, k)
+    bands = -(-oh // max(1, _COLS_BYTES // (k * ow * x.itemsize)))
+    buf = np.empty(k * -(-oh // bands) * ow, dtype=x.dtype)
+    out = np.empty((m, oh * ow), dtype=x.dtype)
+    for i in range(bands):
+        r0, r1 = oh * i // bands, oh * (i + 1) // bands
+        rows = r1 - r0
+        # zero-padded copy of just the input rows this band reads
+        top, bottom = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+        lo = max(top, 0)
+        hi = max(min(bottom, h), lo)
+        slab = np.zeros((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
+        slab[:, lo - top : hi - top, pad : pad + w] = x[:, lo:hi]
+        cols = buf[: k * rows * ow].reshape(in_ch, kh, kw, rows, ow)
         for di in range(kh):
             for dj in range(kw):
-                window = x[ci, di : di + oh * stride : stride, dj : dj + ow * stride : stride]
-                acc += weights[:, ci, di, dj].astype(x.dtype)[:, None, None] * window[None, :, :]
-    return acc
+                cols[:, di, dj] = slab[:, di : di + rows * stride : stride, dj : dj + ow * stride : stride]
+        np.matmul(wmat, cols.reshape(k, -1), out=out[:, r0 * ow : r1 * ow])
+    out = out[:out_ch]
+    out += bias.astype(x.dtype)[:, None]
+    return out.reshape(out_ch, oh, ow)
+
+
+def _run_layer(layer: LayerSpec, ins: list[np.ndarray], weights) -> np.ndarray:
+    if layer.op == CONV2D:
+        w, b = weights[layer.id]
+        return conv2d(ins[0], w, b, layer.stride, layer.pad)
+    if layer.op == ACTIVATION:
+        v = ins[0]
+        if layer.act == RELU:
+            return np.maximum(v, 0)
+        return np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
+    if layer.op == ADD:
+        acc = ins[0].copy()
+        for other in ins[1:]:
+            if other.shape != acc.shape:
+                raise ShapeError(f"add layer {layer.id!r} mixes shapes")
+            acc += other
+        return acc
+    if layer.op == CONCAT:
+        return np.concatenate(ins, axis=0)
+    raise ShapeError(f"unknown op {layer.op!r}")
 
 
 def _apply_layers(net: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
+    # each value is dropped after the last layer that reads it (a value
+    # nothing reads, right after it is made); only the output is kept
+    last_use = {layer.id: i for i, layer in enumerate(net.layers)}
+    for i, layer in enumerate(net.layers):
+        for ref in layer.inputs:
+            last_use[ref] = i
     values = {net.input_id: x}
-    for layer in net.layers:
-        ins = [values[r] for r in layer.inputs]
-        if layer.op == CONV2D:
-            w, b = weights[layer.id]
-            values[layer.id] = conv2d(ins[0], w, b, layer.stride, layer.pad)
-        elif layer.op == ACTIVATION:
-            v = ins[0]
-            if layer.act == RELU:
-                values[layer.id] = np.maximum(v, 0)
-            else:
-                values[layer.id] = np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
-        elif layer.op == ADD:
-            acc = ins[0].copy()
-            for other in ins[1:]:
-                if other.shape != acc.shape:
-                    raise ShapeError(f"add layer {layer.id!r} mixes shapes")
-                acc += other
-            values[layer.id] = acc
-        elif layer.op == CONCAT:
-            values[layer.id] = np.concatenate(ins, axis=0)
-        else:
-            raise ShapeError(f"unknown op {layer.op!r}")
+    for i, layer in enumerate(net.layers):
+        values[layer.id] = _run_layer(layer, [values[r] for r in layer.inputs], weights)
+        for ref in {layer.id, *layer.inputs}:
+            if last_use[ref] == i and ref != net.output_id:
+                del values[ref]
     return values[net.output_id]
 
 
@@ -367,8 +418,10 @@ def tiled_apply(
     """Memory-bounded inference: process tile x tile regions with margins.
 
     Each tile is evaluated with `overlap` extra pixels on every side and
-    only its interior is kept, so results are bit-exact with the untiled
-    network whenever overlap >= the network's receptive-field radius.
+    only its interior is kept. With overlap >= the network's
+    receptive-field radius every output pixel sees the same inputs as in
+    the untiled network; that the sums then also match bit for bit
+    depends on BLAS (see conv2d) and is tested on the default network.
     """
     needed = net.receptive_radius()
     if overlap is None:

@@ -162,6 +162,7 @@ class TestExternalMetric:
         with pytest.raises(ExternalToolError, match="boom") as err:
             external_metric(f"{sys.executable} {stub} {{ref}} {{dist}}", "r", "d", SPEC3)
         assert "boom" in err.value.stderr
+        assert err.value.returncode == 1
 
     def test_template_missing_dist_rejected_before_spawn(self):
         with pytest.raises(ConfigError, match=r"\{dist\}"):

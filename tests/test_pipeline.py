@@ -425,6 +425,48 @@ psnr_y = native
         assert len(manifest.ok_jobs()) == 1
 
 
+    def test_tool_failure_keeps_exit_code_and_stderr(self, tmp_path):
+        import sys as _sys
+
+        codec = tmp_path / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[method.broken]
+codec = external
+encode_cmd = {_sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+decode_cmd = sh -c 'echo boom >&2; exit 3' {{in}} {{out}}
+
+[qps]
+pairs = 22:4
+
+[metrics]
+psnr_y = native
+"""
+        )
+        manifest = run_experiment(tmp_path / "exp.ini", workers=1)
+        (failed,) = [r for r in manifest.jobs.values() if r.status == "failed"]
+        assert failed.method == "broken"
+        assert failed.notes["exit_code"] == 3
+        assert "boom" in failed.notes["stderr_tail"]
+        (ok,) = manifest.ok_jobs()
+        assert "exit_code" not in ok.notes and "stderr_tail" not in ok.notes
+
     def test_any_exception_ends_in_failed_record(self, tmp_path):
         # a decoder that exits 0 without writing its output makes the
         # reader raise FileNotFoundError, which is not an RqpipeError

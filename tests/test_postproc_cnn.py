@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rqpipe.postproc_cnn as postproc_cnn
 from rqpipe import (
     NetworkSpec,
     apply_network,
@@ -179,6 +182,20 @@ class TestApplyNetwork:
         b = apply_network(net, weights, plane, 8)
         assert np.array_equal(a, b)
 
+    def test_intermediates_freed_after_last_use(self):
+        net = build_mfrnet_style()
+        weights = random_weights(net, seed=24)
+        h, w = 64, 96
+        plane = np.random.default_rng(25).integers(0, 1024, (h, w)).astype(np.uint16)
+        all_values = sum(net.validate().values()) * h * w * 4
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * all_values, f"peak {peak} of {all_values} bytes"
+
     def test_missing_weights_rejected(self):
         net = identity_net()
         with pytest.raises(WeightFormatError, match="c"):
@@ -228,6 +245,58 @@ class TestTiledApply:
         weights = {"c": (np.ones((1, 1, 3, 3), np.float32) / 9, np.zeros(1, np.float32))}
         with pytest.raises(ConfigError, match=">= 1"):
             tiled_apply(net, weights, self.plane, 8, tile=16, overlap=0)
+
+
+class TestGemmBanding:
+    """GEMM accumulation order may depend on the matrix shape, so tiling and
+    row banding are checked on the default network's real shapes (K up to 720)."""
+
+    def setup_method(self):
+        self.net = build_mfrnet_style()
+        self.weights = random_weights(self.net, seed=21)
+        rng = np.random.default_rng(22)
+        self.plane = rng.integers(0, 1024, (72, 100)).astype(np.uint16)
+
+    def test_default_net_tiled_equals_untiled(self):
+        whole = apply_network(self.net, self.weights, self.plane, 10)
+        for tile in (16, 37, 64, 100):
+            tiled = tiled_apply(self.net, self.weights, self.plane, 10, tile=tile)
+            assert np.array_equal(whole, tiled), f"tile={tile}"
+
+    def test_default_net_tiles_equal_whole_before_rounding(self):
+        # rounding to 10 bits hides a last-ulp difference, so the float
+        # output of each tile's region is compared with the whole plane's
+        h, w = self.plane.shape
+        r = self.net.receptive_radius()
+        x = (self.plane.astype(np.float32) / np.float32(1023))[None]
+        whole = _apply_layers(self.net, self.weights, x)[0]
+        for tile in (16, 37, 64, 100):
+            for y0 in range(0, h, tile):
+                for x0 in range(0, w, tile):
+                    y1, x1 = min(y0 + tile, h), min(x0 + tile, w)
+                    ty0, tx0 = max(0, y0 - r), max(0, x0 - r)
+                    region = _apply_layers(
+                        self.net, self.weights, x[:, ty0 : y1 + r, tx0 : x1 + r]
+                    )[0]
+                    got = region[y0 - ty0 : y1 - ty0, x0 - tx0 : x1 - tx0]
+                    assert np.array_equal(got, whole[y0:y1, x0:x1]), f"tile={tile} at {y0},{x0}"
+
+    @pytest.mark.parametrize("rows, width, stride", [(1, 100, 1), (7, 100, 1), (4, 41, 1), (3, 100, 2)])
+    def test_row_bands_equal_one_band(self, monkeypatch, rows, width, stride):
+        # the default net's widest conv: K = 80*3*3 = 720, 16 outputs. A
+        # 4-row budget over 30 rows of 41 must give bands of 3-4 rows, not
+        # 7x4 + 2: a 2-row remainder (82 columns) falls under OpenBLAS's
+        # small-matrix cutoff (M*N*K <= 1e6), whose sums differ in the last
+        # ulp. 1-row bands of 41 columns fall under it too, which the 8 MB
+        # budget never produces, so the other cases use 100 columns.
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(80, 30, width)).astype(np.float32)
+        w = rng.normal(0, 0.05, (16, 80, 3, 3)).astype(np.float32)
+        b = rng.normal(0, 0.05, 16).astype(np.float32)
+        one_band = conv2d(x, w, b, stride=stride, pad=1)
+        ow = one_band.shape[2]
+        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 80 * 3 * 3 * ow * 4)
+        assert np.array_equal(conv2d(x, w, b, stride=stride, pad=1), one_band)
 
 
 class TestBuildMfrnetStyle:
