@@ -4,6 +4,11 @@ The mock codec exists so the whole experiment pipeline can run without
 any codec binaries: per 8x8 block it applies an orthonormal 2-D DCT-II
 to centered samples, quantizes uniformly with step 2^((qp - 4) / 6),
 and prices the quantized coefficients with exp-Golomb code lengths.
+A plane is viewed, without a transpose, in block-row layout
+(H/8, 8, W/8, 8) and transformed along axes 1 and 3; the coefficients
+are kept as int32 in that layout, and the bits are priced from a
+histogram of their magnitudes. Frames are coded one at a time, encode
+then decode, so a job holds one frame of coefficients.
 External codecs are driven through shell command templates and their
 bitrate is taken from the bitstream size.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,46 +35,75 @@ def quant_step(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
-def _blockify(plane: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-    h, w = plane.shape
-    ph, pw = (-h) % BLOCK, (-w) % BLOCK
-    x = np.pad(plane.astype(np.float64), ((0, ph), (0, pw)), mode="edge")
-    bh, bw = x.shape[0] // BLOCK, x.shape[1] // BLOCK
-    return x.reshape(bh, BLOCK, bw, BLOCK).transpose(0, 2, 1, 3), (h, w)
-
-
-def _unblockify(blocks: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    bh, bw = blocks.shape[:2]
-    full = blocks.transpose(0, 2, 1, 3).reshape(bh * BLOCK, bw * BLOCK)
-    return full[: dims[0], : dims[1]]
-
-
-def _code_bits(q: np.ndarray) -> int:
-    # zero coefficients cost 1 bit; value v costs 2*floor(log2(2|v|)) + 1 + sign
-    nz = q != 0
-    zero_bits = int(q.size - nz.sum())
-    if not nz.any():
-        return zero_bits
-    exps = np.frexp(np.abs(q[nz]))[1]  # frexp exponent of |v| = floor(log2(2|v|))
-    return zero_bits + int((2 * exps + 2).sum())
+def _code_bits(mags: np.ndarray) -> int:
+    # zero coefficients cost 1 bit; value v costs 2*floor(log2(2|v|)) + 1 + sign,
+    # and frexp's exponent of |v| is floor(log2(2|v|))
+    hist = np.bincount(mags.ravel())
+    cost = 2 * np.frexp(np.arange(hist.size, dtype=np.float64))[1] + 2
+    cost[0] = 1
+    return int(hist @ cost)
 
 
 def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
-    """Quantized DCT coefficients plus their coded size in bits."""
-    blocks, dims = _blockify(plane)
-    blocks -= 1 << (bit_depth - 1)
-    coef = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
-    step = quant_step(qp)
-    q = np.sign(coef) * np.floor(np.abs(coef) / step + 0.5)
-    return q, dims, _code_bits(q)
+    """Quantized DCT coefficients plus their coded size in bits.
+
+    The coefficients are int32 in block-row layout (H/8, 8, W/8, 8): block
+    (i, j) is q[i, :, j, :], with H and W rounded up to multiples of 8 by
+    edge padding.
+    """
+    h, w = plane.shape
+    x = np.subtract(plane, 1 << (bit_depth - 1), dtype=np.float64)
+    if h % BLOCK or w % BLOCK:
+        x = np.pad(x, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
+    bh, bw = x.shape[0] // BLOCK, x.shape[1] // BLOCK
+    blocks = x.reshape(bh, BLOCK, bw, BLOCK)
+    coef = dctn(blocks, type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
+    mag = np.abs(coef)
+    mag /= quant_step(qp)  # not * (1 / step): that moves exact .5 ties
+    mag += 0.5
+    np.floor(mag, out=mag)
+    q = np.copysign(mag, coef, out=coef).astype(np.int32)
+    return q, (h, w), _code_bits(mag.astype(np.int32))
 
 
 def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) -> np.ndarray:
-    rec = idctn(q * quant_step(qp), type=2, norm="ortho", axes=(-2, -1))
-    rec = _unblockify(rec, dims) + (1 << (bit_depth - 1))
-    maxv = (1 << bit_depth) - 1
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
-    return np.clip(np.floor(rec + 0.5), 0, maxv).astype(dtype)
+    """Reconstruct an (h, w) plane from encode_plane's block-row coefficients.
+
+    The mid-level and the rounding half are added as two separate float
+    adds, in that order, as in the reference decoder the tests compare
+    against: one add of (mid + 0.5) can round a sum differently in its last
+    bit, so the order is kept for the float sums to match, not only the
+    rounded samples.
+    """
+    bh, _, bw, _ = q.shape
+    rec = idctn(q * quant_step(qp), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
+    rec = rec.reshape(bh * BLOCK, bw * BLOCK)
+    rec += 1 << (bit_depth - 1)
+    rec += 0.5
+    np.floor(rec, out=rec)
+    np.clip(rec, 0, (1 << bit_depth) - 1, out=rec)
+    return rec[: dims[0], : dims[1]].astype(np.uint8 if bit_depth == 8 else np.uint16)
+
+
+def _code_frames(frames, qp: int, bit_depth: int, timer):
+    """Encode then decode one frame at a time; returns (decoded frames, total bits).
+
+    mock_encode and mock_decode are looked up on this module at each call,
+    so anything that wraps those names sees every frame.
+    """
+    decoded, total_bits = [], 0
+    for frame in frames:
+        with timer("encode"):
+            payload, bits = mock_encode([frame], qp, bit_depth)
+        with timer("decode"):
+            decoded += mock_decode(payload, qp, bit_depth)
+        del payload  # freed before the next frame is encoded
+        total_bits += bits
+    return decoded, total_bits
+
+
+def _untimed(stage: str):
+    return nullcontext()
 
 
 def mock_encode_decode(frames, qp: int, bit_depth: int):
@@ -76,8 +111,7 @@ def mock_encode_decode(frames, qp: int, bit_depth: int):
 
     Deterministic: identical inputs always produce identical outputs.
     """
-    enc, bits = mock_encode(frames, qp, bit_depth)
-    return mock_decode(enc, qp, bit_depth), bits
+    return _code_frames(frames, qp, bit_depth, _untimed)
 
 
 def mock_encode(frames, qp: int, bit_depth: int):
@@ -120,11 +154,7 @@ class MockCodec:
         return {"kind": "mock", "block": BLOCK, "transform": "dct2_ortho"}
 
     def encode_decode(self, frames, spec: VideoSpec, qp: int, workdir, tag, timer):
-        with timer("encode"):
-            payload, bits = mock_encode(frames, qp, spec.bit_depth)
-        with timer("decode"):
-            decoded = mock_decode(payload, qp, spec.bit_depth)
-        return decoded, bits
+        return _code_frames(frames, qp, spec.bit_depth, timer)
 
 
 class ExternalCodec:

@@ -4,7 +4,7 @@ The first line is a header echoing the toolkit version and the full
 effective configuration; each further line is one completed (sequence,
 method, qp) job. Appends are flushed immediately so a crash loses at
 most the jobs still in flight, and re-running a config can skip every
-job whose record and artifact hashes are intact.
+job whose record, source hash and artifact hashes are intact.
 """
 
 from __future__ import annotations
@@ -98,10 +98,11 @@ class RunManifest:
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
 
-    def job_intact(self, key: tuple) -> bool:
-        """True when the job succeeded and all its artifacts still hash-match."""
+    def job_intact(self, key: tuple, reference_sha256: str) -> bool:
+        """True when the job succeeded on the source file that now hashes to
+        reference_sha256 and all its artifacts still hash-match."""
         rec = self.jobs.get(key)
-        if rec is None or rec.status != "ok":
+        if rec is None or rec.status != "ok" or rec.reference_sha256 != reference_sha256:
             return False
         for info in rec.artifacts.values():
             path = Path(info["path"])

@@ -165,7 +165,7 @@ def run_experiment(
     """Run every job of an experiment config (path or ExperimentConfig).
 
     The manifest is persisted incrementally; with resume=True, jobs whose
-    records and artifact hashes are intact are skipped.
+    records, source hashes and artifact hashes are intact are skipped.
     """
     cfg = load_experiment(config) if not isinstance(config, ExperimentConfig) else config
     cfg.validate()
@@ -194,7 +194,14 @@ def run_experiment(
         for method in cfg.methods
         for qi, pair in enumerate(cfg.qp_pairs)
     ]
-    todo = [j for j in jobs if not (resume and manifest.job_intact((j[0].label, j[1].label, j[2])))]
+    todo = [
+        (seq, method, qi, pair)
+        for seq, method, qi, pair in jobs
+        if not (
+            resume
+            and manifest.job_intact((seq.label, method.label, qi), reference_hashes[seq.label])
+        )
+    ]
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [

@@ -1,12 +1,16 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, idctn
 
-from rqpipe import Frame, mock_encode_decode
+from rqpipe import Frame, VideoSpec, mock_encode_decode
 from rqpipe.errors import ConfigError
 from rqpipe.metrics import mse_plane
-from rqpipe.pipeline.codecs import encode_plane, quant_step
+from rqpipe.pipeline import MockCodec
+from rqpipe.pipeline.codecs import decode_plane, encode_plane, quant_step
 
 
 def dc_hand_trace(value, qp, bit_depth=8):
@@ -22,6 +26,37 @@ def dc_hand_trace(value, qp, bit_depth=8):
     q = math.copysign(math.floor(abs(dc) / step + 0.5), dc)
     rec = (q * step) / 8.0 + (1 << (bit_depth - 1))
     return int(min(max(math.floor(rec + 0.5), 0), (1 << bit_depth) - 1))
+
+
+def encode_plane_oracle(plane, qp, bit_depth):
+    """Straightforward encoder: (bh, bw, 8, 8) float64 blocks, 2-D DCT over
+    the last two axes, sign * floor(|c| / step + 0.5), bits from a gather
+    of the nonzero coefficients."""
+    h, w = plane.shape
+    x = np.pad(plane.astype(np.float64), ((0, -h % 8), (0, -w % 8)), mode="edge")
+    bh, bw = x.shape[0] // 8, x.shape[1] // 8
+    blocks = x.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
+    blocks -= 1 << (bit_depth - 1)
+    coef = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
+    q = np.sign(coef) * np.floor(np.abs(coef) / quant_step(qp) + 0.5)
+    nz = q != 0
+    bits = int(q.size - nz.sum())
+    if nz.any():
+        bits += int((2 * np.frexp(np.abs(q[nz]))[1] + 2).sum())
+    return q, (h, w), bits
+
+
+def decode_plane_oracle(q, dims, qp, bit_depth):
+    rec = idctn(q * quant_step(qp), type=2, norm="ortho", axes=(-2, -1))
+    bh, bw = rec.shape[:2]
+    full = rec.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)[: dims[0], : dims[1]]
+    full = full + (1 << (bit_depth - 1))
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    return np.clip(np.floor(full + 0.5), 0, (1 << bit_depth) - 1).astype(dtype)
+
+
+def no_timer(stage):
+    return contextlib.nullcontext()
 
 
 def random_frame(rng, size=32, bit_depth=8):
@@ -159,3 +194,116 @@ class TestDeterminism:
         (d37,), bits37 = mock_encode_decode(frames, 37, 8)
         assert bits37 < bits22
         assert mse_plane(frames[0].y, d37.y) > mse_plane(frames[0].y, d22.y)
+
+
+TIE_BLOCK_QP7 = [
+    [124, 127, 128, 132, 131, 131, 134, 128],
+    [127, 134, 129, 131, 130, 122, 132, 133],
+    [129, 123, 134, 126, 134, 124, 122, 122],
+    [128, 122, 127, 128, 123, 130, 128, 123],
+    [127, 133, 130, 125, 126, 134, 129, 124],
+    [130, 124, 133, 132, 124, 122, 133, 124],
+    [132, 126, 132, 123, 131, 131, 132, 132],
+    [125, 133, 127, 132, 122, 122, 125, 129],
+]
+
+
+class TestMatchesOracle:
+    """encode_plane / decode_plane equal the straightforward oracle exactly:
+    coefficients, bits and decoded samples."""
+
+    @staticmethod
+    def assert_equal_to_oracle(plane, qp, bit_depth):
+        q, dims, bits = encode_plane(plane, qp, bit_depth)
+        q_ref, dims_ref, bits_ref = encode_plane_oracle(plane, qp, bit_depth)
+        assert q.dtype == np.int32
+        assert dims == dims_ref and bits == bits_ref
+        assert np.array_equal(q.transpose(0, 2, 1, 3), q_ref)
+        dec = decode_plane(q, dims, qp, bit_depth)
+        dec_ref = decode_plane_oracle(q_ref, dims_ref, qp, bit_depth)
+        assert dec.dtype == dec_ref.dtype and np.array_equal(dec, dec_ref)
+
+    @pytest.mark.parametrize("bit_depth", [8, 10, 16])
+    @pytest.mark.parametrize("shape", [(7, 13), (16, 24), (36, 20)])
+    def test_every_qp_on_small_planes(self, bit_depth, shape):
+        rng = np.random.default_rng(bit_depth * 100 + shape[0])
+        top = (1 << bit_depth) - 1
+        dtype = np.uint8 if bit_depth == 8 else np.uint16
+        mid = 1 << (bit_depth - 1)
+        planes = [
+            rng.integers(0, top + 1, shape).astype(dtype),
+            (mid + rng.integers(-4, 5, shape)).astype(dtype),  # near mid-level: many ties
+            np.full(shape, rng.integers(0, top + 1), dtype),
+        ]
+        for plane in planes:
+            for qp in range(64):
+                self.assert_equal_to_oracle(plane, qp, bit_depth)
+
+    @pytest.mark.parametrize("bit_depth", [8, 10, 16])
+    @pytest.mark.parametrize("shape", [(54, 96), (64, 64), (61, 83)])
+    @pytest.mark.parametrize("qp", [0, 4, 22, 37, 51, 63])
+    def test_larger_planes(self, bit_depth, shape, qp):
+        rng = np.random.default_rng(qp + bit_depth)
+        plane = rng.integers(0, 1 << bit_depth, shape).astype(
+            np.uint8 if bit_depth == 8 else np.uint16
+        )
+        self.assert_equal_to_oracle(plane, qp, bit_depth)
+
+    @pytest.mark.parametrize("delta", [4, -4])
+    def test_half_step_ties_round_away_from_zero(self, delta):
+        # At qp 4 (step 1) one sample 4 away from mid-level gives AC
+        # coefficients (0, 4) and (4, 0) of exactly +-0.5 and a DC of 0.5 plus
+        # one ulp: each quantizes to +-1 and costs 2*1 + 2 = 4 bits.
+        plane = np.full((8, 8), 128, np.uint8)
+        plane[0, 0] = 128 + delta
+        coef = dctn(plane - 128.0, type=2, norm="ortho")
+        assert coef[0, 4] == coef[4, 0] == math.copysign(0.5, delta)
+        q, _, bits = encode_plane(plane, 4, 8)
+        block = q[0, :, 0, :]
+        for u, v in ((0, 0), (0, 4), (4, 0)):
+            assert block[u, v] == math.copysign(1, delta)
+        magnitudes = np.abs(block).ravel()
+        expected = sum(1 if m == 0 else 2 * int(m).bit_length() + 2 for m in magnitudes)
+        assert bits == expected
+        self.assert_equal_to_oracle(plane, 4, 8)
+
+    def test_half_step_tie_at_an_irrational_step(self):
+        # At qp 7 (step sqrt(2)) coefficient (6, 2) of this block is 6.3639...,
+        # and dividing by the step gives exactly 4.5, which quantizes to 5.
+        # Multiplying by 1 / step instead gives 4.4999... and quantizes to 4.
+        plane = np.array(TIE_BLOCK_QP7, np.uint8)
+        coef = dctn(plane - 128.0, type=2, norm="ortho")
+        assert abs(coef[6, 2]) / quant_step(7) == 4.5
+        q, _, _ = encode_plane(plane, 7, 8)
+        assert abs(q[0, 6, 0, 2]) == 5
+        self.assert_equal_to_oracle(plane, 7, 8)
+
+
+class TestCodecMemory:
+    def test_peak_does_not_grow_with_frame_count(self):
+        # Frames are coded one at a time, so eight frames peak only by the
+        # decoded frames kept for the caller (2 bytes per 10-bit sample)
+        # above two frames; a float64 payload per frame adds 8 more.
+        spec = VideoSpec(64, 64, 10, "420", frame_count=8)
+        rng = np.random.default_rng(7)
+        frames = [
+            Frame(
+                y=rng.integers(0, 1024, (64, 64)).astype(np.uint16),
+                cb=rng.integers(0, 1024, (32, 32)).astype(np.uint16),
+                cr=rng.integers(0, 1024, (32, 32)).astype(np.uint16),
+            )
+            for _ in range(8)
+        ]
+        samples_per_frame = 64 * 64 * 3 // 2
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                MockCodec().encode_decode(frames[:count], spec, 27, None, "t", no_timer)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: first-call allocations inside numpy and scipy
+        growth = peak(8) - peak(2)
+        assert growth < 6 * 4 * samples_per_frame

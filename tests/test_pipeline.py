@@ -16,7 +16,7 @@ from rqpipe.pipeline import (
     dump_patch,
     load_experiment,
 )
-from rqpipe.pipeline.manifest import JobRecord
+from rqpipe.pipeline.manifest import JobRecord, sha256_file
 
 
 class TestPresets:
@@ -178,6 +178,20 @@ class TestDeterminismAndResume:
         assert len(again.ok_jobs()) == 12
         lines = (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()
         assert len(lines) == 1 + 12 + 1  # header + first run + one redone job
+
+    def test_resume_redoes_jobs_of_a_changed_source(self, experiment_dir):
+        first = run_experiment(experiment_dir / "exp.ini", workers=1)
+        old_hash = first.ok_jobs()[0].reference_sha256
+        source = experiment_dir / "synthA.yuv"
+        spec = VideoSpec(64, 64, 8, "420", frame_count=8)
+        write_sequence(synthetic_sequence(spec, seed=2), spec, source)
+        new_hash = sha256_file(source)
+        assert new_hash != old_hash
+        again = run_experiment(experiment_dir / "exp.ini", workers=1)
+        lines = (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 12 + 12  # every job ran again
+        assert {r.reference_sha256 for r in again.ok_jobs()} == {new_hash}
+        assert len(again.ok_jobs()) == 12
 
 
 class TestWorkerCount:
