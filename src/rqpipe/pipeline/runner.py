@@ -4,17 +4,24 @@ Per job: optional downsample, encode, decode, optional upsample,
 optional CNN post-processing, then metrics against the original
 native-resolution sequence. Every stage is wall-clock timed. Jobs run on
 a bounded worker pool (RQPIPE_WORKERS overrides the size) and records
-are appended to the manifest in deterministic job order.
+are appended to the manifest in deterministic job order. For the run,
+numpy's OpenBLAS gets the CPUs divided by the workers as its thread
+count, so workers and BLAS threads do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from .. import __version__
 from ..errors import ConfigError, ExternalToolError
@@ -36,6 +43,50 @@ def _worker_count(requested: int | None) -> int:
         except ValueError:
             raise ConfigError(f"RQPIPE_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Run the block with numpy's OpenBLAS at n threads, then restore the old count.
+
+    Yields (threads before, threads during); both are None when the
+    thread count cannot be set, and the threads are then left alone.
+    """
+    hook = _openblas()
+    if hook is None:
+        yield None, None
+        return
+    get, set_ = hook
+    before = get()
+    set_(n)
+    try:
+        yield before, get()
+    finally:
+        set_(before)
 
 
 class _StageTimer:
@@ -166,6 +217,9 @@ def run_experiment(
 
     The manifest is persisted incrementally; with resume=True, jobs whose
     records, source hashes and artifact hashes are intact are skipped.
+    While it runs, numpy's OpenBLAS uses max(1, CPUs // workers) threads;
+    the header of a new manifest records the count before and during the
+    run, the numpy version, the CPU count and the workers.
     """
     cfg = load_experiment(config) if not isinstance(config, ExperimentConfig) else config
     cfg.validate()
@@ -177,38 +231,47 @@ def run_experiment(
     if not resume and manifest_path.exists():
         manifest_path.unlink()
 
-    if not manifest.header:
-        manifest.write_header(
-            {
-                "toolkit": "rqpipe",
-                "version": __version__,
-                "created_unix": round(time.time(), 3),
-                "config": config_as_dict(cfg),
-            }
-        )
+    cpus = _cpu_count()
+    with _blas_threads(max(1, cpus // n_workers)) as (blas_before, blas_during):
+        if not manifest.header:
+            manifest.write_header(
+                {
+                    "toolkit": "rqpipe",
+                    "version": __version__,
+                    "created_unix": round(time.time(), 3),
+                    "config": config_as_dict(cfg),
+                    "environment": {
+                        "numpy": np.__version__,
+                        "cpu_count": cpus,
+                        "workers": n_workers,
+                        "blas_threads_before": blas_before,
+                        "blas_threads": blas_during,
+                    },
+                }
+            )
 
-    reference_hashes = {s.label: sha256_file(s.path) for s in cfg.sequences}
-    jobs = [
-        (seq, method, qi, pair)
-        for seq in cfg.sequences
-        for method in cfg.methods
-        for qi, pair in enumerate(cfg.qp_pairs)
-    ]
-    todo = [
-        (seq, method, qi, pair)
-        for seq, method, qi, pair in jobs
-        if not (
-            resume
-            and manifest.job_intact((seq.label, method.label, qi), reference_hashes[seq.label])
-        )
-    ]
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(_run_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
-            for seq, method, qi, pair in todo
+        reference_hashes = {s.label: sha256_file(s.path) for s in cfg.sequences}
+        jobs = [
+            (seq, method, qi, pair)
+            for seq in cfg.sequences
+            for method in cfg.methods
+            for qi, pair in enumerate(cfg.qp_pairs)
         ]
-        # append in submission order so manifests are deterministic
-        for future in futures:
-            manifest.append_job(future.result())
+        todo = [
+            (seq, method, qi, pair)
+            for seq, method, qi, pair in jobs
+            if not (
+                resume
+                and manifest.job_intact((seq.label, method.label, qi), reference_hashes[seq.label])
+            )
+        ]
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            futures = [
+                pool.submit(_run_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
+                for seq, method, qi, pair in todo
+            ]
+            # append in submission order so manifests are deterministic
+            for future in futures:
+                manifest.append_job(future.result())
     return manifest

@@ -5,9 +5,16 @@ A network is a small DAG of layers (conv2d, activation, add, concat) over
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
 Each conv is im2col + one GEMM per band of output rows, with the column
-buffer bounded by _COLS_BYTES, and each intermediate tensor is freed once
-its last consumer has run, so the working set is a few live tensors plus
-one band rather than every channel of the network.
+buffer bounded by _COLS_BYTES; a 1x1 conv multiplies the band's view of
+its input and needs no column buffer. A storage plan, derived once per
+NetworkSpec from the graph's readers and liveness (never from layer
+names), gives every value its place: the inputs of a concat sit side by
+side in one shared (C, H, W) buffer, so the concat is a slice of it, not
+a copy; the bias, and an activation that is a conv's only reader, are
+applied to each band right after its GEMM; an add accumulates into its
+first input when nothing else reads that. Each value is freed once its
+last consumer has run, so the working set is a few live buffers plus one
+band rather than every channel of the network.
 build_mfrnet_style constructs the residual dense block cascade used for
 decoder-side enhancement; trained weights arrive through a small binary
 weight-file format, so any training pipeline can feed this engine.
@@ -29,7 +36,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,12 +141,19 @@ class NetworkSpec:
                     raise ShapeError(f"add layer {layer.id!r} mixes channel counts {ins}")
                 channels[layer.id] = ins[0]
             elif layer.op == CONCAT:
+                if not ins:
+                    raise ShapeError(f"concat layer {layer.id!r} has no inputs")
                 channels[layer.id] = sum(ins)
             else:
                 raise ShapeError(f"unknown op {layer.op!r} in layer {layer.id!r}")
         if self.output_id not in channels:
             raise ShapeError(f"output id {self.output_id!r} never produced")
         return channels
+
+    @cached_property
+    def storage_plan(self) -> StoragePlan:
+        """Where _apply_layers keeps each value; planned once per spec."""
+        return _plan_storage(self)
 
     def conv_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers if l.op == CONV2D]
@@ -175,9 +193,24 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ShapeError(f"network JSON does not parse: {exc}") from None
+        entries = doc.get("layers") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ShapeError("network JSON needs a 'layers' list")
+        keys = {f.name for f in fields(LayerSpec)}
         layers = []
-        for entry in doc["layers"]:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ShapeError(f"layer {i}: expected an object, got {entry!r}")
+            for key in entry:
+                if key not in keys:
+                    raise ShapeError(f"layer {i}: unknown key {key!r}")
+            for key in ("id", "op"):
+                if key not in entry:
+                    raise ShapeError(f"layer {i}: missing key {key!r}")
             entry = dict(entry)
             entry["inputs"] = tuple(entry.get("inputs", ()))
             layers.append(LayerSpec(**entry))
@@ -285,13 +318,32 @@ def random_weights(net: NetworkSpec, seed: int = 0, scale: float = 0.05):
 # ---------------------------------------------------------------------------
 
 
+def _conv_hw(x: np.ndarray, weights: np.ndarray, stride: int, pad: int) -> tuple[int, int]:
+    """Output height and width of a conv, after checking the input against the weights."""
+    if x.ndim != 3:
+        raise ShapeError(f"input must be (C,H,W), got shape {x.shape}")
+    _, in_ch, kh, kw = weights.shape
+    if x.shape[0] != in_ch:
+        raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
+    _, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
+        raise ShapeError(
+            f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
+        )
+    return oh, ow
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of (C,H,W) input with (O,C,kh,kw) weights, zero padded.
 
     Computed as im2col + GEMM over bands of output rows. Each band pads
     only the input rows it reads, fills a (C, kh, kw, rows, ow) column
     buffer with one strided slice per tap, and multiplies it by the
-    weights reshaped to (O, C*kh*kw); the bias is added once at the end.
+    weights reshaped to (O, C*kh*kw); a 1x1, stride-1, unpadded conv
+    multiplies the band's (C, rows*W) view of the input instead, with no
+    column buffer. The bias is added to each band after its GEMM.
     The rows are split into equal bands whose buffers stay under
     _COLS_BYTES, so no band is a thin remainder.
 
@@ -304,82 +356,290 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1
     test_row_bands_equal_one_band), not a guarantee by construction.
     """
     x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"input must be (C,H,W), got shape {x.shape}")
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
+    return _conv(x, weights, bias, stride, pad)
+
+
+def _conv(x, weights, bias, stride, pad, out=None, act: LayerSpec | None = None) -> np.ndarray:
+    """conv2d into `out` (fresh when None), with `act` applied to each band."""
+    oh, ow = _conv_hw(x, weights, stride, pad)
     out_ch, in_ch, kh, kw = weights.shape
-    if x.shape[0] != in_ch:
-        raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
     _, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
-        )
+    if out is None:
+        out = np.empty((out_ch, oh, ow), dtype=x.dtype)
     k = in_ch * kh * kw
     # numpy sends a one-row weight matrix to GEMV, whose sums depend on the
     # column count and the thread split; a zero second row keeps it on GEMM
     m = max(out_ch, 2)
     wmat = np.zeros((m, k), dtype=x.dtype)
     wmat[:out_ch] = weights.reshape(out_ch, k)
+    bias = bias.astype(x.dtype)[:, None]
+    out2d = out.reshape(out_ch, oh * ow)
+    gemm_out = out2d if m == out_ch else np.empty((m, oh * ow), dtype=x.dtype)
     bands = -(-oh // max(1, _COLS_BYTES // (k * ow * x.itemsize)))
-    buf = np.empty(k * -(-oh // bands) * ow, dtype=x.dtype)
-    out = np.empty((m, oh * ow), dtype=x.dtype)
+    direct = kh == kw == 1 and stride == 1 and pad == 0
+    if direct:
+        x2d = x.reshape(in_ch, h * w)
+    else:
+        buf = np.empty(k * -(-oh // bands) * ow, dtype=x.dtype)
     for i in range(bands):
         r0, r1 = oh * i // bands, oh * (i + 1) // bands
         rows = r1 - r0
-        # zero-padded copy of just the input rows this band reads
-        top, bottom = r0 * stride - pad, (r1 - 1) * stride + kh - pad
-        lo = max(top, 0)
-        hi = max(min(bottom, h), lo)
-        slab = np.zeros((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
-        slab[:, lo - top : hi - top, pad : pad + w] = x[:, lo:hi]
-        cols = buf[: k * rows * ow].reshape(in_ch, kh, kw, rows, ow)
-        for di in range(kh):
-            for dj in range(kw):
-                cols[:, di, dj] = slab[:, di : di + rows * stride : stride, dj : dj + ow * stride : stride]
-        np.matmul(wmat, cols.reshape(k, -1), out=out[:, r0 * ow : r1 * ow])
-    out = out[:out_ch]
-    out += bias.astype(x.dtype)[:, None]
-    return out.reshape(out_ch, oh, ow)
+        if direct:
+            cols = x2d[:, r0 * ow : r1 * ow]
+        else:
+            # zero-padded copy of just the input rows this band reads
+            top, bottom = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+            lo = max(top, 0)
+            hi = max(min(bottom, h), lo)
+            slab = np.zeros((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
+            slab[:, lo - top : hi - top, pad : pad + w] = x[:, lo:hi]
+            cols = buf[: k * rows * ow].reshape(in_ch, kh, kw, rows, ow)
+            for di in range(kh):
+                for dj in range(kw):
+                    cols[:, di, dj] = slab[:, di : di + rows * stride : stride, dj : dj + ow * stride : stride]
+            cols = cols.reshape(k, -1)
+        np.matmul(wmat, cols, out=gemm_out[:, r0 * ow : r1 * ow])
+        band = out2d[:, r0 * ow : r1 * ow]
+        if gemm_out is not out2d:
+            band[...] = gemm_out[:out_ch, r0 * ow : r1 * ow]
+        band += bias
+        if act is not None:
+            _activate_in_place(band, act)
+    return out
 
 
-def _run_layer(layer: LayerSpec, ins: list[np.ndarray], weights) -> np.ndarray:
+def _activate_in_place(v: np.ndarray, act: LayerSpec) -> None:
+    # for 0 < alpha <= 1, max(v, alpha*v) is v for v >= 0 and alpha*v
+    # below, bit for bit the np.where of _run_layer, -0.0, infinities and
+    # NaN included. At alpha = 0 it is not: 0 * inf is NaN, so +inf would
+    # become NaN where np.where keeps it
+    if act.act == RELU:
+        np.maximum(v, 0, out=v)
+    else:
+        np.maximum(v, np.asarray(act.alpha, v.dtype) * v, out=v)
+
+
+class _Step(NamedTuple):
+    """How _apply_layers runs one layer."""
+
+    out: str | None  # id of the value it makes; None for an activation run by its conv
+    slot: tuple[int, int, int] | None  # (buffer, first channel, channels) of that value;
+    # a concat with a slot is a slice of its buffer, one without is a copy
+    act: LayerSpec | None  # activation applied to each band of this conv
+    inplace: bool  # an add that accumulates into its first input
+    release: tuple[int, ...]  # buffers no later layer writes into or slices
+    drop: tuple[str, ...]  # values no later layer reads
+
+
+class StoragePlan(NamedTuple):
+    """Where each value of a NetworkSpec lives while _apply_layers runs it.
+
+    steps follows net.layers; buffers holds the channel count of each shared
+    (C, H, W) buffer; live_channels counts, per layer, the channels of the
+    buffers and unshared values held while it runs (the input included).
+    """
+
+    steps: tuple[_Step, ...]
+    buffers: tuple[int, ...]
+    live_channels: tuple[int, ...]
+
+
+def _plan_storage(net: NetworkSpec) -> StoragePlan:
+    """Storage for every value, from the graph's readers and liveness alone.
+
+    Values that share storage form a group named by its first value: a conv
+    and the ReLU, or leaky ReLU with 0 < alpha <= 1, that is its only
+    reader (applied band by band as the conv runs); an add and its first
+    input when the add is that input's only reader and the input is neither
+    the network input nor a concat (accumulated in place).
+
+    Concats are placed largest first. Their inputs, with nested concats
+    expanded, go to adjacent channel ranges of one shared buffer, so the
+    concat is a slice of it. A concat whose inputs are partly placed
+    already reuses that buffer when the placement agrees. It is copied
+    instead when an input repeats, is the network input, sits elsewhere or
+    out of line, or when its range would overlap another group's while
+    both are live: a group is live from its first layer until the last
+    read of it or of a slice that covers it.
+    """
+    channels = net.validate()
+    layers = {l.id: l for l in net.layers}
+    n = len(net.layers)
+    index = {l.id: i for i, l in enumerate(net.layers)}
+    index[net.input_id] = 0
+    reads = Counter(ref for l in net.layers for ref in l.inputs)
+    reads[net.output_id] += 1
+    last_use = dict(index)
+    for i, l in enumerate(net.layers):
+        for ref in l.inputs:
+            last_use[ref] = i
+    last_use[net.output_id] = n - 1
+
+    root = {v: v for v in channels}
+    fused: dict[str, LayerSpec] = {}
+    inplace: set[str] = set()
+    for l in net.layers:
+        src = layers.get(l.inputs[0]) if l.inputs else None
+        if src is None or reads[src.id] != 1:
+            continue
+        if l.op == ACTIVATION and src.op == CONV2D and (l.act == RELU or 0 < l.alpha <= 1):
+            fused[src.id] = l
+        elif l.op == ADD and src.op != CONCAT:
+            inplace.add(l.id)
+        else:
+            continue
+        root[l.id] = root[src.id]
+
+    def leaves(v):
+        l = layers.get(v)
+        if l is None or l.op != CONCAT:
+            return [v]
+        return [u for ref in l.inputs for u in leaves(ref)]
+
+    def overlap(a, b):  # [first channel, channels, born, last]
+        return a[0] < b[0] + b[1] and b[0] < a[0] + a[1] and a[2] <= b[3] and b[2] <= a[3]
+
+    sizes: list[int] = []
+    units: list[dict[str, list[int]]] = []  # per buffer: group -> [first, channels, born, last]
+    home: dict[str, int] = {}  # group -> buffer
+    views: dict[str, tuple[int, int]] = {}  # concat -> (buffer, first channel)
+    for cat in sorted((l for l in net.layers if l.op == CONCAT), key=lambda l: -channels[l.id]):
+        vals = leaves(cat.id)
+        groups = [root[v] for v in vals]
+        if net.input_id in groups or len(set(groups)) != len(groups):
+            continue
+        offsets = list(accumulate((channels[v] for v in vals), initial=0))
+        spots = {(home[g], units[home[g]][g][0] - o) for g, o in zip(groups, offsets) if g in home}
+        if len(spots) > 1:
+            continue
+        if spots:
+            ((b, base),) = spots
+            if base < 0 or base + channels[cat.id] > sizes[b]:
+                continue
+        else:
+            b, base = len(sizes), 0
+        placed = units[b] if spots else {}
+        new = {
+            g: [base + o, channels[v], index[g], max(last_use[cat.id], placed[g][3] if g in placed else last_use[v])]
+            for g, v, o in zip(groups, vals, offsets)
+        }
+        if any(overlap(u, w) for g, w in placed.items() if g not in new for u in new.values()):
+            continue
+        if not spots:
+            sizes.append(channels[cat.id])
+            units.append(placed)
+        placed.update(new)
+        home.update(dict.fromkeys(new, b))
+        views[cat.id] = (b, base)
+
+    release: list[list[int]] = [[] for _ in range(n)]
+    live = [0] * n
+    for b, placed in enumerate(units):
+        writes = [u[2] for u in placed.values()] + [index[c] for c, (vb, _) in views.items() if vb == b]
+        release[max(writes)].append(b)
+        born, last = min(u[2] for u in placed.values()), max(u[3] for u in placed.values())
+        for i in range(born, last + 1):
+            live[i] += sizes[b]
+    drop: list[list[str]] = [[] for _ in range(n)]
+    group_last: dict[str, int] = {}
+    for v, g in root.items():
+        group_last[g] = max(group_last.get(g, -1), last_use[v])
+        if v not in fused and v != net.output_id:
+            drop[last_use[v]].append(v)
+    for g, last in group_last.items():
+        if g not in home and g not in views:
+            for i in range(index[g], last + 1):
+                live[i] += channels[g]
+
+    run_by_conv = {a.id for a in fused.values()}
+    steps = []
+    for i, l in enumerate(net.layers):
+        g = root[l.id]
+        if l.id in views:
+            b, first = views[l.id]
+        elif g == l.id and g in home:
+            b, first = home[g], units[home[g]][g][0]
+        else:
+            b = None
+        act = fused.get(l.id)
+        steps.append(_Step(
+            out=None if l.id in run_by_conv else (act or l).id,
+            slot=None if b is None else (b, first, channels[l.id]),
+            act=act,
+            inplace=l.id in inplace,
+            release=tuple(release[i]),
+            drop=tuple(drop[i]),
+        ))
+    return StoragePlan(tuple(steps), tuple(sizes), tuple(live))
+
+
+def _slot(step: _Step, buffers: dict, sizes, hw, dtype) -> np.ndarray | None:
+    """The planned storage of a layer's value, allocating its buffer on first use."""
+    if step.slot is None:
+        return None
+    b, first, ch = step.slot
+    buf = buffers.get(b)
+    if buf is None:
+        buf = buffers[b] = np.empty((sizes[b], *hw), dtype=dtype)
+    elif buf.shape[1:] != tuple(hw):
+        raise ShapeError(f"concatenated values differ in height or width: {buf.shape[1:]} vs {tuple(hw)}")
+    return buf[first : first + ch]
+
+
+def _run_layer(layer: LayerSpec, step: _Step, ins: list[np.ndarray], weights, buffers, sizes) -> np.ndarray:
     if layer.op == CONV2D:
         w, b = weights[layer.id]
-        return conv2d(ins[0], w, b, layer.stride, layer.pad)
+        x = ins[0]
+        out = _slot(step, buffers, sizes, _conv_hw(x, w, layer.stride, layer.pad), x.dtype)
+        return _conv(x, w, b, layer.stride, layer.pad, out, step.act)
+    dest = _slot(step, buffers, sizes, ins[0].shape[1:], ins[0].dtype)
+    if layer.op == CONCAT:
+        return np.concatenate(ins, axis=0) if dest is None else dest
     if layer.op == ACTIVATION:
         v = ins[0]
         if layer.act == RELU:
-            return np.maximum(v, 0)
-        return np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
-    if layer.op == ADD:
-        acc = ins[0].copy()
+            v = np.maximum(v, 0)
+        else:
+            v = np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
+    elif layer.op == ADD:
+        if step.inplace:
+            v = ins[0]
+        elif dest is None:
+            v = ins[0].copy()
+        else:
+            v = dest
+            v[...] = ins[0]
         for other in ins[1:]:
-            if other.shape != acc.shape:
+            if other.shape != v.shape:
                 raise ShapeError(f"add layer {layer.id!r} mixes shapes")
-            acc += other
-        return acc
-    if layer.op == CONCAT:
-        return np.concatenate(ins, axis=0)
-    raise ShapeError(f"unknown op {layer.op!r}")
+            v += other
+        return v
+    else:
+        raise ShapeError(f"unknown op {layer.op!r}")
+    if dest is None:
+        return v
+    dest[...] = v
+    return dest
 
 
 def _apply_layers(net: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
-    # each value is dropped after the last layer that reads it (a value
-    # nothing reads, right after it is made); only the output is kept
-    last_use = {layer.id: i for i, layer in enumerate(net.layers)}
-    for i, layer in enumerate(net.layers):
-        for ref in layer.inputs:
-            last_use[ref] = i
+    # each layer writes into the storage net.storage_plan gives it; a value
+    # is dropped after the last layer that reads it, and a shared buffer
+    # lives on in the slices taken of it
+    plan = net.storage_plan
     values = {net.input_id: x}
-    for i, layer in enumerate(net.layers):
-        values[layer.id] = _run_layer(layer, [values[r] for r in layer.inputs], weights)
-        for ref in {layer.id, *layer.inputs}:
-            if last_use[ref] == i and ref != net.output_id:
-                del values[ref]
+    buffers: dict[int, np.ndarray] = {}
+    for layer, step in zip(net.layers, plan.steps):
+        if step.out is not None:
+            values[step.out] = _run_layer(
+                layer, step, [values[r] for r in layer.inputs], weights, buffers, plan.buffers
+            )
+        for b in step.release:
+            del buffers[b]
+        for ref in step.drop:
+            del values[ref]
     return values[net.output_id]
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,13 @@ class TestRunAndReport:
         assert run_cli("run", experiment_dir / "exp.ini") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "RQPIPE_WORKERS" in err and "'two'" in err
+
+    def test_malformed_net_json_exits_2(self, experiment_dir, capsys):
+        doc = json.loads((experiment_dir / "net.json").read_text())
+        doc["layers"][0]["kernal"] = doc["layers"][0].pop("kernel")
+        (experiment_dir / "net.json").write_text(json.dumps(doc))
+        assert run_cli("run", experiment_dir / "exp.ini") == 2
+        assert capsys.readouterr().err == "error: layer 0: unknown key 'kernal'\n"
 
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")

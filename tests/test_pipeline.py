@@ -212,6 +212,120 @@ class TestWorkerCount:
             _worker_count(None)
 
 
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS thread (get, set), restored after the test."""
+    from rqpipe.pipeline.runner import _openblas
+
+    hook = _openblas()
+    if hook is None:
+        pytest.skip("numpy's OpenBLAS exposes no thread-count functions")
+    before = hook[0]()
+    yield hook
+    hook[1](before)
+
+
+class TestBlasThreads:
+    CONFIG = """
+[run]
+workdir = out
+
+[sequence.s]
+path = s.yuv
+width = 96
+height = 64
+bit_depth = 10
+chroma = 420
+frame_count = 1
+frame_rate = 30
+
+[method.postproc]
+scale = 1/2
+down_filter = lanczos:3
+up_filter = nn
+codec = mock
+postproc_net = mfrnet
+postproc_weights = 22=w.rqpw
+
+[qps]
+pairs = 22:4, 37:15
+"""
+
+    @pytest.fixture
+    def default_net_experiment(self, tmp_path):
+        # the default net at 96x64: GEMMs large enough for OpenBLAS to split
+        # them over threads
+        from rqpipe import build_mfrnet_style, random_weights, save_weights
+
+        spec = VideoSpec(96, 64, 10, "420", frame_count=1)
+        write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
+        save_weights(tmp_path / "w.rqpw", random_weights(build_mfrnet_style(), seed=5))
+        (tmp_path / "exp.ini").write_text(self.CONFIG)
+        return tmp_path / "exp.ini"
+
+    def test_recon_equal_at_one_and_two_workers(self, default_net_experiment, tmp_path, blas):
+        runs = {
+            n: run_experiment(default_net_experiment, workdir=tmp_path / f"w{n}", workers=n)
+            for n in (1, 2)
+        }
+        hashes = {
+            n: {key: rec.artifacts["recon"]["sha256"] for key, rec in m.jobs.items()}
+            for n, m in runs.items()
+        }
+        assert len(hashes[1]) == 2 and hashes[1] == hashes[2]
+        from rqpipe.pipeline.runner import _cpu_count
+
+        get, set_ = blas
+        for n, m in runs.items():
+            env = m.header["environment"]
+            assert env["workers"] == n and env["cpu_count"] == _cpu_count()
+            set_(max(1, _cpu_count() // n))  # OpenBLAS caps it at its build's maximum
+            assert env["blas_threads"] == get()
+            assert env["numpy"] == np.__version__
+
+    def test_threads_restored_after_failed_job(self, tmp_path, blas):
+        get, set_ = blas
+        set_(1)
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            """
+[run]
+workdir = out
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+[method.anchor]
+codec = external
+encode_cmd = false {in} {out} {qp} {w} {h}
+decode_cmd = false {in} {out}
+[qps]
+pairs = 22:4
+"""
+        )
+        manifest = run_experiment(tmp_path / "exp.ini", workers=1)
+        assert [r.status for r in manifest.jobs.values()] == ["failed"]
+        assert manifest.header["environment"]["blas_threads_before"] == 1
+        assert get() == 1
+
+    def test_threads_restored_when_the_run_raises(self, experiment_dir, monkeypatch, blas):
+        from rqpipe.pipeline import runner
+
+        get, set_ = blas
+        set_(1)
+
+        def crash(*args):
+            raise RuntimeError("worker crashed")
+
+        monkeypatch.setattr(runner, "_run_job", crash)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert get() == 1
+
+
 class TestDepthStream:
     @pytest.fixture
     def config_with_depth(self, tmp_path):

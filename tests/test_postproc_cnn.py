@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,15 @@ from rqpipe import (
     tiled_apply,
 )
 from rqpipe.errors import ConfigError, ShapeError, WeightFormatError
-from rqpipe.postproc_cnn import _apply_layers, act_layer, add_layer, concat_layer, conv_layer
+from rqpipe.postproc_cnn import (
+    CONCAT,
+    _activate_in_place,
+    _apply_layers,
+    act_layer,
+    add_layer,
+    concat_layer,
+    conv_layer,
+)
 
 
 def conv2d_oracle(x, w, b, stride=1, pad=0):
@@ -39,6 +49,89 @@ def conv2d_oracle(x, w, b, stride=1, pad=0):
                             )
                 out[o, i, j] = acc
     return out
+
+
+def conv2d_im2col_oracle(x, weights, bias, stride=1, pad=0):
+    """conv2d before the storage plan: every kernel, 1x1 included, fills a
+    padded slab and a column buffer per band of _COLS_BYTES, and the bias is
+    added once after the last band."""
+    out_ch, in_ch, kh, kw = weights.shape
+    _, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    k = in_ch * kh * kw
+    m = max(out_ch, 2)
+    wmat = np.zeros((m, k), dtype=x.dtype)
+    wmat[:out_ch] = weights.reshape(out_ch, k)
+    bands = -(-oh // max(1, postproc_cnn._COLS_BYTES // (k * ow * x.itemsize)))
+    buf = np.empty(k * -(-oh // bands) * ow, dtype=x.dtype)
+    out = np.empty((m, oh * ow), dtype=x.dtype)
+    for i in range(bands):
+        r0, r1 = oh * i // bands, oh * (i + 1) // bands
+        rows = r1 - r0
+        top, bottom = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+        lo = max(top, 0)
+        hi = max(min(bottom, h), lo)
+        slab = np.zeros((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
+        slab[:, lo - top : hi - top, pad : pad + w] = x[:, lo:hi]
+        cols = buf[: k * rows * ow].reshape(in_ch, kh, kw, rows, ow)
+        for di in range(kh):
+            for dj in range(kw):
+                cols[:, di, dj] = slab[:, di : di + rows * stride : stride, dj : dj + ow * stride : stride]
+        np.matmul(wmat, cols.reshape(k, -1), out=out[:, r0 * ow : r1 * ow])
+    out = out[:out_ch]
+    out += bias.astype(x.dtype)[:, None]
+    return out.reshape(out_ch, oh, ow)
+
+
+def run_layer_oracle(layer, ins, weights):
+    if layer.op == "conv2d":
+        w, b = weights[layer.id]
+        return conv2d_im2col_oracle(ins[0], w, b, layer.stride, layer.pad)
+    if layer.op == "activation":
+        v = ins[0]
+        if layer.act == "relu":
+            return np.maximum(v, 0)
+        return np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
+    if layer.op == "add":
+        acc = ins[0].copy()
+        for other in ins[1:]:
+            acc += other
+        return acc
+    return np.concatenate(ins, axis=0)
+
+
+def apply_layers_oracle(net, weights, x):
+    """Network evaluation with every value in its own array: each concat
+    and activation a copy, each add a fresh sum."""
+    last_use = {layer.id: i for i, layer in enumerate(net.layers)}
+    for i, layer in enumerate(net.layers):
+        for ref in layer.inputs:
+            last_use[ref] = i
+    values = {net.input_id: x}
+    for i, layer in enumerate(net.layers):
+        values[layer.id] = run_layer_oracle(layer, [values[r] for r in layer.inputs], weights)
+        for ref in {layer.id, *layer.inputs}:
+            if last_use[ref] == i and ref != net.output_id:
+                del values[ref]
+    return values[net.output_id]
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    uint = f"u{a.itemsize}"
+    assert np.array_equal(a.view(uint), b.view(uint))
+
+
+def json_net(layers, output_id):
+    return NetworkSpec.from_json(json.dumps(
+        {"layers": layers, "output_id": output_id, "residual_global": False}
+    ))
+
+
+def conv_entry(layer_id, inp, in_ch, out_ch, kernel=3):
+    return {"id": layer_id, "op": "conv2d", "inputs": [inp], "in_ch": in_ch,
+            "out_ch": out_ch, "kernel": kernel, "pad": kernel // 2}
 
 
 def identity_net(residual=False):
@@ -210,6 +303,232 @@ class TestApplyNetwork:
         weights = {"c": (np.zeros((2, 1, 1, 1), np.float32), np.zeros(2, np.float32))}
         with pytest.raises(ShapeError, match="channels"):
             apply_network(net, weights, np.zeros((4, 4), np.uint8), 8)
+
+
+class TestStoragePlan:
+    """_apply_layers runs each layer into the storage net.storage_plan gives
+    it; its float output must equal the copy-based oracle's bit for bit."""
+
+    @staticmethod
+    def float_input(h, w, bits=10, seed=30):
+        plane = np.random.default_rng(seed).integers(0, 1 << bits, (h, w))
+        return (plane.astype(np.float32) / np.float32((1 << bits) - 1))[None]
+
+    def check(self, net, h, w, seed=31):
+        weights = random_weights(net, seed=seed, scale=0.3)
+        x = self.float_input(h, w)
+        assert_bits_equal(_apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
+
+    def views(self, net):
+        return {l.id: step.slot is not None for l, step in zip(net.layers, net.storage_plan.steps) if l.op == CONCAT}
+
+    @pytest.mark.parametrize("h, w", [(72, 100), (108, 192)])
+    def test_default_net(self, h, w):
+        net = build_mfrnet_style()
+        weights = random_weights(net, seed=32)
+        x = self.float_input(h, w)
+        assert_bits_equal(_apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_default_net_in_row_bands(self, monkeypatch, rows):
+        # budget of `rows` output rows of the widest conv (K = 80*3*3)
+        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 720 * 100 * 4)
+        net = build_mfrnet_style()
+        weights = random_weights(net, seed=33)
+        x = self.float_input(72, 100)
+        assert_bits_equal(_apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 4), (2, 2, 8, 4)])
+    def test_small_mfrnet_styles(self, shape):
+        self.check(build_mfrnet_style(*shape), 24, 40)
+
+    def test_default_net_concatenates_nothing(self, monkeypatch):
+        net = build_mfrnet_style()
+        assert all(self.views(net).values())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.concatenate ran")
+
+        weights = random_weights(net, seed=34)
+        x = self.float_input(20, 24)
+        monkeypatch.setattr(np, "concatenate", refuse)
+        _apply_layers(net, weights, x)
+
+    def test_block_buffers_share_storage(self):
+        net = build_mfrnet_style(2, 4, 32, 16)
+        steps = dict(zip((l.id for l in net.layers), net.storage_plan.steps))
+        block = {steps[c].slot[0] for c in ("b0_cat1", "b0_cat2", "b0_cat3", "b0_fuse_cat")}
+        assert len(block) == 1
+        assert steps["b0_fuse_cat"].slot[1:] == (0, 96)
+        assert steps["b0_conv0"].act is not None and steps["b0_act0"].out is None
+        assert steps["b0_out"].inplace
+
+    def test_reuse_concats_share_one_buffer(self):
+        net = build_mfrnet_style()
+        steps = dict(zip((l.id for l in net.layers), net.storage_plan.steps))
+        # laid out [b2_out | b1_out | b0_out]
+        assert steps["b3_reuse"].slot[1:] == (0, 96)
+        reuse = steps["b3_reuse"].slot[0]
+        assert steps["b2_reuse"].slot == (reuse, 32, 64)
+        assert steps["b1_reuse"].slot == (reuse, 64, 32)
+        assert steps["b0_fuse"].slot == (reuse, 64, 32)
+        assert steps["b2_fuse"].slot == (reuse, 0, 32)
+
+    def test_input_concatenated_with_itself_is_copied(self):
+        net = json_net([
+            {"id": "cat", "op": "concat", "inputs": ["input", "input"]},
+            conv_entry("out", "cat", 2, 1),
+        ], "out")
+        assert self.views(net) == {"cat": False}
+        self.check(net, 12, 17)
+
+    def test_same_inputs_in_two_orders(self):
+        net = json_net([
+            conv_entry("a", "input", 1, 2),
+            conv_entry("b", "input", 1, 3),
+            {"id": "ab", "op": "concat", "inputs": ["a", "b"]},
+            {"id": "ba", "op": "concat", "inputs": ["b", "a"]},
+            conv_entry("c1", "ab", 5, 2),
+            conv_entry("c2", "ba", 5, 2),
+            {"id": "s", "op": "add", "inputs": ["c1", "c2"]},
+            conv_entry("out", "s", 2, 1, kernel=1),
+        ], "out")
+        assert self.views(net) == {"ab": True, "ba": False}
+        self.check(net, 12, 17)
+
+    def test_concat_with_network_input_is_copied(self):
+        net = json_net([
+            conv_entry("a", "input", 1, 2),
+            {"id": "cat", "op": "concat", "inputs": ["a", "input"]},
+            conv_entry("out", "cat", 3, 1),
+        ], "out")
+        assert self.views(net) == {"cat": False}
+        self.check(net, 12, 17)
+
+    def test_range_overlapping_a_live_value_is_copied(self):
+        # [a, b] is placed first; [a, c] would put c over b while b is live
+        net = json_net([
+            conv_entry("a", "input", 1, 2),
+            conv_entry("b", "input", 1, 3),
+            conv_entry("c", "input", 1, 2),
+            {"id": "ab", "op": "concat", "inputs": ["a", "b"]},
+            {"id": "ac", "op": "concat", "inputs": ["a", "c"]},
+            conv_entry("d", "ab", 5, 2),
+            conv_entry("e", "ac", 4, 2),
+            {"id": "out", "op": "add", "inputs": ["d", "e"]},
+        ], "out")
+        assert self.views(net) == {"ab": True, "ac": False}
+        self.check(net, 12, 17)
+
+    @pytest.mark.parametrize("kind, alpha, fused", [
+        ("leaky_relu", 0.0, False),
+        ("leaky_relu", 0.2, True),
+        ("leaky_relu", 1.0, True),
+        ("leaky_relu", 1.5, False),
+        ("relu", 0.2, True),
+    ])
+    def test_activation_in_conv_epilogue(self, kind, alpha, fused):
+        net = json_net([
+            conv_entry("c", "input", 1, 4),
+            {"id": "a", "op": "activation", "inputs": ["c"], "act": kind, "alpha": alpha},
+            conv_entry("d", "a", 4, 4),
+            {"id": "s", "op": "add", "inputs": ["d", "a"]},
+            conv_entry("out", "s", 4, 1),
+        ], "out")
+        steps = net.storage_plan.steps
+        assert (steps[0].act is not None) == fused
+        assert steps[3].inplace
+        self.check(net, 12, 17)
+
+    def test_conv_read_by_activation_and_concat(self):
+        net = json_net([
+            conv_entry("c", "input", 1, 4),
+            {"id": "a", "op": "activation", "inputs": ["c"], "act": "leaky_relu", "alpha": 0.2},
+            {"id": "cat", "op": "concat", "inputs": ["c", "a"]},
+            conv_entry("out", "cat", 8, 1),
+        ], "out")
+        assert net.storage_plan.steps[0].act is None
+        assert self.views(net) == {"cat": True}
+        self.check(net, 12, 17)
+
+    def test_peak_memory_with_small_column_buffer(self, monkeypatch):
+        # with a 2-row column budget the live values dominate the peak: the
+        # plan's largest live channel count, plus one column buffer and one
+        # more budget for its padded slab and the band temporaries. Copying
+        # concats peak above that (284 channels of 64x96 against 228)
+        net = build_mfrnet_style()
+        h, w = 64, 96
+        budget = 2 * 720 * w * 4
+        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", budget)
+        weights = random_weights(net, seed=24)
+        plane = np.random.default_rng(25).integers(0, 1024, (h, w)).astype(np.uint16)
+        live = max(net.storage_plan.live_channels)
+        assert live == 2 * 96  # one block's buffer and the reuse buffer
+        bound = live * h * w * 4 + 2 * budget
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak} above {bound} bytes"
+
+    def test_block_buffer_freed_before_next_block(self, monkeypatch):
+        net = build_mfrnet_style()
+        weights = random_weights(net, seed=36)
+        run_layer = postproc_cnn._run_layer
+        buffers, alive_later = {}, {}
+
+        def watch(layer, step, ins, *rest):
+            if layer.id.endswith("_conv1"):
+                block = int(layer.id[1])
+                if block - 1 in buffers:
+                    alive_later[block - 1] = buffers[block - 1]() is not None
+                # b<k>_cat1 is a slice of block k's buffer
+                buffers[block] = weakref.ref(ins[0].base)
+            return run_layer(layer, step, ins, *rest)
+
+        monkeypatch.setattr(postproc_cnn, "_run_layer", watch)
+        _apply_layers(net, weights, self.float_input(20, 24))
+        assert alive_later == {0: False, 1: False, 2: False}
+
+
+class TestInPlaceLeakyRelu:
+    F32 = np.finfo(np.float32)
+    SPECIAL = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, F32.max, -F32.max,
+         F32.smallest_subnormal, -F32.smallest_subnormal, 3 * F32.smallest_subnormal,
+         -F32.tiny, F32.tiny, 1.0, -1.0],
+        dtype=np.float32,
+    )
+
+    @staticmethod
+    def where(v, alpha):
+        return np.where(v >= 0, v, np.asarray(alpha, v.dtype) * v)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+    def test_equals_where_bitwise(self, alpha):
+        v = np.concatenate([self.SPECIAL, np.random.default_rng(37).normal(0, 10, 200).astype(np.float32)])
+        want = self.where(v, alpha)
+        got = v.copy()
+        _activate_in_place(got, act_layer("a", "c", alpha=alpha))
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_alpha_zero_is_not_run_in_place(self):
+        # max(v, 0*v) turns +inf into NaN (0 * inf), which np.where keeps as
+        # +inf; every other special value agrees
+        v = self.SPECIAL.copy()
+        with np.errstate(invalid="ignore"):
+            want = self.where(v, 0.0)
+            _activate_in_place(v, act_layer("a", "c", alpha=0.0))
+        differ = v.view(np.uint32) != want.view(np.uint32)
+        assert list(self.SPECIAL[differ]) == [np.inf]
+        net = NetworkSpec(
+            layers=(conv_layer("c", "input", 1, 1, 3), act_layer("a", "c", alpha=0.0)),
+            output_id="a",
+            residual_global=False,
+        )
+        assert net.storage_plan.steps[0].act is None
 
 
 class TestTiledApply:
@@ -433,6 +752,36 @@ class TestWeightFiles:
             apply_network(net, load_weights(path), np.zeros((4, 4), np.uint8), 8)
 
 
+class TestMalformedJson:
+    @staticmethod
+    def doc(**change):
+        # a good first layer, then the second with `change` applied (None deletes a key)
+        second = conv_entry("c", "h", 1, 1) | change
+        second = {k: v for k, v in second.items() if v is not None}
+        return json.dumps({"layers": [conv_entry("h", "input", 1, 1), second], "output_id": "c"})
+
+    def test_unknown_key_names_layer_and_key(self):
+        with pytest.raises(ShapeError, match=r"layer 1: unknown key 'kernal'"):
+            NetworkSpec.from_json(self.doc(kernal=3))
+
+    @pytest.mark.parametrize("key", ["id", "op"])
+    def test_missing_key_names_layer_and_key(self, key):
+        with pytest.raises(ShapeError, match=rf"layer 1: missing key '{key}'"):
+            NetworkSpec.from_json(self.doc(**{key: None}))
+
+    def test_entry_that_is_not_an_object(self):
+        with pytest.raises(ShapeError, match="layer 0"):
+            NetworkSpec.from_json(json.dumps({"layers": ["conv"], "output_id": "c"}))
+
+    def test_text_that_is_not_json(self):
+        with pytest.raises(ShapeError, match="does not parse"):
+            NetworkSpec.from_json('{"layers": [')
+
+    def test_missing_layer_list(self):
+        with pytest.raises(ShapeError, match="layers"):
+            NetworkSpec.from_json(json.dumps({"output_id": "c"}))
+
+
 class TestGraphValidation:
     def test_channel_mismatch_names_layer(self):
         net = NetworkSpec(
@@ -466,6 +815,11 @@ class TestGraphValidation:
             output_id="s",
         )
         with pytest.raises(ShapeError, match="s"):
+            net.validate()
+
+    def test_concat_without_inputs_rejected(self):
+        net = NetworkSpec(layers=(concat_layer("cat", []),), output_id="cat")
+        with pytest.raises(ShapeError, match="cat"):
             net.validate()
 
     def test_concat_sums_channels(self):
