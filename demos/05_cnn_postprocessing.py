@@ -5,6 +5,7 @@ Run: python demos/05_cnn_postprocessing.py
 
 import numpy as np
 
+import rqpipe.postproc_cnn as postproc_cnn
 from rqpipe import (
     Frame,
     apply_network,
@@ -12,7 +13,6 @@ from rqpipe import (
     mock_encode_decode,
     psnr_y,
     random_weights,
-    tiled_apply,
 )
 
 # A residual dense block cascade: head conv, blocks of densely connected
@@ -41,12 +41,25 @@ print(f"\ndecoded psnr vs clean:  {psnr_y(Frame(y=clean), Frame(y=decoded.y), 8)
 print(f"enhanced psnr vs clean: {psnr_y(Frame(y=clean), Frame(y=enhanced), 8):.2f} dB "
       f"(random weights, so no gain expected; trained weights go here)")
 
-# Large planes run tile by tile within a memory budget; with margins at
-# least the receptive radius, each tile sees the same inputs as the
-# whole-plane run. BLAS fixes the order of the conv sums, so equality is
-# a tested property (tests/test_postproc_cnn.py::TestGemmBanding).
-tiled = tiled_apply(net, weights, decoded.y, 8, tile=16)
-print(f"\ntiled (16px tiles) == untiled: {np.array_equal(tiled, enhanced)}")
+# apply_network bounds its own memory. It estimates the graph's working
+# set as peak live channels x H x W x 4 bytes plus one column buffer; over
+# a 2 GiB budget, which the full-size net passes at 4096x2048, it runs the
+# graph over full-width row strips, each with receptive-radius rows of
+# margin above and below, then adds the residual and rounds once.
+# Shrinking the budget to 16-row strips shows the split on this plane.
+# BLAS fixes the order of the conv sums, so equality is a tested property
+# (tests/test_postproc_cnn.py::TestGemmBanding).
+live = max(net.storage_plan.live_channels)
+budget = postproc_cnn._PLANE_BYTES
+postproc_cnn._PLANE_BYTES = postproc_cnn._COLS_BYTES + live * 48 * 4 * (16 + 2 * net.receptive_radius())
+try:
+    strips = apply_network(net, weights, decoded.y, 8)
+finally:
+    postproc_cnn._PLANE_BYTES = budget
+print(f"\nrow strips (16 rows) == whole plane: {np.array_equal(strips, enhanced)}")
+full = build_mfrnet_style()
+print(f"full-size net, one 4096x2048 plane whole: "
+      f"{max(full.storage_plan.live_channels) * 4096 * 2048 * 4 / 1e9:.1f} GB, so it runs in strips")
 
 # Inference is deterministic: rerunning produces the identical plane.
 again = apply_network(net, weights, decoded.y, 8)

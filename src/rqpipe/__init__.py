@@ -28,7 +28,6 @@ from .postproc_cnn import (
     load_weights,
     random_weights,
     save_weights,
-    tiled_apply,
 )
 from .resample import (
     LANCZOS3,

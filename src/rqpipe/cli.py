@@ -22,7 +22,7 @@ from .frame_io import VideoSpec, frame_size_bytes, parse_spec_string, read_seque
 from .metrics import psnr_y_sequence
 from .pipeline import assemble_report, dump_patch, mock_encode_decode, run_experiment
 from .pipeline.manifest import RunManifest
-from .postproc_cnn import NetworkSpec, load_weights, tiled_apply
+from .postproc_cnn import NetworkSpec, apply_network, load_weights
 from .resample import ResampleFilter, parse_scale, resample_frame
 
 
@@ -115,14 +115,9 @@ def cmd_postproc(args) -> int:
     spec = _input_spec(args, args.infile)
     net = NetworkSpec.from_json(Path(args.net).read_text())
     weights = load_weights(args.weights)
-    tile = args.tile or max(spec.width, spec.height)
-
-    def process():
-        for frame in read_sequence(args.infile, spec):
-            frame.y = tiled_apply(net, weights, frame.y, spec.bit_depth, tile, args.overlap)
-            yield frame
-
-    written = write_sequence(process(), spec, args.out)
+    frames = (replace(f, y=apply_network(net, weights, f.y, spec.bit_depth))
+              for f in read_sequence(args.infile, spec))
+    written = write_sequence(frames, spec, args.out)
     print(f"post-processed {spec.frame_count} frames ({written} bytes) to {args.out}")
     return 0
 
@@ -210,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     _spec_arg(p)
     p.add_argument("--frames", type=int)
-    p.add_argument("--tile", type=int, help="tile size in pixels (default: whole plane)")
-    p.add_argument("--overlap", type=int, help="tile margin (default: receptive radius)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_postproc)
 

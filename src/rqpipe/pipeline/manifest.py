@@ -71,18 +71,21 @@ class RunManifest:
         man = cls(path)
         if not man.path.exists():
             return man
-        with open(man.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                kind = doc.pop("record", "job")
-                if kind == "run_header":
-                    man.header = doc
-                else:
-                    rec = JobRecord(**doc)
-                    man.jobs[rec.key] = rec
+        data = man.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # drop a last line torn by a crash mid-append, so its job is redone
+            with open(man.path, "r+b") as fh:
+                fh.truncate(end)
+        for line in data[:end].decode().splitlines():
+            if not line.strip():
+                continue
+            doc = json.loads(line)
+            if doc.pop("record", "job") == "run_header":
+                man.header = doc
+            else:
+                rec = JobRecord(**doc)
+                man.jobs[rec.key] = rec
         return man
 
     def write_header(self, header: dict) -> None:

@@ -14,7 +14,8 @@ a copy; the bias, and an activation that is a conv's only reader, are
 applied to each band right after its GEMM; an add accumulates into its
 first input when nothing else reads that. Each value is freed once its
 last consumer has run, so the working set is a few live buffers plus one
-band rather than every channel of the network.
+band rather than every channel of the network; over _PLANE_BYTES,
+apply_network runs the graph over row strips, bounding it at any size.
 build_mfrnet_style constructs the residual dense block cascade used for
 decoder-side enhancement; trained weights arrive through a small binary
 weight-file format, so any training pipeline can feed this engine.
@@ -55,6 +56,12 @@ MAGIC = b"RQPW1"
 # budget, so its GEMM has M*N*K >= 2 * 7e5, above OpenBLAS's small-matrix
 # cutoff (1e6)
 _COLS_BYTES = 8 << 20
+
+# upper bound on the working set of one graph evaluation in apply_network.
+# At 2 GiB the default net (192 live channels) runs every plane up to 1080p
+# whole, at 1.6 GB, and a 4096x2048 plane (6.4 GB whole) as four strips of
+# 512 rows at 1.7 GB each, so two workers fit in 8 GB
+_PLANE_BYTES = 2 << 30
 
 CONV2D = "conv2d"
 ACTIVATION = "activation"
@@ -200,14 +207,20 @@ class NetworkSpec:
         entries = doc.get("layers") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ShapeError("network JSON needs a 'layers' list")
-        keys = {f.name for f in fields(LayerSpec)}
+        # each key takes its default's JSON type; an int counts as a float, a bool as no number
+        types = {f.name: type(f.default) for f in fields(LayerSpec)} | {"id": str, "op": str, "inputs": list}
+        names = {int: "an integer", float: "a number", str: "a string", list: "a list of strings"}
         layers = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ShapeError(f"layer {i}: expected an object, got {entry!r}")
-            for key in entry:
-                if key not in keys:
+            for key, value in entry.items():
+                if key not in types:
                     raise ShapeError(f"layer {i}: unknown key {key!r}")
+                want = types[key]
+                ok = isinstance(value, (int, float) if want is float else want) and not isinstance(value, bool)
+                if not ok or want is list and not all(isinstance(v, str) for v in value):
+                    raise ShapeError(f"layer {i}: key {key!r} must be {names[want]}, got {value!r}")
             for key in ("id", "op"):
                 if key not in entry:
                     raise ShapeError(f"layer {i}: missing key {key!r}")
@@ -350,10 +363,9 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1
     The accumulation order within an output pixel is whatever BLAS uses
     for the GEMM's shape: OpenBLAS, for one, sends products with
     M*N*K <= 1e6 to a small-matrix kernel that sums in another order.
-    Tiled and banded evaluation matching one whole-plane run bit for bit
-    is therefore a tested property (test_default_net_tiled_equals_untiled,
-    test_default_net_tiles_equal_whole_before_rounding,
-    test_row_bands_equal_one_band), not a guarantee by construction.
+    Strips (apply_network) and bands matching one whole-plane run bit for
+    bit is therefore a tested property (TestGemmBanding), not a guarantee
+    by construction.
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
@@ -643,18 +655,49 @@ def _apply_layers(net: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
     return values[net.output_id]
 
 
+def _strip_rows(net: NetworkSpec, x: np.ndarray) -> int:
+    """Most output rows one graph evaluation in apply_network may cover."""
+    _, h, w = x.shape
+    per_row = max(net.storage_plan.live_channels, default=1) * w * x.itemsize
+    keeps_size = all(l.stride == 1 and 2 * l.pad == l.kernel - 1 for l in net.conv_layers())
+    if per_row * h + _COLS_BYTES <= _PLANE_BYTES or not keeps_size:
+        return h
+    return max(1, (_PLANE_BYTES - _COLS_BYTES) // per_row - 2 * net.receptive_radius())
+
+
+def _apply_strips(net: NetworkSpec, weights, x: np.ndarray, rows: int) -> np.ndarray:
+    """_apply_layers over full-width strips of at most `rows` output rows,
+    of equal height like _conv's bands, each with receptive_radius() rows
+    of margin above and below."""
+    h = x.shape[1]
+    if rows >= h:
+        return _apply_layers(net, weights, x)
+    strips = -(-h // rows)
+    margin = net.receptive_radius()
+    y = np.empty((net.validate()[net.output_id], h, x.shape[2]), dtype=x.dtype)
+    for i in range(strips):
+        r0, r1 = h * i // strips, h * (i + 1) // strips
+        top = max(r0 - margin, 0)
+        y[:, r0:r1] = _apply_layers(net, weights, x[:, top : r1 + margin])[:, r0 - top : r1 - top]
+    return y
+
+
 def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) -> np.ndarray:
     """Run the network over one integer plane in float32.
 
     Normalizes by 1/(2^bit_depth - 1), evaluates the graph, adds the
     global residual when flagged, then de-normalizes, rounds, and clamps.
-    Repeated runs are bit-identical.
+    When the graph's working set, peak live channels x H x W x 4 bytes plus
+    _COLS_BYTES, exceeds _PLANE_BYTES (2 GiB), it runs over the fewest
+    full-width row strips that fit with receptive_radius() rows of margin
+    on each side; a net whose convs change the plane size runs whole.
+    Repeated runs are bit-identical; strips equal one whole run (see conv2d).
     """
     net.validate()
     validate_weights(net, weights)
     maxv = (1 << bit_depth) - 1
     x = (plane.astype(np.float32) / np.float32(maxv))[None, :, :]
-    y = _apply_layers(net, weights, x)
+    y = _apply_strips(net, weights, x, _strip_rows(net, x))
     if y.shape[0] != 1:
         raise ShapeError(f"network output has {y.shape[0]} channels, expected 1")
     if net.residual_global:
@@ -665,46 +708,6 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
         y = y + x
     out = np.floor(y[0].astype(np.float64) * maxv + 0.5)
     return np.clip(out, 0, maxv).astype(plane.dtype)
-
-
-def tiled_apply(
-    net: NetworkSpec,
-    weights,
-    plane: np.ndarray,
-    bit_depth: int,
-    tile: int,
-    overlap: int | None = None,
-) -> np.ndarray:
-    """Memory-bounded inference: process tile x tile regions with margins.
-
-    Each tile is evaluated with `overlap` extra pixels on every side and
-    only its interior is kept. With overlap >= the network's
-    receptive-field radius every output pixel sees the same inputs as in
-    the untiled network; that the sums then also match bit for bit
-    depends on BLAS (see conv2d) and is tested on the default network.
-    """
-    needed = net.receptive_radius()
-    if overlap is None:
-        overlap = needed
-    if overlap < needed:
-        raise ConfigError(
-            f"overlap {overlap} below receptive-field radius; need >= {needed}"
-        )
-    if tile <= 0:
-        raise ConfigError(f"tile size must be positive, got {tile}")
-    h, w = plane.shape
-    out = np.empty_like(plane)
-    for y0 in range(0, h, tile):
-        for x0 in range(0, w, tile):
-            y1 = min(y0 + tile, h)
-            x1 = min(x0 + tile, w)
-            ty0 = max(0, y0 - overlap)
-            tx0 = max(0, x0 - overlap)
-            ty1 = min(h, y1 + overlap)
-            tx1 = min(w, x1 + overlap)
-            region = apply_network(net, weights, plane[ty0:ty1, tx0:tx1], bit_depth)
-            out[y0:y1, x0:x1] = region[y0 - ty0 : y1 - ty0, x0 - tx0 : x1 - tx0]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import csv
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from rqpipe import (
     synthetic_sequence,
     write_sequence,
 )
-from rqpipe.cli import main
+from rqpipe.cli import build_parser, main
 
 
 @pytest.fixture
@@ -152,7 +155,7 @@ class TestPostprocCommand:
         out = tmp_path / "pp.yuv"
         assert run_cli(
             "postproc", "--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
-            "--in", path, "--spec", "32x32:8:420", "--tile", "16", "--out", out,
+            "--in", path, "--spec", "32x32:8:420", "--out", out,
         ) == 0
         # zero weights + global residual: luma unchanged
         before = list(read_sequence(path, spec))
@@ -209,6 +212,11 @@ class TestRunAndReport:
         (experiment_dir / "net.json").write_text(json.dumps(doc))
         assert run_cli("run", experiment_dir / "exp.ini") == 2
         assert capsys.readouterr().err == "error: layer 0: unknown key 'kernal'\n"
+        doc["layers"][0]["kernel"] = "3"
+        del doc["layers"][0]["kernal"]
+        (experiment_dir / "net.json").write_text(json.dumps(doc))
+        assert run_cli("run", experiment_dir / "exp.ini") == 2
+        assert capsys.readouterr().err == "error: layer 0: key 'kernel' must be an integer, got '3'\n"
 
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
@@ -233,3 +241,16 @@ pairs = 22:4
         )
         assert run_cli("run", tmp_path / "exp.ini", "--workers", "1") == 1
         assert "1 failed" in capsys.readouterr().out
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("rqpipe ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_parses(line):
+    # optional parts are shown in [brackets]; a trailing # starts a comment
+    words = shlex.split(line.replace("[", "").replace("]", ""), comments=True)
+    build_parser().parse_args(words[1:])

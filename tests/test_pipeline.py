@@ -193,6 +193,24 @@ class TestDeterminismAndResume:
         assert {r.reference_sha256 for r in again.ok_jobs()} == {new_hash}
         assert len(again.ok_jobs()) == 12
 
+    def test_resume_redoes_a_job_torn_mid_append(self, experiment_dir):
+        # a crash while appending leaves the last line cut short, with no
+        # newline: resume drops it, redoes that job and appends cleanly
+        first = run_experiment(experiment_dir / "exp.ini", workers=1)
+        path = experiment_dir / "out" / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:40])
+        again = run_experiment(experiment_dir / "exp.ini", workers=1)
+        after = path.read_text().splitlines(keepends=True)
+        assert after[:-1] == lines[:-1] and after[-1].endswith("\n")
+        torn = json.loads(lines[-1])
+        redone = json.loads(after[-1])
+        assert (redone["sequence"], redone["method"], redone["qp_index"]) == (
+            torn["sequence"], torn["method"], torn["qp_index"]
+        )
+        assert self.strip_volatile(again) == self.strip_volatile(first)
+        assert self.strip_volatile(RunManifest.load(path)) == self.strip_volatile(first)
+
 
 class TestWorkerCount:
     def test_env_override_and_argument_priority(self, monkeypatch):

@@ -14,13 +14,14 @@ from rqpipe import (
     load_weights,
     random_weights,
     save_weights,
-    tiled_apply,
 )
 from rqpipe.errors import ConfigError, ShapeError, WeightFormatError
 from rqpipe.postproc_cnn import (
     CONCAT,
     _activate_in_place,
     _apply_layers,
+    _apply_strips,
+    _strip_rows,
     act_layer,
     add_layer,
     concat_layer,
@@ -132,6 +133,30 @@ def json_net(layers, output_id):
 def conv_entry(layer_id, inp, in_ch, out_ch, kernel=3):
     return {"id": layer_id, "op": "conv2d", "inputs": [inp], "in_ch": in_ch,
             "out_ch": out_ch, "kernel": kernel, "pad": kernel // 2}
+
+
+def strip_budget(net, width, rows):
+    """A _PLANE_BYTES under which apply_network splits a plane `width`
+    wide into strips of at most `rows` output rows."""
+    per_row = max(net.storage_plan.live_channels) * width * 4
+    return postproc_cnn._COLS_BYTES + per_row * (rows + 2 * net.receptive_radius())
+
+
+def apply_in_strips(monkeypatch, net, weights, plane, bits, **patch):
+    """apply_network with the postproc_cnn attributes in `patch` replaced;
+    also returns the input height of each _apply_layers call, one per strip."""
+    heights = []
+    apply_layers = postproc_cnn._apply_layers
+
+    def spy(net, weights, x):
+        heights.append(x.shape[1])
+        return apply_layers(net, weights, x)
+
+    with monkeypatch.context() as m:
+        for name, value in patch.items():
+            m.setattr(postproc_cnn, name, value)
+        m.setattr(postproc_cnn, "_apply_layers", spy)
+        return apply_network(net, weights, plane, bits), heights
 
 
 def identity_net(residual=False):
@@ -532,43 +557,91 @@ class TestInPlaceLeakyRelu:
 
 
 class TestTiledApply:
+    """apply_network over row strips, with _PLANE_BYTES patched down."""
+
     def setup_method(self):
         self.net = build_mfrnet_style(1, 1, 4, 4)
         self.weights = random_weights(self.net, seed=10)
         rng = np.random.default_rng(11)
         self.plane = rng.integers(0, 256, (64, 64)).astype(np.uint8)
 
-    def test_single_tile_equals_apply_network(self):
+    def test_single_tile_equals_apply_network(self, monkeypatch):
         whole = apply_network(self.net, self.weights, self.plane, 8)
-        tiled = tiled_apply(self.net, self.weights, self.plane, 8, tile=64, overlap=8)
-        assert np.array_equal(whole, tiled)
+        budget = strip_budget(self.net, 64, 64)
+        got, heights = apply_in_strips(monkeypatch, self.net, self.weights, self.plane, 8, _PLANE_BYTES=budget)
+        assert heights == [64]
+        assert np.array_equal(whole, got)
 
-    def test_small_tiles_bit_exact_with_sufficient_overlap(self):
+    def test_small_tiles_bit_exact_with_sufficient_overlap(self, monkeypatch):
         whole = apply_network(self.net, self.weights, self.plane, 8)
         radius = self.net.receptive_radius()
-        for tile in (32, 24, 16):
-            tiled = tiled_apply(self.net, self.weights, self.plane, 8, tile=tile, overlap=radius)
-            assert np.array_equal(whole, tiled), f"tile={tile}"
+        for rows in (32, 24, 16):
+            budget = strip_budget(self.net, 64, rows)
+            got, heights = apply_in_strips(monkeypatch, self.net, self.weights, self.plane, 8, _PLANE_BYTES=budget)
+            assert len(heights) == -(-64 // rows) and max(heights) <= rows + 2 * radius
+            assert np.array_equal(whole, got), f"rows={rows}"
 
-    def test_default_overlap_is_receptive_radius(self):
-        whole = apply_network(self.net, self.weights, self.plane, 8)
-        tiled = tiled_apply(self.net, self.weights, self.plane, 8, tile=20)
-        assert np.array_equal(whole, tiled)
+    def test_strips_are_balanced(self, monkeypatch):
+        # at most 24 of 64 rows: three strips of 21, 21 and 22 rows, not
+        # 24, 24 and a thinner 16, each read with 3 rows of margin
+        assert self.net.receptive_radius() == 3
+        budget = strip_budget(self.net, 64, 24)
+        _, heights = apply_in_strips(monkeypatch, self.net, self.weights, self.plane, 8, _PLANE_BYTES=budget)
+        assert heights == [21 + 3, 3 + 21 + 3, 3 + 22]
 
-    def test_insufficient_overlap_reports_required_minimum(self):
+    def test_strips_at_paper_sizes(self):
+        # the default net holds 192 live channels: 1080p (1.6 GB) fits the
+        # 2 GiB budget whole, 4096x2048 (6.4 GB) runs as four 512-row strips
+        net = build_mfrnet_style()
+        assert max(net.storage_plan.live_channels) == 192
+        for h, w, strips in ((1080, 1920, 1), (2048, 4096, 4)):
+            x = np.broadcast_to(np.float32(0), (1, h, w))
+            assert -(-h // _strip_rows(net, x)) == strips, f"{w}x{h}"
+
+    def test_peak_memory_bounded_by_the_strip_budget(self, monkeypatch):
+        # a budget of 12-row strips (48 rows with margins) against the whole
+        # 72 rows: the peak stays under the budget, one more column budget
+        # for the padded slab and band temporaries, and eight planes' worth
+        # of whole-plane float terms (input, output, residual, rounding).
+        # One whole-plane run peaks above that bound (6.4 MB against 5.1 MB)
+        net = build_mfrnet_style()
+        h, w = 72, 100
+        cols = 2 * 720 * w * 4
+        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", cols)
+        budget = strip_budget(net, w, 12)
+        monkeypatch.setattr(postproc_cnn, "_PLANE_BYTES", budget)
+        weights = random_weights(net, seed=26)
+        plane = np.random.default_rng(27).integers(0, 1024, (h, w)).astype(np.uint16)
+        whole = max(net.storage_plan.live_channels) * h * w * 4 + cols
+        bound = budget + cols + 8 * h * w * 4
+        assert bound < whole
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak} above {bound} bytes"
+
+    @pytest.mark.parametrize("stride, pad", [(2, 1), (1, 0)])
+    def test_size_changing_net_runs_whole(self, monkeypatch, stride, pad):
+        # no receptive radius to margin strips with: one run at any budget
         net = NetworkSpec(
-            layers=(conv_layer("c", "input", 1, 1, 3, pad=1),),
+            layers=(conv_layer("c", "input", 1, 1, 3, stride=stride, pad=pad),),
             output_id="c",
             residual_global=False,
         )
-        weights = {"c": (np.ones((1, 1, 3, 3), np.float32) / 9, np.zeros(1, np.float32))}
-        with pytest.raises(ConfigError, match=">= 1"):
-            tiled_apply(net, weights, self.plane, 8, tile=16, overlap=0)
+        weights = random_weights(net, seed=28, scale=0.3)
+        whole = apply_network(net, weights, self.plane, 8)
+        got, heights = apply_in_strips(monkeypatch, net, weights, self.plane, 8, _PLANE_BYTES=1)
+        assert heights == [64]
+        assert np.array_equal(whole, got)
 
 
 class TestGemmBanding:
-    """GEMM accumulation order may depend on the matrix shape, so tiling and
-    row banding are checked on the default network's real shapes (K up to 720)."""
+    """GEMM accumulation order may depend on the matrix shape, so row strips
+    and row bands are checked on the default network's real shapes (K up
+    to 720)."""
 
     def setup_method(self):
         self.net = build_mfrnet_style()
@@ -576,29 +649,26 @@ class TestGemmBanding:
         rng = np.random.default_rng(22)
         self.plane = rng.integers(0, 1024, (72, 100)).astype(np.uint16)
 
-    def test_default_net_tiled_equals_untiled(self):
+    def test_default_net_tiled_equals_untiled(self, monkeypatch):
         whole = apply_network(self.net, self.weights, self.plane, 10)
-        for tile in (16, 37, 64, 100):
-            tiled = tiled_apply(self.net, self.weights, self.plane, 10, tile=tile)
-            assert np.array_equal(whole, tiled), f"tile={tile}"
+        for rows in (16, 37, 64, 100):
+            got, heights = apply_in_strips(
+                monkeypatch, self.net, self.weights, self.plane, 10, _strip_rows=lambda net, x, rows=rows: rows
+            )
+            assert len(heights) == -(-72 // rows)
+            assert np.array_equal(whole, got), f"rows={rows}"
 
     def test_default_net_tiles_equal_whole_before_rounding(self):
         # rounding to 10 bits hides a last-ulp difference, so the float
-        # output of each tile's region is compared with the whole plane's
-        h, w = self.plane.shape
-        r = self.net.receptive_radius()
-        x = (self.plane.astype(np.float32) / np.float32(1023))[None]
-        whole = _apply_layers(self.net, self.weights, x)[0]
-        for tile in (16, 37, 64, 100):
-            for y0 in range(0, h, tile):
-                for x0 in range(0, w, tile):
-                    y1, x1 = min(y0 + tile, h), min(x0 + tile, w)
-                    ty0, tx0 = max(0, y0 - r), max(0, x0 - r)
-                    region = _apply_layers(
-                        self.net, self.weights, x[:, ty0 : y1 + r, tx0 : x1 + r]
-                    )[0]
-                    got = region[y0 - ty0 : y1 - ty0, x0 - tx0 : x1 - tx0]
-                    assert np.array_equal(got, whole[y0:y1, x0:x1]), f"tile={tile} at {y0},{x0}"
+        # output of the strips is compared with the whole plane's, on this
+        # plane and on a taller one split into more strips
+        tall = np.random.default_rng(29).integers(0, 1024, (100, 144)).astype(np.uint16)
+        for plane in (self.plane, tall):
+            x = (plane.astype(np.float32) / np.float32(1023))[None]
+            whole = _apply_layers(self.net, self.weights, x)
+            for rows in (16, 37, 64, 100):
+                got = _apply_strips(self.net, self.weights, x, rows)
+                assert_bits_equal(got, whole)
 
     @pytest.mark.parametrize("rows, width, stride", [(1, 100, 1), (7, 100, 1), (4, 41, 1), (3, 100, 2)])
     def test_row_bands_equal_one_band(self, monkeypatch, rows, width, stride):
@@ -780,6 +850,28 @@ class TestMalformedJson:
     def test_missing_layer_list(self):
         with pytest.raises(ShapeError, match="layers"):
             NetworkSpec.from_json(json.dumps({"output_id": "c"}))
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("kernel", "3", "an integer"),
+        ("kernel", 3.0, "an integer"),
+        ("pad", True, "an integer"),
+        ("alpha", "0.2", "a number"),
+        ("alpha", False, "a number"),
+        ("act", 1, "a string"),
+        ("id", 7, "a string"),
+        ("inputs", "h", "a list of strings"),
+        ("inputs", ["h", 1], "a list of strings"),
+    ])
+    def test_value_of_the_wrong_type_names_layer_and_key(self, key, value, want):
+        with pytest.raises(ShapeError, match=rf"layer 1: key '{key}' must be {want}, got "):
+            NetworkSpec.from_json(self.doc(**{key: value}))
+
+    def test_int_accepted_as_a_float(self):
+        doc = json.loads(self.doc())
+        doc["layers"].append({"id": "a", "op": "activation", "inputs": ["c"], "alpha": 1})
+        doc["output_id"] = "a"
+        net = NetworkSpec.from_json(json.dumps(doc))
+        assert net.layers[-1].alpha == 1.0
 
 
 class TestGraphValidation:
