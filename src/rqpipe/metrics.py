@@ -41,8 +41,9 @@ def mse_plane(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionError(f"plane shapes differ: {a.shape} vs {b.shape}")
-    d = a.astype(np.float64) - b.astype(np.float64)
-    return float(np.mean(d * d))
+    d = np.subtract(a, b, dtype=np.float64)
+    np.square(d, out=d)
+    return float(np.mean(d))
 
 
 def psnr_from_mse(mse: float, bit_depth: int) -> float:
@@ -56,6 +57,11 @@ def psnr_from_mse(mse: float, bit_depth: int) -> float:
 def psnr_y(a: Frame, b: Frame, bit_depth: int) -> float:
     """PSNR of the luma plane, in dB. Identical content returns +inf."""
     return psnr_from_mse(mse_plane(a.y, b.y), bit_depth)
+
+
+def mean_psnr(per_frame, inf_cap: float = DEFAULT_PSNR_CAP) -> float:
+    """Mean of per-frame PSNRs, each infinite frame clipped to inf_cap first."""
+    return float(np.mean([min(p, inf_cap) for p in per_frame]))
 
 
 def psnr_y_sequence(
@@ -76,7 +82,7 @@ def psnr_y_sequence(
         raise ConfigError("cannot aggregate PSNR over an empty sequence")
     per_frame = [psnr_from_mse(m, bit_depth) for m in mses]
     if aggregation == MEAN_OF_PER_FRAME:
-        seq = float(np.mean([min(p, inf_cap) for p in per_frame]))
+        seq = mean_psnr(per_frame, inf_cap)
     elif aggregation == FROM_MEAN_MSE:
         seq = psnr_from_mse(float(np.mean(mses)), bit_depth)
         if seq == math.inf:

@@ -7,10 +7,19 @@ and prices the quantized coefficients with exp-Golomb code lengths.
 A plane is viewed, without a transpose, in block-row layout
 (H/8, 8, W/8, 8) and transformed along axes 1 and 3; the coefficients
 are kept as int32 in that layout, and the bits are priced from a
-histogram of their magnitudes. Frames are coded one at a time, encode
-then decode, so a job holds one frame of coefficients.
+histogram of their magnitudes.
 External codecs are driven through shell command templates and their
 bitrate is taken from the bitstream size.
+
+Adapter contract: `encode_decode(frames, spec, qp, workdir, tag, timer)`
+takes an iterable of frames and is a generator. It yields one decoded
+frame per input frame, in order, and returns the stream's coded bits
+when it ends; `CodedStream` iterates it and keeps that count. The mock
+codec codes each frame as it arrives, encode then decode, and yields it
+before it takes the next one, so a stream holds one frame of
+coefficients. An external codec must see the whole input file before it
+can encode, so it consumes every input frame before it yields the first
+decoded one, which it then reads back from its output file one at a time.
 """
 
 from __future__ import annotations
@@ -49,21 +58,26 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
 
     The coefficients are int32 in block-row layout (H/8, 8, W/8, 8): block
     (i, j) is q[i, :, j, :], with H and W rounded up to multiples of 8 by
-    edge padding.
+    edge padding. Besides the int32 result, at most the centered samples or
+    the coefficients are live as a float64 plane at any one time.
     """
     h, w = plane.shape
-    x = np.subtract(plane, 1 << (bit_depth - 1), dtype=np.float64)
     if h % BLOCK or w % BLOCK:
-        x = np.pad(x, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
+        plane = np.pad(plane, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
+    x = np.subtract(plane, 1 << (bit_depth - 1), dtype=np.float64)
     bh, bw = x.shape[0] // BLOCK, x.shape[1] // BLOCK
-    blocks = x.reshape(bh, BLOCK, bw, BLOCK)
-    coef = dctn(blocks, type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
-    mag = np.abs(coef)
+    coef = dctn(x.reshape(bh, BLOCK, bw, BLOCK), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
+    del plane, x  # a padded copy and the centered samples are not needed again
+    sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
+    mag = np.abs(coef, out=coef)
     mag /= quant_step(qp)  # not * (1 / step): that moves exact .5 ties
     mag += 0.5
     np.floor(mag, out=mag)
-    q = np.copysign(mag, coef, out=coef).astype(np.int32)
-    return q, (h, w), _code_bits(mag.astype(np.int32))
+    q = mag.astype(np.int32)
+    del coef, mag
+    bits = _code_bits(q)
+    q *= sign
+    return q, (h, w), bits
 
 
 def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) -> np.ndarray:
@@ -85,21 +99,38 @@ def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) 
     return rec[: dims[0], : dims[1]].astype(np.uint8 if bit_depth == 8 else np.uint16)
 
 
+class CodedStream:
+    """Iterates a codec adapter's stream once and keeps its coded bits.
+
+    Yields the decoded frames of `frames`, a generator that returns the
+    stream's bit count when it ends; `bits` is None until then.
+    """
+
+    def __init__(self, frames):
+        self._frames = frames
+        self.bits: int | None = None
+
+    def __iter__(self):
+        self.bits = yield from self._frames
+
+
 def _code_frames(frames, qp: int, bit_depth: int, timer):
-    """Encode then decode one frame at a time; returns (decoded frames, total bits).
+    """Encode then decode each frame as it arrives; yields the decoded frames
+    and returns the total bits.
 
     mock_encode and mock_decode are looked up on this module at each call,
     so anything that wraps those names sees every frame.
     """
-    decoded, total_bits = [], 0
+    total_bits = 0
     for frame in frames:
         with timer("encode"):
             payload, bits = mock_encode([frame], qp, bit_depth)
         with timer("decode"):
-            decoded += mock_decode(payload, qp, bit_depth)
-        del payload  # freed before the next frame is encoded
+            (decoded,) = mock_decode(payload, qp, bit_depth)
+        del frame, payload  # not held while the caller works on the decoded frame
         total_bits += bits
-    return decoded, total_bits
+        yield decoded
+    return total_bits
 
 
 def _untimed(stage: str):
@@ -111,7 +142,9 @@ def mock_encode_decode(frames, qp: int, bit_depth: int):
 
     Deterministic: identical inputs always produce identical outputs.
     """
-    return _code_frames(frames, qp, bit_depth, _untimed)
+    stream = CodedStream(_code_frames(frames, qp, bit_depth, _untimed))
+    decoded = list(stream)
+    return decoded, stream.bits
 
 
 def mock_encode(frames, qp: int, bit_depth: int):
@@ -203,8 +236,8 @@ class ExternalCodec:
         src = workdir / f"{tag}_in.yuv"
         bitstream = workdir / f"{tag}{self.bitstream_ext}"
         recon = workdir / f"{tag}_dec.yuv"
-        write_sequence(frames, spec, src)
         with timer("encode"):
+            write_sequence(frames, spec, src)
             self._run(
                 self.encode_cmd,
                 **{"in": src, "out": bitstream, "qp": qp, "w": spec.width, "h": spec.height},
@@ -212,5 +245,9 @@ class ExternalCodec:
         total_bits = bitstream.stat().st_size * 8
         with timer("decode"):
             self._run(self.decode_cmd, **{"in": bitstream, "out": recon})
-        decoded = list(read_sequence(recon, spec))
-        return decoded, total_bits
+            decoded = read_sequence(recon, spec)
+        for _ in range(spec.frame_count):
+            with timer("decode"):
+                frame = next(decoded)
+            yield frame
+        return total_bits

@@ -42,7 +42,8 @@ class JobRecord:
     frame_count: int = 0
     frame_rate: float = 0.0
     scores: dict = field(default_factory=dict)
-    stage_seconds: dict = field(default_factory=dict)
+    stage_seconds: dict = field(default_factory=dict)  # stage -> wall seconds
+    stage_cpu_seconds: dict = field(default_factory=dict)  # stage -> thread-CPU seconds
     artifacts: dict = field(default_factory=dict)  # name -> {path, sha256}
     reference_sha256: str = ""
     postproc_weights_qp: int | None = None

@@ -3,7 +3,9 @@
 Produces per-sequence rate-quality CSVs per metric, one BD table per
 non-anchor method (rows are sequences plus an arithmetic-mean Total
 row), and a per-stage timing summary with percentage deltas against the
-anchor method. Also renders luma patches as PGM images for side-by-side
+anchor method. The summary counts thread-CPU seconds, which leave out
+the time a job waits for other threads; time an external tool spends in
+its own process is not in them either. Also renders luma patches as PGM images for side-by-side
 visual comparison.
 """
 
@@ -156,7 +158,7 @@ def _timing_rows(jobs, methods, anchor) -> list[dict]:
     stage_totals: dict[str, dict[str, float]] = {m: {} for m in methods}
     frame_totals: dict[str, int] = {m: 0 for m in methods}
     for j in jobs:
-        for stage, sec in j.stage_seconds.items():
+        for stage, sec in j.stage_cpu_seconds.items():
             stage_totals[j.method][stage] = stage_totals[j.method].get(stage, 0.0) + sec
         frame_totals[j.method] += j.frame_count
 

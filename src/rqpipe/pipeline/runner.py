@@ -1,12 +1,18 @@
 """Experiment runner: executes every (sequence, method, qp) job.
 
-Per job: optional downsample, encode, decode, optional upsample,
-optional CNN post-processing, then metrics against the original
-native-resolution sequence. Every stage is wall-clock timed. Jobs run on
-a bounded worker pool (RQPIPE_WORKERS overrides the size) and records
-are appended to the manifest in deterministic job order. For the run,
-numpy's OpenBLAS gets the CPUs divided by the workers as its thread
-count, so workers and BLAS threads do not oversubscribe the CPUs.
+Each job is one stream of frames: read, optional downsample, encode and
+decode, optional upsample, optional CNN post-processing, then the recon
+write and PSNR-Y against the original native-resolution frame. A source
+frame is held only until its decoded frame comes back, so with the mock
+codec a job holds one frame at a time, however long the sequence; an
+external codec takes its whole input file before it returns a frame.
+External metrics run on the written recon file. Every stage is timed in
+wall and thread-CPU seconds, each second charged to the innermost stage
+running. Jobs run on a bounded worker pool (RQPIPE_WORKERS overrides the
+size) and records are appended to the manifest in deterministic job
+order. For the run, numpy's OpenBLAS gets the CPUs divided by the
+workers as its thread count, so workers and BLAS threads do not
+oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import ctypes
 import glob
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
@@ -26,9 +33,10 @@ import numpy as np
 from .. import __version__
 from ..errors import ConfigError, ExternalToolError
 from ..frame_io import read_sequence, write_sequence
-from ..metrics import external_metric, psnr_y_sequence
+from ..metrics import QualityScore, external_metric, mean_psnr, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
 from ..resample import resample_frame
+from .codecs import CodedStream
 from .config import ExperimentConfig, MethodConfig, QpPair, SequenceConfig, config_as_dict, load_experiment
 from .manifest import JobRecord, RunManifest, sha256_file
 
@@ -90,31 +98,80 @@ def _blas_threads(n: int):
 
 
 class _StageTimer:
+    """Wall and thread-CPU seconds per stage of one job.
+
+    Stages nest while frames stream through them: writing the recon pulls
+    each frame through reading, coding and resampling. Every second is
+    charged to the innermost open stage only, so the stages of a job add
+    up to no more than its wall time. A stage must not yield inside its
+    block; the generators time only the work between their yields.
+    """
+
     def __init__(self):
         self.seconds: dict[str, float] = {}
+        self.cpu_seconds: dict[str, float] = {}
+        self._open: list[str] = []
+        self._since = (0.0, 0.0)
+
+    def _charge(self) -> None:
+        """Charge the time since the innermost stage last changed to that stage."""
+        now = (time.perf_counter(), time.thread_time())
+        if self._open:
+            stage = self._open[-1]
+            self.seconds[stage] = self.seconds.get(stage, 0.0) + now[0] - self._since[0]
+            self.cpu_seconds[stage] = self.cpu_seconds.get(stage, 0.0) + now[1] - self._since[1]
+        self._since = now
 
     @contextmanager
     def __call__(self, stage: str):
-        start = time.perf_counter()
+        self._charge()
+        self._open.append(stage)
         try:
             yield
         finally:
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - start
+            self._charge()
+            self._open.pop()
+
+
+def _read(path, spec, timer):
+    """The frames of a raw file, one at a time, each read timed as 'read'."""
+    frames = read_sequence(path, spec)
+    while True:
+        with timer("read"):
+            frame = next(frames, None)
+        if frame is None:
+            return
+        yield frame
+
+
+def _each(fn, frames, stage, timer):
+    """fn(frame) for each frame as it arrives, timed as `stage`."""
+    for frame in frames:
+        with timer(stage):
+            frame = fn(frame)
+        yield frame
 
 
 def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer):
-    """Downsample with down_filter, code, and restore one stream; returns (frames, bits)."""
+    """Downsample with down_filter, code and restore one stream, a frame at a time.
+
+    Returns the codec's CodedStream, whose bits are set once the stream
+    ends, and an iterator of its decoded frames at the source size.
+    """
     coded_spec = spec
     if method.resamples:
-        with timer("downsample"):
-            frames = [resample_frame(f, method.scale, down_filter, spec.bit_depth) for f in frames]
+        frames = _each(
+            lambda f: resample_frame(f, method.scale, down_filter, spec.bit_depth),
+            frames, "downsample", timer,
+        )
         coded_spec = spec.scaled(method.scale)
-    decoded, bits = method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer)
-    if method.resamples:
-        with timer("upsample"):
-            up = Fraction(1, 1) / method.scale
-            decoded = [resample_frame(f, up, method.up_filter, spec.bit_depth) for f in decoded]
-    return decoded, bits
+    coded = CodedStream(method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer))
+    if not method.resamples:
+        return coded, iter(coded)
+    up = Fraction(1, 1) / method.scale
+    return coded, _each(
+        lambda f: resample_frame(f, up, method.up_filter, spec.bit_depth), coded, "upsample", timer
+    )
 
 
 def _run_job(
@@ -141,39 +198,57 @@ def _run_job(
         reference_sha256=reference_hash,
     )
     try:
-        with timer("read"):
-            original = list(read_sequence(seq.path, seq.spec))
+        originals = deque()  # source frames whose decoded frame is not scored yet
 
-        frames, bits = _code_stream(
-            method, method.down_filter, original, seq.spec, pair.qp_texture, workdir, tag, timer
+        def source():
+            for frame in _read(seq.path, seq.spec, timer):
+                originals.append(frame)
+                yield frame
+
+        texture, frames = _code_stream(
+            method, method.down_filter, source(), seq.spec, pair.qp_texture, workdir, tag, timer
         )
-        total_bits = bits
-
-        if seq.depth_path is not None:
-            with timer("read"):
-                depth = list(read_sequence(seq.depth_path, seq.depth_spec))
-            _, depth_bits = _code_stream(
-                method, method.depth_down_filter or method.down_filter, depth,
-                seq.depth_spec, pair.qp_depth, workdir, f"{tag}_depth", timer,
-            )
-            total_bits += depth_bits
-            rec.notes["depth_bits"] = depth_bits
 
         if method.postproc is not None:
             pp = method.postproc
             weights_qp = pp.select_weights_qp(base_pair.qp_texture)
             weights = load_weights(pp.weights_by_qp[weights_qp])
             rec.postproc_weights_qp = weights_qp
-            with timer("postproc"):
-                for frame in frames:
-                    frame.y = apply_network(pp.net, weights, frame.y, seq.spec.bit_depth)
-                    if not pp.luma_only and frame.cb is not None:
-                        frame.cb = apply_network(pp.net, weights, frame.cb, seq.spec.bit_depth)
-                        frame.cr = apply_network(pp.net, weights, frame.cr, seq.spec.bit_depth)
+
+            def postprocess(frame):
+                frame.y = apply_network(pp.net, weights, frame.y, seq.spec.bit_depth)
+                if not pp.luma_only and frame.cb is not None:
+                    frame.cb = apply_network(pp.net, weights, frame.cb, seq.spec.bit_depth)
+                    frame.cr = apply_network(pp.net, weights, frame.cr, seq.spec.bit_depth)
+                return frame
+
+            frames = _each(postprocess, frames, "postproc", timer)
+
+        native = {metric_id: [] for metric_id, how in cfg.metrics.items() if how == "native"}
+
+        def measure(frame):
+            original = originals.popleft()
+            for per_frame in native.values():
+                per_frame += psnr_y_sequence(
+                    [original], [frame], seq.spec.bit_depth, inf_cap=cfg.psnr_inf_cap
+                ).per_frame
+            return frame
 
         recon_path = workdir / f"{tag}_recon.yuv"
         with timer("write"):
-            write_sequence(frames, seq.spec, recon_path)
+            write_sequence(_each(measure, frames, "metrics", timer), seq.spec, recon_path)
+        total_bits = texture.bits
+
+        if seq.depth_path is not None:
+            depth, _ = _code_stream(
+                method, method.depth_down_filter or method.down_filter,
+                _read(seq.depth_path, seq.depth_spec, timer),
+                seq.depth_spec, pair.qp_depth, workdir, f"{tag}_depth", timer,
+            )
+            deque(depth, maxlen=0)  # only the bits count, so the decoded depth is not up-sampled
+            total_bits += depth.bits
+            rec.notes["depth_bits"] = depth.bits
+
         rec.artifacts["recon"] = {
             "path": str(recon_path),
             "sha256": sha256_file(recon_path),
@@ -182,9 +257,8 @@ def _run_job(
         with timer("metrics"):
             for metric_id, how in cfg.metrics.items():
                 if how == "native":
-                    score = psnr_y_sequence(
-                        original, frames, seq.spec.bit_depth, inf_cap=cfg.psnr_inf_cap
-                    )
+                    per_frame = native[metric_id]
+                    score = QualityScore("psnr_y", per_frame, mean_psnr(per_frame, cfg.psnr_inf_cap))
                 else:
                     score = external_metric(how, seq.path, recon_path, seq.spec, metric_id)
                 rec.scores[metric_id] = {
@@ -203,6 +277,7 @@ def _run_job(
             rec.notes["exit_code"] = exc.returncode
             rec.notes["stderr_tail"] = exc.stderr[-2000:]
     rec.stage_seconds = {k: round(v, 6) for k, v in timer.seconds.items()}
+    rec.stage_cpu_seconds = {k: round(v, 6) for k, v in timer.cpu_seconds.items()}
     return rec
 
 

@@ -207,9 +207,16 @@ class NetworkSpec:
         entries = doc.get("layers") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ShapeError("network JSON needs a 'layers' list")
-        # each key takes its default's JSON type; an int counts as a float, a bool as no number
+        names = {int: "an integer", float: "a number", str: "a string", list: "a list of strings",
+                 bool: "true or false", dict: "an object"}
+        top = {"layers": list, "input_id": str, "output_id": str, "residual_global": bool, "meta": dict}
+        for key, value in doc.items():
+            if key not in top:
+                raise ShapeError(f"unknown top-level key {key!r}")
+            if not isinstance(value, top[key]):
+                raise ShapeError(f"key {key!r} must be {names[top[key]]}, got {value!r}")
+        # each layer key takes its default's JSON type; an int counts as a float, a bool as no number
         types = {f.name: type(f.default) for f in fields(LayerSpec)} | {"id": str, "op": str, "inputs": list}
-        names = {int: "an integer", float: "a number", str: "a string", list: "a list of strings"}
         layers = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,6 +109,7 @@ def lanczos_weight(x, a: int):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=64)
 def _axis_taps(in_len: int, out_len: int, filt: ResampleFilter):
     """First source index and weights of each output phase along one axis.
 
@@ -119,11 +121,13 @@ def _axis_taps(in_len: int, out_len: int, filt: ResampleFilter):
     width so that the window of a mirrored output index is exactly the
     mirrored window; the extra positions this brings in carry zero kernel
     weight.
+
+    Memoized: every caller shares the returned arrays, so they are read-only.
     """
     i = np.arange(Fraction(out_len, in_len).numerator, dtype=np.float64)
     if filt.kind == "nearest":
         centers = (i + 0.5) * in_len / out_len - 0.5
-        return np.ceil(centers - 0.5).astype(np.int64), np.ones((len(i), 1))
+        return _read_only(np.ceil(centers - 0.5).astype(np.int64), np.ones((len(i), 1)))
     scale = out_len / in_len
     stretch = min(scale, 1.0)  # kernel stretch applies only when shrinking
     half = math.ceil(filt.a / stretch)
@@ -134,14 +138,22 @@ def _axis_taps(in_len: int, out_len: int, filt: ResampleFilter):
     weights = lanczos_weight((idx - centers[:, None]) * stretch, filt.a)
     # exact per-phase normalization; fsum keeps mirrored rows bit-identical
     sums = np.array([math.fsum(row) for row in weights], dtype=np.float64)
-    return idx[:, 0], weights / sums[:, None]
+    return _read_only(idx[:, 0], weights / sums[:, None])
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _filter_axis(x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter) -> np.ndarray:
     """Resample one axis: each tap of each phase is one strided slice.
 
     Taps t and T-1-t are accumulated as a pair, which makes the
-    accumulation order invariant under mirroring.
+    accumulation order invariant under mirroring. Lanczos sums in float64:
+    an integer plane is edge-padded in its own dtype and converted once,
+    after the pad. Nearest neighbor keeps the dtype of x.
     """
     in_len = x.shape[axis]
     starts, weights = _axis_taps(in_len, out_len, filt)
@@ -152,6 +164,8 @@ def _filter_axis(x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter) -
     hi = max(0, int(starts.max()) + taps - 1 + (count - 1) * step - (in_len - 1))
     if lo or hi:  # edge padding: index j now holds source sample clamp(j - lo)
         x = x.take(np.clip(np.arange(-lo, in_len + hi), 0, in_len - 1), axis=axis)
+    if taps > 1:
+        x = x.astype(np.float64, copy=False)
 
     def along(arr, first, stride):
         return arr[(slice(None),) * axis + (slice(first, first + (count - 1) * stride + 1, stride),)]
@@ -181,14 +195,13 @@ def resample_plane(
     """
     h, w = plane.shape
     out_w, out_h = scaled_dims(w, h, Fraction(factor))
-    nearest = filt.kind == "nearest"
-    x = plane.astype(plane.dtype if nearest else np.float64)
+    x = plane
     if out_w != w:
         x = _filter_axis(x, 1, out_w, filt)
     if out_h != h:
         x = _filter_axis(x, 0, out_h, filt)
-    if nearest:
-        return x
+    if filt.kind == "nearest":
+        return x.copy() if x is plane else x
     return np.clip(np.floor(x + 0.5), 0, (1 << bit_depth) - 1).astype(plane.dtype)
 
 

@@ -217,6 +217,11 @@ class TestRunAndReport:
         (experiment_dir / "net.json").write_text(json.dumps(doc))
         assert run_cli("run", experiment_dir / "exp.ini") == 2
         assert capsys.readouterr().err == "error: layer 0: key 'kernel' must be an integer, got '3'\n"
+        doc["layers"][0]["kernel"] = 3
+        doc["residual_global"] = "false"
+        (experiment_dir / "net.json").write_text(json.dumps(doc))
+        assert run_cli("run", experiment_dir / "exp.ini") == 2
+        assert capsys.readouterr().err == "error: key 'residual_global' must be true or false, got 'false'\n"
 
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")

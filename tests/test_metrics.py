@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ class TestMse:
         for _ in range(5):
             a, b = frame_pair(rng, size=16)
             assert mse_plane(a.y, b.y) == pytest.approx(naive_mse(a.y, b.y), rel=1e-12)
+
+
+class TestMseKernel:
+    @pytest.mark.parametrize("dtype, top", [(np.uint8, 255), (np.uint16, 1023), (np.uint16, 65535), (np.int32, 1 << 20)])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (64, 96), (61, 83)])
+    def test_bitwise_equal_to_the_astype_formula(self, dtype, top, shape):
+        rng = np.random.default_rng(top + shape[0])
+        a = rng.integers(0, top + 1, shape).astype(dtype)
+        b = rng.integers(0, top + 1, shape).astype(dtype)
+        d = a.astype(np.float64) - b.astype(np.float64)
+        assert mse_plane(a, b) == float(np.mean(d * d))
+
+    def test_holds_one_float_plane(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 1024, (252, 380)).astype(np.uint16)
+        b = rng.integers(0, 1024, (252, 380)).astype(np.uint16)
+        mse_plane(a, b)  # warm-up
+        tracemalloc.start()
+        try:
+            mse_plane(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.size * 8
 
 
 class TestPsnr:

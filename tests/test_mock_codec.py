@@ -10,7 +10,7 @@ from rqpipe import Frame, VideoSpec, mock_encode_decode
 from rqpipe.errors import ConfigError
 from rqpipe.metrics import mse_plane
 from rqpipe.pipeline import MockCodec
-from rqpipe.pipeline.codecs import decode_plane, encode_plane, quant_step
+from rqpipe.pipeline.codecs import CodedStream, decode_plane, encode_plane, quant_step
 
 
 def dc_hand_trace(value, qp, bit_depth=8):
@@ -299,7 +299,7 @@ class TestCodecMemory:
         def peak(count):
             tracemalloc.start()
             try:
-                MockCodec().encode_decode(frames[:count], spec, 27, None, "t", no_timer)
+                list(CodedStream(MockCodec().encode_decode(frames[:count], spec, 27, None, "t", no_timer)))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -307,3 +307,17 @@ class TestCodecMemory:
         peak(2)  # warm-up: first-call allocations inside numpy and scipy
         growth = peak(8) - peak(2)
         assert growth < 6 * 4 * samples_per_frame
+
+    def test_encode_plane_holds_under_two_float_planes(self):
+        # besides its int32 result, encode_plane keeps at most one float64
+        # plane (samples, then coefficients in place) and a byte of sign per
+        # coefficient
+        plane = np.random.default_rng(3).integers(0, 1024, (252, 380)).astype(np.uint16)
+        encode_plane(plane, 27, 10)  # warm-up
+        tracemalloc.start()
+        try:
+            encode_plane(plane, 27, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * plane.size * 8

@@ -1,11 +1,27 @@
 import csv
 import json
 import math
+import time
+import tracemalloc
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rqpipe import VideoSpec, read_frame, run_experiment, synthetic_sequence, write_sequence
+from rqpipe import (
+    LANCZOS3,
+    VideoSpec,
+    build_mfrnet_style,
+    random_weights,
+    read_frame,
+    read_sequence,
+    resample_frame,
+    run_experiment,
+    save_weights,
+    synthetic_sequence,
+    write_sequence,
+)
 from rqpipe.errors import ConfigError, DimensionError
 from rqpipe.pipeline import (
     DEFAULT_QP_PAIRS,
@@ -16,6 +32,7 @@ from rqpipe.pipeline import (
     dump_patch,
     load_experiment,
 )
+from rqpipe.pipeline import runner
 from rqpipe.pipeline.manifest import JobRecord, sha256_file
 
 
@@ -150,6 +167,7 @@ class TestDeterminismAndResume:
         for key in sorted(manifest.jobs):
             doc = json.loads(manifest.jobs[key].to_line())
             doc.pop("stage_seconds")
+            doc.pop("stage_cpu_seconds")
             doc["artifacts"] = {
                 name: info["sha256"] for name, info in doc["artifacts"].items()
             }
@@ -398,6 +416,20 @@ psnr_y = native
         assert rescaled.qp_texture == 21  # shifted
         assert rescaled.qp_depth == 7  # untouched by the texture offset
 
+    def test_only_texture_is_up_sampled(self, config_with_depth, monkeypatch):
+        # the decoded depth frames only give bits, so they are not restored
+        factors = []
+        resample = runner.resample_frame
+
+        def counting(frame, factor, *args):
+            factors.append(factor)
+            return resample(frame, factor, *args)
+
+        monkeypatch.setattr(runner, "resample_frame", counting)
+        manifest = run_experiment(config_with_depth / "exp.ini", workers=1)
+        assert len(manifest.ok_jobs()) == 2
+        assert sorted(factors) == [Fraction(1, 2)] * 4 + [Fraction(2)] * 2
+
 
 class TestMonochromeTexture:
     def test_depth_filter_leaves_texture_alone(self, tmp_path):
@@ -492,6 +524,102 @@ fakevmaf = {_sys.executable} {stub} --ref {{ref}} --dist {{dist}} -w {{w}} -h {{
         assert manifest.header["config"]["metrics"]["fakevmaf"].startswith(_sys.executable)
 
 
+class TestJobStreaming:
+    """A job streams its frames one at a time: read, code, restore, write and score."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        # one 8-frame file read as a 2-frame and an 8-frame sequence. A
+        # frame is 576 KiB, so both recon files exceed the 1 MiB hash chunk
+        # and hashing them allocates the same.
+        spec = VideoSpec(512, 384, 10, "420", frame_count=8)
+        write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
+        net = build_mfrnet_style(1, 1, 4, 4)
+        (tmp_path / "net.json").write_text(net.to_json())
+        save_weights(tmp_path / "w.rqpw", random_weights(net, seed=3, scale=0.02))
+        sequences = "".join(
+            f"[sequence.{label}]\npath = s.yuv\nwidth = 512\nheight = 384\nbit_depth = 10\n"
+            f"frame_count = {count}\nframe_rate = 30\n\n"
+            for label, count in (("two", 2), ("eight", 8))
+        )
+        (tmp_path / "exp.ini").write_text(
+            sequences
+            + """
+[method.anchor]
+codec = mock
+
+[method.rescaled]
+scale = 1/2
+down_filter = lanczos:3
+up_filter = nn
+codec = mock
+
+[method.postproc]
+scale = 1/2
+down_filter = lanczos:3
+up_filter = nn
+codec = mock
+postproc_net = net.json
+postproc_weights = 27=w.rqpw
+postproc_luma_only = false
+
+[qps]
+pairs = 27:7
+"""
+        )
+        return load_experiment(tmp_path / "exp.ini")
+
+    @staticmethod
+    def run_job(cfg, label, method):
+        seq = next(s for s in cfg.sequences if s.label == label)
+        meth = next(m for m in cfg.methods if m.label == method)
+        cfg.workdir.mkdir(exist_ok=True)
+        rec = runner._run_job(seq, meth, 0, cfg.qp_pairs[0], cfg, cfg.workdir, "x")
+        assert rec.status == "ok", rec.error
+        return rec
+
+    @pytest.mark.parametrize("method", ["anchor", "rescaled", "postproc"])
+    def test_peak_does_not_grow_with_frame_count(self, config, method):
+        frame_bytes = 512 * 384 * 3 // 2 * 2
+
+        def peak(label):
+            tracemalloc.start()
+            try:
+                self.run_job(config, label, method)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("two")  # warm-up: first-call allocations inside numpy and scipy
+        assert peak("eight") - peak("two") < frame_bytes
+
+    def test_stage_times_fit_in_the_job_wall_time(self, config):
+        start = time.perf_counter()
+        rec = self.run_job(config, "eight", "postproc")
+        wall = time.perf_counter() - start
+        assert set(rec.stage_seconds) == set(rec.stage_cpu_seconds)
+        assert {"read", "downsample", "encode", "decode", "upsample", "postproc", "write", "metrics"} == set(
+            rec.stage_seconds
+        )
+        assert sum(rec.stage_seconds.values()) <= wall
+        assert sum(rec.stage_cpu_seconds.values()) <= wall
+
+    def test_nested_time_goes_to_the_innermost_stage(self, monkeypatch):
+        clock = [0.0]
+        fake = types.SimpleNamespace(perf_counter=lambda: clock[0], thread_time=lambda: clock[0] / 2)
+        monkeypatch.setattr(runner, "time", fake)
+        timer = runner._StageTimer()
+        with timer("write"):
+            clock[0] += 1.0
+            with timer("read"):
+                clock[0] += 2.0
+            clock[0] += 4.0
+        with timer("read"):
+            clock[0] += 8.0
+        assert timer.seconds == {"write": 5.0, "read": 10.0}
+        assert timer.cpu_seconds == {"write": 2.5, "read": 5.0}
+
+
 class TestFailureHandling:
     def test_external_codec_success_path(self, tmp_path):
         # a lossless "codec": encode copies the raw input into the
@@ -532,6 +660,56 @@ psnr_y = native
         # bitstream is the raw file itself: 16x16x1.5 x 2 frames x 8 bits
         assert rec.total_bits == 16 * 16 * 3 // 2 * 2 * 8
         assert rec.scores["psnr_y"]["sequence_value"] == 100.0  # lossless, capped
+
+    def test_external_codec_input_is_the_downsampled_stream(self, tmp_path):
+        # the input file is written from the stream of down-sampled frames,
+        # and the lossless codec's output comes back through the up-sampler
+        codec = tmp_path / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        spec = VideoSpec(32, 24, 10, "420", frame_count=3, label="s")
+        frames = synthetic_sequence(spec, seed=8)
+        write_sequence(frames, spec, tmp_path / "s.yuv")
+        import sys as _sys
+
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+
+[sequence.s]
+path = s.yuv
+width = 32
+height = 24
+bit_depth = 10
+frame_count = 3
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[method.ext]
+scale = 1/2
+down_filter = lanczos:3
+up_filter = nn
+codec = external
+encode_cmd = {_sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+decode_cmd = {_sys.executable} {codec} {{in}} {{out}}
+
+[qps]
+pairs = 27:7
+"""
+        )
+        manifest = run_experiment(tmp_path / "exp.ini", workers=1)
+        rec = manifest.jobs[("s", "ext", 0)]
+        assert rec.status == "ok"
+        half = [resample_frame(f, Fraction(1, 2), LANCZOS3, 10) for f in frames]
+        coded = list(read_sequence(tmp_path / "out" / "s_ext_qp0_in.yuv", spec.scaled(Fraction(1, 2))))
+        recon = list(read_sequence(tmp_path / "out" / "s_ext_qp0_recon.yuv", spec))
+        assert len(coded) == len(recon) == 3
+        for want, got, out in zip(half, coded, recon):
+            for a, b, c in zip(want.planes(), got.planes(), out.planes()):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.repeat(np.repeat(a, 2, axis=0), 2, axis=1), c)
 
     def test_external_codec_failure_marks_job_and_continues(self, tmp_path):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
@@ -730,10 +908,10 @@ class TestAssembleReport:
         manifest = RunManifest(tmp_path / "m.jsonl")
         for qi in range(2):
             rec_a = synthetic_record("s", "anchor", qi, 100.0 * (qi + 1), 30.0 + qi)
-            rec_a.stage_seconds = {"decode": 1.0}
+            rec_a.stage_cpu_seconds = {"decode": 1.0}
             manifest.append_job(rec_a)
             rec_b = synthetic_record("s", "rescaled", qi, 90.0 * (qi + 1), 30.5 + qi)
-            rec_b.stage_seconds = {"decode": 0.6, "postproc": 0.4}
+            rec_b.stage_cpu_seconds = {"decode": 0.6, "postproc": 0.4}
             manifest.append_job(rec_b)
         bundle = assemble_report(manifest, tmp_path / "report")
         rows = {(r["method"], r["stage"]): r for r in bundle.timing_rows}

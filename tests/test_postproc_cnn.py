@@ -866,6 +866,25 @@ class TestMalformedJson:
         with pytest.raises(ShapeError, match=rf"layer 1: key '{key}' must be {want}, got "):
             NetworkSpec.from_json(self.doc(**{key: value}))
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("residual_global", "false", "true or false"),
+        ("residual_global", 0, "true or false"),
+        ("output_id", ["c"], "a string"),
+        ("input_id", 1, "a string"),
+        ("meta", ["note"], "an object"),
+    ])
+    def test_top_level_value_of_the_wrong_type_names_the_key(self, key, value, want):
+        doc = json.loads(self.doc())
+        doc[key] = value
+        with pytest.raises(ShapeError, match=rf"^key '{key}' must be {want}, got "):
+            NetworkSpec.from_json(json.dumps(doc))
+
+    def test_unknown_top_level_key(self):
+        doc = json.loads(self.doc())
+        doc["residual"] = False
+        with pytest.raises(ShapeError, match=r"unknown top-level key 'residual'"):
+            NetworkSpec.from_json(json.dumps(doc))
+
     def test_int_accepted_as_a_float(self):
         doc = json.loads(self.doc())
         doc["layers"].append({"id": "a", "op": "activation", "inputs": ["c"], "alpha": 1})

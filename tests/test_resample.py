@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,35 @@ class TestMatchesGatherOracle:
         p = np.array([[10, 20, 30, 40]], np.uint8)
         out = resample_plane(np.repeat(p, 2, axis=0), Fraction(3, 2), NEAREST, 8)
         assert out.tolist() == [[10, 10, 20, 30, 30, 40]] * 3
+
+
+class TestKernelCost:
+    def test_axis_taps_memoized_and_read_only(self):
+        for filt in (LANCZOS3, NEAREST):
+            starts, weights = _axis_taps(1920, 960, filt)
+            assert _axis_taps(1920, 960, filt)[1] is weights
+            for arr in (starts, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    def test_lanczos_half_holds_under_three_float_planes(self):
+        # the edge pad is made in the plane's dtype and converted once, so
+        # the horizontal pass holds one padded float64 plane, its output
+        # and two half-plane product temporaries
+        plane = np.random.default_rng(11).integers(0, 1024, (252, 380)).astype(np.uint16)
+        resample_plane(plane, Fraction(1, 2), LANCZOS3, 10)  # warm-up
+        tracemalloc.start()
+        try:
+            resample_plane(plane, Fraction(1, 2), LANCZOS3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * plane.size * 8
+
+    def test_nearest_at_scale_one_returns_a_copy(self):
+        plane = np.arange(12, dtype=np.uint16).reshape(3, 4)
+        out = resample_plane(plane, Fraction(1), NEAREST, 10)
+        assert np.array_equal(out, plane) and out is not plane
 
 
 class TestResampleFrame:
