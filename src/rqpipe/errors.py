@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the placeholder check of
+external command templates."""
+
+from string import Formatter
 
 
 class RqpipeError(Exception):
@@ -45,3 +48,25 @@ class ShapeError(RqpipeError, ValueError):
 
 class WeightFormatError(RqpipeError, ValueError):
     """Weight file is malformed or does not match the network."""
+
+
+def _fields(template: str):
+    for _, name, spec, _ in Formatter().parse(template):
+        if name is not None:
+            yield name
+            yield from _fields(spec or "")
+
+
+def check_template(template: str, required, optional=(), *, what: str) -> set[str]:
+    """The placeholder names of `template`; ConfigError unless it has every
+    {required} placeholder and none outside `required` and `optional`."""
+    try:
+        names = set(_fields(template))
+    except ValueError as exc:
+        raise ConfigError(f"{what} template does not parse ({exc}): {template!r}") from None
+    missing = [f"{{{n}}}" for n in required if n not in names]
+    unknown = [f"{{{n}}}" for n in sorted(names - {*required, *optional})]
+    problems = [f"{kind} {', '.join(ph)}" for kind, ph in (("missing", missing), ("unknown", unknown)) if ph]
+    if problems:
+        raise ConfigError(f"{what} template {'; '.join(problems)}: {template!r}")
+    return names

@@ -61,12 +61,6 @@ class VideoSpec:
     def dtype(self):
         return np.uint8 if self.bit_depth == 8 else np.uint16
 
-    @property
-    def chroma_dims(self) -> tuple[int, int] | None:
-        if self.chroma == C400:
-            return None
-        return self.width // 2, self.height // 2
-
     def scaled(self, factor: Fraction) -> "VideoSpec":
         """Spec with dimensions multiplied by factor (must stay integral)."""
         width, height = scaled_dims(self.width, self.height, factor)

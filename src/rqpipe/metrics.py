@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ExternalToolError, MetricParseError
+from .errors import ConfigError, DimensionError, ExternalToolError, MetricParseError, check_template
 from .frame_io import Frame, VideoSpec
 
 MEAN_OF_PER_FRAME = "mean_of_per_frame"
-FROM_MEAN_MSE = "from_mean_mse"
 TOOL_SUMMARY = "tool_summary"
+
+# placeholders of an external metric template: the required ones, then the optional ones
+METRIC_FIELDS = (("ref", "dist"), ("w", "h", "bitdepth", "out"))
 
 DEFAULT_PSNR_CAP = 100.0  # stand-in for infinite per-frame PSNR when averaging
 
@@ -68,28 +70,14 @@ def psnr_y_sequence(
     ref_frames,
     dist_frames,
     bit_depth: int,
-    aggregation: str = MEAN_OF_PER_FRAME,
     inf_cap: float = DEFAULT_PSNR_CAP,
 ) -> QualityScore:
-    """Sequence PSNR-Y with the chosen aggregation.
-
-    mean_of_per_frame averages per-frame PSNR, clipping infinite frames to
-    inf_cap first. from_mean_mse pools the per-frame MSEs and converts the
-    pooled value once.
-    """
-    mses = [mse_plane(ra.y, rb.y) for ra, rb in zip(ref_frames, dist_frames)]
-    if not mses:
+    """Sequence PSNR-Y: the mean of per-frame PSNR, each infinite frame
+    clipped to inf_cap first."""
+    per_frame = [psnr_y(ra, rb, bit_depth) for ra, rb in zip(ref_frames, dist_frames)]
+    if not per_frame:
         raise ConfigError("cannot aggregate PSNR over an empty sequence")
-    per_frame = [psnr_from_mse(m, bit_depth) for m in mses]
-    if aggregation == MEAN_OF_PER_FRAME:
-        seq = mean_psnr(per_frame, inf_cap)
-    elif aggregation == FROM_MEAN_MSE:
-        seq = psnr_from_mse(float(np.mean(mses)), bit_depth)
-        if seq == math.inf:
-            seq = inf_cap
-    else:
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
-    return QualityScore("psnr_y", per_frame, seq, aggregation)
+    return QualityScore("psnr_y", per_frame, mean_psnr(per_frame, inf_cap))
 
 
 def _parse_metric_text(text: str, metric_id: str):
@@ -124,13 +112,12 @@ def external_metric(
     """Run an external metric command and parse its scores.
 
     The template must contain {ref} and {dist}; {w}, {h}, {bitdepth} and
-    {out} are substituted when present. Scores are read from the {out}
-    file if the template declares one, otherwise from stdout: one float
-    per line gives per-frame scores, `key=value` lines give a summary.
+    {out} are substituted when present, and any other placeholder is a
+    ConfigError. Scores are read from the {out} file if the template
+    declares one, otherwise from stdout: one float per line gives
+    per-frame scores, `key=value` lines give a summary.
     """
-    for required in ("{ref}", "{dist}"):
-        if required not in cmd_template:
-            raise ConfigError(f"metric template missing {required}: {cmd_template!r}")
+    names = check_template(cmd_template, *METRIC_FIELDS, what=f"metric {metric_id!r}")
     out_file = None
     try:
         fields = {
@@ -140,15 +127,11 @@ def external_metric(
             "h": spec.height,
             "bitdepth": spec.bit_depth,
         }
-        if "{out}" in cmd_template:
+        if "out" in names:
             fd, out_file = tempfile.mkstemp(prefix=f"{metric_id}_", suffix=".txt")
             os.close(fd)
             fields["out"] = out_file
-        try:
-            cmd = cmd_template.format(**fields)
-        except (KeyError, IndexError) as exc:
-            raise ConfigError(f"unknown placeholder in metric template: {exc}") from exc
-
+        cmd = cmd_template.format(**fields)
         proc = subprocess.run(
             shlex.split(cmd), capture_output=True, text=True, timeout=timeout
         )

@@ -20,19 +20,21 @@ before it takes the next one, so a stream holds one frame of
 coefficients. An external codec must see the whole input file before it
 can encode, so it consumes every input frame before it yields the first
 decoded one, which it then reads back from its output file one at a time.
+Its raw input file is removed once the encoder returns, and its decoded
+file once the stream ends, is abandoned or fails.
 """
 
 from __future__ import annotations
 
 import shlex
 import subprocess
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from ..errors import ConfigError, ExternalToolError
+from ..errors import ConfigError, ExternalToolError, check_template
 from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
 
 BLOCK = 8
@@ -193,24 +195,20 @@ class MockCodec:
 class ExternalCodec:
     """Codec driven by encode/decode command templates.
 
-    encode_cmd must contain {in} {out} {qp} {w} {h}; decode_cmd must
-    contain {in} {out}. The encode output is the bitstream whose byte
-    size supplies the rate; the decode output is a raw sequence matching
-    the input spec.
+    encode_cmd takes exactly the placeholders {in} {out} {qp} {w} {h};
+    decode_cmd takes exactly {in} {out}. The encode output is the
+    bitstream <tag>.bin, whose byte size supplies the rate; the decode
+    output is a raw sequence matching the input spec. The raw input and
+    decoded files are removed once read; the bitstream is kept.
     """
 
     kind = "external"
 
-    def __init__(self, encode_cmd: str, decode_cmd: str, bitstream_ext: str = ".bin"):
-        for ph in ("{in}", "{out}", "{qp}", "{w}", "{h}"):
-            if ph not in encode_cmd:
-                raise ConfigError(f"encode template missing {ph}: {encode_cmd!r}")
-        for ph in ("{in}", "{out}"):
-            if ph not in decode_cmd:
-                raise ConfigError(f"decode template missing {ph}: {decode_cmd!r}")
+    def __init__(self, encode_cmd: str, decode_cmd: str):
+        check_template(encode_cmd, ("in", "out", "qp", "w", "h"), what="encode")
+        check_template(decode_cmd, ("in", "out"), what="decode")
         self.encode_cmd = encode_cmd
         self.decode_cmd = decode_cmd
-        self.bitstream_ext = bitstream_ext
 
     def describe(self) -> dict:
         return {
@@ -234,20 +232,27 @@ class ExternalCodec:
         workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
         src = workdir / f"{tag}_in.yuv"
-        bitstream = workdir / f"{tag}{self.bitstream_ext}"
+        bitstream = workdir / f"{tag}.bin"
         recon = workdir / f"{tag}_dec.yuv"
-        with timer("encode"):
-            write_sequence(frames, spec, src)
-            self._run(
-                self.encode_cmd,
-                **{"in": src, "out": bitstream, "qp": qp, "w": spec.width, "h": spec.height},
-            )
+        try:
+            with timer("encode"):
+                write_sequence(frames, spec, src)
+                self._run(
+                    self.encode_cmd,
+                    **{"in": src, "out": bitstream, "qp": qp, "w": spec.width, "h": spec.height},
+                )
+        finally:
+            src.unlink(missing_ok=True)
         total_bits = bitstream.stat().st_size * 8
-        with timer("decode"):
-            self._run(self.decode_cmd, **{"in": bitstream, "out": recon})
-            decoded = read_sequence(recon, spec)
-        for _ in range(spec.frame_count):
+        try:
             with timer("decode"):
-                frame = next(decoded)
-            yield frame
+                self._run(self.decode_cmd, **{"in": bitstream, "out": recon})
+                decoded = read_sequence(recon, spec)
+            with closing(decoded):
+                for _ in range(spec.frame_count):
+                    with timer("decode"):
+                        frame = next(decoded)
+                    yield frame
+        finally:  # also when the decoder fails or the stream is abandoned
+            recon.unlink(missing_ok=True)
         return total_bits

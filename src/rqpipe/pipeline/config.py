@@ -43,8 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_template
 from ..frame_io import C400, C420, VideoSpec
+from ..metrics import METRIC_FIELDS
 from ..postproc_cnn import NetworkSpec, build_mfrnet_style, load_weights, validate_weights
 from ..resample import LANCZOS3, NEAREST, ResampleFilter, parse_scale
 from .codecs import ExternalCodec, MockCodec, QP_MAX, QP_MIN
@@ -140,6 +141,9 @@ class ExperimentConfig:
             raise ConfigError("no methods configured")
         if not self.qp_pairs:
             raise ConfigError("no qp pairs configured")
+        for metric_id, how in self.metrics.items():
+            if how != "native":
+                check_template(how, *METRIC_FIELDS, what=f"metric {metric_id!r}")
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate method labels: {labels}")
@@ -242,7 +246,6 @@ def _method_from_section(label: str, section, base: Path) -> MethodConfig:
         codec = ExternalCodec(
             encode_cmd=section.get("encode_cmd", ""),
             decode_cmd=section.get("decode_cmd", ""),
-            bitstream_ext=section.get("bitstream_ext", ".bin"),
         )
     else:
         raise ConfigError(f"method {label!r}: unknown codec {codec_kind!r}")

@@ -50,7 +50,7 @@ def _worker_count(requested: int | None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"RQPIPE_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return _cpu_count()
 
 
 def _cpu_count() -> int:

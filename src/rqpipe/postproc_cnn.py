@@ -8,14 +8,16 @@ Each conv is im2col + one GEMM per band of output rows, with the column
 buffer bounded by _COLS_BYTES; a 1x1 conv multiplies the band's view of
 its input and needs no column buffer. A storage plan, derived once per
 NetworkSpec from the graph's readers and liveness (never from layer
-names), gives every value its place: the inputs of a concat sit side by
-side in one shared (C, H, W) buffer, so the concat is a slice of it, not
-a copy; the bias, and an activation that is a conv's only reader, are
-applied to each band right after its GEMM; an add accumulates into its
-first input when nothing else reads that. Each value is freed once its
-last consumer has run, so the working set is a few live buffers plus one
-band rather than every channel of the network; over _PLANE_BYTES,
-apply_network runs the graph over row strips, bounding it at any size.
+names), gives every value its place. Concats follow one rule: one whose
+inputs are not placed yet puts them side by side in a fresh shared
+(C, H, W) buffer and is a slice of it; one whose inputs already sit in
+order in one buffer is a slice of that; any other is a copy. The bias,
+and an activation that is a conv's only reader, are applied to each band
+right after its GEMM; an add accumulates into its first input when
+nothing else reads that. Each value is freed once its last consumer has
+run, so the working set is a few live buffers plus one band rather than
+every channel of the network; over _PLANE_BYTES, apply_network runs the
+graph over row strips, bounding it at any size.
 build_mfrnet_style constructs the residual dense block cascade used for
 decoder-side enhancement; trained weights arrive through a small binary
 weight-file format, so any training pipeline can feed this engine.
@@ -474,14 +476,15 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
     input when the add is that input's only reader and the input is neither
     the network input nor a concat (accumulated in place).
 
-    Concats are placed largest first. Their inputs, with nested concats
-    expanded, go to adjacent channel ranges of one shared buffer, so the
-    concat is a slice of it. A concat whose inputs are partly placed
-    already reuses that buffer when the placement agrees. It is copied
-    instead when an input repeats, is the network input, sits elsewhere or
-    out of line, or when its range would overlap another group's while
-    both are live: a group is live from its first layer until the last
-    read of it or of a slice that covers it.
+    Concats are placed largest first, by one rule. With nested concats
+    expanded, a concat none of whose inputs is placed yet puts them side by
+    side in a fresh shared buffer and is a slice of it; one whose inputs
+    all sit in one buffer, in order and in line, is a slice of that buffer;
+    any other is copied, as is one whose inputs repeat or include the
+    network input. Each group is placed once, so the groups of a buffer
+    never share a channel. A buffer lives from the first layer of its
+    groups until the last read of any of them or of a concat sliced from
+    it, and is released after the last layer that has a slot in it.
     """
     channels = net.validate()
     layers = {l.id: l for l in net.layers}
@@ -510,6 +513,9 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
         else:
             continue
         root[l.id] = root[src.id]
+    group_last: dict[str, int] = {}
+    for v, g in root.items():
+        group_last[g] = max(group_last.get(g, -1), last_use[v])
 
     def leaves(v):
         l = layers.get(v)
@@ -517,54 +523,36 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
             return [v]
         return [u for ref in l.inputs for u in leaves(ref)]
 
-    def overlap(a, b):  # [first channel, channels, born, last]
-        return a[0] < b[0] + b[1] and b[0] < a[0] + a[1] and a[2] <= b[3] and b[2] <= a[3]
-
     sizes: list[int] = []
-    units: list[dict[str, list[int]]] = []  # per buffer: group -> [first, channels, born, last]
-    home: dict[str, int] = {}  # group -> buffer
+    home: dict[str, tuple[int, int]] = {}  # group -> (buffer, first channel)
     views: dict[str, tuple[int, int]] = {}  # concat -> (buffer, first channel)
     for cat in sorted((l for l in net.layers if l.op == CONCAT), key=lambda l: -channels[l.id]):
         vals = leaves(cat.id)
         groups = [root[v] for v in vals]
         if net.input_id in groups or len(set(groups)) != len(groups):
             continue
-        offsets = list(accumulate((channels[v] for v in vals), initial=0))
-        spots = {(home[g], units[home[g]][g][0] - o) for g, o in zip(groups, offsets) if g in home}
-        if len(spots) > 1:
-            continue
-        if spots:
-            ((b, base),) = spots
-            if base < 0 or base + channels[cat.id] > sizes[b]:
-                continue
-        else:
-            b, base = len(sizes), 0
-        placed = units[b] if spots else {}
-        new = {
-            g: [base + o, channels[v], index[g], max(last_use[cat.id], placed[g][3] if g in placed else last_use[v])]
-            for g, v, o in zip(groups, vals, offsets)
-        }
-        if any(overlap(u, w) for g, w in placed.items() if g not in new for u in new.values()):
-            continue
-        if not spots:
+        offsets = accumulate((channels[v] for v in vals), initial=0)
+        if not any(g in home for g in groups):
+            b = len(sizes)
             sizes.append(channels[cat.id])
-            units.append(placed)
-        placed.update(new)
-        home.update(dict.fromkeys(new, b))
-        views[cat.id] = (b, base)
+            home.update((g, (b, o)) for g, o in zip(groups, offsets))
+            views[cat.id] = (b, 0)
+        elif all(g in home for g in groups):
+            b, base = home[groups[0]]
+            if all(home[g] == (b, base + o) for g, o in zip(groups, offsets)):
+                views[cat.id] = (b, base)
 
     release: list[list[int]] = [[] for _ in range(n)]
     live = [0] * n
-    for b, placed in enumerate(units):
-        writes = [u[2] for u in placed.values()] + [index[c] for c, (vb, _) in views.items() if vb == b]
-        release[max(writes)].append(b)
-        born, last = min(u[2] for u in placed.values()), max(u[3] for u in placed.values())
-        for i in range(born, last + 1):
-            live[i] += sizes[b]
+    for b, size in enumerate(sizes):
+        groups = [g for g, (gb, _) in home.items() if gb == b]
+        cats = [c for c, (cb, _) in views.items() if cb == b]
+        release[max(index[v] for v in groups + cats)].append(b)
+        last = max([group_last[g] for g in groups] + [last_use[c] for c in cats])
+        for i in range(min(index[g] for g in groups), last + 1):
+            live[i] += size
     drop: list[list[str]] = [[] for _ in range(n)]
-    group_last: dict[str, int] = {}
-    for v, g in root.items():
-        group_last[g] = max(group_last.get(g, -1), last_use[v])
+    for v in root:
         if v not in fused and v != net.output_id:
             drop[last_use[v]].append(v)
     for g, last in group_last.items():
@@ -575,17 +563,11 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
     run_by_conv = {a.id for a in fused.values()}
     steps = []
     for i, l in enumerate(net.layers):
-        g = root[l.id]
-        if l.id in views:
-            b, first = views[l.id]
-        elif g == l.id and g in home:
-            b, first = home[g], units[home[g]][g][0]
-        else:
-            b = None
+        place = views.get(l.id) or home.get(l.id)
         act = fused.get(l.id)
         steps.append(_Step(
             out=None if l.id in run_by_conv else (act or l).id,
-            slot=None if b is None else (b, first, channels[l.id]),
+            slot=None if place is None else (*place, channels[l.id]),
             act=act,
             inplace=l.id in inplace,
             release=tuple(release[i]),
@@ -700,11 +682,11 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
     on each side; a net whose convs change the plane size runs whole.
     Repeated runs are bit-identical; strips equal one whole run (see conv2d).
     """
-    net.validate()
-    validate_weights(net, weights)
     maxv = (1 << bit_depth) - 1
     x = (plane.astype(np.float32) / np.float32(maxv))[None, :, :]
-    y = _apply_strips(net, weights, x, _strip_rows(net, x))
+    rows = _strip_rows(net, x)  # its net.storage_plan validates the net
+    validate_weights(net, weights)
+    y = _apply_strips(net, weights, x, rows)
     if y.shape[0] != 1:
         raise ShapeError(f"network output has {y.shape[0]} channels, expected 1")
     if net.residual_global:

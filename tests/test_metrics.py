@@ -7,7 +7,7 @@ import pytest
 
 from rqpipe import Frame, VideoSpec, mse_plane, psnr_y, psnr_y_sequence
 from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, MetricParseError
-from rqpipe.metrics import FROM_MEAN_MSE, MEAN_OF_PER_FRAME, TOOL_SUMMARY, external_metric
+from rqpipe.metrics import MEAN_OF_PER_FRAME, TOOL_SUMMARY, external_metric
 
 
 def naive_mse(a, b):
@@ -133,13 +133,6 @@ class TestSequenceAggregation:
         expected = (100.0 + 20 * math.log10(255)) / 2
         assert score.sequence_value == pytest.approx(expected, abs=1e-9)
         assert score.aggregation == MEAN_OF_PER_FRAME
-
-    def test_from_mean_mse(self):
-        a = Frame(y=np.zeros((4, 4), np.uint8))
-        b = Frame(y=np.ones((4, 4), np.uint8))
-        c = Frame(y=np.full((4, 4), 3, np.uint8))
-        score = psnr_y_sequence([a, a], [b, c], 8, aggregation=FROM_MEAN_MSE)
-        assert score.sequence_value == pytest.approx(10 * math.log10(255 ** 2 / 5.0), abs=1e-9)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ConfigError):

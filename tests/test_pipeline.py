@@ -87,6 +87,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="scale must be in"):
             load_experiment(experiment_dir / "broken.ini")
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("psnr_y = native", "psnr_y = native\nvmaf = echo {ref} {width}", r"missing \{dist\}; unknown \{width\}"),
+        ("codec = mock", "codec = external\nencode_cmd = enc {in} {out} {qp} {w} {h} {fps}\n"
+         "decode_cmd = dec {in} {out}", r"encode template unknown \{fps\}"),
+        ("codec = mock", "codec = external\nencode_cmd = enc {in} {out} {qp} {w} {h}\n"
+         "decode_cmd = dec {in}", r"decode template missing \{out\}"),
+    ], ids=["metric", "encode", "decode"])
+    def test_bad_tool_template_rejected_at_load(self, experiment_dir, old, new, match):
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=match):
+            load_experiment(experiment_dir / "broken.ini")
+
     def test_nearest_qp_model_selection(self, experiment_dir):
         cfg = load_experiment(experiment_dir / "exp.ini")
         pp = cfg.methods[2].postproc
@@ -239,6 +252,14 @@ class TestWorkerCount:
         assert _worker_count(5) == 5  # explicit argument beats the env
         monkeypatch.delenv("RQPIPE_WORKERS")
         assert _worker_count(None) >= 1
+
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        from rqpipe.pipeline.runner import _worker_count
+
+        monkeypatch.delenv("RQPIPE_WORKERS", raising=False)
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+        assert _worker_count(None) == 1
 
     def test_non_integer_env_is_config_error(self, monkeypatch):
         from rqpipe.pipeline.runner import _worker_count
@@ -663,9 +684,15 @@ psnr_y = native
 
     def test_external_codec_input_is_the_downsampled_stream(self, tmp_path):
         # the input file is written from the stream of down-sampled frames,
-        # and the lossless codec's output comes back through the up-sampler
+        # and the lossless codec's output comes back through the up-sampler;
+        # the encoder keeps a copy of its input, which the codec removes
         codec = tmp_path / "copycodec.py"
         codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        encoder = tmp_path / "teecodec.py"
+        encoder.write_text(
+            "import shutil, sys\nfrom pathlib import Path\nshutil.copy(sys.argv[1], sys.argv[2])\n"
+            "shutil.copy(sys.argv[1], Path(__file__).with_name('seen_in.yuv'))\n"
+        )
         spec = VideoSpec(32, 24, 10, "420", frame_count=3, label="s")
         frames = synthetic_sequence(spec, seed=8)
         write_sequence(frames, spec, tmp_path / "s.yuv")
@@ -692,7 +719,7 @@ scale = 1/2
 down_filter = lanczos:3
 up_filter = nn
 codec = external
-encode_cmd = {_sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+encode_cmd = {_sys.executable} {encoder} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
 decode_cmd = {_sys.executable} {codec} {{in}} {{out}}
 
 [qps]
@@ -703,7 +730,7 @@ pairs = 27:7
         rec = manifest.jobs[("s", "ext", 0)]
         assert rec.status == "ok"
         half = [resample_frame(f, Fraction(1, 2), LANCZOS3, 10) for f in frames]
-        coded = list(read_sequence(tmp_path / "out" / "s_ext_qp0_in.yuv", spec.scaled(Fraction(1, 2))))
+        coded = list(read_sequence(tmp_path / "seen_in.yuv", spec.scaled(Fraction(1, 2))))
         recon = list(read_sequence(tmp_path / "out" / "s_ext_qp0_recon.yuv", spec))
         assert len(coded) == len(recon) == 3
         for want, got, out in zip(half, coded, recon):
@@ -790,6 +817,48 @@ psnr_y = native
         assert "boom" in failed.notes["stderr_tail"]
         (ok,) = manifest.ok_jobs()
         assert "exit_code" not in ok.notes and "stderr_tail" not in ok.notes
+
+    def test_external_codec_keeps_only_its_bitstream(self, tmp_path):
+        # the raw input and decoded files go once read, also when the
+        # decoder writes its output and then fails
+        import sys as _sys
+
+        codec = tmp_path / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+
+[method.ext]
+codec = external
+encode_cmd = {_sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+decode_cmd = {_sys.executable} {codec} {{in}} {{out}}
+
+[method.broken]
+codec = external
+encode_cmd = {_sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+decode_cmd = sh -c 'cp "$0" "$1"; exit 3' {{in}} {{out}}
+
+[qps]
+pairs = 22:4
+"""
+        )
+        manifest = run_experiment(tmp_path / "exp.ini", workers=1)
+        assert [r.status for r in manifest.jobs.values()] == ["ok", "failed"]
+        assert manifest.jobs[("s", "broken", 0)].notes["exit_code"] == 3
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("*.bin")) == ["s_broken_qp0.bin", "s_ext_qp0.bin"]
+        assert [p.name for p in out.glob("*.yuv") if p.name.endswith(("_in.yuv", "_dec.yuv"))] == []
 
     def test_any_exception_ends_in_failed_record(self, tmp_path):
         # a decoder that exits 0 without writing its output makes the

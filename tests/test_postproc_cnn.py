@@ -367,8 +367,10 @@ class TestStoragePlan:
     def test_small_mfrnet_styles(self, shape):
         self.check(build_mfrnet_style(*shape), 24, 40)
 
-    def test_default_net_concatenates_nothing(self, monkeypatch):
-        net = build_mfrnet_style()
+    @pytest.mark.parametrize("shape", [(4, 4, 32, 16), (1, 1, 4, 4), (2, 2, 8, 4), (3, 5, 8, 16), (5, 1, 4, 4)],
+                             ids=lambda shape: "-".join(map(str, shape)))
+    def test_default_net_concatenates_nothing(self, monkeypatch, shape):
+        net = build_mfrnet_style(*shape)
         assert all(self.views(net).values())
 
         def refuse(*args, **kwargs):
