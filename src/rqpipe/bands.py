@@ -1,0 +1,28 @@
+"""Row bands: how the per-plane kernels bound their scratch.
+
+Lanczos resampling, the mock codec's transform and the MSE run over a
+plane in bands of rows under BAND_BYTES, so each holds its result plus
+scratch for one band instead of whole float64 planes; the CNN's convs
+split their im2col buffer the same way under their own budget. Every
+sample of a band is computed as it would be in one whole-plane pass, so
+the split never changes a result.
+"""
+
+from __future__ import annotations
+
+# upper bound on the float64 scratch of one band. At 1 MB a band stays in
+# the L2 cache, and a band of a 1080p plane still holds 54 to 68 rows,
+# enough to spread the fixed cost of each numpy or scipy call
+BAND_BYTES = 1 << 20
+
+
+def row_bands(rows: int, row_bytes: int, budget: int | None = None) -> list[tuple[int, int]]:
+    """Split `rows` units of `row_bytes` scratch each into equal bands.
+
+    Returns (first, end) pairs of as few bands as keep each within
+    `budget` bytes (BAND_BYTES when None; a band has at least one unit),
+    their sizes differing by at most one, so no band is a thin remainder.
+    """
+    budget = BAND_BYTES if budget is None else budget
+    count = max(1, -(-rows // max(1, budget // max(1, row_bytes))))
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]

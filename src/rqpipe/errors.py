@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit, and the placeholder check of
-external command templates."""
+"""Exception types shared across the toolkit, the placeholder check of
+external command templates, and the call that runs those commands."""
 
+import shlex
+import subprocess
 from string import Formatter
 
 
@@ -70,3 +72,20 @@ def check_template(template: str, required, optional=(), *, what: str) -> set[st
     if problems:
         raise ConfigError(f"{what} template {'; '.join(problems)}: {template!r}")
     return names
+
+
+def run_tool(cmd: str, what: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run an external command line, capturing stdout and stderr as text.
+
+    A command still running after `timeout` seconds (None: no limit) is
+    killed and raises ExternalToolError naming it; the caller checks the
+    exit status.
+    """
+    try:
+        return subprocess.run(shlex.split(cmd), capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:  # its output so far is bytes, or None
+        raise ExternalToolError(
+            f"{what} command timed out after {timeout:g} s: {cmd}",
+            stdout=(exc.stdout or b"").decode(errors="replace"),
+            stderr=(exc.stderr or b"").decode(errors="replace"),
+        ) from None

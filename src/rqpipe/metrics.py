@@ -1,5 +1,8 @@
 """Objective quality metrics: native PSNR on luma, plus external tool hooks.
 
+The MSE behind PSNR sums squared differences in bands of rows
+(rqpipe.bands), holding one band of float64 rather than a plane.
+
 VMAF and IV-PSNR style metrics are never computed here; they are obtained
 by spawning an external command and parsing its scores, and their values
 flow through the rest of the toolkit as opaque quality axes.
@@ -9,15 +12,14 @@ from __future__ import annotations
 
 import math
 import os
-import shlex
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ExternalToolError, MetricParseError, check_template
+from .bands import row_bands
+from .errors import ConfigError, DimensionError, ExternalToolError, MetricParseError, check_template, run_tool
 from .frame_io import Frame, VideoSpec
 
 MEAN_OF_PER_FRAME = "mean_of_per_frame"
@@ -38,14 +40,27 @@ class QualityScore:
 
 
 def mse_plane(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared sample difference in double precision."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """Mean squared sample difference in double precision.
+
+    The squares are summed in bands of rows (rqpipe.bands), so the scratch
+    is one band of float64, not a plane. For integer samples whose squared
+    differences sum to less than 2^53 (any plane of up to 2^33 10-bit or
+    2^21 16-bit samples), every partial sum is an exact integer, so the
+    result has the same bits as the mean of one whole-plane float64 pass.
+    A 0-d input is scored as one sample; an empty one is a DimensionError.
+    """
+    a = np.atleast_1d(a)
+    b = np.atleast_1d(b)
     if a.shape != b.shape:
         raise DimensionError(f"plane shapes differ: {a.shape} vs {b.shape}")
-    d = np.subtract(a, b, dtype=np.float64)
-    np.square(d, out=d)
-    return float(np.mean(d))
+    if a.size == 0:
+        raise DimensionError(f"empty plane: shape {a.shape}")
+    total = 0.0
+    for r0, r1 in row_bands(a.shape[0], a[:1].size * 8):
+        d = np.subtract(a[r0:r1], b[r0:r1], dtype=np.float64)
+        np.square(d, out=d)
+        total += float(np.add.reduce(d, axis=None))
+    return total / a.size
 
 
 def psnr_from_mse(mse: float, bit_depth: int) -> float:
@@ -115,7 +130,8 @@ def external_metric(
     {out} are substituted when present, and any other placeholder is a
     ConfigError. Scores are read from the {out} file if the template
     declares one, otherwise from stdout: one float per line gives
-    per-frame scores, `key=value` lines give a summary.
+    per-frame scores, `key=value` lines give a summary. A command still
+    running after `timeout` seconds is killed and raises ExternalToolError.
     """
     names = check_template(cmd_template, *METRIC_FIELDS, what=f"metric {metric_id!r}")
     out_file = None
@@ -131,10 +147,7 @@ def external_metric(
             fd, out_file = tempfile.mkstemp(prefix=f"{metric_id}_", suffix=".txt")
             os.close(fd)
             fields["out"] = out_file
-        cmd = cmd_template.format(**fields)
-        proc = subprocess.run(
-            shlex.split(cmd), capture_output=True, text=True, timeout=timeout
-        )
+        proc = run_tool(cmd_template.format(**fields), metric_id, timeout)
         if proc.returncode != 0:
             raise ExternalToolError(
                 f"{metric_id} command exited {proc.returncode}: {proc.stderr.strip()}",

@@ -7,7 +7,9 @@ and prices the quantized coefficients with exp-Golomb code lengths.
 A plane is viewed, without a transpose, in block-row layout
 (H/8, 8, W/8, 8) and transformed along axes 1 and 3; the coefficients
 are kept as int32 in that layout, and the bits are priced from a
-histogram of their magnitudes.
+histogram of their magnitudes. Encode and decode run over bands of block
+rows (rqpipe.bands), so the float64 samples and coefficients in flight
+are one band's, not a plane's.
 External codecs are driven through shell command templates and their
 bitrate is taken from the bitstream size.
 
@@ -26,15 +28,14 @@ file once the stream ends, is abandoned or fails.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 from contextlib import closing, nullcontext
 from pathlib import Path
 
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from ..errors import ConfigError, ExternalToolError, check_template
+from ..bands import row_bands
+from ..errors import ConfigError, ExternalToolError, check_template, run_tool
 from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
 
 BLOCK = 8
@@ -60,45 +61,59 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
 
     The coefficients are int32 in block-row layout (H/8, 8, W/8, 8): block
     (i, j) is q[i, :, j, :], with H and W rounded up to multiples of 8 by
-    edge padding. Besides the int32 result, at most the centered samples or
-    the coefficients are live as a float64 plane at any one time.
+    edge padding. The plane is coded in bands of block rows
+    (rqpipe.bands): besides the int32 result, only one band's centered
+    samples, coefficients and signs are live at a time. A block's DCT does
+    not depend on the other blocks, and each band's bit count is an exact
+    integer, so the split changes neither coefficients nor bits.
     """
     h, w = plane.shape
-    if h % BLOCK or w % BLOCK:
-        plane = np.pad(plane, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
-    x = np.subtract(plane, 1 << (bit_depth - 1), dtype=np.float64)
-    bh, bw = x.shape[0] // BLOCK, x.shape[1] // BLOCK
-    coef = dctn(x.reshape(bh, BLOCK, bw, BLOCK), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
-    del plane, x  # a padded copy and the centered samples are not needed again
-    sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
-    mag = np.abs(coef, out=coef)
-    mag /= quant_step(qp)  # not * (1 / step): that moves exact .5 ties
-    mag += 0.5
-    np.floor(mag, out=mag)
-    q = mag.astype(np.int32)
-    del coef, mag
-    bits = _code_bits(q)
-    q *= sign
+    bh, bw = -(-h // BLOCK), -(-w // BLOCK)
+    q = np.empty((bh, BLOCK, bw, BLOCK), dtype=np.int32)
+    bits = 0
+    for b0, b1 in row_bands(bh, BLOCK * bw * BLOCK * 8):
+        rows = plane[b0 * BLOCK : b1 * BLOCK]
+        pad = ((0, (b1 - b0) * BLOCK - rows.shape[0]), (0, -w % BLOCK))
+        if pad[0][1] or pad[1][1]:
+            rows = np.pad(rows, pad, mode="edge")
+        x = np.subtract(rows, 1 << (bit_depth - 1), dtype=np.float64)
+        coef = dctn(x.reshape(b1 - b0, BLOCK, bw, BLOCK), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
+        del rows, x  # a padded copy and the centered samples are not needed again
+        sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
+        mag = np.abs(coef, out=coef)
+        mag /= quant_step(qp)  # not * (1 / step): that moves exact .5 ties
+        mag += 0.5
+        np.floor(mag, out=mag)
+        band = q[b0:b1]
+        band[...] = mag
+        del coef, mag
+        bits += _code_bits(band)
+        band *= sign
     return q, (h, w), bits
 
 
 def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) -> np.ndarray:
     """Reconstruct an (h, w) plane from encode_plane's block-row coefficients.
 
-    The mid-level and the rounding half are added as two separate float
+    Decodes in bands of block rows, as encode_plane codes them. The
+    mid-level and the rounding half are added as two separate float
     adds, in that order, as in the reference decoder the tests compare
     against: one add of (mid + 0.5) can round a sum differently in its last
     bit, so the order is kept for the float sums to match, not only the
     rounded samples.
     """
     bh, _, bw, _ = q.shape
-    rec = idctn(q * quant_step(qp), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
-    rec = rec.reshape(bh * BLOCK, bw * BLOCK)
-    rec += 1 << (bit_depth - 1)
-    rec += 0.5
-    np.floor(rec, out=rec)
-    np.clip(rec, 0, (1 << bit_depth) - 1, out=rec)
-    return rec[: dims[0], : dims[1]].astype(np.uint8 if bit_depth == 8 else np.uint16)
+    h, w = dims
+    out = np.empty(dims, dtype=np.uint8 if bit_depth == 8 else np.uint16)
+    for b0, b1 in row_bands(bh, BLOCK * bw * BLOCK * 8):
+        rec = idctn(q[b0:b1] * quant_step(qp), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
+        rec = rec.reshape((b1 - b0) * BLOCK, bw * BLOCK)
+        rec += 1 << (bit_depth - 1)
+        rec += 0.5
+        np.floor(rec, out=rec)
+        np.clip(rec, 0, (1 << bit_depth) - 1, out=rec)
+        out[b0 * BLOCK : b1 * BLOCK] = rec[: min(b1 * BLOCK, h) - b0 * BLOCK, :w]
+    return out
 
 
 class CodedStream:
@@ -199,27 +214,31 @@ class ExternalCodec:
     decode_cmd takes exactly {in} {out}. The encode output is the
     bitstream <tag>.bin, whose byte size supplies the rate; the decode
     output is a raw sequence matching the input spec. The raw input and
-    decoded files are removed once read; the bitstream is kept.
+    decoded files are removed once read; the bitstream is kept. A command
+    still running after `timeout` seconds is killed and raises
+    ExternalToolError naming it.
     """
 
     kind = "external"
 
-    def __init__(self, encode_cmd: str, decode_cmd: str):
+    def __init__(self, encode_cmd: str, decode_cmd: str, timeout: float | None = None):
         check_template(encode_cmd, ("in", "out", "qp", "w", "h"), what="encode")
         check_template(decode_cmd, ("in", "out"), what="decode")
         self.encode_cmd = encode_cmd
         self.decode_cmd = decode_cmd
+        self.timeout = timeout
 
     def describe(self) -> dict:
         return {
             "kind": "external",
             "encode_cmd": self.encode_cmd,
             "decode_cmd": self.decode_cmd,
+            "timeout": self.timeout,
         }
 
     def _run(self, template: str, **fields) -> None:
         cmd = template.format(**fields)
-        proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+        proc = run_tool(cmd, "codec", self.timeout)
         if proc.returncode != 0:
             raise ExternalToolError(
                 f"codec command exited {proc.returncode}: {cmd}",

@@ -4,6 +4,10 @@ Experiment files are INI-style:
 
     [run]
     workdir = out
+    # seconds an external codec or metric command may run before it is
+    # killed and its job fails; no limit when unset
+    # codec_timeout = 600
+    # metric_timeout = 600
 
     [sequence.<label>]
     path = seqs/a.yuv
@@ -39,6 +43,7 @@ Relative paths resolve against the config file's directory.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -133,6 +138,7 @@ class ExperimentConfig:
     metrics: dict[str, str]  # metric_id -> "native" or command template
     workdir: Path = Path("rqpipe_out")
     psnr_inf_cap: float = 100.0
+    metric_timeout: float | None = None  # seconds; external metrics only
 
     def validate(self):
         if not self.sequences:
@@ -144,6 +150,8 @@ class ExperimentConfig:
         for metric_id, how in self.metrics.items():
             if how != "native":
                 check_template(how, *METRIC_FIELDS, what=f"metric {metric_id!r}")
+            elif metric_id != "psnr_y":
+                raise ConfigError(f"metric {metric_id!r}: only psnr_y is computed natively")
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate method labels: {labels}")
@@ -238,7 +246,7 @@ def _sequence_from_section(label: str, section, base: Path) -> SequenceConfig:
     return seq
 
 
-def _method_from_section(label: str, section, base: Path) -> MethodConfig:
+def _method_from_section(label: str, section, base: Path, codec_timeout: float | None) -> MethodConfig:
     codec_kind = section.get("codec", "mock").strip().lower()
     if codec_kind == "mock":
         codec = MockCodec()
@@ -246,6 +254,7 @@ def _method_from_section(label: str, section, base: Path) -> MethodConfig:
         codec = ExternalCodec(
             encode_cmd=section.get("encode_cmd", ""),
             decode_cmd=section.get("decode_cmd", ""),
+            timeout=codec_timeout,
         )
     else:
         raise ConfigError(f"method {label!r}: unknown codec {codec_kind!r}")
@@ -273,6 +282,19 @@ def _method_from_section(label: str, section, base: Path) -> MethodConfig:
     )
 
 
+def _timeout(parser, key: str) -> float | None:
+    """[run] `key` in seconds, or None when unset."""
+    text = parser.get("run", key, fallback=None)
+    if text is None:
+        return None
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise ConfigError(f"[run] {key} must be a positive number of seconds, got {text!r}")
+
+
 def load_experiment(path) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     path = Path(path)
@@ -281,6 +303,7 @@ def load_experiment(path) -> ExperimentConfig:
     if not parser.read(path):
         raise ConfigError(f"cannot read experiment config {path}")
     base = path.parent
+    codec_timeout = _timeout(parser, "codec_timeout")
 
     sequences = []
     methods = []
@@ -288,7 +311,7 @@ def load_experiment(path) -> ExperimentConfig:
         if name.startswith("sequence."):
             sequences.append(_sequence_from_section(name[len("sequence."):], parser[name], base))
         elif name.startswith("method."):
-            methods.append(_method_from_section(name[len("method."):], parser[name], base))
+            methods.append(_method_from_section(name[len("method."):], parser[name], base, codec_timeout))
 
     if parser.has_section("qps") and parser["qps"].get("pairs"):
         qp_pairs = _parse_qp_pairs(parser["qps"]["pairs"])
@@ -311,6 +334,7 @@ def load_experiment(path) -> ExperimentConfig:
         metrics=metrics,
         workdir=workdir,
         psnr_inf_cap=parser.getfloat("run", "psnr_inf_cap", fallback=100.0),
+        metric_timeout=_timeout(parser, "metric_timeout"),
     )
     cfg.validate()
     return cfg
@@ -321,6 +345,7 @@ def config_as_dict(cfg: ExperimentConfig) -> dict:
     return {
         "workdir": str(cfg.workdir),
         "psnr_inf_cap": cfg.psnr_inf_cap,
+        "metric_timeout": cfg.metric_timeout,
         "qp_pairs": [[p.qp_texture, p.qp_depth] for p in cfg.qp_pairs],
         "metrics": dict(cfg.metrics),
         "sequences": [

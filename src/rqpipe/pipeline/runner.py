@@ -224,14 +224,14 @@ def _run_job(
 
             frames = _each(postprocess, frames, "postproc", timer)
 
-        native = {metric_id: [] for metric_id, how in cfg.metrics.items() if how == "native"}
+        psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame
 
         def measure(frame):
             original = originals.popleft()
-            for per_frame in native.values():
-                per_frame += psnr_y_sequence(
-                    [original], [frame], seq.spec.bit_depth, inf_cap=cfg.psnr_inf_cap
-                ).per_frame
+            if psnr is not None:
+                psnr.extend(
+                    psnr_y_sequence([original], [frame], seq.spec.bit_depth, inf_cap=cfg.psnr_inf_cap).per_frame
+                )
             return frame
 
         recon_path = workdir / f"{tag}_recon.yuv"
@@ -256,11 +256,12 @@ def _run_job(
 
         with timer("metrics"):
             for metric_id, how in cfg.metrics.items():
-                if how == "native":
-                    per_frame = native[metric_id]
-                    score = QualityScore("psnr_y", per_frame, mean_psnr(per_frame, cfg.psnr_inf_cap))
+                if how == "native":  # psnr_y, the only native metric
+                    score = QualityScore("psnr_y", psnr, mean_psnr(psnr, cfg.psnr_inf_cap))
                 else:
-                    score = external_metric(how, seq.path, recon_path, seq.spec, metric_id)
+                    score = external_metric(
+                        how, seq.path, recon_path, seq.spec, metric_id, timeout=cfg.metric_timeout
+                    )
                 rec.scores[metric_id] = {
                     "per_frame": [round(v, 6) if v != float("inf") else cfg.psnr_inf_cap
                                   for v in score.per_frame],

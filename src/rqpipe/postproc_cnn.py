@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bands import row_bands
 from .errors import ConfigError, ShapeError, WeightFormatError
 
 MAGIC = b"RQPW1"
@@ -398,14 +399,13 @@ def _conv(x, weights, bias, stride, pad, out=None, act: LayerSpec | None = None)
     bias = bias.astype(x.dtype)[:, None]
     out2d = out.reshape(out_ch, oh * ow)
     gemm_out = out2d if m == out_ch else np.empty((m, oh * ow), dtype=x.dtype)
-    bands = -(-oh // max(1, _COLS_BYTES // (k * ow * x.itemsize)))
+    bands = row_bands(oh, k * ow * x.itemsize, _COLS_BYTES)
     direct = kh == kw == 1 and stride == 1 and pad == 0
     if direct:
         x2d = x.reshape(in_ch, h * w)
     else:
-        buf = np.empty(k * -(-oh // bands) * ow, dtype=x.dtype)
-    for i in range(bands):
-        r0, r1 = oh * i // bands, oh * (i + 1) // bands
+        buf = np.empty(k * -(-oh // len(bands)) * ow, dtype=x.dtype)
+    for r0, r1 in bands:
         rows = r1 - r0
         if direct:
             cols = x2d[:, r0 * ow : r1 * ow]

@@ -14,6 +14,9 @@ Conventions, all recorded in run manifests for reproducibility:
   planes are preserved
 - Lanczos filtering runs in float64 and the result is rounded once (half
   up) and clamped to the bit-depth range; nearest neighbor only copies
+- Lanczos filters a plane in bands of output rows (rqpipe.bands), so a
+  call holds its result plus float64 scratch for one band; the output is
+  the same as from one whole-plane pass
 
 Tap windows and the pairwise accumulation order are constructed so that
 mirroring the input mirrors the output bit-exactly.
@@ -28,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bands import row_bands
 from .errors import ConfigError
 from .frame_io import Frame, scaled_dims
 
@@ -147,13 +151,14 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _filter_axis(x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter) -> np.ndarray:
+def _filter_axis(
+    x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter, out: np.ndarray | None = None
+) -> np.ndarray:
     """Resample one axis: each tap of each phase is one strided slice.
 
-    Taps t and T-1-t are accumulated as a pair, which makes the
-    accumulation order invariant under mirroring. Lanczos sums in float64:
-    an integer plane is edge-padded in its own dtype and converted once,
-    after the pad. Nearest neighbor keeps the dtype of x.
+    Lanczos sums in float64: an integer plane is edge-padded in its own
+    dtype and converted once, after the pad. Nearest neighbor keeps the
+    dtype of x. The result goes to `out` when given, else to a new array.
     """
     in_len = x.shape[axis]
     starts, weights = _axis_taps(in_len, out_len, filt)
@@ -166,20 +171,82 @@ def _filter_axis(x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter) -
         x = x.take(np.clip(np.arange(-lo, in_len + hi), 0, in_len - 1), axis=axis)
     if taps > 1:
         x = x.astype(np.float64, copy=False)
+    return _taps_sum(x, axis, starts + lo, weights, step, count, out)
+
+
+def _taps_sum(x, axis, starts, weights, step, count, out=None) -> np.ndarray:
+    """Output k * phases + r along `axis` is the sum over taps t of
+    weights[r, t] * x[starts[r] + k * step + t], for k < count.
+
+    Taps t and T-1-t are accumulated as a pair, which makes the
+    accumulation order invariant under mirroring; the first pair is
+    stored, not added to zeros.
+    """
+    phases, taps = weights.shape
 
     def along(arr, first, stride):
         return arr[(slice(None),) * axis + (slice(first, first + (count - 1) * stride + 1, stride),)]
 
-    shape = list(x.shape)
-    shape[axis] = out_len
-    out = np.zeros(shape, dtype=x.dtype)
-    for r, (start, w) in enumerate(zip(starts + lo, weights)):
+    if out is None:
+        shape = list(x.shape)
+        shape[axis] = count * phases
+        out = np.empty(shape, dtype=x.dtype)
+    for r, (start, w) in enumerate(zip(starts, weights)):
         acc = along(out, r, phases)
         if taps == 1:  # nearest neighbor: a copy, no arithmetic
             acc[...] = along(x, start, step)
         for t in range(taps // 2):
             u = taps - 1 - t
-            acc += along(x, start + t, step) * w[t] + along(x, start + u, step) * w[u]
+            pair = along(x, start + t, step) * w[t]
+            pair += along(x, start + u, step) * w[u]
+            if t:
+                acc += pair
+            else:
+                acc[...] = pair
+    return out
+
+
+def _lanczos_in_bands(plane, out_h, out_w, filt, bit_depth) -> np.ndarray:
+    """resample_plane's Lanczos path, one band of output row periods at a time.
+
+    A period is p output rows read from q source rows, out_h / h = p / q.
+    Band k0..k1-1 reads the source rows first + k0 * step up to
+    first + (k1 - 1) * step + span, each clamped to the edge. Each source
+    row is filtered horizontally once: the rows a band shares with the one
+    before it are kept, and the rows past an edge are copies of the
+    filtered edge row. Every output equals that of one whole-plane pass.
+    """
+    h, w = plane.shape
+    starts, weights = _axis_taps(h, out_h, filt)
+    phases, taps = weights.shape
+    step = h * phases // out_h
+    bands = row_bands(out_h // phases, 8 * (step * w + phases * out_w))  # a period's rows as float64
+    first = int(starts.min())
+    span = int(starts.max()) - first + taps
+    most = max(k1 - k0 for k0, k1 in bands)
+    wide = np.empty(((most - 1) * step + span, out_w))  # horizontally filtered source rows
+    tall = np.empty((most * phases, out_w))  # one band of output rows
+    out = np.empty((out_h, out_w), dtype=plane.dtype)
+    held = (first, first)  # the source rows in `wide`
+    for k0, k1 in bands:
+        lo, hi = first + k0 * step, first + (k1 - 1) * step + span
+        keep = max(0, held[1] - lo)
+        wide[:keep] = wide[lo - held[0] : held[1] - held[0]]
+        # every window holds a row of the plane, so it holds the edge row
+        # that the rows past that edge repeat
+        a, b = min(max(lo + keep, 0), h), min(hi, h)
+        if a < b:
+            _filter_axis(plane[a:b], 1, out_w, filt, out=wide[a - lo : b - lo])
+        if lo + keep < 0:
+            wide[keep:-lo] = wide[-lo]
+        if hi > h:
+            wide[max(h, lo + keep) - lo : hi - lo] = wide[h - 1 - lo]
+        x = _taps_sum(wide[: hi - lo], 0, starts - first, weights, step, k1 - k0, tall[: (k1 - k0) * phases])
+        x += 0.5
+        np.floor(x, out=x)
+        np.clip(x, 0, (1 << bit_depth) - 1, out=x)
+        out[k0 * phases : k1 * phases] = x
+        held = (lo, hi)
     return out
 
 
@@ -192,17 +259,20 @@ def resample_plane(
     a clamp to [0, 2^bit_depth - 1]; nearest neighbor copies the sample
     nearest each output center and does no arithmetic. No silent padding:
     non-integral output dimensions raise DimensionError.
+
+    Lanczos runs over bands of output rows (rqpipe.bands), so besides its
+    result it holds float64 scratch for one band rather than whole planes.
     """
     h, w = plane.shape
     out_w, out_h = scaled_dims(w, h, Fraction(factor))
+    if filt.kind == "lanczos":
+        return _lanczos_in_bands(plane, out_h, out_w, filt, bit_depth)
     x = plane
     if out_w != w:
         x = _filter_axis(x, 1, out_w, filt)
     if out_h != h:
         x = _filter_axis(x, 0, out_h, filt)
-    if filt.kind == "nearest":
-        return x.copy() if x is plane else x
-    return np.clip(np.floor(x + 0.5), 0, (1 << bit_depth) - 1).astype(plane.dtype)
+    return x.copy() if x is plane else x
 
 
 def resample_frame(frame: Frame, factor: Fraction, filt: ResampleFilter, bit_depth: int) -> Frame:

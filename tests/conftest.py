@@ -1,6 +1,30 @@
 import pytest
 
 from rqpipe import VideoSpec, build_mfrnet_style, random_weights, save_weights, synthetic_sequence, write_sequence
+from rqpipe import bands, metrics, resample
+from rqpipe.pipeline import codecs
+
+
+@pytest.fixture
+def band_budget(monkeypatch):
+    """budget(n) sets the row-band budget to n bytes and returns the list of
+    band splits that the kernels then make, one list of (first, end) per
+    row_bands call."""
+    splits = []
+
+    def spy(rows, row_bytes):
+        splits.append(bands.row_bands(rows, row_bytes))
+        return splits[-1]
+
+    for module in (resample, codecs, metrics):
+        monkeypatch.setattr(module, "row_bands", spy)
+
+    def budget(nbytes):
+        monkeypatch.setattr(bands, "BAND_BYTES", nbytes)
+        splits.clear()
+        return splits
+
+    return budget
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rqpipe import Frame, VideoSpec, mse_plane, psnr_y, psnr_y_sequence
+from rqpipe import Frame, VideoSpec, bands, mse_plane, psnr_y, psnr_y_sequence
 from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, MetricParseError
 from rqpipe.metrics import MEAN_OF_PER_FRAME, TOOL_SUMMARY, external_metric
 
@@ -76,6 +76,42 @@ class TestMseKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * a.size * 8
+
+    def test_scalars_are_one_sample(self):
+        assert mse_plane(np.uint16(7), np.uint16(3)) == 16.0
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (5, 0)])
+    def test_empty_plane_rejected(self, shape):
+        a = np.zeros(shape, np.uint16)
+        with pytest.raises(DimensionError, match="empty plane"):
+            mse_plane(a, a)
+
+    @pytest.mark.parametrize("dtype, top", [(np.uint8, 255), (np.uint16, 1023), (np.uint16, 65535), (np.int32, 1 << 20)])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (64, 96), (61, 83)])
+    def test_bands_equal_one_band(self, band_budget, dtype, top, shape):
+        rng = np.random.default_rng(top + shape[0])
+        a = rng.integers(0, top + 1, shape).astype(dtype)
+        b = rng.integers(0, top + 1, shape).astype(dtype)
+        d = a.astype(np.float64) - b.astype(np.float64)
+        for budget in (1, 8 * 5 * shape[1]):  # one row per band, then five
+            splits = band_budget(budget)
+            assert mse_plane(a, b) == float(np.mean(d * d))
+            (split,) = splits
+            assert len(split) == -(-shape[0] // (1 if budget == 1 else 5))
+
+    def test_holds_three_bands(self):
+        # a 1024x768 float64 plane is 6 MiB; the squares are summed by band
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, 1024, (768, 1024)).astype(np.uint16)
+        b = rng.integers(0, 1024, (768, 1024)).astype(np.uint16)
+        mse_plane(a, b)  # warm-up
+        tracemalloc.start()
+        try:
+            mse_plane(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * bands.BAND_BYTES
 
 
 class TestPsnr:

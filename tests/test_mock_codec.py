@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.fft import dctn, idctn
 
-from rqpipe import Frame, VideoSpec, mock_encode_decode
+from rqpipe import Frame, VideoSpec, bands, mock_encode_decode
 from rqpipe.errors import ConfigError
 from rqpipe.metrics import mse_plane
 from rqpipe.pipeline import MockCodec
@@ -279,6 +279,32 @@ class TestMatchesOracle:
         self.assert_equal_to_oracle(plane, 7, 8)
 
 
+class TestRowBands:
+    """encode_plane and decode_plane in bands of block rows equal one
+    whole-plane pass: coefficients, bits and decoded samples."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("shape", [(61, 83), (45, 30), (100, 9)])
+    def test_bands_equal_one_band(self, band_budget, shape, bit_depth):
+        rng = np.random.default_rng(shape[0] + bit_depth)
+        plane = rng.integers(0, 1 << bit_depth, shape).astype(np.uint8 if bit_depth == 8 else np.uint16)
+        default = bands.BAND_BYTES
+        for qp in (4, 27, 51):
+            splits = band_budget(default)
+            q, dims, bits = encode_plane(plane, qp, bit_depth)
+            dec = decode_plane(q, dims, qp, bit_depth)
+            assert [len(split) for split in splits] == [1, 1]
+            TestMatchesOracle.assert_equal_to_oracle(plane, qp, bit_depth)
+            for budget in (1, 5000, 12000):
+                splits = band_budget(budget)
+                got_q, got_dims, got_bits = encode_plane(plane, qp, bit_depth)
+                got_dec = decode_plane(q, dims, qp, bit_depth)
+                assert all(len(split) > 1 for split in splits) and len(splits) == 2
+                assert got_dims == dims and got_bits == bits
+                assert got_q.dtype == q.dtype and np.array_equal(got_q, q)
+                assert got_dec.dtype == dec.dtype and np.array_equal(got_dec, dec)
+
+
 class TestCodecMemory:
     def test_peak_does_not_grow_with_frame_count(self):
         # Frames are coded one at a time, so eight frames peak only by the
@@ -321,3 +347,17 @@ class TestCodecMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * plane.size * 8
+
+    def test_encode_and_decode_hold_their_result_and_three_bands(self):
+        # a 1024x768 float64 plane is 6 MiB; both run through it in bands
+        plane = np.random.default_rng(4).integers(0, 1024, (768, 1024)).astype(np.uint16)
+        q, dims, _ = encode_plane(plane, 27, 10)  # warm-up
+        dec = decode_plane(q, dims, 27, 10)
+        for run, result in ((lambda: encode_plane(plane, 27, 10), q), (lambda: decode_plane(q, dims, 27, 10), dec)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < result.nbytes + 3 * bands.BAND_BYTES

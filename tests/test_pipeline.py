@@ -100,6 +100,39 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=match):
             load_experiment(experiment_dir / "broken.ini")
 
+    @pytest.mark.parametrize("metric", ["vmaf", "psnr"])
+    def test_only_psnr_y_is_native(self, experiment_dir, metric):
+        # any other id set to native used to be scored as PSNR-Y under its name
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace("psnr_y = native", f"psnr_y = native\n{metric} = native"))
+        with pytest.raises(ConfigError, match=rf"metric '{metric}': only psnr_y is computed natively"):
+            load_experiment(experiment_dir / "broken.ini")
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        cfg.metrics[metric] = "native"
+        with pytest.raises(ConfigError, match=metric):
+            cfg.validate()
+
+    def test_timeouts(self, experiment_dir):
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        assert cfg.metric_timeout is None
+        text = (experiment_dir / "exp.ini").read_text().replace(
+            "workdir = out", "workdir = out\ncodec_timeout = 2.5\nmetric_timeout = 30"
+        ).replace("[method.anchor]\nscale = 1/1\ncodec = mock", "[method.anchor]\ncodec = external\n"
+                  "encode_cmd = enc {in} {out} {qp} {w} {h}\ndecode_cmd = dec {in} {out}")
+        (experiment_dir / "timed.ini").write_text(text)
+        cfg = load_experiment(experiment_dir / "timed.ini")
+        assert cfg.metric_timeout == 30.0
+        assert cfg.methods[0].codec.timeout == 2.5
+        assert cfg.methods[0].codec.describe()["timeout"] == 2.5
+
+    @pytest.mark.parametrize("value", ["0", "-1", "soon", "inf"])
+    def test_bad_timeout_rejected(self, experiment_dir, value):
+        text = (experiment_dir / "exp.ini").read_text()
+        for key in ("codec_timeout", "metric_timeout"):
+            (experiment_dir / "broken.ini").write_text(text.replace("workdir = out", f"workdir = out\n{key} = {value}"))
+            with pytest.raises(ConfigError, match=rf"\[run\] {key} must be a positive number of seconds"):
+                load_experiment(experiment_dir / "broken.ini")
+
     def test_nearest_qp_model_selection(self, experiment_dir):
         cfg = load_experiment(experiment_dir / "exp.ini")
         pp = cfg.methods[2].postproc
@@ -641,6 +674,57 @@ pairs = 27:7
         assert timer.cpu_seconds == {"write": 2.5, "read": 5.0}
 
 
+class TestJobPeak:
+    """No stage of a job holds a whole float64 plane."""
+
+    @pytest.mark.parametrize("method", ["anchor", "rescaled"])
+    def test_job_peak_leaves_no_room_for_a_float_plane(self, tmp_path, method):
+        # A 960x544 10-bit 4:2:0 frame is 1.5 MiB. A job holds about six
+        # frames' worth: the source frame and the bytes it was read from,
+        # the int32 coefficients (two frames), the decoded frame and the
+        # one the writer has just written, plus band scratch, about 10.8 MiB.
+        # The bound of eight frames is 11.95 MiB: a whole float64 luma plane
+        # (4 MiB) on top does not fit under it.
+        spec = VideoSpec(960, 544, 10, "420", frame_count=2)
+        write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            """
+[sequence.s]
+path = s.yuv
+width = 960
+height = 544
+bit_depth = 10
+frame_count = 2
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[method.rescaled]
+scale = 1/2
+down_filter = lanczos:3
+up_filter = nn
+codec = mock
+
+[qps]
+pairs = 27:7
+"""
+        )
+        cfg = load_experiment(tmp_path / "exp.ini")
+        cfg.workdir.mkdir()
+        meth = next(m for m in cfg.methods if m.label == method)
+        runner._run_job(cfg.sequences[0], meth, 0, cfg.qp_pairs[0], cfg, cfg.workdir, "x")  # warm-up
+        tracemalloc.start()
+        try:
+            rec = runner._run_job(cfg.sequences[0], meth, 0, cfg.qp_pairs[0], cfg, cfg.workdir, "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.status == "ok", rec.error
+        frame_bytes = 960 * 544 * 3 // 2 * 2
+        assert peak < 8 * frame_bytes
+
+
 class TestFailureHandling:
     def test_external_codec_success_path(self, tmp_path):
         # a lossless "codec": encode copies the raw input into the
@@ -817,6 +901,54 @@ psnr_y = native
         assert "boom" in failed.notes["stderr_tail"]
         (ok,) = manifest.ok_jobs()
         assert "exit_code" not in ok.notes and "stderr_tail" not in ok.notes
+
+    @pytest.mark.parametrize("tool, what", [("codec", "codec"), ("metric", "slow")])
+    def test_tool_timeout_fails_the_job_naming_the_command(self, tmp_path, tool, what):
+        # the stub sleeps 3 s; the timeout kills it after 0.3 s and the job
+        # ends in a failed record
+        import sys as _sys
+
+        stub = tmp_path / "slowtool.py"
+        stub.write_text("import time\ntime.sleep(3)\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=1, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        if tool == "codec":
+            method = (f"codec = external\nencode_cmd = {_sys.executable} {stub} {{in}} {{out}} {{qp}} {{w}} {{h}}\n"
+                      f"decode_cmd = {_sys.executable} {stub} {{in}} {{out}}")
+            metrics = "psnr_y = native"
+        else:
+            method = "codec = mock"
+            metrics = f"slow = {_sys.executable} {stub} {{ref}} {{dist}}"
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+{tool}_timeout = 0.3
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 1
+frame_rate = 30
+
+[method.slow]
+{method}
+
+[qps]
+pairs = 22:4
+
+[metrics]
+{metrics}
+"""
+        )
+        start = time.perf_counter()
+        manifest = run_experiment(tmp_path / "exp.ini", workers=1)
+        assert time.perf_counter() - start < 3
+        (rec,) = manifest.jobs.values()
+        assert rec.status == "failed"
+        assert f"{what} command timed out after 0.3 s" in rec.error
+        assert str(stub) in rec.error
 
     def test_external_codec_keeps_only_its_bitstream(self, tmp_path):
         # the raw input and decoded files go once read, also when the

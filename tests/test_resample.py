@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rqpipe import Frame, lanczos_weight, resample_frame, resample_plane
+from rqpipe import Frame, bands, lanczos_weight, resample_frame, resample_plane
 from rqpipe.errors import ConfigError, DimensionError
 from rqpipe.resample import LANCZOS3, NEAREST, ResampleFilter, _axis_taps, _filter_axis, parse_scale
 
@@ -273,10 +273,64 @@ class TestKernelCost:
             tracemalloc.stop()
         assert peak < 3 * plane.size * 8
 
+    @pytest.mark.parametrize("factor, shape", [("1/2", (768, 1024)), ("2", (384, 512))])
+    def test_lanczos_holds_its_result_and_three_bands(self, factor, shape):
+        # a 1024x768 float64 plane is 6 MiB; the kernel works through it in
+        # bands, keeping one band of horizontally filtered rows, the band's
+        # vertical sums and their temporaries
+        plane = np.random.default_rng(12).integers(0, 1024, shape).astype(np.uint16)
+        out = resample_plane(plane, Fraction(factor), LANCZOS3, 10)  # warm-up
+        tracemalloc.start()
+        try:
+            resample_plane(plane, Fraction(factor), LANCZOS3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 3 * bands.BAND_BYTES
+
     def test_nearest_at_scale_one_returns_a_copy(self):
         plane = np.arange(12, dtype=np.uint16).reshape(3, 4)
         out = resample_plane(plane, Fraction(1), NEAREST, 10)
         assert np.array_equal(out, plane) and out is not plane
+
+
+class TestRowBands:
+    """Lanczos in bands of output rows equals one whole-plane pass, bit for bit."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("filt", ["lanczos:3", "lanczos:5"])
+    @pytest.mark.parametrize("factor", ["1/2", "1/3", "2/3", "3/4", "3/2", "2"])
+    def test_bands_equal_one_band(self, band_budget, factor, filt, bit_depth):
+        factor, filt = Fraction(factor), ResampleFilter.parse(filt)
+        q = factor.denominator
+        rng = np.random.default_rng(10 * factor.numerator + q + bit_depth)
+        # 29 periods of output rows: any split into two or more bands has
+        # bands of different heights
+        plane = rng.integers(0, 1 << bit_depth, (29 * q, 17 * q)).astype(np.uint8 if bit_depth == 8 else np.uint16)
+        splits = band_budget(bands.BAND_BYTES)
+        whole = resample_plane(plane, factor, filt, bit_depth)
+        assert [len(split) for split in splits] == [1]
+        assert np.array_equal(whole, gather_oracle(plane, factor, filt, bit_depth))
+        for budget in (1, 4000, 16000):
+            splits = band_budget(budget)
+            got = resample_plane(plane, factor, filt, bit_depth)
+            (split,) = splits
+            assert len(split) > 1, budget
+            assert got.dtype == whole.dtype and np.array_equal(got, whole), budget
+
+    def test_strided_plane_is_not_copied_whole(self):
+        # each band reads a slice of the plane's rows; a row gather by
+        # ndarray.take would first copy a strided plane whole
+        plane = np.random.default_rng(13).integers(0, 1024, (768, 2049)).astype(np.uint16)[:, :2048]
+        out = resample_plane(plane, Fraction(1, 2), LANCZOS3, 10)
+        tracemalloc.start()
+        try:
+            resample_plane(plane, Fraction(1, 2), LANCZOS3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 3 * bands.BAND_BYTES
+        assert np.array_equal(out, resample_plane(np.ascontiguousarray(plane), Fraction(1, 2), LANCZOS3, 10))
 
 
 class TestResampleFrame:
