@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import os
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -142,9 +143,16 @@ def cmd_dump_patch(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest = run_experiment(
-        args.config, workdir=args.workdir, workers=args.workers, resume=not args.no_resume
-    )
+    # external tools run in sessions of their own, out of reach of the
+    # terminal's hangup: a hangup stops the run as Ctrl-C does, and the run
+    # kills them
+    hangup = signal.signal(signal.SIGHUP, signal.default_int_handler)
+    try:
+        manifest = run_experiment(
+            args.config, workdir=args.workdir, workers=args.workers, resume=not args.no_resume
+        )
+    finally:
+        signal.signal(signal.SIGHUP, hangup)
     ok = sum(1 for r in manifest.jobs.values() if r.status == "ok")
     failed = len(manifest.jobs) - ok
     print(f"manifest: {manifest.path} ({ok} ok, {failed} failed)")

@@ -1,8 +1,12 @@
 """Exception types shared across the toolkit, the placeholder check of
 external command templates, and the call that runs those commands."""
 
+import os
 import shlex
+import signal
 import subprocess
+import threading
+from contextlib import suppress
 from string import Formatter
 
 
@@ -74,18 +78,53 @@ def check_template(template: str, required, optional=(), *, what: str) -> set[st
     return names
 
 
-def run_tool(cmd: str, what: str, timeout: float | None = None) -> subprocess.CompletedProcess:
-    """Run an external command line, capturing stdout and stderr as text.
+_running: set[int] = set()  # process groups of the tools run_tool waits on
+_running_lock = threading.Lock()
 
-    A command still running after `timeout` seconds (None: no limit) is
-    killed and raises ExternalToolError naming it; the caller checks the
-    exit status.
+
+def _kill_group(pgid: int) -> None:
+    with suppress(ProcessLookupError):  # the group has already gone
+        os.killpg(pgid, signal.SIGKILL)
+
+
+def run_tool(cmd: str, what: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run an external command line, capturing stdout and stderr as text
+    (bytes that are not UTF-8 are replaced).
+
+    The command runs in a session of its own, so no terminal signal
+    reaches it: kill_running_tools stops it. A command still running
+    after `timeout` seconds (None: no limit) is killed with every process
+    it started, reaped, and raises ExternalToolError naming it; the caller
+    checks the exit status.
     """
-    try:
-        return subprocess.run(shlex.split(cmd), capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired as exc:  # its output so far is bytes, or None
-        raise ExternalToolError(
-            f"{what} command timed out after {timeout:g} s: {cmd}",
-            stdout=(exc.stdout or b"").decode(errors="replace"),
-            stderr=(exc.stderr or b"").decode(errors="replace"),
-        ) from None
+    with subprocess.Popen(
+        shlex.split(cmd), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, errors="replace", start_new_session=True,
+    ) as proc:
+        with _running_lock:
+            _running.add(proc.pid)
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except BaseException as exc:
+            _kill_group(proc.pid)  # the unreaped leader keeps its group alive
+            proc.wait()
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
+            raise ExternalToolError(  # its output so far is bytes, or None
+                f"{what} command timed out after {timeout:g} s: {cmd}",
+                stdout=(exc.stdout or b"").decode(errors="replace"),
+                stderr=(exc.stderr or b"").decode(errors="replace"),
+            ) from None
+        finally:
+            with _running_lock:
+                _running.discard(proc.pid)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def kill_running_tools() -> None:
+    """SIGKILL every process group started by a run_tool call, in any
+    thread, that is still waiting; each such call then returns the
+    tool's exit status -9."""
+    with _running_lock:
+        for pgid in _running:
+            _kill_group(pgid)

@@ -1,11 +1,13 @@
 """Raw planar YUV sequence reader and writer.
 
-Sequences are headerless planar files. Each frame stores the luma plane
-row-major, followed by Cb then Cr at half resolution for 4:2:0, or luma
-only for monochrome (used to carry depth maps). 8-bit samples occupy one
-byte; 10-bit samples occupy the low 10 bits of a 16-bit little-endian
-word. Frame k starts at byte k * frame_size_bytes(spec), so single frames
-can be read by seeking.
+Sequences are headerless planar files. Each frame stores its planes
+row-major in the order VideoSpec.plane_shapes gives: luma, then Cb and
+Cr at half resolution for 4:2:0, or luma only for monochrome (used to
+carry depth maps). 8-bit samples occupy one byte; 10-bit samples occupy
+the low 10 bits of a 16-bit little-endian word. Frame k starts at byte
+k * frame_size_bytes(spec), so single frames can be read by seeking.
+Each plane is read straight into its own array and written from its own
+memory, so no frame is held as bytes on the way in or out.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ class VideoSpec:
     def dtype(self):
         return np.uint8 if self.bit_depth == 8 else np.uint16
 
+    @property
+    def plane_shapes(self) -> tuple[tuple[int, int], ...]:
+        """(rows, columns) of each plane of a frame, in file order."""
+        luma = (self.height, self.width)
+        if self.chroma == C400:
+            return (luma,)
+        return (luma, (self.height // 2, self.width // 2), (self.height // 2, self.width // 2))
+
     def scaled(self, factor: Fraction) -> "VideoSpec":
         """Spec with dimensions multiplied by factor (must stay integral)."""
         width, height = scaled_dims(self.width, self.height, factor)
@@ -91,24 +101,12 @@ class Frame:
             yield self.cr
 
     def matches(self, spec: VideoSpec) -> bool:
-        if self.y.shape != (spec.height, spec.width):
-            return False
-        if spec.chroma == C400:
-            return self.cb is None and self.cr is None
-        cdims = (spec.height // 2, spec.width // 2)
-        return (
-            self.cb is not None
-            and self.cr is not None
-            and self.cb.shape == cdims
-            and self.cr.shape == cdims
-        )
+        return [p.shape for p in self.planes()] == list(spec.plane_shapes)
 
 
 def frame_size_bytes(spec: VideoSpec) -> int:
     """Bytes occupied by one frame: 1.5*W*H container words for 4:2:0, W*H for mono."""
-    luma = spec.width * spec.height
-    samples = luma + (luma // 2 if spec.chroma == C420 else 0)
-    return samples * spec.container_bytes
+    return sum(h * w for h, w in spec.plane_shapes) * spec.container_bytes
 
 
 def parse_spec_string(text: str, frame_count: int = 0, label: str = "") -> VideoSpec:
@@ -123,34 +121,37 @@ def parse_spec_string(text: str, frame_count: int = 0, label: str = "") -> Video
         raise ConfigError(f"cannot parse spec string {text!r}, want WxH:bitdepth:chroma") from exc
 
 
-def _parse_plane(buf: bytes, w: int, h: int, spec: VideoSpec, frame_index: int, strict: bool) -> np.ndarray:
-    if spec.bit_depth == 8:
-        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w).copy()
-    plane = np.frombuffer(buf, dtype="<u2").reshape(h, w).astype(np.uint16)
-    if (plane > spec.max_value).any():
-        if strict:
-            raise SampleRangeError(
-                f"frame {frame_index}: sample exceeds {spec.bit_depth}-bit range"
+def _file_dtype(spec: VideoSpec) -> np.dtype:
+    """The container dtype as stored: one byte, or a little-endian 16-bit word."""
+    return np.dtype(spec.dtype).newbyteorder("<")
+
+
+def _check_size(path, spec: VideoSpec, frames: int, what: str) -> None:
+    needed = frames * frame_size_bytes(spec)
+    actual = os.path.getsize(path)
+    if actual < needed:
+        raise TruncatedFileError(f"{path}: need {needed} bytes for {what}, file has {actual}")
+
+
+def _read_frame(fh, spec: VideoSpec, index: int, strict: bool) -> Frame:
+    """Frame `index`, read from fh's position with each plane filled in place."""
+    planes = []
+    for shape in spec.plane_shapes:
+        plane = np.empty(shape, _file_dtype(spec))
+        if fh.readinto(plane) != plane.nbytes:
+            raise TruncatedFileError(f"{fh.name}: file ends inside frame {index}")
+        if spec.bit_depth == 10 and plane.max() > spec.max_value:
+            if strict:
+                raise SampleRangeError(
+                    f"frame {index}: sample exceeds {spec.bit_depth}-bit range"
+                )
+            warnings.warn(
+                f"frame {index}: masking samples above {spec.bit_depth}-bit range",
+                stacklevel=2,
             )
-        warnings.warn(
-            f"frame {frame_index}: masking samples above {spec.bit_depth}-bit range",
-            stacklevel=3,
-        )
-        plane &= spec.max_value
-    return plane
-
-
-def _split_frame(buf: bytes, spec: VideoSpec, frame_index: int, strict: bool) -> Frame:
-    cb = spec.container_bytes
-    luma_bytes = spec.width * spec.height * cb
-    y = _parse_plane(buf[:luma_bytes], spec.width, spec.height, spec, frame_index, strict)
-    if spec.chroma == C400:
-        return Frame(y=y)
-    cw, ch = spec.width // 2, spec.height // 2
-    csize = cw * ch * cb
-    u = _parse_plane(buf[luma_bytes : luma_bytes + csize], cw, ch, spec, frame_index, strict)
-    v = _parse_plane(buf[luma_bytes + csize :], cw, ch, spec, frame_index, strict)
-    return Frame(y=y, cb=u, cr=v)
+            plane &= spec.max_value
+        planes.append(plane)
+    return Frame(*planes)
 
 
 def read_sequence(path, spec: VideoSpec, strict: bool = False) -> Iterator[Frame]:
@@ -159,19 +160,12 @@ def read_sequence(path, spec: VideoSpec, strict: bool = False) -> Iterator[Frame
     The file size is checked eagerly; out-of-range 10-bit samples are
     masked with a warning, or raise SampleRangeError when strict=True.
     """
-    fsize = frame_size_bytes(spec)
-    needed = spec.frame_count * fsize
-    actual = os.path.getsize(path)
-    if actual < needed:
-        raise TruncatedFileError(
-            f"{path}: need {needed} bytes for {spec.frame_count} frames, file has {actual}"
-        )
+    _check_size(path, spec, spec.frame_count, f"{spec.frame_count} frames")
 
     def _frames():
         with open(path, "rb") as fh:
             for k in range(spec.frame_count):
-                buf = fh.read(fsize)
-                yield _split_frame(buf, spec, k, strict)
+                yield _read_frame(fh, spec, k, strict)
 
     return _frames()
 
@@ -180,42 +174,33 @@ def read_frame(path, spec: VideoSpec, index: int, strict: bool = False) -> Frame
     """Read frame `index` directly by seeking (frames are fixed-size records)."""
     if not 0 <= index < spec.frame_count:
         raise IndexError(f"frame index {index} outside [0, {spec.frame_count})")
-    fsize = frame_size_bytes(spec)
-    needed = (index + 1) * fsize
-    actual = os.path.getsize(path)
-    if actual < needed:
-        raise TruncatedFileError(
-            f"{path}: need {needed} bytes for frame {index}, file has {actual}"
-        )
+    _check_size(path, spec, index + 1, f"frame {index}")
     with open(path, "rb") as fh:
-        fh.seek(index * fsize)
-        return _split_frame(fh.read(fsize), spec, index, strict)
-
-
-def _plane_bytes(plane: np.ndarray, spec: VideoSpec, frame_index: int) -> bytes:
-    if (np.asarray(plane) > spec.max_value).any() or (np.asarray(plane) < 0).any():
-        raise SampleRangeError(
-            f"frame {frame_index}: sample outside [0, {spec.max_value}] on write"
-        )
-    if spec.bit_depth == 8:
-        return plane.astype(np.uint8).tobytes()
-    return plane.astype("<u2").tobytes()
+        fh.seek(index * frame_size_bytes(spec))
+        return _read_frame(fh, spec, index, strict)
 
 
 def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path) -> int:
     """Write frames as a raw planar file; returns the byte count written.
 
-    Round-trips bit-exactly with read_sequence for any valid spec.
+    Round-trips bit-exactly with read_sequence for any valid spec. A plane
+    already in the container dtype is written from its own memory; each
+    frame is dropped before the next one is pulled.
     """
     written = 0
+    k = 0
     with open(path, "wb") as fh:
-        for k, frame in enumerate(frames):
+        for frame in frames:
             if not frame.matches(spec):
                 raise DimensionError(
                     f"frame {k} does not match spec {spec.width}x{spec.height} {spec.chroma}"
                 )
             for plane in frame.planes():
-                buf = _plane_bytes(plane, spec, k)
-                fh.write(buf)
-                written += len(buf)
+                if plane.min() < 0 or plane.max() > spec.max_value:
+                    raise SampleRangeError(
+                        f"frame {k}: sample outside [0, {spec.max_value}] on write"
+                    )
+                written += fh.write(np.ascontiguousarray(plane, dtype=_file_dtype(spec)))
+            del frame, plane  # not enumerate(): it would hold the frame during the next pull
+            k += 1
     return written

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +54,7 @@ from ..metrics import METRIC_FIELDS
 from ..postproc_cnn import NetworkSpec, build_mfrnet_style, load_weights, validate_weights
 from ..resample import LANCZOS3, NEAREST, ResampleFilter, parse_scale
 from .codecs import ExternalCodec, MockCodec, QP_MAX, QP_MIN
+from .manifest import sha256_file
 
 # texture/depth quantization pairs of the common test conditions
 DEFAULT_QP_PAIRS = ((22, 4), (27, 7), (32, 11), (37, 15))
@@ -87,6 +88,9 @@ class PostprocConfig:
     net: NetworkSpec
     weights_by_qp: dict[int, Path]
     luma_only: bool = True
+    # sha256 of each weight file by path, taken when validate() first reads
+    # it; a job loads only weights that still hash to it
+    weights_sha256: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def select_weights_qp(self, base_qp_texture: int) -> int:
         """Nearest configured base QP wins; ties go to the lower QP."""
@@ -167,6 +171,8 @@ class ExperimentConfig:
                             f"method {method.label!r}: weights for qp {qp} missing: {path}"
                         )
                     validate_weights(method.postproc.net, load_weights(path))
+                    if str(path) not in method.postproc.weights_sha256:
+                        method.postproc.weights_sha256[str(path)] = sha256_file(path)
         for seq in self.sequences:
             if not Path(seq.path).is_file():
                 raise ConfigError(f"sequence {seq.label!r}: file missing: {seq.path}")

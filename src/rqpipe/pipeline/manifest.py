@@ -2,9 +2,11 @@
 
 The first line is a header echoing the toolkit version and the full
 effective configuration; each further line is one completed (sequence,
-method, qp) job. Appends are flushed immediately so a crash loses at
-most the jobs still in flight, and re-running a config can skip every
-job whose record, source hash and artifact hashes are intact.
+method, qp) job, or a new header when a rerun's configuration differs
+(the last header read wins). Appends are flushed immediately so a crash
+loses at most the jobs still in flight, and re-running a config can skip
+every job whose record, config hash, source hash and artifact hashes are
+intact.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class JobRecord:
     stage_cpu_seconds: dict = field(default_factory=dict)  # stage -> thread-CPU seconds
     artifacts: dict = field(default_factory=dict)  # name -> {path, sha256}
     reference_sha256: str = ""
+    config_sha256: str = ""  # hash of the configuration the job ran with
     postproc_weights_qp: int | None = None
     notes: dict = field(default_factory=dict)
 
@@ -102,11 +105,17 @@ class RunManifest:
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
 
-    def job_intact(self, key: tuple, reference_sha256: str) -> bool:
-        """True when the job succeeded on the source file that now hashes to
-        reference_sha256 and all its artifacts still hash-match."""
+    def job_intact(self, key: tuple, reference_sha256: str, config_sha256: str) -> bool:
+        """True when the job succeeded with the configuration that now hashes
+        to config_sha256, on the source file that now hashes to
+        reference_sha256, and all its artifacts still hash-match."""
         rec = self.jobs.get(key)
-        if rec is None or rec.status != "ok" or rec.reference_sha256 != reference_sha256:
+        if (
+            rec is None
+            or rec.status != "ok"
+            or rec.reference_sha256 != reference_sha256
+            or rec.config_sha256 != config_sha256
+        ):
             return False
         for info in rec.artifacts.values():
             path = Path(info["path"])

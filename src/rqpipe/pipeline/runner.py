@@ -9,20 +9,24 @@ external codec takes its whole input file before it returns a frame.
 External metrics run on the written recon file. Every stage is timed in
 wall and thread-CPU seconds, each second charged to the innermost stage
 running. Jobs run on a bounded worker pool (RQPIPE_WORKERS overrides the
-size) and records are appended to the manifest in deterministic job
-order. For the run, numpy's OpenBLAS gets the CPUs divided by the
-workers as its thread count, so workers and BLAS threads do not
-oversubscribe the CPUs.
+size) and each record is appended to the manifest as its job ends, so
+the lines come in completion order; the record set does not depend on
+the worker count. Each record carries a hash of the configuration its
+job ran with, and resume redoes a job whose hash changed. For the run,
+numpy's OpenBLAS gets the CPUs divided by the workers as its thread
+count, so workers and BLAS threads do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import hashlib
+import json
 import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed, wait
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -31,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import ConfigError, ExternalToolError
+from ..errors import ConfigError, ExternalToolError, kill_running_tools
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import QualityScore, external_metric, mean_psnr, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
@@ -212,7 +216,8 @@ def _run_job(
         if method.postproc is not None:
             pp = method.postproc
             weights_qp = pp.select_weights_qp(base_pair.qp_texture)
-            weights = load_weights(pp.weights_by_qp[weights_qp])
+            path = pp.weights_by_qp[weights_qp]
+            weights = load_weights(path, sha256=pp.weights_sha256[str(path)])
             rec.postproc_weights_qp = weights_qp
 
             def postprocess(frame):
@@ -282,6 +287,36 @@ def _run_job(
     return rec
 
 
+def _job_config_hashes(cfg: ExperimentConfig, echo: dict) -> dict[tuple, str]:
+    """config_sha256 of every job, by (sequence, method, qp index) key.
+
+    It hashes what the job reads from the config echo (its sequence, its
+    method with the codec description but not the codec's timeout, which
+    cannot change a job that succeeded, its QP pair, the metrics and the
+    PSNR cap) and, for a post-processing method, its network and the
+    sha256 of the weight file the job loads, as validate() recorded it.
+    """
+    hashes = {}
+    pairs = [json.dumps(p).encode() for p in echo["qp_pairs"]]
+    for method, method_echo in zip(cfg.methods, echo["methods"]):
+        codec = {k: v for k, v in method_echo["codec"].items() if k != "timeout"}
+        method_echo = {**method_echo, "codec": codec}
+        pp = method.postproc
+        tails = pairs if pp is None else [
+            pair + pp.net.sha256.encode()
+            + pp.weights_sha256[str(pp.weights_by_qp[pp.select_weights_qp(p.qp_texture)])].encode()
+            for pair, p in zip(pairs, cfg.qp_pairs)
+        ]
+        for seq, seq_echo in zip(cfg.sequences, echo["sequences"]):
+            doc = [seq_echo, method_echo, echo["metrics"], echo["psnr_inf_cap"]]
+            base = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+            for qi, tail in enumerate(tails):
+                h = base.copy()
+                h.update(tail)
+                hashes[(seq.label, method.label, qi)] = h.hexdigest()
+    return hashes
+
+
 def run_experiment(
     config,
     workdir=None,
@@ -291,11 +326,12 @@ def run_experiment(
 ) -> RunManifest:
     """Run every job of an experiment config (path or ExperimentConfig).
 
-    The manifest is persisted incrementally; with resume=True, jobs whose
-    records, source hashes and artifact hashes are intact are skipped.
-    While it runs, numpy's OpenBLAS uses max(1, CPUs // workers) threads;
-    the header of a new manifest records the count before and during the
-    run, the numpy version, the CPU count and the workers.
+    The manifest is persisted incrementally, each record as its job ends;
+    with resume=True, jobs whose records, config hashes, source hashes and
+    artifact hashes are intact are skipped. A manifest whose header echoes
+    another config gets a new header. While it runs, numpy's OpenBLAS uses
+    max(1, CPUs // workers) threads; the header records the count before
+    and during the run, the numpy version, the CPU count and the workers.
     """
     cfg = load_experiment(config) if not isinstance(config, ExperimentConfig) else config
     cfg.validate()
@@ -307,15 +343,16 @@ def run_experiment(
     if not resume and manifest_path.exists():
         manifest_path.unlink()
 
+    echo = config_as_dict(cfg)
     cpus = _cpu_count()
     with _blas_threads(max(1, cpus // n_workers)) as (blas_before, blas_during):
-        if not manifest.header:
+        if manifest.header.get("config") != echo:  # the echo holds JSON types only
             manifest.write_header(
                 {
                     "toolkit": "rqpipe",
                     "version": __version__,
                     "created_unix": round(time.time(), 3),
-                    "config": config_as_dict(cfg),
+                    "config": echo,
                     "environment": {
                         "numpy": np.__version__,
                         "cpu_count": cpus,
@@ -327,6 +364,7 @@ def run_experiment(
             )
 
         reference_hashes = {s.label: sha256_file(s.path) for s in cfg.sequences}
+        config_hashes = _job_config_hashes(cfg, echo)
         jobs = [
             (seq, method, qi, pair)
             for seq in cfg.sequences
@@ -338,7 +376,10 @@ def run_experiment(
             for seq, method, qi, pair in jobs
             if not (
                 resume
-                and manifest.job_intact((seq.label, method.label, qi), reference_hashes[seq.label])
+                and manifest.job_intact(
+                    (seq.label, method.label, qi), reference_hashes[seq.label],
+                    config_hashes[(seq.label, method.label, qi)],
+                )
             )
         ]
 
@@ -347,7 +388,22 @@ def run_experiment(
                 pool.submit(_run_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
                 for seq, method, qi, pair in todo
             ]
-            # append in submission order so manifests are deterministic
-            for future in futures:
-                manifest.append_job(future.result())
+            try:
+                # append each record as its job ends, so a finished job is on
+                # disk while slower jobs submitted before it still run
+                for future in as_completed(futures):
+                    rec = future.result()
+                    rec.config_sha256 = config_hashes[rec.key]
+                    manifest.append_job(rec)
+            except BaseException:
+                # on Ctrl-C or any error: drop the queued jobs and kill the
+                # external tools of the running ones (in sessions of their
+                # own, no terminal signal reaches them) until those jobs end
+                for future in futures:
+                    future.cancel()
+                pending = futures
+                while pending:
+                    kill_running_tools()
+                    pending = wait(pending, timeout=0.1).not_done
+                raise
     return manifest

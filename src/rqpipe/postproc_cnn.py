@@ -37,6 +37,7 @@ Trailing bytes after the last record are an error.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from collections import Counter
@@ -201,6 +202,11 @@ class NetworkSpec:
         }
         return json.dumps(doc, indent=2)
 
+    @cached_property
+    def sha256(self) -> str:
+        """sha256 of to_json(), computed once per spec."""
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
+
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
         try:
@@ -273,10 +279,13 @@ def save_weights(path, weights: dict[str, tuple[np.ndarray, np.ndarray]]) -> Non
             fh.write(b.astype("<f4").tobytes())
 
 
-def load_weights(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read a weight file; trailing bytes or short reads are format errors."""
+def load_weights(path, sha256: str | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Read a weight file; trailing bytes or short reads are format errors,
+    and so is a file whose bytes do not hash to `sha256`, when given."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if sha256 is not None and (actual := hashlib.sha256(blob).hexdigest()) != sha256:
+        raise WeightFormatError(f"{path}: changed, its sha256 is {actual}, not {sha256}")
     if blob[:5] != MAGIC:
         raise WeightFormatError(f"{path}: bad magic {blob[:5]!r}")
     pos = 5
@@ -681,9 +690,13 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
     full-width row strips that fit with receptive_radius() rows of margin
     on each side; a net whose convs change the plane size runs whole.
     Repeated runs are bit-identical; strips equal one whole run (see conv2d).
+    Normalizing and the residual add work in place, and the float64
+    rounding runs over row bands (rqpipe.bands) into the integer output,
+    so no whole float64 plane is made.
     """
     maxv = (1 << bit_depth) - 1
-    x = (plane.astype(np.float32) / np.float32(maxv))[None, :, :]
+    x = plane.astype(np.float32)[None, :, :]
+    x /= np.float32(maxv)
     rows = _strip_rows(net, x)  # its net.storage_plan validates the net
     validate_weights(net, weights)
     y = _apply_strips(net, weights, x, rows)
@@ -694,9 +707,15 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
             raise ShapeError(
                 f"global residual needs matching shapes, got {y.shape} vs {x.shape}"
             )
-        y = y + x
-    out = np.floor(y[0].astype(np.float64) * maxv + 0.5)
-    return np.clip(out, 0, maxv).astype(plane.dtype)
+        y += x  # also when the output is the input itself: x + x either way
+    out = np.empty(y.shape[1:], plane.dtype)
+    for r0, r1 in row_bands(out.shape[0], out.shape[1] * 8):
+        band = y[0, r0:r1].astype(np.float64)
+        band *= maxv
+        band += 0.5
+        np.floor(band, out=band)
+        out[r0:r1] = np.clip(band, 0, maxv, out=band)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame_io import C400, Frame, VideoSpec
+from .frame_io import Frame, VideoSpec
 
 
 def synthetic_plane(width, height, t, max_value, rng) -> np.ndarray:
@@ -29,19 +29,10 @@ def synthetic_sequence(spec: VideoSpec, seed: int = 0) -> list[Frame]:
     rng = np.random.default_rng(seed)
     frames = []
     for t in range(spec.frame_count):
-        y = synthetic_plane(spec.width, spec.height, t, spec.max_value, rng)
-        y = np.floor(y + 0.5).astype(spec.dtype)
-        if spec.chroma == C400:
-            frames.append(Frame(y=y))
-            continue
-        cw, ch = spec.width // 2, spec.height // 2
-        cb = synthetic_plane(cw, ch, t + 31, spec.max_value, rng)
-        cr = synthetic_plane(cw, ch, t + 67, spec.max_value, rng)
-        frames.append(
-            Frame(
-                y=y,
-                cb=np.floor(cb + 0.5).astype(spec.dtype),
-                cr=np.floor(cr + 0.5).astype(spec.dtype),
-            )
+        # luma, then each chroma plane at a phase of its own
+        planes = (
+            synthetic_plane(w, h, t + phase, spec.max_value, rng)
+            for (h, w), phase in zip(spec.plane_shapes, (0, 31, 67))
         )
+        frames.append(Frame(*(np.floor(p + 0.5).astype(spec.dtype) for p in planes)))
     return frames

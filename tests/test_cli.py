@@ -248,6 +248,72 @@ pairs = 22:4
         assert "1 failed" in capsys.readouterr().out
 
 
+    @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="reads process states from /proc")
+    def test_hangup_kills_the_running_tool(self, tmp_path):
+        # the encoder sleeps 30 s in a session of its own; a hangup of
+        # `rqpipe run` still stops the run and the encoder with it
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import rqpipe
+
+        stub = tmp_path / "sleepcodec.py"
+        stub.write_text("import os, sys, time\nopen(sys.argv[2] + '.pid', 'w').write(str(os.getpid()))\ntime.sleep(30)\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=1, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 1
+frame_rate = 30
+[method.anchor]
+codec = external
+encode_cmd = {sys.executable} {stub} {{in}} {{out}} {{qp}} {{w}} {{h}}
+decode_cmd = {sys.executable} {stub} {{in}} {{out}}
+[qps]
+pairs = 22:4
+"""
+        )
+        def alive(pid):  # a zombie awaiting its reaper has already died
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"
+
+        env = {**os.environ, "PYTHONPATH": str(Path(rqpipe.__file__).parents[1])}
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "rqpipe.cli", "run", str(tmp_path / "exp.ini"), "--workers", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        pid = None
+        try:
+            deadline = time.monotonic() + 20.0
+            while not (pidfiles := list((tmp_path / "out").rglob("*.pid"))) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.1)  # the stub has written its pid
+            pid = int(pidfiles[0].read_text())
+            cli.send_signal(signal.SIGHUP)
+            assert cli.wait(timeout=10) != 0
+            deadline = time.monotonic() + 2.0
+            while alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not alive(pid)
+        finally:
+            cli.kill()
+            cli.wait()
+            if pid is not None and alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 def readme_cli_lines():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```\n(.*?)```", text, re.S).group(1)

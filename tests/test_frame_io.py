@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,16 @@ class TestFrameSizeBytes:
     def test_420_frame_is_one_and_a_half_luma(self):
         spec = VideoSpec(4, 4, 8, C420)
         assert frame_size_bytes(spec) == 16 + 4 + 4
+
+    @pytest.mark.parametrize("chroma", [C420, C400])
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_plane_shapes_add_up_to_the_frame_size(self, chroma, bit_depth):
+        spec = VideoSpec(12, 6, bit_depth, chroma)
+        shapes = spec.plane_shapes
+        assert shapes[0] == (6, 12)
+        assert shapes[1:] == (((3, 6), (3, 6)) if chroma == C420 else ())
+        samples = sum(h * w for h, w in shapes)
+        assert samples * spec.container_bytes == frame_size_bytes(spec)
 
 
 class TestRead:
@@ -86,6 +99,16 @@ class TestRead:
         with pytest.raises(SampleRangeError, match="frame 1"):
             list(read_sequence(path, spec, strict=True))
 
+    def test_file_cut_short_after_the_size_check_raises(self, tmp_path):
+        path = tmp_path / "a.yuv"
+        spec = VideoSpec(4, 4, 10, C420, frame_count=2)
+        write_sequence([make_frame(spec, np.random.default_rng(1)) for _ in range(2)], spec, path)
+        frames = read_sequence(path, spec)  # the size check passes here
+        os.truncate(path, frame_size_bytes(spec) + 40)  # inside frame 1's luma
+        next(frames)
+        with pytest.raises(TruncatedFileError, match="frame 1"):
+            next(frames)
+
     def test_read_frame_seeks(self, tmp_path):
         path = tmp_path / "a.yuv"
         path.write_bytes(bytes(range(8)))
@@ -137,6 +160,42 @@ class TestWrite:
         frame = Frame(y=np.full((2, 2), 1024, np.uint16))
         with pytest.raises(SampleRangeError):
             write_sequence([frame], spec, tmp_path / "x.yuv")
+
+
+class TestCopies:
+    """Planes are read into and written from their own arrays, not via bytes."""
+
+    SPEC = VideoSpec(512, 256, 10, C420, frame_count=3)
+
+    def test_reading_a_frame_holds_one_frame(self, tmp_path):
+        spec = self.SPEC
+        path = tmp_path / "a.yuv"
+        write_sequence([make_frame(spec, np.random.default_rng(2)) for _ in range(3)], spec, path)
+        frames = read_sequence(path, spec)
+        next(frames)  # opens the file
+        tracemalloc.start()
+        try:
+            held = next(frames)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            latest = next(frames)  # read while the previous frame is still held
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held.y.dtype == latest.y.dtype == np.uint16
+        assert extra < frame_size_bytes(spec) + 64 * 1024
+
+    def test_writing_container_planes_copies_nothing(self, tmp_path):
+        spec = self.SPEC
+        frames = [make_frame(spec, np.random.default_rng(3)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            written = write_sequence(frames, spec, tmp_path / "a.yuv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written == 3 * frame_size_bytes(spec)
+        assert peak < 64 * 1024  # a whole Cb plane is 128 KiB
 
 
 class TestSpecValidation:

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import os
+import signal
 import time
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from rqpipe import (
     synthetic_sequence,
     write_sequence,
 )
-from rqpipe.errors import ConfigError, DimensionError
+from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, run_tool
 from rqpipe.pipeline import (
     DEFAULT_QP_PAIRS,
     HALF_RES_QP_OFFSET,
@@ -274,6 +277,139 @@ class TestDeterminismAndResume:
         )
         assert self.strip_volatile(again) == self.strip_volatile(first)
         assert self.strip_volatile(RunManifest.load(path)) == self.strip_volatile(first)
+
+
+    def test_resume_redoes_jobs_of_a_changed_config(self, tmp_path):
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2)
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        body = """
+[run]
+workdir = out
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+[method.anchor]
+codec = mock
+qp_texture_offset = 0
+[qps]
+pairs = 27:7
+"""
+        (tmp_path / "exp.ini").write_text(body)
+        first = run_experiment(tmp_path / "exp.ini", workers=1)
+        (old,) = first.ok_jobs()
+        assert old.qp_texture == 27 and old.config_sha256
+        (tmp_path / "exp.ini").write_text(body.replace("qp_texture_offset = 0", "qp_texture_offset = -10"))
+        again = run_experiment(tmp_path / "exp.ini", workers=1)
+        (new,) = again.ok_jobs()
+        assert new.qp_texture == 17 and new.total_bits > old.total_bits
+        assert new.config_sha256 != old.config_sha256
+        path = tmp_path / "out" / "manifest.jsonl"
+        kinds = [json.loads(line)["record"] for line in path.read_text().splitlines()]
+        assert kinds == ["run_header", "job", "run_header", "job"]
+        assert RunManifest.load(path).header["config"]["methods"][0]["qp_texture_offset"] == -10
+
+    def test_resume_redoes_jobs_of_a_changed_weight_file(self, experiment_dir):
+        from rqpipe import build_mfrnet_style
+
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        save_weights(experiment_dir / "w27.rqpw", random_weights(build_mfrnet_style(1, 1, 4, 4), seed=1, scale=0.02))
+        again = run_experiment(experiment_dir / "exp.ini", workers=1)
+        lines = (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 12 + 1  # same config echo, so no new header
+        redone = json.loads(lines[-1])
+        assert (redone["method"], redone["qp_index"]) == ("postproc", 1)
+        assert len(again.ok_jobs()) == 12
+
+    def test_resume_redoes_records_without_a_config_hash(self, experiment_dir):
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        path = experiment_dir / "out" / "manifest.jsonl"
+        old = []
+        for line in path.read_text().splitlines():
+            doc = json.loads(line)
+            doc.pop("config_sha256", None)
+            old.append(json.dumps(doc, sort_keys=True))
+        path.write_text("\n".join(old) + "\n")
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        assert len(path.read_text().splitlines()) == 1 + 12 + 12
+
+    def test_a_weight_file_changed_after_validation_fails_its_job(self, experiment_dir):
+        # the config records each weight file's sha256 when it validates it;
+        # a job refuses weights that no longer hash to it
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        run_experiment(cfg, workers=1)
+        save_weights(experiment_dir / "w27.rqpw", random_weights(build_mfrnet_style(1, 1, 4, 4), seed=1, scale=0.02))
+        manifest = run_experiment(cfg, workers=1, resume=False)
+        (failed,) = [r for r in manifest.jobs.values() if r.status != "ok"]
+        assert (failed.method, failed.qp_index) == ("postproc", 1)
+        assert "w27.rqpw: changed, its sha256 is" in failed.error
+
+    def test_resume_keeps_jobs_when_only_the_codec_timeout_changes(self, tmp_path):
+        # a longer timeout cannot change a job that succeeded: no ok record
+        # is redone, and the new echo gets its own header
+        import sys as _sys
+
+        codec = tmp_path / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=1, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        body = f"""
+[run]
+workdir = out
+codec_timeout = {{timeout}}
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 1
+frame_rate = 30
+
+[method.ext]
+codec = external
+encode_cmd = {_sys.executable} {codec} {{{{in}}}} {{{{out}}}} {{{{qp}}}} {{{{w}}}} {{{{h}}}}
+decode_cmd = {_sys.executable} {codec} {{{{in}}}} {{{{out}}}}
+
+[qps]
+pairs = 22:4, 37:15
+"""
+        (tmp_path / "exp.ini").write_text(body.format(timeout=30))
+        assert len(run_experiment(tmp_path / "exp.ini", workers=1).ok_jobs()) == 2
+        (tmp_path / "exp.ini").write_text(body.format(timeout=60))
+        again = run_experiment(tmp_path / "exp.ini", workers=1)
+        lines = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 2 + 1
+        assert json.loads(lines[-1])["config"]["methods"][0]["codec"]["timeout"] == 60
+        assert len(again.ok_jobs()) == 2
+
+    def test_a_record_is_appended_when_its_job_ends(self, experiment_dir, monkeypatch):
+        # the first job waits, for at most 10 s, until the second job's
+        # record is in the manifest file: it is there only if records are
+        # appended as jobs end, not in submission order
+        path = experiment_dir / "out" / "manifest.jsonl"
+        run_job = runner._run_job
+        seen = []
+
+        def second_on_disk():
+            lines = path.read_text().split("\n")[:-1] if path.exists() else []
+            return any(
+                (doc.get("method"), doc.get("qp_index")) == ("anchor", 1) for doc in map(json.loads, lines)
+            )
+
+        def job(seq, method, qi, *args):
+            if (method.label, qi) == ("anchor", 0):
+                deadline = time.monotonic() + 10.0
+                while not second_on_disk() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen.append(second_on_disk())
+            return run_job(seq, method, qi, *args)
+
+        monkeypatch.setattr(runner, "_run_job", job)
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert seen == [True]
+        assert len(manifest.ok_jobs()) == 12
 
 
 class TestWorkerCount:
@@ -677,14 +813,11 @@ pairs = 27:7
 class TestJobPeak:
     """No stage of a job holds a whole float64 plane."""
 
-    @pytest.mark.parametrize("method", ["anchor", "rescaled"])
-    def test_job_peak_leaves_no_room_for_a_float_plane(self, tmp_path, method):
-        # A 960x544 10-bit 4:2:0 frame is 1.5 MiB. A job holds about six
-        # frames' worth: the source frame and the bytes it was read from,
-        # the int32 coefficients (two frames), the decoded frame and the
-        # one the writer has just written, plus band scratch, about 10.8 MiB.
-        # The bound of eight frames is 11.95 MiB: a whole float64 luma plane
-        # (4 MiB) on top does not fit under it.
+    FRAME_BYTES = 960 * 544 * 3 // 2 * 2
+
+    @staticmethod
+    def job_peak(tmp_path, method):
+        """tracemalloc peak of a 960x544 10-bit 4:2:0 two-frame job, after a warm-up run."""
         spec = VideoSpec(960, 544, 10, "420", frame_count=2)
         write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
         (tmp_path / "exp.ini").write_text(
@@ -721,8 +854,26 @@ pairs = 27:7
         finally:
             tracemalloc.stop()
         assert rec.status == "ok", rec.error
-        frame_bytes = 960 * 544 * 3 // 2 * 2
-        assert peak < 8 * frame_bytes
+        return peak
+
+    @pytest.mark.parametrize("method", ["anchor", "rescaled"])
+    def test_job_peak_leaves_no_room_for_a_float_plane(self, tmp_path, method):
+        # A 960x544 10-bit 4:2:0 frame is 1.5 MiB. A job holds about six
+        # frames' worth: the source frame, the int32 coefficients (two
+        # frames), the decoded frames and band scratch, about 9 MiB.
+        # The bound of eight frames is 11.95 MiB: a whole float64 luma plane
+        # (4 MiB) on top does not fit under it.
+        peak = self.job_peak(tmp_path, method)
+        assert peak < 8 * self.FRAME_BYTES
+
+    @pytest.mark.parametrize("method, frames", [("anchor", 6.5), ("rescaled", 5)])
+    def test_job_peak_holds_no_raw_frame_bytes(self, tmp_path, method, frames):
+        # Frames are read into and written from their plane arrays. Reading
+        # through a whole-frame bytes buffer and writing through tobytes()
+        # copies cost about 1.2 frames more on anchor (10.8 MiB) and 2 more
+        # on rescaled (9.1 MiB); now they peak at 9.0 and 5.9 MiB.
+        peak = self.job_peak(tmp_path, method)
+        assert peak < frames * self.FRAME_BYTES
 
 
 class TestFailureHandling:
@@ -949,6 +1100,123 @@ pairs = 22:4
         assert rec.status == "failed"
         assert f"{what} command timed out after 0.3 s" in rec.error
         assert str(stub) in rec.error
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_tool_timeout_kills_what_the_tool_started(self, tmp_path):
+        # a wrapper that starts a 4 s grandchild and waits for it: the
+        # timeout kills the whole process group, not only the wrapper
+        def alive(pid):  # a zombie awaiting its reaper has already died
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"
+
+        pidfile = tmp_path / "grandchild.pid"
+        script = tmp_path / "wrapper.sh"
+        script.write_text(f"sleep 4 &\necho $! > {pidfile}\nwait\n")
+        with pytest.raises(ExternalToolError, match="codec command timed out after 0.3 s"):
+            run_tool(f"sh {script}", "codec", timeout=0.3)
+        pid = int(pidfile.read_text())
+        try:
+            deadline = time.monotonic() + 2.0
+            while alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not alive(pid)
+        finally:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_interrupt_kills_the_running_tools(self, tmp_path):
+        # Ctrl-C while two encoders sleep 30 s: the run stops at once, the
+        # encoders are gone and the queued third job never starts
+        import sys as _sys
+        import threading
+
+        def alive(pid):  # a zombie awaiting its reaper has already died
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"
+
+        stub = tmp_path / "sleepcodec.py"
+        stub.write_text(
+            "import os, sys, time\n"
+            "open(sys.argv[2] + '.pid', 'w').write(str(os.getpid()))\n"
+            "time.sleep(30)\n"
+        )
+        spec = VideoSpec(16, 16, 8, "420", frame_count=1, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 1
+frame_rate = 30
+
+[method.ext]
+codec = external
+encode_cmd = {_sys.executable} {stub} {{in}} {{out}} {{qp}} {{w}} {{h}}
+decode_cmd = {_sys.executable} {stub} {{in}} {{out}}
+
+[qps]
+pairs = 22:4, 27:7, 32:11
+"""
+        )
+        pidfiles = lambda: sorted((tmp_path / "out").rglob("*.pid"))  # noqa: E731
+        main = threading.main_thread().ident
+
+        def interrupt():
+            deadline = time.monotonic() + 10.0
+            while len(pidfiles()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.1)  # the stubs have written their pids
+            signal.pthread_kill(main, signal.SIGINT)
+
+        threading.Thread(target=interrupt, daemon=True).start()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tmp_path / "exp.ini", workers=2)
+        assert time.monotonic() - start < 10
+        pids = [int(f.read_text()) for f in pidfiles()]
+        try:
+            assert len(pids) == 2
+            deadline = time.monotonic() + 2.0
+            while any(map(alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(alive, pids))
+        finally:
+            for pid in filter(alive, pids):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_tool_output_that_is_not_utf8_is_replaced(self, tmp_path):
+        import sys as _sys
+
+        stub = tmp_path / "binary.py"
+        stub.write_text("import sys\nsys.stdout.buffer.write(b'\\xff ok')\n")
+        assert run_tool(f"{_sys.executable} {stub}", "metric").stdout == "\ufffd ok"
+
+    def test_error_after_the_tool_was_reaped_propagates(self, monkeypatch):
+        # the tool has exited and been reaped, so its group is gone: the
+        # original error must surface, not the failed kill of the group
+        import subprocess
+
+        communicate = subprocess.Popen.communicate
+
+        def fail_after(proc, *args, **kwargs):
+            communicate(proc, *args, **kwargs)
+            raise RuntimeError("after the tool ended")
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", fail_after)
+        with pytest.raises(RuntimeError, match="after the tool ended"):
+            run_tool("true", "codec")
 
     def test_external_codec_keeps_only_its_bitstream(self, tmp_path):
         # the raw input and decoded files go once read, also when the

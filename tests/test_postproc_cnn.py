@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rqpipe.postproc_cnn as postproc_cnn
+from rqpipe import bands
 from rqpipe import (
     NetworkSpec,
     apply_network,
@@ -313,6 +314,25 @@ class TestApplyNetwork:
         finally:
             tracemalloc.stop()
         assert peak < 0.6 * all_values, f"peak {peak} of {all_values} bytes"
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_no_whole_float64_plane(self, residual):
+        # A one-conv 1x1 net at 1080p holds the float32 input (4 B/px), the
+        # one-channel conv's two-row GEMM output (8 B/px, see _conv) and its
+        # float32 result (4 B/px). Normalizing and the residual add work in
+        # place and the rounding runs in row bands, so the peak is 16 B/px
+        # plus band scratch; whole float64 rounding temporaries made it 26.
+        net = identity_net(residual=residual)
+        weights = {"c": (np.full((1, 1, 1, 1), 0.5, np.float32), np.full(1, 0.01, np.float32))}
+        plane = np.random.default_rng(26).integers(0, 1024, (1080, 1920)).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            out = apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == plane.shape and out.dtype == np.uint16
+        assert peak < 16 * plane.size + 2 * bands.BAND_BYTES
 
     def test_missing_weights_rejected(self):
         net = identity_net()
