@@ -41,25 +41,25 @@ print(f"\ndecoded psnr vs clean:  {psnr_y(Frame(y=clean), Frame(y=decoded.y), 8)
 print(f"enhanced psnr vs clean: {psnr_y(Frame(y=clean), Frame(y=enhanced), 8):.2f} dB "
       f"(random weights, so no gain expected; trained weights go here)")
 
-# apply_network bounds its own memory. It estimates the graph's working
-# set as peak live channels x H x W x 4 bytes plus one column buffer; over
-# a 2 GiB budget, which the full-size net passes at 4096x2048, it runs the
-# graph over full-width row strips, each with receptive-radius rows of
-# margin above and below, then adds the residual and rounds once.
-# Shrinking the budget to 16-row strips shows the split on this plane.
-# BLAS fixes the order of the conv sums, so equality is a tested property
-# (tests/test_postproc_cnn.py::TestGemmBanding).
-live = max(net.storage_plan.live_channels)
-budget = postproc_cnn._PLANE_BYTES
-postproc_cnn._PLANE_BYTES = postproc_cnn._COLS_BYTES + live * 48 * 4 * (16 + 2 * net.receptive_radius())
+# apply_network runs the whole graph in one pass of row bands: each value
+# keeps a ring of only the rows its readers still read (for a 3x3 conv, its
+# band plus the halo rows), so the working set grows with the plane's width,
+# not its height. Shrinking the band budget to 16-row bands shows the split
+# on this plane. However few rows a conv runs at a time, its GEMMs sum in
+# the whole-plane order, so equality is a tested property
+# (tests/test_postproc_cnn.py::TestGemmBanding and TestShortRuns).
+budget = postproc_cnn.BAND_BYTES
+postproc_cnn.BAND_BYTES = sum(net.storage_plan.stores) * 48 * 4 * 16
 try:
-    strips = apply_network(net, weights, decoded.y, 8)
+    banded = apply_network(net, weights, decoded.y, 8)
 finally:
-    postproc_cnn._PLANE_BYTES = budget
-print(f"\nrow strips (16 rows) == whole plane: {np.array_equal(strips, enhanced)}")
+    postproc_cnn.BAND_BYTES = budget
+print(f"\nrow bands (16 rows) == whole plane: {np.array_equal(banded, enhanced)}")
 full = build_mfrnet_style()
-print(f"full-size net, one 4096x2048 plane whole: "
-      f"{max(full.storage_plan.live_channels) * 4096 * 2048 * 4 / 1e9:.1f} GB, so it runs in strips")
+rings = postproc_cnn._schedule(full, (1, 2048, 4096), np.float32, True).rows
+print(f"full-size net, one 4096x2048 plane: rings of {min(rings)} to {max(rings)} rows, "
+      f"{sum(c * r for c, r in zip(full.storage_plan.stores, rings)) * 4096 * 4 / 1e6:.0f} MB "
+      f"(6.4 GB whole)")
 
 # Inference is deterministic: rerunning produces the identical plane.
 again = apply_network(net, weights, decoded.y, 8)

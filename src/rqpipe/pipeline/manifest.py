@@ -6,16 +6,20 @@ method, qp) job, or a new header when a rerun's configuration differs
 (the last header read wins). Appends are flushed immediately so a crash
 loses at most the jobs still in flight, and re-running a config can skip
 every job whose record, config hash, source hash and artifact hashes are
-intact.
+intact. A job record with a field this version does not know is skipped,
+with a warning, so its job is redone and left out of reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+log = logging.getLogger(__name__)
 
 
 def sha256_file(path, chunk=1 << 20) -> str:
@@ -61,6 +65,9 @@ class JobRecord:
         return json.dumps(doc, sort_keys=True)
 
 
+_RECORD_FIELDS = {f.name for f in fields(JobRecord)}
+
+
 class RunManifest:
     """In-memory view plus append-only JSONL persistence."""
 
@@ -87,9 +94,16 @@ class RunManifest:
             doc = json.loads(line)
             if doc.pop("record", "job") == "run_header":
                 man.header = doc
-            else:
-                rec = JobRecord(**doc)
-                man.jobs[rec.key] = rec
+                continue
+            unknown = sorted(doc.keys() - _RECORD_FIELDS)
+            if unknown:
+                key = (doc.get("sequence"), doc.get("method"), doc.get("qp_index"))
+                log.warning("%s: skipping the record of job %s, whose field(s) %s this version does not know",
+                            man.path, key, ", ".join(unknown))
+                man.jobs.pop(key, None)
+                continue
+            rec = JobRecord(**doc)
+            man.jobs[rec.key] = rec
         return man
 
     def write_header(self, header: dict) -> None:

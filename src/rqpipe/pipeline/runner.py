@@ -333,8 +333,11 @@ def run_experiment(
     max(1, CPUs // workers) threads; the header records the count before
     and during the run, the numpy version, the CPU count and the workers.
     """
-    cfg = load_experiment(config) if not isinstance(config, ExperimentConfig) else config
-    cfg.validate()
+    if isinstance(config, ExperimentConfig):
+        cfg = config
+        cfg.validate()
+    else:
+        cfg = load_experiment(config)  # parses and validates
     n_workers = _worker_count(workers)
     out = Path(workdir) if workdir is not None else cfg.workdir
     out.mkdir(parents=True, exist_ok=True)

@@ -6,18 +6,21 @@ before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
 Each conv is im2col + one GEMM per band of output rows, with the column
 buffer bounded by _COLS_BYTES; a 1x1 conv multiplies the band's view of
-its input and needs no column buffer. A storage plan, derived once per
-NetworkSpec from the graph's readers and liveness (never from layer
-names), gives every value its place. Concats follow one rule: one whose
-inputs are not placed yet puts them side by side in a fresh shared
-(C, H, W) buffer and is a slice of it; one whose inputs already sit in
-order in one buffer is a slice of that; any other is a copy. The bias,
-and an activation that is a conv's only reader, are applied to each band
-right after its GEMM; an add accumulates into its first input when
-nothing else reads that. Each value is freed once its last consumer has
-run, so the working set is a few live buffers plus one band rather than
-every channel of the network; over _PLANE_BYTES, apply_network runs the
-graph over row strips, bounding it at any size.
+its input and needs no column buffer. apply_network runs the whole graph
+in one pass of row bands, top to bottom (the fused-layer schedule of
+Alwani et al., MICRO 2016): each value lives in a ring of rows that keeps
+only what its readers still read, for a 3x3 conv's input its run plus
+the halo rows, so no row is computed twice or moved and the working set
+grows with the band, not the plane. However few rows a conv runs at a
+time, its GEMMs sum as the whole-plane run's do. A storage plan, derived
+once per NetworkSpec from the graph's readers (never from layer names),
+gives every value its store.
+Concats follow one rule: one whose inputs are not placed yet puts them
+side by side in a fresh shared store and is a slice of it; one whose
+inputs already sit in order in one store is a slice of that; any other
+is a copy. The bias, and an activation that is a conv's only reader,
+are applied to each band right after its GEMM; an add accumulates into
+its first input when nothing else reads that.
 build_mfrnet_style constructs the residual dense block cascade used for
 decoder-side enhancement; trained weights arrive through a small binary
 weight-file format, so any training pipeline can feed this engine.
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import row_bands
+from .bands import BAND_BYTES, band_count, row_bands
 from .errors import ConfigError, ShapeError, WeightFormatError
 
 MAGIC = b"RQPW1"
@@ -61,11 +64,10 @@ MAGIC = b"RQPW1"
 # cutoff (1e6)
 _COLS_BYTES = 8 << 20
 
-# upper bound on the working set of one graph evaluation in apply_network.
-# At 2 GiB the default net (192 live channels) runs every plane up to 1080p
-# whole, at 1.6 GB, and a 4096x2048 plane (6.4 GB whole) as four strips of
-# 512 rows at 1.7 GB each, so two workers fit in 8 GB
-_PLANE_BYTES = 2 << 30
+# OpenBLAS sends a GEMM with M*N*K at most this to a small-matrix kernel
+# that sums in another order, so a conv run on a few rows multiplies more
+# columns where the whole-plane GEMM is above it (see _conv)
+_SMALL_GEMM = 10**6
 
 CONV2D = "conv2d"
 ACTIVATION = "activation"
@@ -163,7 +165,7 @@ class NetworkSpec:
 
     @cached_property
     def storage_plan(self) -> StoragePlan:
-        """Where _apply_layers keeps each value; planned once per spec."""
+        """Where the band pass keeps each value; planned once per spec."""
         return _plan_storage(self)
 
     def conv_layers(self) -> list[LayerSpec]:
@@ -350,14 +352,8 @@ def random_weights(net: NetworkSpec, seed: int = 0, scale: float = 0.05):
 # ---------------------------------------------------------------------------
 
 
-def _conv_hw(x: np.ndarray, weights: np.ndarray, stride: int, pad: int) -> tuple[int, int]:
-    """Output height and width of a conv, after checking the input against the weights."""
-    if x.ndim != 3:
-        raise ShapeError(f"input must be (C,H,W), got shape {x.shape}")
-    _, in_ch, kh, kw = weights.shape
-    if x.shape[0] != in_ch:
-        raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
-    _, h, w = x.shape
+def _conv_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
+    """Output height and width of a conv over an h x w input."""
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if oh <= 0 or ow <= 0:
@@ -365,6 +361,27 @@ def _conv_hw(x: np.ndarray, weights: np.ndarray, stride: int, pad: int) -> tuple
             f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
         )
     return oh, ow
+
+
+class _Kernel(NamedTuple):
+    """A conv's weights as its GEMM takes them, and its geometry."""
+
+    wmat: np.ndarray  # (max(out_ch, 2), in_ch*kh*kw); see _kernel
+    bias: np.ndarray  # (out_ch, 1)
+    kh: int
+    kw: int
+    stride: int
+    pad: int
+
+
+def _kernel(weights: np.ndarray, bias: np.ndarray, stride: int, pad: int, dtype) -> _Kernel:
+    out_ch, in_ch, kh, kw = weights.shape
+    k = in_ch * kh * kw
+    # numpy sends a one-row weight matrix to GEMV, whose sums depend on the
+    # column count and the thread split; a zero second row keeps it on GEMM
+    wmat = np.zeros((max(out_ch, 2), k), dtype=dtype)
+    wmat[:out_ch] = weights.reshape(out_ch, k)
+    return _Kernel(wmat, bias.astype(dtype)[:, None], kh, kw, stride, pad)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -382,62 +399,118 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1
     The accumulation order within an output pixel is whatever BLAS uses
     for the GEMM's shape: OpenBLAS, for one, sends products with
     M*N*K <= 1e6 to a small-matrix kernel that sums in another order.
-    Strips (apply_network) and bands matching one whole-plane run bit for
-    bit is therefore a tested property (TestGemmBanding), not a guarantee
-    by construction.
+    Row bands (here and in apply_network) matching one whole-plane run bit
+    for bit is therefore a tested property (TestGemmBanding, TestShortRuns),
+    not a guarantee by construction.
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
-    return _conv(x, weights, bias, stride, pad)
-
-
-def _conv(x, weights, bias, stride, pad, out=None, act: LayerSpec | None = None) -> np.ndarray:
-    """conv2d into `out` (fresh when None), with `act` applied to each band."""
-    oh, ow = _conv_hw(x, weights, stride, pad)
+    if x.ndim != 3:
+        raise ShapeError(f"input must be (C,H,W), got shape {x.shape}")
     out_ch, in_ch, kh, kw = weights.shape
-    _, h, w = x.shape
+    if x.shape[0] != in_ch:
+        raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
+    out = np.empty((out_ch, *_conv_hw(*x.shape[1:], kh, kw, stride, pad)), dtype=x.dtype)
+    _conv(_kernel(weights, bias, stride, pad, x.dtype), x, x.shape[1], out, 0)
+    return out
+
+
+def _ring_rows(ring: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows r0..r1 of a (C, n, W) ring that holds row r at ring row r % n:
+    a view, or a copy (into `out` when given) where they run across the
+    ring's end. With `out`, they are always copied into it."""
+    n = ring.shape[1]
+    i = r0 % n
+    k = min(r1 - r0, n - i)
     if out is None:
-        out = np.empty((out_ch, oh, ow), dtype=x.dtype)
-    k = in_ch * kh * kw
-    # numpy sends a one-row weight matrix to GEMV, whose sums depend on the
-    # column count and the thread split; a zero second row keeps it on GEMM
-    m = max(out_ch, 2)
-    wmat = np.zeros((m, k), dtype=x.dtype)
-    wmat[:out_ch] = weights.reshape(out_ch, k)
-    bias = bias.astype(x.dtype)[:, None]
-    out2d = out.reshape(out_ch, oh * ow)
-    gemm_out = out2d if m == out_ch else np.empty((m, oh * ow), dtype=x.dtype)
-    bands = row_bands(oh, k * ow * x.itemsize, _COLS_BYTES)
-    direct = kh == kw == 1 and stride == 1 and pad == 0
-    if direct:
-        x2d = x.reshape(in_ch, h * w)
-    else:
-        buf = np.empty(k * -(-oh // len(bands)) * ow, dtype=x.dtype)
-    for r0, r1 in bands:
-        rows = r1 - r0
-        if direct:
-            cols = x2d[:, r0 * ow : r1 * ow]
+        if k == r1 - r0:
+            return ring[:, i : i + k]
+        out = np.empty((ring.shape[0], r1 - r0, ring.shape[2]), dtype=ring.dtype)
+    out[:, :k] = ring[:, i : i + k]
+    out[:, k:] = ring[:, : r1 - r0 - k]
+    return out
+
+
+def _gemm_rows(m: int, k: int, ow: int) -> int:
+    """Fewest output rows of width ow for which an (m, k) weight matrix's
+    GEMM has M*N*K above _SMALL_GEMM."""
+    return _SMALL_GEMM // (m * k * ow) + 1
+
+
+def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: LayerSpec | None = None) -> None:
+    """Output rows r0, r0 + 1, ... of a conv into `out` (out_ch, rows, ow),
+    with `act` applied to each band. `x` is a ring of input rows (see
+    _ring_rows) that holds the rows they read of an input h rows tall; a
+    whole input is a ring as tall as itself.
+
+    The rows go in the bands a whole-plane run uses (row_bands under
+    _COLS_BYTES), cut where `out` starts and ends, and each GEMM sums as
+    the whole-plane run's does (see conv2d). Where a whole-plane band's
+    GEMM is above OpenBLAS's small-matrix cutoff, the GEMM of a part of it
+    multiplies at least as many columns as the cutoff needs; below it,
+    where the sums depend on the column count and on each column's place,
+    it multiplies the whole band's columns with the part's rows in their
+    place. The other columns hold zeros or what an earlier band left."""
+    out_ch, n, ow = out.shape
+    in_ch, _, w = x.shape
+    m, kk = k.wmat.shape
+    least = _gemm_rows(m, kk, ow)
+    oh = _conv_hw(h, w, k.kh, k.kw, k.stride, k.pad)[0]
+    count = band_count(oh, kk * ow * x.itemsize, _COLS_BYTES)
+    bands = []  # (first row, end row, first row in the GEMM, rows the GEMM multiplies)
+    i = r0 * count // oh  # the whole-plane band that holds row r0, or the one before it
+    while oh * i // count < r0 + n:
+        p0, p1 = oh * i // count, oh * (i + 1) // count
+        a, b = max(p0 - r0, 0), min(p1 - r0, n)
+        if a < b:
+            bands.append((a, b, 0, max(b - a, least)) if p1 - p0 >= least else (a, b, r0 + a - p0, p1 - p0))
+        i += 1
+    most = max(g for *_, g in bands)
+    direct = k.kh == k.kw == 1 and k.stride == 1 and k.pad == 0
+    padded = any(g != b - a for a, b, _, g in bands)
+    if padded or not direct:
+        # zeroed when padded, so the columns no band filled yet are finite
+        buf = (np.zeros if padded else np.empty)(kk * most * ow, dtype=x.dtype)
+    # a one-channel conv's zero second row, and padded columns, go to band scratch
+    gemm_out = np.empty((m, most * ow), dtype=x.dtype) if padded or m != out_ch else None
+    for b0, b1, at, g in bands:
+        rows, o0 = b1 - b0, r0 + b0
+        if direct and g == rows:
+            cols = _ring_rows(x, o0, o0 + rows).reshape(in_ch, rows * w)
+        elif direct:
+            cols = buf[: kk * g * ow].reshape(kk, g, ow)
+            _ring_rows(x, o0, o0 + rows, cols[:, at : at + rows])
+            cols = cols.reshape(kk, -1)
         else:
             # zero-padded copy of just the input rows this band reads
-            top, bottom = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+            top, bottom = o0 * k.stride - k.pad, (o0 + rows - 1) * k.stride + k.kh - k.pad
             lo = max(top, 0)
             hi = max(min(bottom, h), lo)
-            slab = np.zeros((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
-            slab[:, lo - top : hi - top, pad : pad + w] = x[:, lo:hi]
-            cols = buf[: k * rows * ow].reshape(in_ch, kh, kw, rows, ow)
-            for di in range(kh):
-                for dj in range(kw):
-                    cols[:, di, dj] = slab[:, di : di + rows * stride : stride, dj : dj + ow * stride : stride]
-            cols = cols.reshape(k, -1)
-        np.matmul(wmat, cols, out=gemm_out[:, r0 * ow : r1 * ow])
-        band = out2d[:, r0 * ow : r1 * ow]
-        if gemm_out is not out2d:
-            band[...] = gemm_out[:out_ch, r0 * ow : r1 * ow]
-        band += bias
+            slab = np.empty((in_ch, bottom - top, w + 2 * k.pad), dtype=x.dtype)
+            if top < lo:
+                slab[:, : lo - top] = 0
+            if hi < bottom:
+                slab[:, hi - top :] = 0
+            if k.pad:
+                slab[:, :, : k.pad] = 0
+                slab[:, :, k.pad + w :] = 0
+            _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, k.pad : k.pad + w])
+            cols = buf[: kk * g * ow].reshape(in_ch, k.kh, k.kw, g, ow)
+            for di in range(k.kh):
+                for dj in range(k.kw):
+                    cols[:, di, dj, at : at + rows] = slab[:, di : di + rows * k.stride : k.stride,
+                                                           dj : dj + ow * k.stride : k.stride]
+            cols = cols.reshape(kk, -1)
+        band = out[:, b0:b1].reshape(out_ch, rows * ow)
+        if gemm_out is None:
+            np.matmul(k.wmat, cols, out=band)
+        else:
+            np.matmul(k.wmat, cols, out=gemm_out[:, : g * ow])
+            band[...] = gemm_out[:out_ch, at * ow : (at + rows) * ow]
+        band += k.bias
         if act is not None:
             _activate_in_place(band, act)
-    return out
 
 
 def _activate_in_place(v: np.ndarray, act: LayerSpec) -> None:
@@ -452,32 +525,31 @@ def _activate_in_place(v: np.ndarray, act: LayerSpec) -> None:
 
 
 class _Step(NamedTuple):
-    """How _apply_layers runs one layer."""
+    """How the band pass runs one layer."""
 
     out: str | None  # id of the value it makes; None for an activation run by its conv
-    slot: tuple[int, int, int] | None  # (buffer, first channel, channels) of that value;
-    # a concat with a slot is a slice of its buffer, one without is a copy
     act: LayerSpec | None  # activation applied to each band of this conv
     inplace: bool  # an add that accumulates into its first input
-    release: tuple[int, ...]  # buffers no later layer writes into or slices
-    drop: tuple[str, ...]  # values no later layer reads
+    view: bool  # a concat that is a slice of the store its inputs sit in; other concats copy
 
 
 class StoragePlan(NamedTuple):
-    """Where each value of a NetworkSpec lives while _apply_layers runs it.
+    """Where each value of a NetworkSpec lives while the band pass runs it.
 
-    steps follows net.layers; buffers holds the channel count of each shared
-    (C, H, W) buffer; live_channels counts, per layer, the channels of the
-    buffers and unshared values held while it runs (the input included).
+    steps follows net.layers; stores holds the channel count of each store,
+    shared or not; slots gives every value, the network input included, its
+    (store, first channel, channels). How many rows each store keeps
+    depends on the plane size: see _schedule, whose plans it keeps.
     """
 
     steps: tuple[_Step, ...]
-    buffers: tuple[int, ...]
-    live_channels: tuple[int, ...]
+    stores: tuple[int, ...]
+    slots: dict[str, tuple[int, int, int]]
+    schedules: dict  # (input shape, band rows, residual) -> _Schedule
 
 
 def _plan_storage(net: NetworkSpec) -> StoragePlan:
-    """Storage for every value, from the graph's readers and liveness alone.
+    """Storage for every value, from the graph's readers alone.
 
     Values that share storage form a group named by its first value: a conv
     and the ReLU, or leaky ReLU with 0 < alpha <= 1, that is its only
@@ -487,26 +559,17 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
 
     Concats are placed largest first, by one rule. With nested concats
     expanded, a concat none of whose inputs is placed yet puts them side by
-    side in a fresh shared buffer and is a slice of it; one whose inputs
-    all sit in one buffer, in order and in line, is a slice of that buffer;
+    side in a fresh shared store and is a slice of it; one whose inputs
+    all sit in one store, in order and in line, is a slice of that store;
     any other is copied, as is one whose inputs repeat or include the
-    network input. Each group is placed once, so the groups of a buffer
-    never share a channel. A buffer lives from the first layer of its
-    groups until the last read of any of them or of a concat sliced from
-    it, and is released after the last layer that has a slot in it.
+    network input. Each group is placed once, so the groups of a store
+    never share a channel. Every group left over, a copied concat included,
+    gets a store of its own.
     """
     channels = net.validate()
     layers = {l.id: l for l in net.layers}
-    n = len(net.layers)
-    index = {l.id: i for i, l in enumerate(net.layers)}
-    index[net.input_id] = 0
     reads = Counter(ref for l in net.layers for ref in l.inputs)
     reads[net.output_id] += 1
-    last_use = dict(index)
-    for i, l in enumerate(net.layers):
-        for ref in l.inputs:
-            last_use[ref] = i
-    last_use[net.output_id] = n - 1
 
     root = {v: v for v in channels}
     fused: dict[str, LayerSpec] = {}
@@ -522,9 +585,6 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
         else:
             continue
         root[l.id] = root[src.id]
-    group_last: dict[str, int] = {}
-    for v, g in root.items():
-        group_last[g] = max(group_last.get(g, -1), last_use[v])
 
     def leaves(v):
         l = layers.get(v)
@@ -533,8 +593,8 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
         return [u for ref in l.inputs for u in leaves(ref)]
 
     sizes: list[int] = []
-    home: dict[str, tuple[int, int]] = {}  # group -> (buffer, first channel)
-    views: dict[str, tuple[int, int]] = {}  # concat -> (buffer, first channel)
+    home: dict[str, tuple[int, int]] = {}  # group -> (store, first channel)
+    views: dict[str, tuple[int, int]] = {}  # concat -> (store, first channel)
     for cat in sorted((l for l in net.layers if l.op == CONCAT), key=lambda l: -channels[l.id]):
         vals = leaves(cat.id)
         groups = [root[v] for v in vals]
@@ -550,134 +610,229 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
             b, base = home[groups[0]]
             if all(home[g] == (b, base + o) for g, o in zip(groups, offsets)):
                 views[cat.id] = (b, base)
-
-    release: list[list[int]] = [[] for _ in range(n)]
-    live = [0] * n
-    for b, size in enumerate(sizes):
-        groups = [g for g, (gb, _) in home.items() if gb == b]
-        cats = [c for c, (cb, _) in views.items() if cb == b]
-        release[max(index[v] for v in groups + cats)].append(b)
-        last = max([group_last[g] for g in groups] + [last_use[c] for c in cats])
-        for i in range(min(index[g] for g in groups), last + 1):
-            live[i] += size
-    drop: list[list[str]] = [[] for _ in range(n)]
-    for v in root:
-        if v not in fused and v != net.output_id:
-            drop[last_use[v]].append(v)
-    for g, last in group_last.items():
-        if g not in home and g not in views:
-            for i in range(index[g], last + 1):
-                live[i] += channels[g]
+    for g in channels:
+        if root[g] == g and g not in home and g not in views:
+            home[g] = (len(sizes), 0)
+            sizes.append(channels[g])
+    slots = {v: (*(views.get(v) or home[root[v]]), channels[v]) for v in channels}
 
     run_by_conv = {a.id for a in fused.values()}
-    steps = []
-    for i, l in enumerate(net.layers):
-        place = views.get(l.id) or home.get(l.id)
-        act = fused.get(l.id)
-        steps.append(_Step(
-            out=None if l.id in run_by_conv else (act or l).id,
-            slot=None if place is None else (*place, channels[l.id]),
-            act=act,
+    steps = tuple(
+        _Step(
+            out=None if l.id in run_by_conv else (fused.get(l.id) or l).id,
+            act=fused.get(l.id),
             inplace=l.id in inplace,
-            release=tuple(release[i]),
-            drop=tuple(drop[i]),
-        ))
-    return StoragePlan(tuple(steps), tuple(sizes), tuple(live))
+            view=l.id in views,
+        )
+        for l in net.layers
+    )
+    return StoragePlan(steps, tuple(sizes), slots, {})
 
 
-def _slot(step: _Step, buffers: dict, sizes, hw, dtype) -> np.ndarray | None:
-    """The planned storage of a layer's value, allocating its buffer on first use."""
-    if step.slot is None:
-        return None
-    b, first, ch = step.slot
-    buf = buffers.get(b)
-    if buf is None:
-        buf = buffers[b] = np.empty((sizes[b], *hw), dtype=dtype)
-    elif buf.shape[1:] != tuple(hw):
-        raise ShapeError(f"concatenated values differ in height or width: {buf.shape[1:]} vs {tuple(hw)}")
-    return buf[first : first + ch]
+def _shapes(net: NetworkSpec, shape: tuple[int, int, int]) -> dict[str, tuple[int, int, int]]:
+    """(channels, height, width) of every value for an input of `shape`."""
+    shapes = {net.input_id: tuple(shape)}
+    for l in net.layers:
+        ins = [shapes[ref] for ref in l.inputs]
+        _, h, w = ins[0]
+        if l.op == CONV2D:
+            shapes[l.id] = (l.out_ch, *_conv_hw(h, w, l.kernel, l.kernel, l.stride, l.pad))
+        elif l.op == CONCAT:
+            if any(s[1:] != (h, w) for s in ins):
+                raise ShapeError(f"concat layer {l.id!r}: inputs differ in height or width: "
+                                 f"{[s[1:] for s in ins]}")
+            shapes[l.id] = (sum(s[0] for s in ins), h, w)
+        else:
+            if any(s != ins[0] for s in ins):
+                raise ShapeError(f"add layer {l.id!r} mixes shapes {ins}")
+            shapes[l.id] = ins[0]
+    return shapes
 
 
-def _run_layer(layer: LayerSpec, step: _Step, ins: list[np.ndarray], weights, buffers, sizes) -> np.ndarray:
-    if layer.op == CONV2D:
-        w, b = weights[layer.id]
-        x = ins[0]
-        out = _slot(step, buffers, sizes, _conv_hw(x, w, layer.stride, layer.pad), x.dtype)
-        return _conv(x, w, b, layer.stride, layer.pad, out, step.act)
-    dest = _slot(step, buffers, sizes, ins[0].shape[1:], ins[0].dtype)
+def _band_rows(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> int:
+    """Input rows per band of the band pass over an input of `shape`: as
+    many as fit one row of every store within BAND_BYTES, so a band's
+    working set stays about as large as the other kernels' bands; a net
+    whose convs change the plane size runs as one band as tall as the plane."""
+    _, h, w = shape
+    if any(l.stride != 1 or 2 * l.pad != l.kernel - 1 for l in net.conv_layers()):
+        return h
+    return max(1, BAND_BYTES // (sum(net.storage_plan.stores) * w * np.dtype(dtype).itemsize))
+
+
+class _Band(NamedTuple):
+    """One band of the band pass, in the order the pass runs it."""
+
+    rows: tuple[int, int]  # output rows the band yields
+    work: tuple[tuple[int, int, int], ...]  # (layer index, -1 for the input; first row; end row)
+
+
+class _Schedule(NamedTuple):
+    bands: tuple[_Band, ...]
+    rows: tuple[int, ...]  # rows of each store's ring
+    shapes: dict[str, tuple[int, int, int]]  # (channels, height, width) of every value
+
+
+def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bool) -> _Schedule:
+    """For an input of `shape`, which rows of each layer every band
+    computes, and how many rows each store keeps.
+
+    The input comes in equal bands of at most band_rows rows (row_bands),
+    one a band. In each band, in graph order, a conv computes the rows its
+    input allows once they are at least a band's rows, and any other layer
+    catches up with its inputs; the output rows made yield at the end of
+    the band. A conv waits instead for as many rows as its GEMM needs to
+    stay above OpenBLAS's small-matrix cutoff where those rows of the
+    stores it reads and writes take at most a quarter of BAND_BYTES (in
+    the default net 96 to 192 wide, the one-channel tail conv, whose
+    two-row GEMM is slow per column, but not the head conv, whose output
+    shares block 0's 96-channel store); any other conv's short runs
+    multiply extra columns (see _conv). A conv runs
+    at most twice its least rows at a time, so the lag that builds up from
+    conv to conv is worked off over the last bands, not held by the rings.
+    A store keeps the rows from the first one any reader of its values
+    still reads (the input's rows are read again as they yield, for the
+    global residual) to the last one made: its ring is as tall as the most
+    rows that spans after any band. Planned once per plane size and kept
+    in the storage plan.
+    """
+    plan = net.storage_plan
+    band_rows = _band_rows(net, shape, dtype)
+    key = (tuple(shape), band_rows, residual)
+    if key in plan.schedules:
+        return plan.schedules[key]
+    shapes = _shapes(net, shape)
+    layers = net.layers
+    ids = [net.input_id, *(l.id for l in layers)]
+    height = {v: shapes[v][1] for v in ids}
+    readers: dict[str, list[LayerSpec]] = {v: [] for v in ids}
+    for l in layers:
+        for ref in dict.fromkeys(l.inputs):
+            readers[ref].append(l)
+    inputs = dict(row_bands(height[net.input_id], 1, band_rows))
+    band = min(r1 - r0 for r0, r1 in inputs.items())
+    in_store = [[] for _ in plan.stores]
+    for v in ids:
+        in_store[plan.slots[v][0]].append(v)
+    least = {}  # conv id -> fewest rows a run waits for
+    for l in net.conv_layers():
+        _, oh, ow = shapes[l.id]
+        g = _gemm_rows(max(l.out_ch, 2), l.in_ch * l.kernel**2, ow)
+        stores = {plan.slots[v][0] for v in (l.inputs[0], l.id)}
+        row = sum(plan.stores[s] for s in stores) * ow * np.dtype(dtype).itemsize
+        least[l.id] = min(max(band, g if g * row <= BAND_BYTES // 4 else 1), oh)
+    skip = {l.id for l, step in zip(layers, plan.steps) if step.out is None or step.view}
+
+    out = net.output_id
+    done = dict.fromkeys(ids, 0)
+    rows = [0] * len(plan.stores)
+    bands = []
+    while done[out] < height[out]:
+        # the first row of each value that a reader still reads: a conv's
+        # next run starts at its top tap's row
+        keep = {}
+        for v in ids:
+            k = done[v]
+            for r in readers[v]:
+                k = min(k, max(done[r.id] * r.stride - r.pad, 0) if r.op == CONV2D else done[r.id])
+            keep[v] = k
+        if residual:
+            keep[net.input_id] = min(keep[net.input_id], done[out])
+        first = [min(keep[v] for v in vals) for vals in in_store]  # first row each store keeps
+
+        e0 = done[out]
+        work = []
+        if done[net.input_id] in inputs:
+            work.append((-1, done[net.input_id], inputs[done[net.input_id]]))
+            done[net.input_id] = inputs[done[net.input_id]]
+        for i, l in enumerate(layers):
+            if l.op != CONV2D:
+                end = min(done[ref] for ref in l.inputs)
+            else:
+                (ref,) = l.inputs
+                end = height[l.id] if done[ref] == height[ref] else (done[ref] + l.pad - l.kernel) // l.stride + 1
+                end = min(end, done[l.id] + 2 * least[l.id])
+                if end < height[l.id] and end - done[l.id] < least[l.id]:
+                    continue
+            if end > done[l.id]:
+                if l.id not in skip:
+                    work.append((i, done[l.id], end))
+                done[l.id] = end
+        for s, vals in enumerate(in_store):
+            rows[s] = max(rows[s], max(done[v] for v in vals) - first[s])
+        bands.append(_Band((e0, done[out]), tuple(work)))
+    plan.schedules[key] = _Schedule(tuple(bands), tuple(rows), shapes)
+    return plan.schedules[key]
+
+
+def _run_layer(layer: LayerSpec, step: _Step, ins: list[np.ndarray], out: np.ndarray) -> None:
+    """Rows of an activation, an add or a copied concat into `out`."""
     if layer.op == CONCAT:
-        return np.concatenate(ins, axis=0) if dest is None else dest
-    if layer.op == ACTIVATION:
+        c = 0
+        for v in ins:
+            out[c : c + len(v)] = v
+            c += len(v)
+    elif layer.op == ACTIVATION:
         v = ins[0]
         if layer.act == RELU:
-            v = np.maximum(v, 0)
+            np.maximum(v, 0, out=out)
         else:
-            v = np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
+            out[...] = np.where(v >= 0, v, np.asarray(layer.alpha, v.dtype) * v)
     elif layer.op == ADD:
-        if step.inplace:
-            v = ins[0]
-        elif dest is None:
-            v = ins[0].copy()
-        else:
-            v = dest
-            v[...] = ins[0]
+        if not step.inplace:
+            out[...] = ins[0]
         for other in ins[1:]:
-            if other.shape != v.shape:
-                raise ShapeError(f"add layer {layer.id!r} mixes shapes")
-            v += other
-        return v
+            out += other
     else:
         raise ShapeError(f"unknown op {layer.op!r}")
-    if dest is None:
-        return v
-    dest[...] = v
-    return dest
 
 
-def _apply_layers(net: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
-    # each layer writes into the storage net.storage_plan gives it; a value
-    # is dropped after the last layer that reads it, and a shared buffer
-    # lives on in the slices taken of it
+def _put_ring_rows(ring: np.ndarray, r0: int, rows: np.ndarray) -> None:
+    """Store `rows`, made in a copy by _ring_rows, as rows r0.. of `ring`."""
+    i = r0 % ring.shape[1]
+    k = ring.shape[1] - i
+    ring[:, i:], ring[:, : rows.shape[1] - k] = rows[:, :k], rows[:, k:]
+
+
+def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, scale=None, residual=False):
+    """Run the graph over `src`, (1, H, W), in the bands of `sched`.
+
+    Yields (first row, end row, rows, input rows) for each band of output
+    rows; the input rows, for the global residual, only when `residual`
+    (else None). Both are only valid until the next band starts. The input
+    rows are cast to `dtype` and divided by `scale` when given. Each store
+    is a ring of rows (see _schedule): image row r sits in ring row
+    r % rows, so the rows no reader needs any more are written over in
+    place, and each layer's new rows go after the ones it made before, so
+    no row is computed twice or moved. A 3x3 conv copies its input rows
+    from the ring into its padded slab; other rows that run across the end
+    of a ring are read into, or made in, a copy.
+    """
     plan = net.storage_plan
-    values = {net.input_id: x}
-    buffers: dict[int, np.ndarray] = {}
-    for layer, step in zip(net.layers, plan.steps):
-        if step.out is not None:
-            values[step.out] = _run_layer(
-                layer, step, [values[r] for r in layer.inputs], weights, buffers, plan.buffers
-            )
-        for b in step.release:
-            del buffers[b]
-        for ref in step.drop:
-            del values[ref]
-    return values[net.output_id]
-
-
-def _strip_rows(net: NetworkSpec, x: np.ndarray) -> int:
-    """Most output rows one graph evaluation in apply_network may cover."""
-    _, h, w = x.shape
-    per_row = max(net.storage_plan.live_channels, default=1) * w * x.itemsize
-    keeps_size = all(l.stride == 1 and 2 * l.pad == l.kernel - 1 for l in net.conv_layers())
-    if per_row * h + _COLS_BYTES <= _PLANE_BYTES or not keeps_size:
-        return h
-    return max(1, (_PLANE_BYTES - _COLS_BYTES) // per_row - 2 * net.receptive_radius())
-
-
-def _apply_strips(net: NetworkSpec, weights, x: np.ndarray, rows: int) -> np.ndarray:
-    """_apply_layers over full-width strips of at most `rows` output rows,
-    of equal height like _conv's bands, each with receptive_radius() rows
-    of margin above and below."""
-    h = x.shape[1]
-    if rows >= h:
-        return _apply_layers(net, weights, x)
-    strips = -(-h // rows)
-    margin = net.receptive_radius()
-    y = np.empty((net.validate()[net.output_id], h, x.shape[2]), dtype=x.dtype)
-    for i in range(strips):
-        r0, r1 = h * i // strips, h * (i + 1) // strips
-        top = max(r0 - margin, 0)
-        y[:, r0:r1] = _apply_layers(net, weights, x[:, top : r1 + margin])[:, r0 - top : r1 - top]
-    return y
+    width = {slot[0]: sched.shapes[v][2] for v, slot in plan.slots.items()}
+    stores = [np.empty((c, r, width[s]), dtype=dtype) for s, (c, r) in enumerate(zip(plan.stores, sched.rows))]
+    rings = {v: stores[s][c0 : c0 + c] for v, (s, c0, c) in plan.slots.items()}
+    kernels = {l.id: _kernel(*weights[l.id], l.stride, l.pad, dtype) for l in net.conv_layers()}
+    for band in sched.bands:
+        for i, r0, r1 in band.work:
+            layer = net.layers[i] if i >= 0 else None
+            v = net.input_id if layer is None else layer.id
+            out = _ring_rows(rings[v], r0, r1)
+            if layer is None:
+                out[...] = src[:, r0:r1]
+                if scale is not None:
+                    out /= scale
+            elif layer.op == CONV2D:
+                (ref,) = layer.inputs
+                _conv(kernels[v], rings[ref], sched.shapes[ref][1], out, r0, plan.steps[i].act)
+            else:
+                _run_layer(layer, plan.steps[i], [_ring_rows(rings[ref], r0, r1) for ref in layer.inputs], out)
+            if out.base is None:  # made in a copy where the ring wraps
+                _put_ring_rows(rings[v], r0, out)
+        e0, e1 = band.rows
+        if e1 > e0:
+            x = _ring_rows(rings[net.input_id], e0, e1) if residual else None
+            yield e0, e1, _ring_rows(rings[net.output_id], e0, e1), x
 
 
 def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) -> np.ndarray:
@@ -685,36 +840,35 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
 
     Normalizes by 1/(2^bit_depth - 1), evaluates the graph, adds the
     global residual when flagged, then de-normalizes, rounds, and clamps.
-    When the graph's working set, peak live channels x H x W x 4 bytes plus
-    _COLS_BYTES, exceeds _PLANE_BYTES (2 GiB), it runs over the fewest
-    full-width row strips that fit with receptive_radius() rows of margin
-    on each side; a net whose convs change the plane size runs whole.
-    Repeated runs are bit-identical; strips equal one whole run (see conv2d).
-    Normalizing and the residual add work in place, and the float64
-    rounding runs over row bands (rqpipe.bands) into the integer output,
-    so no whole float64 plane is made.
+    All of it runs in one pass of row bands through the whole graph
+    (_bands): each value keeps only the rows its readers still need, so
+    the working set grows with the plane's width and the band, not its
+    height, and the only whole plane made is the integer output. Each
+    conv's GEMMs sum in the order of one whole-plane run's however few
+    rows it runs at a time (see _conv), so the output does not depend on
+    the band height (a tested property; see conv2d), and repeated runs
+    are bit-identical.
     """
     maxv = (1 << bit_depth) - 1
-    x = plane.astype(np.float32)[None, :, :]
-    x /= np.float32(maxv)
-    rows = _strip_rows(net, x)  # its net.storage_plan validates the net
+    net.storage_plan  # plans the net once, which validates it
     validate_weights(net, weights)
-    y = _apply_strips(net, weights, x, rows)
-    if y.shape[0] != 1:
-        raise ShapeError(f"network output has {y.shape[0]} channels, expected 1")
-    if net.residual_global:
-        if y.shape != x.shape:
-            raise ShapeError(
-                f"global residual needs matching shapes, got {y.shape} vs {x.shape}"
-            )
-        y += x  # also when the output is the input itself: x + x either way
-    out = np.empty(y.shape[1:], plane.dtype)
-    for r0, r1 in row_bands(out.shape[0], out.shape[1] * 8):
-        band = y[0, r0:r1].astype(np.float64)
-        band *= maxv
-        band += 0.5
-        np.floor(band, out=band)
-        out[r0:r1] = np.clip(band, 0, maxv, out=band)
+    sched = _schedule(net, (1, *plane.shape), np.float32, net.residual_global)
+    shapes = sched.shapes
+    if shapes[net.output_id][0] != 1:
+        raise ShapeError(f"network output has {shapes[net.output_id][0]} channels, expected 1")
+    if net.residual_global and shapes[net.output_id] != shapes[net.input_id]:
+        raise ShapeError(
+            f"global residual needs matching shapes, got {shapes[net.output_id]} vs {shapes[net.input_id]}"
+        )
+    out = np.empty(shapes[net.output_id][1:], plane.dtype)
+    for r0, r1, y, x in _bands(net, weights, sched, plane[None], np.float32, np.float32(maxv), net.residual_global):
+        # float64 rounding in row bands (rqpipe.bands), after the float32 residual add
+        for a, b in row_bands(r1 - r0, y.shape[2] * 8):
+            band = (y[0, a:b] if x is None else y[0, a:b] + x[0, a:b]).astype(np.float64)
+            band *= maxv
+            band += 0.5
+            np.floor(band, out=band)
+            out[r0 + a : r0 + b] = np.clip(band, 0, maxv, out=band)
     return out
 
 

@@ -35,7 +35,7 @@ from rqpipe.pipeline import assemble_report
 from rqpipe.postproc_cnn import apply_network
 from rqpipe.resample import LANCZOS3, NEAREST, _axis_taps
 
-from test_postproc_cnn import apply_in_strips, conv2d_oracle, identity_net, strip_budget
+from test_postproc_cnn import apply_in_bands, conv2d_oracle, identity_net
 from test_resample import oracle_resample_2d
 
 HALF = Fraction(1, 2)
@@ -169,7 +169,7 @@ class TestAcceptance:
         assert all(np.array_equal(a.y, b.y) for a, b in zip(dec1, dec2))
         announce("mock_codec")
 
-    def test_cnn_inference(self, monkeypatch):
+    def test_cnn_inference(self):
         start = time.perf_counter()
 
         # conv2d vs brute force on 50 random shapes, 1e-5 relative
@@ -197,16 +197,15 @@ class TestAcceptance:
         w_zero = {"c": (np.zeros((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))}
         assert np.array_equal(apply_network(zero, w_zero, plane, 8), plane)
 
-        # inference over row strips under a byte budget is bit-exact
+        # inference in bands of rows through the whole graph is bit-exact
         # against one whole-plane run
         net = build_mfrnet_style(1, 2, 4, 4)
         weights = random_weights(net, seed=5)
         big = rng.integers(0, 256, (64, 64)).astype(np.uint8)
         whole = apply_network(net, weights, big, 8)
         for rows in (16, 24, 64):
-            budget = strip_budget(net, 64, rows)
-            strips, heights = apply_in_strips(monkeypatch, net, weights, big, 8, _PLANE_BYTES=budget)
-            assert len(heights) == -(-64 // rows) and np.array_equal(whole, strips)
+            banded, runs = apply_in_bands(net, weights, big, 8, rows=rows)
+            assert len(runs) == -(-64 // rows) and np.array_equal(whole, banded)
 
         # four dense blocks in the default-style build
         four = build_mfrnet_style(4, 4, 32, 16)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import signal
@@ -36,6 +37,7 @@ from rqpipe.pipeline import (
     load_experiment,
 )
 from rqpipe.pipeline import runner
+from rqpipe.pipeline.config import ExperimentConfig
 from rqpipe.pipeline.manifest import JobRecord, sha256_file
 
 
@@ -202,6 +204,24 @@ class TestRunExperiment:
         info = rec.artifacts["recon"]
         assert sha256_file(info["path"]) == info["sha256"]
 
+    def test_a_config_path_is_validated_once(self, experiment_dir, monkeypatch):
+        # load_experiment validates the config it parses, reading every weight
+        # file; run_experiment does not validate it again. A config passed in
+        # as an object is validated by run_experiment
+        calls = []
+        validate = ExperimentConfig.validate
+
+        def counting(cfg):
+            calls.append(cfg)
+            return validate(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counting)
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        assert len(calls) == 1
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        run_experiment(cfg, workers=1)
+        assert calls[1:] == [cfg, cfg]
+
     def test_manifest_reload_roundtrip(self, manifest):
         again = RunManifest.load(manifest.path)
         assert set(again.jobs) == set(manifest.jobs)
@@ -278,6 +298,29 @@ class TestDeterminismAndResume:
         assert self.strip_volatile(again) == self.strip_volatile(first)
         assert self.strip_volatile(RunManifest.load(path)) == self.strip_volatile(first)
 
+
+    def test_resume_redoes_a_record_with_an_unknown_field(self, experiment_dir, caplog):
+        # a record with a field this version does not know (written by a newer
+        # one) is skipped with a warning that names the field: resume redoes
+        # its job, and a report of the manifest as loaded leaves it out
+        first = run_experiment(experiment_dir / "exp.ini", workers=1)
+        path = experiment_dir / "out" / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        doc = json.loads(lines[-1]) | {"gpu_seconds": 1.5}
+        path.write_text("".join(lines[:-1]) + json.dumps(doc) + "\n")
+        key = (doc["sequence"], doc["method"], doc["qp_index"])
+        with caplog.at_level(logging.WARNING, logger="rqpipe.pipeline.manifest"):
+            loaded = RunManifest.load(path)
+        assert "gpu_seconds" in caplog.text
+        assert key not in loaded.jobs and len(loaded.ok_jobs()) == 11
+        bundle = assemble_report(loaded, experiment_dir / "report")
+        with open(bundle.rq_csvs[("synthA", "psnr_y")]) as fh:
+            assert len(list(csv.DictReader(fh))) == 11
+        again = run_experiment(experiment_dir / "exp.ini", workers=1)
+        after = path.read_text().splitlines()
+        assert len(after) == len(lines) + 1
+        assert tuple(json.loads(after[-1])[k] for k in ("sequence", "method", "qp_index")) == key
+        assert self.strip_volatile(again) == self.strip_volatile(first)
 
     def test_resume_redoes_jobs_of_a_changed_config(self, tmp_path):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2)

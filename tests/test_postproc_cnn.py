@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +19,6 @@ from rqpipe.errors import ConfigError, ShapeError, WeightFormatError
 from rqpipe.postproc_cnn import (
     CONCAT,
     _activate_in_place,
-    _apply_layers,
-    _apply_strips,
-    _strip_rows,
     act_layer,
     add_layer,
     concat_layer,
@@ -119,6 +115,18 @@ def apply_layers_oracle(net, weights, x):
     return values[net.output_id]
 
 
+def sequential_matmul(a, b, out=None):
+    """a @ b with every output summed in k order, whatever the shapes: a
+    stand-in for BLAS, whose order depends on them."""
+    acc = a[:, :1] * b[:1]
+    for k in range(1, a.shape[1]):
+        acc += a[:, k : k + 1] * b[k : k + 1]
+    if out is None:
+        return acc
+    out[...] = acc
+    return out
+
+
 def assert_bits_equal(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     uint = f"u{a.itemsize}"
@@ -136,28 +144,60 @@ def conv_entry(layer_id, inp, in_ch, out_ch, kernel=3):
             "out_ch": out_ch, "kernel": kernel, "pad": kernel // 2}
 
 
-def strip_budget(net, width, rows):
-    """A _PLANE_BYTES under which apply_network splits a plane `width`
-    wide into strips of at most `rows` output rows."""
-    per_row = max(net.storage_plan.live_channels) * width * 4
-    return postproc_cnn._COLS_BYTES + per_row * (rows + 2 * net.receptive_radius())
+def apply_in_bands(net, weights, plane, bits, rows=None, **patch):
+    """apply_network with bands of at most `rows` input rows (the planned
+    height when None) and the postproc_cnn attributes in `patch` replaced;
+    also returns the (first, end) rows of each band of the input."""
+    runs = []
+    schedule = postproc_cnn._schedule
 
+    def spy(*args):
+        sched = schedule(*args)
+        runs[:] = [(r0, r1) for band in sched.bands for i, r0, r1 in band.work if i < 0]
+        return sched
 
-def apply_in_strips(monkeypatch, net, weights, plane, bits, **patch):
-    """apply_network with the postproc_cnn attributes in `patch` replaced;
-    also returns the input height of each _apply_layers call, one per strip."""
-    heights = []
-    apply_layers = postproc_cnn._apply_layers
-
-    def spy(net, weights, x):
-        heights.append(x.shape[1])
-        return apply_layers(net, weights, x)
-
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         for name, value in patch.items():
             m.setattr(postproc_cnn, name, value)
-        m.setattr(postproc_cnn, "_apply_layers", spy)
-        return apply_network(net, weights, plane, bits), heights
+        if rows is not None:
+            m.setattr(postproc_cnn, "_band_rows", lambda *args: rows)
+        m.setattr(postproc_cnn, "_schedule", spy)
+        return apply_network(net, weights, plane, bits), runs
+
+
+def apply_layers(net, weights, x):
+    """The band pass's float output for a (1, H, W) float input, before the
+    global residual and rounding, gathered into one array."""
+    postproc_cnn.validate_weights(net, weights)
+    sched = postproc_cnn._schedule(net, x.shape, x.dtype, False)
+    y = np.empty(sched.shapes[net.output_id], dtype=x.dtype)
+    for r0, r1, rows, _ in postproc_cnn._bands(net, weights, sched, x, x.dtype):
+        y[:, r0:r1] = rows
+    return y
+
+
+def layers_in_bands(net, weights, x, rows):
+    """apply_layers in bands of at most `rows` input rows."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(postproc_cnn, "_band_rows", lambda *args: rows)
+        return apply_layers(net, weights, x)
+
+
+def planned_bytes(net, h, w):
+    """The band pass's planned working set for an h x w plane in float32:
+    every store's ring of rows, plus the widest conv's column buffer for
+    the most rows one of its GEMMs multiplies."""
+    sched = postproc_cnn._schedule(net, (1, h, w), np.float32, net.residual_global)
+    rings = sum(c * r for c, r in zip(net.storage_plan.stores, sched.rows)) * w * 4
+    cols = 0
+    for band in sched.bands:
+        for i, r0, r1 in band.work:
+            l = net.layers[i] if i >= 0 else None
+            if l is not None and l.op == "conv2d":
+                k = l.in_ch * l.kernel**2
+                least = postproc_cnn._gemm_rows(max(l.out_ch, 2), k, w)
+                cols = max(cols, k * w * 4 * min(max(r1 - r0, least), max(1, postproc_cnn._COLS_BYTES // (k * w * 4))))
+    return rings + cols
 
 
 def identity_net(residual=False):
@@ -334,6 +374,23 @@ class TestApplyNetwork:
         assert out.shape == plane.shape and out.dtype == np.uint16
         assert peak < 16 * plane.size + 2 * bands.BAND_BYTES
 
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_one_channel_conv_gemm_output_is_band_sized(self, residual):
+        # The same net's one-channel conv writes its two-row GEMM output (see
+        # _kernel) to scratch for one band of its rows, not for the plane
+        # (8 B/px). The rest of the peak is the integer output (2 B/px) and
+        # rings, GEMM scratch and rounding of a few hundred rows.
+        net = identity_net(residual=residual)
+        weights = {"c": (np.full((1, 1, 1, 1), 0.5, np.float32), np.full(1, 0.01, np.float32))}
+        plane = np.random.default_rng(26).integers(0, 1024, (1080, 1920)).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * plane.size + 2 * bands.BAND_BYTES
+
     def test_missing_weights_rejected(self):
         net = identity_net()
         with pytest.raises(WeightFormatError, match="c"):
@@ -351,8 +408,9 @@ class TestApplyNetwork:
 
 
 class TestStoragePlan:
-    """_apply_layers runs each layer into the storage net.storage_plan gives
-    it; its float output must equal the copy-based oracle's bit for bit."""
+    """The band pass runs each layer into the storage net.storage_plan gives
+    it; its float output must equal the copy-based oracle's bit for bit, in
+    one band and in bands of a few rows."""
 
     @staticmethod
     def float_input(h, w, bits=10, seed=30):
@@ -362,26 +420,39 @@ class TestStoragePlan:
     def check(self, net, h, w, seed=31):
         weights = random_weights(net, seed=seed, scale=0.3)
         x = self.float_input(h, w)
-        assert_bits_equal(_apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
+        want = apply_layers_oracle(net, weights, x)
+        assert_bits_equal(apply_layers(net, weights, x), want)
+        for rows in (1, 3):
+            assert_bits_equal(layers_in_bands(net, weights, x, rows), want)
+        # these planes are too small for any conv to run in parts above the
+        # GEMM cutoff; without it, and with a GEMM whose sums do not depend on
+        # its shape, every conv runs band by band and rows wrap around the
+        # rings, and the pass must still give the oracle's bits
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(postproc_cnn, "_SMALL_GEMM", 0)
+            m.setattr(np, "matmul", sequential_matmul)
+            want = apply_layers_oracle(net, weights, x)
+            for rows in (1, 2, 5):
+                assert_bits_equal(layers_in_bands(net, weights, x, rows), want)
 
     def views(self, net):
-        return {l.id: step.slot is not None for l, step in zip(net.layers, net.storage_plan.steps) if l.op == CONCAT}
+        return {l.id: step.view for l, step in zip(net.layers, net.storage_plan.steps) if l.op == CONCAT}
 
     @pytest.mark.parametrize("h, w", [(72, 100), (108, 192)])
     def test_default_net(self, h, w):
         net = build_mfrnet_style()
         weights = random_weights(net, seed=32)
         x = self.float_input(h, w)
-        assert_bits_equal(_apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
+        assert_bits_equal(apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
 
-    @pytest.mark.parametrize("rows", [1, 3, 7])
-    def test_default_net_in_row_bands(self, monkeypatch, rows):
-        # budget of `rows` output rows of the widest conv (K = 80*3*3)
-        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 720 * 100 * 4)
+    @pytest.mark.parametrize("rows", [1, 3, 7, 64])
+    def test_default_net_in_row_bands(self, rows):
+        # bands of `rows` input rows; each conv still runs as many rows as its
+        # GEMM needs to sum in the whole-plane oracle's order (see _schedule)
         net = build_mfrnet_style()
         weights = random_weights(net, seed=33)
         x = self.float_input(72, 100)
-        assert_bits_equal(_apply_layers(net, weights, x), apply_layers_oracle(net, weights, x))
+        assert_bits_equal(layers_in_bands(net, weights, x, rows), apply_layers_oracle(net, weights, x))
 
     @pytest.mark.parametrize("shape", [(1, 1, 4, 4), (2, 2, 8, 4)])
     def test_small_mfrnet_styles(self, shape):
@@ -399,27 +470,28 @@ class TestStoragePlan:
         weights = random_weights(net, seed=34)
         x = self.float_input(20, 24)
         monkeypatch.setattr(np, "concatenate", refuse)
-        _apply_layers(net, weights, x)
+        apply_layers(net, weights, x)
 
     def test_block_buffers_share_storage(self):
         net = build_mfrnet_style(2, 4, 32, 16)
         steps = dict(zip((l.id for l in net.layers), net.storage_plan.steps))
-        block = {steps[c].slot[0] for c in ("b0_cat1", "b0_cat2", "b0_cat3", "b0_fuse_cat")}
+        slots = net.storage_plan.slots
+        block = {slots[c][0] for c in ("b0_cat1", "b0_cat2", "b0_cat3", "b0_fuse_cat")}
         assert len(block) == 1
-        assert steps["b0_fuse_cat"].slot[1:] == (0, 96)
+        assert slots["b0_fuse_cat"][1:] == (0, 96)
         assert steps["b0_conv0"].act is not None and steps["b0_act0"].out is None
         assert steps["b0_out"].inplace
 
     def test_reuse_concats_share_one_buffer(self):
         net = build_mfrnet_style()
-        steps = dict(zip((l.id for l in net.layers), net.storage_plan.steps))
+        slots = net.storage_plan.slots
         # laid out [b2_out | b1_out | b0_out]
-        assert steps["b3_reuse"].slot[1:] == (0, 96)
-        reuse = steps["b3_reuse"].slot[0]
-        assert steps["b2_reuse"].slot == (reuse, 32, 64)
-        assert steps["b1_reuse"].slot == (reuse, 64, 32)
-        assert steps["b0_fuse"].slot == (reuse, 64, 32)
-        assert steps["b2_fuse"].slot == (reuse, 0, 32)
+        assert slots["b3_reuse"][1:] == (0, 96)
+        reuse = slots["b3_reuse"][0]
+        assert slots["b2_reuse"] == (reuse, 32, 64)
+        assert slots["b1_reuse"] == (reuse, 64, 32)
+        assert slots["b0_fuse"] == (reuse, 64, 32)
+        assert slots["b2_fuse"] == (reuse, 0, 32)
 
     def test_input_concatenated_with_itself_is_copied(self):
         net = json_net([
@@ -499,19 +571,18 @@ class TestStoragePlan:
         self.check(net, 12, 17)
 
     def test_peak_memory_with_small_column_buffer(self, monkeypatch):
-        # with a 2-row column budget the live values dominate the peak: the
-        # plan's largest live channel count, plus one column buffer and one
-        # more budget for its padded slab and the band temporaries. Copying
-        # concats peak above that (284 channels of 64x96 against 228)
+        # with a 2-row column budget the peak stays under what layer-at-a-time
+        # evaluation with concats as slices holds: one block's buffer and the
+        # reuse buffer, 192 whole-plane channels, plus one column buffer and
+        # one more budget for its padded slab and the band temporaries. The
+        # band pass peaks at 4.3 MB; copying every concat, at 7.0 MB
         net = build_mfrnet_style()
         h, w = 64, 96
         budget = 2 * 720 * w * 4
         monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", budget)
         weights = random_weights(net, seed=24)
         plane = np.random.default_rng(25).integers(0, 1024, (h, w)).astype(np.uint16)
-        live = max(net.storage_plan.live_channels)
-        assert live == 2 * 96  # one block's buffer and the reuse buffer
-        bound = live * h * w * 4 + 2 * budget
+        bound = 2 * 96 * h * w * 4 + 2 * budget
         tracemalloc.start()
         try:
             apply_network(net, weights, plane, 10)
@@ -520,24 +591,21 @@ class TestStoragePlan:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak} above {bound} bytes"
 
-    def test_block_buffer_freed_before_next_block(self, monkeypatch):
+    def test_rings_keep_rows_not_planes(self):
+        # a store's ring holds the rows its readers still read, which depend
+        # on the plane's width and the net, not on its height: a 1080p plane
+        # and one four times as tall plan the same rings, each 96-channel
+        # block buffer a few rows. On a narrow plane, where a conv's GEMM
+        # needs many rows, no 96-channel ring is a quarter of the plane
         net = build_mfrnet_style()
-        weights = random_weights(net, seed=36)
-        run_layer = postproc_cnn._run_layer
-        buffers, alive_later = {}, {}
 
-        def watch(layer, step, ins, *rest):
-            if layer.id.endswith("_conv1"):
-                block = int(layer.id[1])
-                if block - 1 in buffers:
-                    alive_later[block - 1] = buffers[block - 1]() is not None
-                # b<k>_cat1 is a slice of block k's buffer
-                buffers[block] = weakref.ref(ins[0].base)
-            return run_layer(layer, step, ins, *rest)
+        def rings(h, w=1920):
+            sched = postproc_cnn._schedule(net, (1, h, w), np.float32, True)
+            return [r for c, r in zip(net.storage_plan.stores, sched.rows) if c == 96]
 
-        monkeypatch.setattr(postproc_cnn, "_run_layer", watch)
-        _apply_layers(net, weights, self.float_input(20, 24))
-        assert alive_later == {0: False, 1: False, 2: False}
+        assert rings(1080) == rings(4320)
+        assert max(rings(1080)) <= 10
+        assert max(rings(64, 96)) <= 16
 
 
 class TestInPlaceLeakyRelu:
@@ -579,7 +647,7 @@ class TestInPlaceLeakyRelu:
 
 
 class TestTiledApply:
-    """apply_network over row strips, with _PLANE_BYTES patched down."""
+    """apply_network over bands of rows, with their height patched."""
 
     def setup_method(self):
         self.net = build_mfrnet_style(1, 1, 4, 4)
@@ -587,67 +655,59 @@ class TestTiledApply:
         rng = np.random.default_rng(11)
         self.plane = rng.integers(0, 256, (64, 64)).astype(np.uint8)
 
-    def test_single_tile_equals_apply_network(self, monkeypatch):
+    def test_single_tile_equals_apply_network(self):
         whole = apply_network(self.net, self.weights, self.plane, 8)
-        budget = strip_budget(self.net, 64, 64)
-        got, heights = apply_in_strips(monkeypatch, self.net, self.weights, self.plane, 8, _PLANE_BYTES=budget)
-        assert heights == [64]
+        got, runs = apply_in_bands(self.net, self.weights, self.plane, 8, rows=64)
+        assert runs == [(0, 64)]
         assert np.array_equal(whole, got)
 
-    def test_small_tiles_bit_exact_with_sufficient_overlap(self, monkeypatch):
+    def test_small_tiles_bit_exact_with_sufficient_overlap(self):
+        # the rows a band's kernels overlap above it stay in the rings, so
+        # bands need no margin and no row is computed twice
         whole = apply_network(self.net, self.weights, self.plane, 8)
-        radius = self.net.receptive_radius()
         for rows in (32, 24, 16):
-            budget = strip_budget(self.net, 64, rows)
-            got, heights = apply_in_strips(monkeypatch, self.net, self.weights, self.plane, 8, _PLANE_BYTES=budget)
-            assert len(heights) == -(-64 // rows) and max(heights) <= rows + 2 * radius
+            got, runs = apply_in_bands(self.net, self.weights, self.plane, 8, rows=rows)
+            assert len(runs) == -(-64 // rows) and max(r1 - r0 for r0, r1 in runs) <= rows
             assert np.array_equal(whole, got), f"rows={rows}"
 
-    def test_strips_are_balanced(self, monkeypatch):
-        # at most 24 of 64 rows: three strips of 21, 21 and 22 rows, not
-        # 24, 24 and a thinner 16, each read with 3 rows of margin
-        assert self.net.receptive_radius() == 3
-        budget = strip_budget(self.net, 64, 24)
-        _, heights = apply_in_strips(monkeypatch, self.net, self.weights, self.plane, 8, _PLANE_BYTES=budget)
-        assert heights == [21 + 3, 3 + 21 + 3, 3 + 22]
+    def test_bands_are_balanced(self):
+        # at most 24 of 64 rows: three bands of 21, 21 and 22 rows, not 24,
+        # 24 and a thinner 16
+        _, runs = apply_in_bands(self.net, self.weights, self.plane, 8, rows=24)
+        assert runs == [(0, 21), (21, 42), (42, 64)]
 
-    def test_strips_at_paper_sizes(self):
-        # the default net holds 192 live channels: 1080p (1.6 GB) fits the
-        # 2 GiB budget whole, 4096x2048 (6.4 GB) runs as four 512-row strips
+    def test_working_set_at_paper_sizes(self):
+        # the default net's rings and column buffer: at 4096x2048 under
+        # 512 MB, where the whole-plane evaluation needed 6.4 GB (four strips
+        # of 1805 MB); at 1080p under 64 MB, against 1.6 GB whole
         net = build_mfrnet_style()
-        assert max(net.storage_plan.live_channels) == 192
-        for h, w, strips in ((1080, 1920, 1), (2048, 4096, 4)):
-            x = np.broadcast_to(np.float32(0), (1, h, w))
-            assert -(-h // _strip_rows(net, x)) == strips, f"{w}x{h}"
+        assert planned_bytes(net, 2048, 4096) < 512 << 20
+        assert planned_bytes(net, 1080, 1920) < 64 << 20
 
-    def test_peak_memory_bounded_by_the_strip_budget(self, monkeypatch):
-        # a budget of 12-row strips (48 rows with margins) against the whole
-        # 72 rows: the peak stays under the budget, one more column budget
-        # for the padded slab and band temporaries, and eight planes' worth
-        # of whole-plane float terms (input, output, residual, rounding).
-        # One whole-plane run peaks above that bound (6.4 MB against 5.1 MB)
-        net = build_mfrnet_style()
-        h, w = 72, 100
-        cols = 2 * 720 * w * 4
-        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", cols)
-        budget = strip_budget(net, w, 12)
-        monkeypatch.setattr(postproc_cnn, "_PLANE_BYTES", budget)
+    def test_peak_memory_bounded_by_the_band(self):
+        # 4096 wide, 32 and then 128 rows tall: the rings are the same, so
+        # the peak grows by the whole-plane terms only (the integer output),
+        # within 16 B/px. A whole-plane evaluation grows by every live
+        # channel, 4 B/px each
+        net = build_mfrnet_style(2, 2, 8, 4)
         weights = random_weights(net, seed=26)
-        plane = np.random.default_rng(27).integers(0, 1024, (h, w)).astype(np.uint16)
-        whole = max(net.storage_plan.live_channels) * h * w * 4 + cols
-        bound = budget + cols + 8 * h * w * 4
-        assert bound < whole
-        tracemalloc.start()
-        try:
-            apply_network(net, weights, plane, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, f"peak {peak} above {bound} bytes"
+        rng = np.random.default_rng(27)
+
+        def peak(h):
+            plane = rng.integers(0, 1024, (h, 4096)).astype(np.uint16)
+            apply_network(net, weights, plane, 10)  # plans this size once
+            tracemalloc.start()
+            try:
+                apply_network(net, weights, plane, 10)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(128) - peak(32) <= 16 * 96 * 4096
 
     @pytest.mark.parametrize("stride, pad", [(2, 1), (1, 0)])
-    def test_size_changing_net_runs_whole(self, monkeypatch, stride, pad):
-        # no receptive radius to margin strips with: one run at any budget
+    def test_size_changing_net_runs_whole(self, stride, pad):
+        # a net whose convs change the plane size runs as one band at any budget
         net = NetworkSpec(
             layers=(conv_layer("c", "input", 1, 1, 3, stride=stride, pad=pad),),
             output_id="c",
@@ -655,15 +715,14 @@ class TestTiledApply:
         )
         weights = random_weights(net, seed=28, scale=0.3)
         whole = apply_network(net, weights, self.plane, 8)
-        got, heights = apply_in_strips(monkeypatch, net, weights, self.plane, 8, _PLANE_BYTES=1)
-        assert heights == [64]
+        got, runs = apply_in_bands(net, weights, self.plane, 8, BAND_BYTES=1)
+        assert runs == [(0, 64)]
         assert np.array_equal(whole, got)
 
 
 class TestGemmBanding:
-    """GEMM accumulation order may depend on the matrix shape, so row strips
-    and row bands are checked on the default network's real shapes (K up
-    to 720)."""
+    """GEMM accumulation order may depend on the matrix shape, so bands of
+    rows are checked on the default network's real shapes (K up to 720)."""
 
     def setup_method(self):
         self.net = build_mfrnet_style()
@@ -671,26 +730,23 @@ class TestGemmBanding:
         rng = np.random.default_rng(22)
         self.plane = rng.integers(0, 1024, (72, 100)).astype(np.uint16)
 
-    def test_default_net_tiled_equals_untiled(self, monkeypatch):
+    def test_default_net_tiled_equals_untiled(self):
         whole = apply_network(self.net, self.weights, self.plane, 10)
         for rows in (16, 37, 64, 100):
-            got, heights = apply_in_strips(
-                monkeypatch, self.net, self.weights, self.plane, 10, _strip_rows=lambda net, x, rows=rows: rows
-            )
-            assert len(heights) == -(-72 // rows)
+            got, runs = apply_in_bands(self.net, self.weights, self.plane, 10, rows=rows)
+            assert len(runs) == -(-72 // rows)
             assert np.array_equal(whole, got), f"rows={rows}"
 
     def test_default_net_tiles_equal_whole_before_rounding(self):
         # rounding to 10 bits hides a last-ulp difference, so the float
-        # output of the strips is compared with the whole plane's, on this
-        # plane and on a taller one split into more strips
+        # output of the bands is compared with the whole-plane oracle's, on
+        # this plane and on a taller one split into more bands
         tall = np.random.default_rng(29).integers(0, 1024, (100, 144)).astype(np.uint16)
         for plane in (self.plane, tall):
             x = (plane.astype(np.float32) / np.float32(1023))[None]
-            whole = _apply_layers(self.net, self.weights, x)
+            whole = apply_layers_oracle(self.net, self.weights, x)
             for rows in (16, 37, 64, 100):
-                got = _apply_strips(self.net, self.weights, x, rows)
-                assert_bits_equal(got, whole)
+                assert_bits_equal(layers_in_bands(self.net, self.weights, x, rows), whole)
 
     @pytest.mark.parametrize("rows, width, stride", [(1, 100, 1), (7, 100, 1), (4, 41, 1), (3, 100, 2)])
     def test_row_bands_equal_one_band(self, monkeypatch, rows, width, stride):
@@ -708,6 +764,36 @@ class TestGemmBanding:
         ow = one_band.shape[2]
         monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 80 * 3 * 3 * ow * 4)
         assert np.array_equal(conv2d(x, w, b, stride=stride, pad=1), one_band)
+
+
+class TestShortRuns:
+    """The band pass runs a conv a few rows at a time. Above the small-GEMM
+    cutoff a short run multiplies as many columns as the cutoff needs;
+    below it, OpenBLAS's sums depend on the column count and on where a
+    column sits in the tail of the matrix, so a run multiplies its
+    whole-plane band's columns with its rows in their place. Either way
+    the run must give the whole-plane conv2d's bits."""
+
+    @pytest.mark.parametrize("out_ch, in_ch, kernel, h, w", [
+        (1, 4, 3, 10, 37),  # below the cutoff, one-channel
+        (2, 16, 3, 9, 45),  # below the cutoff
+        (4, 4, 1, 10, 37),  # below the cutoff, 1x1
+        (32, 1, 3, 64, 96),  # the default head: 37 rows for the cutoff
+        (16, 32, 3, 40, 100),  # 3 rows
+        (32, 32, 1, 40, 100),  # 1x1: 10 rows
+    ])
+    def test_runs_equal_whole_plane(self, out_ch, in_ch, kernel, h, w):
+        rng = np.random.default_rng(40)
+        weights = rng.normal(0, 0.3, (out_ch, in_ch, kernel, kernel)).astype(np.float32)
+        bias = rng.normal(0, 0.3, out_ch).astype(np.float32)
+        x = rng.random((in_ch, h, w)).astype(np.float32)
+        whole = conv2d(x, weights, bias, pad=kernel // 2)
+        k = postproc_cnn._kernel(weights, bias, 1, kernel // 2, np.float32)
+        for rows in (1, 3, 5):
+            out = np.empty_like(whole)
+            for r0 in range(0, h, rows):
+                postproc_cnn._conv(k, x, h, out[:, r0 : r0 + rows], r0)
+            assert_bits_equal(out, whole)
 
 
 class TestBuildMfrnetStyle:
@@ -786,10 +872,10 @@ class TestReceptiveField:
         size = 15
         center = size // 2
         x = np.zeros((1, size, size))
-        base = _apply_layers(net, weights, x)
+        base = apply_layers(net, weights, x)
         x2 = x.copy()
         x2[0, center, center] = 1.0
-        diff = np.abs(_apply_layers(net, weights, x2) - base)[0]
+        diff = np.abs(apply_layers(net, weights, x2) - base)[0]
         affected = np.argwhere(diff > 1e-12)
         radius = np.abs(affected - center).max()
         assert radius == 3
