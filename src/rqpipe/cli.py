@@ -13,6 +13,7 @@ import math
 import os
 import signal
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from .bd_stats import RQCurve, RQPoint, bd_quality, bd_rate
 from .errors import ConfigError, RqpipeError
 from .frame_io import VideoSpec, frame_size_bytes, parse_spec_string, read_sequence, write_sequence
 from .metrics import psnr_y_sequence
-from .pipeline import assemble_report, dump_patch, mock_encode_decode, run_experiment
+from .pipeline import assemble_report, dump_patch, run_experiment
+from .pipeline.codecs import CodedStream, MockCodec
 from .pipeline.manifest import RunManifest
 from .postproc_cnn import NetworkSpec, apply_network, load_weights
 from .resample import ResampleFilter, parse_scale, resample_frame
@@ -124,13 +126,15 @@ def cmd_postproc(args) -> int:
 
 
 def cmd_mock_codec(args) -> int:
+    # one frame at a time: code, write, then score the two files as `psnr` does
     spec = _input_spec(args, args.infile)
-    frames = list(read_sequence(args.infile, spec))
-    decoded, bits = mock_encode_decode(frames, args.qp, spec.bit_depth)
-    write_sequence(decoded, spec, args.out)
-    kbps = bits * args.fps / spec.frame_count / 1000.0
-    score = psnr_y_sequence(frames, decoded, spec.bit_depth)
-    print(f"qp {args.qp}: {bits} bits, {kbps:.3f} kbps @ {args.fps} fps, "
+    coded = CodedStream(
+        MockCodec().encode_decode(read_sequence(args.infile, spec), spec, args.qp, None, None, nullcontext)
+    )
+    write_sequence(coded, spec, args.out)
+    kbps = coded.bits * args.fps / spec.frame_count / 1000.0
+    score = psnr_y_sequence(read_sequence(args.infile, spec), read_sequence(args.out, spec), spec.bit_depth)
+    print(f"qp {args.qp}: {coded.bits} bits, {kbps:.3f} kbps @ {args.fps} fps, "
           f"psnr_y {score.sequence_value:.4f} dB")
     return 0
 

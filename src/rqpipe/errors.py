@@ -64,10 +64,12 @@ def _fields(template: str):
 
 
 def check_template(template: str, required, optional=(), *, what: str) -> set[str]:
-    """The placeholder names of `template`; ConfigError unless it has every
-    {required} placeholder and none outside `required` and `optional`."""
+    """The placeholder names of `template`; ConfigError unless it splits
+    into shell-style arguments, each argument's placeholders parse, and it
+    has every {required} placeholder and none outside `required` and
+    `optional`."""
     try:
-        names = set(_fields(template))
+        names = {name for arg in shlex.split(template) for name in _fields(arg)}
     except ValueError as exc:
         raise ConfigError(f"{what} template does not parse ({exc}): {template!r}") from None
     missing = [f"{{{n}}}" for n in required if n not in names]
@@ -87,18 +89,24 @@ def _kill_group(pgid: int) -> None:
         os.killpg(pgid, signal.SIGKILL)
 
 
-def run_tool(cmd: str, what: str, timeout: float | None = None) -> subprocess.CompletedProcess:
-    """Run an external command line, capturing stdout and stderr as text
-    (bytes that are not UTF-8 are replaced).
+def run_tool(template: str, what: str, timeout: float | None = None, fields=None) -> subprocess.CompletedProcess:
+    """Run an external command template, capturing stdout and stderr as
+    text (bytes that are not UTF-8 are replaced).
 
-    The command runs in a session of its own, so no terminal signal
-    reaches it: kill_running_tools stops it. A command still running
-    after `timeout` seconds (None: no limit) is killed with every process
-    it started, reaped, and raises ExternalToolError naming it; the caller
-    checks the exit status.
+    The template is split into arguments as a POSIX shell would (quotes
+    group, no expansion), then each argument's placeholders are filled
+    from `fields`, so a value is always exactly one argument, whatever
+    spaces or quotes it holds. The command runs in a session of its own,
+    so no terminal signal reaches it: kill_running_tools stops it. A
+    command still running after `timeout` seconds (None: no limit) is
+    killed with every process it started and reaped. Such a timeout and a
+    non-zero exit raise ExternalToolError naming `what` and the command;
+    an exit also gives its code and the last stderr line.
     """
+    argv = [arg.format(**(fields or {})) for arg in shlex.split(template)]
+    cmd = shlex.join(argv)
     with subprocess.Popen(
-        shlex.split(cmd), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, errors="replace", start_new_session=True,
     ) as proc:
         with _running_lock:
@@ -118,13 +126,19 @@ def run_tool(cmd: str, what: str, timeout: float | None = None) -> subprocess.Co
         finally:
             with _running_lock:
                 _running.discard(proc.pid)
-    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+    if proc.returncode:
+        last = stderr.strip().rpartition("\n")[2].strip()  # the last non-empty line
+        raise ExternalToolError(
+            f"{what} command exited {proc.returncode}: {cmd}" + (f" -- {last}" if last else ""),
+            stdout=stdout, stderr=stderr, returncode=proc.returncode,
+        )
+    return subprocess.CompletedProcess(argv, 0, stdout, stderr)
 
 
 def kill_running_tools() -> None:
     """SIGKILL every process group started by a run_tool call, in any
-    thread, that is still waiting; each such call then returns the
-    tool's exit status -9."""
+    thread, that is still waiting; each such call then raises
+    ExternalToolError with the tool's exit status -9."""
     with _running_lock:
         for pgid in _running:
             _kill_group(pgid)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import row_bands
-from .errors import ConfigError, DimensionError, ExternalToolError, MetricParseError, check_template, run_tool
+from .errors import ConfigError, DimensionError, MetricParseError, check_template, run_tool
 from .frame_io import Frame, VideoSpec
 
 MEAN_OF_PER_FRAME = "mean_of_per_frame"
@@ -124,37 +124,25 @@ def external_metric(
     metric_id: str = "external",
     timeout: float | None = None,
 ) -> QualityScore:
-    """Run an external metric command and parse its scores.
+    """Run an external metric command through run_tool and parse its scores.
 
     The template must contain {ref} and {dist}; {w}, {h}, {bitdepth} and
-    {out} are substituted when present, and any other placeholder is a
-    ConfigError. Scores are read from the {out} file if the template
-    declares one, otherwise from stdout: one float per line gives
-    per-frame scores, `key=value` lines give a summary. A command still
-    running after `timeout` seconds is killed and raises ExternalToolError.
+    {out} are filled in when present, each as one argument, and any other
+    placeholder is a ConfigError. Scores are read from the {out} file if
+    the template declares one, otherwise from stdout: one float per line
+    gives per-frame scores, `key=value` lines give a summary. A command
+    that exits non-zero or outlives `timeout` seconds raises
+    ExternalToolError.
     """
     names = check_template(cmd_template, *METRIC_FIELDS, what=f"metric {metric_id!r}")
+    fields = {"ref": ref_path, "dist": dist_path, "w": spec.width, "h": spec.height, "bitdepth": spec.bit_depth}
     out_file = None
     try:
-        fields = {
-            "ref": str(ref_path),
-            "dist": str(dist_path),
-            "w": spec.width,
-            "h": spec.height,
-            "bitdepth": spec.bit_depth,
-        }
         if "out" in names:
             fd, out_file = tempfile.mkstemp(prefix=f"{metric_id}_", suffix=".txt")
             os.close(fd)
             fields["out"] = out_file
-        proc = run_tool(cmd_template.format(**fields), metric_id, timeout)
-        if proc.returncode != 0:
-            raise ExternalToolError(
-                f"{metric_id} command exited {proc.returncode}: {proc.stderr.strip()}",
-                stdout=proc.stdout,
-                stderr=proc.stderr,
-                returncode=proc.returncode,
-            )
+        proc = run_tool(cmd_template, metric_id, timeout, fields)
         text = Path(out_file).read_text() if out_file else proc.stdout
     finally:
         if out_file is not None:

@@ -10,8 +10,8 @@ are kept as int32 in that layout, and the bits are priced from a
 histogram of their magnitudes. Encode and decode run over bands of block
 rows (rqpipe.bands), so the float64 samples and coefficients in flight
 are one band's, not a plane's.
-External codecs are driven through shell command templates and their
-bitrate is taken from the bitstream size.
+External codecs are driven through command templates, run by
+errors.run_tool, and their bitrate is taken from the bitstream size.
 
 Adapter contract: `encode_decode(frames, spec, qp, workdir, tag, timer)`
 takes an iterable of frames and is a generator. It yields one decoded
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..bands import row_bands
-from ..errors import ConfigError, ExternalToolError, check_template, run_tool
+from ..errors import ConfigError, check_template, run_tool
 from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
 
 BLOCK = 8
@@ -150,16 +150,12 @@ def _code_frames(frames, qp: int, bit_depth: int, timer):
     return total_bits
 
 
-def _untimed(stage: str):
-    return nullcontext()
-
-
 def mock_encode_decode(frames, qp: int, bit_depth: int):
     """Encode and decode a frame list; returns (decoded frames, total bits).
 
     Deterministic: identical inputs always produce identical outputs.
     """
-    stream = CodedStream(_code_frames(frames, qp, bit_depth, _untimed))
+    stream = CodedStream(_code_frames(frames, qp, bit_depth, nullcontext))  # untimed
     decoded = list(stream)
     return decoded, stream.bits
 
@@ -211,12 +207,12 @@ class ExternalCodec:
     """Codec driven by encode/decode command templates.
 
     encode_cmd takes exactly the placeholders {in} {out} {qp} {w} {h};
-    decode_cmd takes exactly {in} {out}. The encode output is the
-    bitstream <tag>.bin, whose byte size supplies the rate; the decode
-    output is a raw sequence matching the input spec. The raw input and
-    decoded files are removed once read; the bitstream is kept. A command
-    still running after `timeout` seconds is killed and raises
-    ExternalToolError naming it.
+    decode_cmd takes exactly {in} {out}. Both run through run_tool, one
+    argument per placeholder. The encode output is the bitstream
+    <tag>.bin, whose byte size supplies the rate; the decode output is a
+    raw sequence matching the input spec. The raw input and decoded files
+    are removed once read; the bitstream is kept. A command that exits
+    non-zero or outlives `timeout` seconds raises ExternalToolError.
     """
 
     kind = "external"
@@ -236,17 +232,6 @@ class ExternalCodec:
             "timeout": self.timeout,
         }
 
-    def _run(self, template: str, **fields) -> None:
-        cmd = template.format(**fields)
-        proc = run_tool(cmd, "codec", self.timeout)
-        if proc.returncode != 0:
-            raise ExternalToolError(
-                f"codec command exited {proc.returncode}: {cmd}",
-                stdout=proc.stdout,
-                stderr=proc.stderr,
-                returncode=proc.returncode,
-            )
-
     def encode_decode(self, frames, spec: VideoSpec, qp: int, workdir, tag, timer):
         workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
@@ -256,16 +241,14 @@ class ExternalCodec:
         try:
             with timer("encode"):
                 write_sequence(frames, spec, src)
-                self._run(
-                    self.encode_cmd,
-                    **{"in": src, "out": bitstream, "qp": qp, "w": spec.width, "h": spec.height},
-                )
+                fields = {"in": src, "out": bitstream, "qp": qp, "w": spec.width, "h": spec.height}
+                run_tool(self.encode_cmd, "codec", self.timeout, fields)
         finally:
             src.unlink(missing_ok=True)
         total_bits = bitstream.stat().st_size * 8
         try:
             with timer("decode"):
-                self._run(self.decode_cmd, **{"in": bitstream, "out": recon})
+                run_tool(self.decode_cmd, "codec", self.timeout, {"in": bitstream, "out": recon})
                 decoded = read_sequence(recon, spec)
             with closing(decoded):
                 for _ in range(spec.frame_count):

@@ -37,7 +37,15 @@ Experiment files are INI-style:
     psnr_y = native
     # vmaf = vmaf-tool --ref {ref} --dist {dist} -w {w} -h {h} -b {bitdepth}
 
-Relative paths resolve against the config file's directory.
+Relative paths resolve against the config file's directory. Unknown
+keys are rejected: a section other than these, or a key that no loader
+reads, is a ConfigError naming it. [metrics] keys are free metric ids,
+and keys that a [DEFAULT] section supplies to every section are allowed
+(and are not metric ids). A value that could only fail the jobs later is
+a ConfigError at load too: a frame_count below 1, a frame_rate that is
+not a finite positive number, a filter that does not parse, or a scale
+whose coded size is not integral, or not even for 4:2:0, for some
+sequence.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError, check_template
+from ..errors import ConfigError, DimensionError, check_template
 from ..frame_io import C400, C420, VideoSpec
 from ..metrics import METRIC_FIELDS
 from ..postproc_cnn import NetworkSpec, build_mfrnet_style, load_weights, validate_weights
@@ -60,6 +68,20 @@ from .manifest import sha256_file
 DEFAULT_QP_PAIRS = ((22, 4), (27, 7), (32, 11), (37, 15))
 # texture shift applied when coding at half resolution
 HALF_RES_QP_OFFSET = -6
+
+# the keys each section's loader reads; [metrics] keys are metric ids
+_SECTION_KEYS = {
+    "run": {"workdir", "codec_timeout", "metric_timeout", "psnr_inf_cap"},
+    "sequence.": {
+        "path", "width", "height", "bit_depth", "chroma", "frame_count", "frame_rate",
+        "depth_path", "depth_bit_depth",
+    },
+    "method.": {
+        "scale", "down_filter", "up_filter", "depth_down_filter", "qp_texture_offset",
+        "codec", "encode_cmd", "decode_cmd", "postproc_net", "postproc_weights", "postproc_luma_only",
+    },
+    "qps": {"pairs"},
+}
 
 
 @dataclass(frozen=True)
@@ -174,8 +196,21 @@ class ExperimentConfig:
                     if str(path) not in method.postproc.weights_sha256:
                         method.postproc.weights_sha256[str(path)] = sha256_file(path)
         for seq in self.sequences:
+            if seq.spec.frame_count < 1:
+                raise ConfigError(f"sequence {seq.label!r}: frame_count must be at least 1")
+            if not 0 < seq.frame_rate < math.inf:
+                raise ConfigError(
+                    f"sequence {seq.label!r}: frame_rate must be a finite number > 0, got {seq.frame_rate}"
+                )
             if not Path(seq.path).is_file():
                 raise ConfigError(f"sequence {seq.label!r}: file missing: {seq.path}")
+            # a depth stream has the texture's size and no chroma, so it
+            # scales whenever the texture does
+            for method in self.methods:
+                try:
+                    seq.spec.scaled(method.scale)
+                except DimensionError as exc:
+                    raise ConfigError(f"method {method.label!r} cannot code sequence {seq.label!r}: {exc}") from None
 
 
 def _parse_qp_pairs(text: str) -> list[QpPair]:
@@ -233,12 +268,11 @@ def _sequence_from_section(label: str, section, base: Path) -> SequenceConfig:
         raise ConfigError(f"sequence {label!r}: bad or missing spec fields") from exc
     if "frame_rate" not in section:
         raise ConfigError(f"sequence {label!r}: frame_rate must be stated explicitly")
-    seq = SequenceConfig(
-        label=label,
-        path=base / section.get("path"),
-        spec=spec,
-        frame_rate=section.getfloat("frame_rate"),
-    )
+    try:
+        frame_rate = section.getfloat("frame_rate")
+    except ValueError:
+        raise ConfigError(f"sequence {label!r}: frame_rate must be a number, got {section['frame_rate']!r}") from None
+    seq = SequenceConfig(label=label, path=base / section.get("path"), spec=spec, frame_rate=frame_rate)
     if section.get("depth_path"):
         seq.depth_path = base / section.get("depth_path")
         seq.depth_spec = VideoSpec(
@@ -275,14 +309,20 @@ def _method_from_section(label: str, section, base: Path, codec_timeout: float |
             luma_only=section.getboolean("postproc_luma_only", True),
         )
 
-    depth_filter = section.get("depth_down_filter")
+    def parsed(parse, key, default=None):  # an empty value is the default, as for up_filter
+        text = section.get(key) or default
+        try:
+            return parse(text) if text else None
+        except ConfigError as exc:
+            raise ConfigError(f"method {label!r}: {exc}") from None
+
     return MethodConfig(
         label=label,
         codec=codec,
-        scale=parse_scale(section.get("scale", "1/1")),
-        down_filter=ResampleFilter.parse(section.get("down_filter", "lanczos:3")),
-        up_filter=ResampleFilter.parse(section.get("up_filter")) if section.get("up_filter") else None,
-        depth_down_filter=ResampleFilter.parse(depth_filter) if depth_filter else None,
+        scale=parsed(parse_scale, "scale", "1/1"),
+        down_filter=parsed(ResampleFilter.parse, "down_filter", "lanczos:3"),
+        up_filter=parsed(ResampleFilter.parse, "up_filter"),
+        depth_down_filter=parsed(ResampleFilter.parse, "depth_down_filter"),
         qp_texture_offset=section.getint("qp_texture_offset", 0),
         postproc=postproc,
     )
@@ -301,6 +341,19 @@ def _timeout(parser, key: str) -> float | None:
     raise ConfigError(f"[run] {key} must be a positive number of seconds, got {text!r}")
 
 
+def _check_keys(parser) -> None:
+    """ConfigError for a section or key that no loader reads."""
+    for name in parser.sections():
+        if name == "metrics":
+            continue
+        kind = name.partition(".")[0] + "." if "." in name else name
+        if kind not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - _SECTION_KEYS[kind] - set(parser.defaults()))
+        if unknown:
+            raise ConfigError(f"[{name}]: unknown key {', '.join(unknown)}")
+
+
 def load_experiment(path) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     path = Path(path)
@@ -308,6 +361,7 @@ def load_experiment(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise ConfigError(f"cannot read experiment config {path}")
+    _check_keys(parser)
     base = path.parent
     codec_timeout = _timeout(parser, "codec_timeout")
 
@@ -326,7 +380,8 @@ def load_experiment(path) -> ExperimentConfig:
 
     metrics = {"psnr_y": "native"}
     if parser.has_section("metrics"):
-        metrics = {k: v.strip() for k, v in parser["metrics"].items()}
+        defaults = parser.defaults()  # shared values, not metric ids
+        metrics = {k: v.strip() for k, v in parser["metrics"].items() if k not in defaults}
         if not metrics:
             metrics = {"psnr_y": "native"}
 

@@ -322,7 +322,6 @@ def run_experiment(
     workdir=None,
     workers: int | None = None,
     resume: bool = True,
-    manifest_name: str = "manifest.jsonl",
 ) -> RunManifest:
     """Run every job of an experiment config (path or ExperimentConfig).
 
@@ -341,7 +340,7 @@ def run_experiment(
     n_workers = _worker_count(workers)
     out = Path(workdir) if workdir is not None else cfg.workdir
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / manifest_name
+    manifest_path = out / "manifest.jsonl"
     manifest = RunManifest.load(manifest_path) if resume else RunManifest(manifest_path)
     if not resume and manifest_path.exists():
         manifest_path.unlink()

@@ -76,7 +76,11 @@ class ResampleFilter:
         if t == "lanczos":
             return cls.lanczos()
         if t.startswith("lanczos:"):
-            return cls.lanczos(int(t.split(":", 1)[1]))
+            try:
+                a = int(t.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"cannot parse filter {text!r}") from None
+            return cls.lanczos(a)
         raise ConfigError(f"cannot parse filter {text!r}")
 
     def __str__(self):

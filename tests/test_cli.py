@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -173,6 +174,25 @@ class TestMockCodecCommand:
         text = capsys.readouterr().out
         assert "bits" in text and "psnr_y" in text
         assert out.stat().st_size == path.stat().st_size
+
+    def test_peak_does_not_grow_with_frame_count(self, tmp_path):
+        # frames stream from the input through the codec into the output,
+        # and PSNR-Y is scored from the two files: no frame list is held
+        spec = VideoSpec(256, 192, 10, "420", frame_count=8)
+        path = tmp_path / "in.yuv"
+        write_sequence(synthetic_sequence(spec, seed=5), spec, path)
+
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                assert run_cli("mock-codec", "--in", path, "--spec", "256x192:10:420", "--qp", "27",
+                               "--frames", frames, "--out", tmp_path / "out.yuv") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: first-call allocations inside numpy and scipy
+        assert peak(8) - peak(2) < frame_size_bytes(spec)
 
 
 class TestDumpPatchCommand:

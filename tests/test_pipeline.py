@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import shlex
 import signal
 import time
 import tracemalloc
@@ -98,7 +99,10 @@ class TestConfigLoading:
          "decode_cmd = dec {in} {out}", r"encode template unknown \{fps\}"),
         ("codec = mock", "codec = external\nencode_cmd = enc {in} {out} {qp} {w} {h}\n"
          "decode_cmd = dec {in}", r"decode template missing \{out\}"),
-    ], ids=["metric", "encode", "decode"])
+        ("codec = mock", "codec = external\nencode_cmd = enc {in} {out} {qp} {w} {h}\n"
+         "decode_cmd = dec {in} {out} 'unclosed",
+         r"decode template does not parse \(No closing quotation\): \"dec \{in\} \{out\} 'unclosed\""),
+    ], ids=["metric", "encode", "decode", "unbalanced-quote"])
     def test_bad_tool_template_rejected_at_load(self, experiment_dir, old, new, match):
         text = (experiment_dir / "exp.ini").read_text()
         (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
@@ -137,6 +141,53 @@ class TestConfigLoading:
             (experiment_dir / "broken.ini").write_text(text.replace("workdir = out", f"workdir = out\n{key} = {value}"))
             with pytest.raises(ConfigError, match=rf"\[run\] {key} must be a positive number of seconds"):
                 load_experiment(experiment_dir / "broken.ini")
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("qp_texture_offset = -6", "qp_textur_offset = -6", r"\[method\.rescaled\]: unknown key qp_textur_offset"),
+        ("workdir = out", "workdir = out\nworkers = 2", r"\[run\]: unknown key workers"),
+        ("frame_rate = 30", "frame_rate = 30\nfps = 30", r"\[sequence\.synthA\]: unknown key fps"),
+        ("pairs = ", "pair = ", r"\[qps\]: unknown key pair"),
+        ("[metrics]", "[metric]", r"unknown section \[metric\]"),
+        ("[method.anchor]", "[method]", r"unknown section \[method\]"),
+    ], ids=["method", "run", "sequence", "qps", "section", "unlabelled-method"])
+    def test_unknown_key_or_section_rejected(self, experiment_dir, old, new, match):
+        # a misspelt key used to be ignored: the method then ran with no offset
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=match):
+            load_experiment(experiment_dir / "broken.ini")
+
+    def test_default_keys_and_metric_ids_are_not_flagged(self, experiment_dir):
+        text = (experiment_dir / "exp.ini").read_text().replace("frame_rate = 30\n", "")
+        (experiment_dir / "shared.ini").write_text(
+            "[DEFAULT]\nframe_rate = 25\n" + text.replace("psnr_y = native", "psnr_y = native\nvmaf = tool {ref} {dist}")
+        )
+        cfg = load_experiment(experiment_dir / "shared.ini")
+        assert cfg.sequences[0].frame_rate == 25.0
+        assert cfg.metrics == {"psnr_y": "native", "vmaf": "tool {ref} {dist}"}
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("frame_count = 8", "frame_count = 0", r"sequence 'synthA': frame_count must be at least 1"),
+        ("frame_rate = 30", "frame_rate = 0", r"sequence 'synthA': frame_rate must be a finite number > 0, got 0"),
+        ("frame_rate = 30", "frame_rate = -30", r"sequence 'synthA': frame_rate must be a finite number > 0"),
+        ("frame_rate = 30", "frame_rate = nan", r"sequence 'synthA': frame_rate must be a finite number > 0"),
+        ("frame_rate = 30", "frame_rate = inf", r"sequence 'synthA': frame_rate must be a finite number > 0"),
+        ("frame_rate = 30", "frame_rate = thirty", r"sequence 'synthA': frame_rate must be a number, got 'thirty'"),
+        ("scale = 1/2", "scale = 1/3",
+         r"method 'rescaled' cannot code sequence 'synthA': scale 1/3 of 64x64 is not integral"),
+        ("scale = 1/2", "scale = 1/64",
+         r"method 'rescaled' cannot code sequence 'synthA': 4:2:0 requires even dimensions, got 1x1"),
+        ("down_filter = lanczos:3", "down_filter = lanczos:x", r"method 'rescaled': cannot parse filter 'lanczos:x'"),
+        ("up_filter = nn", "up_filter = box", r"method 'rescaled': cannot parse filter 'box'"),
+    ], ids=["frame-count", "rate-zero", "rate-negative", "rate-nan", "rate-inf", "rate-text",
+            "scale-fraction", "scale-odd", "down-filter", "up-filter"])
+    def test_value_that_fails_every_job_rejected_at_load(self, experiment_dir, old, new, match):
+        # each used to fail every job of its sequence or method, or, for a
+        # zero or non-finite frame rate, drop every curve from the report
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=match):
+            load_experiment(experiment_dir / "broken.ini")
 
     def test_nearest_qp_model_selection(self, experiment_dir):
         cfg = load_experiment(experiment_dir / "exp.ini")
@@ -1260,6 +1311,108 @@ pairs = 22:4, 27:7, 32:11
         monkeypatch.setattr(subprocess.Popen, "communicate", fail_after)
         with pytest.raises(RuntimeError, match="after the tool ended"):
             run_tool("true", "codec")
+
+    def test_metric_exit_fails_the_job_naming_the_command(self, tmp_path):
+        import sys as _sys
+
+        stub = tmp_path / "brokenmetric.py"
+        stub.write_text("import sys\nprint('boom', file=sys.stderr)\nsys.exit(4)\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=1, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            f"""
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 1
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[qps]
+pairs = 22:4
+
+[metrics]
+broken = {_sys.executable} {stub} {{ref}} {{dist}}
+"""
+        )
+        manifest = run_experiment(tmp_path / "exp.ini", workers=1)
+        (rec,) = manifest.jobs.values()
+        assert rec.status == "failed"
+        assert rec.error.startswith(f"ExternalToolError: broken command exited 4: {_sys.executable} {stub} ")
+        assert rec.error.endswith(" -- boom")
+        assert rec.notes["exit_code"] == 4
+        assert rec.notes["stderr_tail"] == "boom\n"
+
+    def test_run_tool_fills_each_field_as_one_argument(self, tmp_path):
+        import sys as _sys
+
+        stub = tmp_path / "argv.py"
+        stub.write_text("import json, sys\nprint(json.dumps(sys.argv[1:]))\n")
+        value = str(tmp_path / "it's a file.yuv")
+        proc = run_tool(
+            f"{_sys.executable} {stub} --in {{in}} 'a b' x{{n}}", "codec", fields={"in": value, "n": 3}
+        )
+        assert json.loads(proc.stdout) == ["--in", value, "a b", "x3"]
+
+    def test_run_tool_exit_names_the_command_and_the_last_stderr_line(self):
+        template = "sh -c 'echo first >&2; echo boom >&2; echo >&2; exit 3' {in}"
+        with pytest.raises(ExternalToolError) as err:
+            run_tool(template, "codec", fields={"in": "a b"})
+        argv = ["sh", "-c", "echo first >&2; echo boom >&2; echo >&2; exit 3", "a b"]
+        assert str(err.value) == f"codec command exited 3: {shlex.join(argv)} -- boom"
+        assert err.value.returncode == 3
+        assert err.value.stderr == "first\nboom\n\n"
+
+    def test_paths_with_spaces_reach_the_tools_whole(self, tmp_path):
+        # the experiment, its stubs and its outputs live under "sp ace"; each
+        # placeholder is filled as one argument, so no path is split
+        import sys as _sys
+
+        root = tmp_path / "sp ace"
+        root.mkdir()
+        codec = root / "copy codec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        metric = root / "metric stub.py"
+        metric.write_text(
+            "import os, sys\nassert all(map(os.path.isfile, sys.argv[1:3]))\nfor _ in range(2): print('91.5')\n"
+        )
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=6), spec, root / "s.yuv")
+        py, codec, metric = (shlex.quote(str(p)) for p in (_sys.executable, codec, metric))
+        (root / "exp.ini").write_text(
+            f"""
+[run]
+workdir = out dir
+
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+
+[method.ext]
+codec = external
+encode_cmd = {py} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}
+decode_cmd = {py} {codec} {{in}} {{out}}
+
+[qps]
+pairs = 22:4
+
+[metrics]
+psnr_y = native
+fakevmaf = {py} {metric} {{ref}} {{dist}}
+"""
+        )
+        manifest = run_experiment(root / "exp.ini", workers=1)
+        (rec,) = manifest.jobs.values()
+        assert rec.status == "ok", rec.error
+        assert rec.total_bits == 16 * 16 * 3 // 2 * 2 * 8
+        assert rec.scores["psnr_y"]["sequence_value"] == 100.0  # lossless, capped
+        assert rec.scores["fakevmaf"]["per_frame"] == [91.5, 91.5]
 
     def test_external_codec_keeps_only_its_bitstream(self, tmp_path):
         # the raw input and decoded files go once read, also when the
