@@ -40,6 +40,9 @@ from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
 
 BLOCK = 8
 QP_MIN, QP_MAX = 0, 63
+# the placeholders of an external codec's encode and decode templates
+ENCODE_FIELDS = ("in", "out", "qp", "w", "h")
+DECODE_FIELDS = ("in", "out")
 
 
 def quant_step(qp: int) -> float:
@@ -218,8 +221,8 @@ class ExternalCodec:
     kind = "external"
 
     def __init__(self, encode_cmd: str, decode_cmd: str, timeout: float | None = None):
-        check_template(encode_cmd, ("in", "out", "qp", "w", "h"), what="encode")
-        check_template(decode_cmd, ("in", "out"), what="decode")
+        check_template(encode_cmd, ENCODE_FIELDS, what="encode")
+        check_template(decode_cmd, DECODE_FIELDS, what="decode")
         self.encode_cmd = encode_cmd
         self.decode_cmd = decode_cmd
         self.timeout = timeout

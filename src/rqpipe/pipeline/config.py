@@ -1,34 +1,51 @@
 """Experiment configuration: method definitions and the INI loader.
 
-Experiment files are INI-style:
+Experiment files are INI-style. Below is every key with its default, but
+for the five marked as having none, whose values are examples. A key left
+out or left empty takes its default; an empty default means unset.
 
     [run]
-    workdir = out
+    workdir = rqpipe_out
     # seconds an external codec or metric command may run before it is
-    # killed and its job fails; no limit when unset
-    # codec_timeout = 600
-    # metric_timeout = 600
+    # killed and its job fails; unset: no limit
+    codec_timeout =
+    metric_timeout =
+    # PSNR-Y, in dB, of a frame equal to its reference
+    psnr_inf_cap = 100
 
     [sequence.<label>]
+    # these five have no default
     path = seqs/a.yuv
     width = 64
     height = 64
-    bit_depth = 8
-    chroma = 420
     frame_count = 8
     frame_rate = 30
-    # optional monochrome depth stream coded at qp_depth:
-    # depth_path = seqs/a_depth.yuv
-    # depth_bit_depth = 8
+    bit_depth = 8
+    # 420 or 400 (monochrome)
+    chroma = 420
+    # optional monochrome depth stream coded at qp_depth; unset
+    # depth_bit_depth: the texture's bit_depth
+    depth_path =
+    depth_bit_depth =
 
     [method.<label>]
-    scale = 1/2                 # in (0, 1]; 1/1 disables resampling
+    # in (0, 1]; 1/1 codes at full size and does not resample
+    scale = 1/1
     down_filter = lanczos:3
-    up_filter = nn
-    qp_texture_offset = -6
-    codec = mock                # or: external (needs encode_cmd/decode_cmd)
-    # postproc_net = net.json   or  mfrnet:4,4,32,16
-    # postproc_weights = 22=w22.rqpw, 27=w27.rqpw, ...
+    # unset: nn when the method resamples
+    up_filter =
+    # unset: down_filter
+    depth_down_filter =
+    qp_texture_offset = 0
+    # mock, or external with encode_cmd and decode_cmd templates
+    codec = mock
+    encode_cmd =
+    decode_cmd =
+    # a network JSON file, mfrnet, or mfrnet:blocks,convs,channels,growth,
+    # with weights such as 22=w22.rqpw, 27=w27.rqpw, ... (nearest QP wins)
+    postproc_net =
+    postproc_weights =
+    postproc_luma_only = true
 
     [qps]
     pairs = 22:4, 27:7, 32:11, 37:15
@@ -37,51 +54,35 @@ Experiment files are INI-style:
     psnr_y = native
     # vmaf = vmaf-tool --ref {ref} --dist {dist} -w {w} -h {h} -b {bitdepth}
 
-Relative paths resolve against the config file's directory. Unknown
-keys are rejected: a section other than these, or a key that no loader
-reads, is a ConfigError naming it. [metrics] keys are free metric ids,
-and keys that a [DEFAULT] section supplies to every section are allowed
-(and are not metric ids). A value that could only fail the jobs later is
-a ConfigError at load too: a frame_count below 1, a frame_rate that is
-not a finite positive number, a filter that does not parse, or a scale
-whose coded size is not integral, or not even for 4:2:0, for some
-sequence.
+Relative paths resolve against the config file's directory. Every value
+goes through one reader, _read, which parses it by its _KEYS entry: an
+unknown section or key, a missing key without a default, and a value that
+does not parse are each a ConfigError naming the section and the key.
+[metrics] keys are free metric ids; keys that a [DEFAULT] section gives
+every section are allowed (and are not metric ids). What could only fail
+the jobs later fails at load too (ExperimentConfig.validate).
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError, DimensionError, check_template
+from ..errors import ConfigError, DimensionError, RqpipeError, check_template
 from ..frame_io import C400, C420, VideoSpec
 from ..metrics import METRIC_FIELDS
 from ..postproc_cnn import NetworkSpec, build_mfrnet_style, load_weights, validate_weights
 from ..resample import LANCZOS3, NEAREST, ResampleFilter, parse_scale
-from .codecs import ExternalCodec, MockCodec, QP_MAX, QP_MIN
+from .codecs import DECODE_FIELDS, ENCODE_FIELDS, ExternalCodec, MockCodec, QP_MAX, QP_MIN
 from .manifest import sha256_file
 
 # texture/depth quantization pairs of the common test conditions
 DEFAULT_QP_PAIRS = ((22, 4), (27, 7), (32, 11), (37, 15))
 # texture shift applied when coding at half resolution
 HALF_RES_QP_OFFSET = -6
-
-# the keys each section's loader reads; [metrics] keys are metric ids
-_SECTION_KEYS = {
-    "run": {"workdir", "codec_timeout", "metric_timeout", "psnr_inf_cap"},
-    "sequence.": {
-        "path", "width", "height", "bit_depth", "chroma", "frame_count", "frame_rate",
-        "depth_path", "depth_bit_depth",
-    },
-    "method.": {
-        "scale", "down_filter", "up_filter", "depth_down_filter", "qp_texture_offset",
-        "codec", "encode_cmd", "decode_cmd", "postproc_net", "postproc_weights", "postproc_luma_only",
-    },
-    "qps": {"pairs"},
-}
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError("no methods configured")
         if not self.qp_pairs:
             raise ConfigError("no qp pairs configured")
+        if not 0 < self.psnr_inf_cap < math.inf:  # a NaN would also make every header differ
+            raise ConfigError(f"[run] psnr_inf_cap must be a finite number > 0, got {self.psnr_inf_cap}")
         for metric_id, how in self.metrics.items():
             if how != "native":
                 check_template(how, *METRIC_FIELDS, what=f"metric {metric_id!r}")
@@ -214,144 +217,147 @@ class ExperimentConfig:
 
 
 def _parse_qp_pairs(text: str) -> list[QpPair]:
-    pairs = []
-    for chunk in text.replace(";", ",").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            t, d = chunk.split(":")
-            pairs.append(QpPair(int(t), int(d)))
-        except ValueError as exc:
-            raise ConfigError(f"bad qp pair {chunk!r}, want texture:depth") from exc
-    return pairs
+    return [QpPair(*map(int, chunk.split(":"))) for chunk in text.replace(";", ",").split(",") if chunk.strip()]
 
 
 def _parse_weight_map(text: str, base: Path) -> dict[int, Path]:
     out = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            qp, path = chunk.split("=", 1)
-            out[int(qp.strip())] = base / path.strip()
-        except ValueError as exc:
-            raise ConfigError(f"bad weight entry {chunk!r}, want qp=path") from exc
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        qp_text, path = chunk.split("=", 1)
+        qp = int(qp_text)
+        if qp in out:
+            raise ConfigError(f"two weight files for qp {qp}")
+        out[qp] = base / path.strip()
     return out
 
 
-def _parse_net(value: str, base: Path) -> NetworkSpec:
-    value = value.strip()
-    if value.startswith("mfrnet:"):
-        try:
-            nums = [int(v) for v in value.split(":", 1)[1].split(",")]
-            return build_mfrnet_style(*nums)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad builder spec {value!r}") from exc
-    if value == "mfrnet":
+def _parse_net(text: str, base: Path) -> NetworkSpec:
+    if text == "mfrnet":
         return build_mfrnet_style()
-    return NetworkSpec.from_json((base / value).read_text())
+    if text.startswith("mfrnet:"):
+        return build_mfrnet_style(*map(int, text[len("mfrnet:"):].split(",")))
+    return NetworkSpec.from_json((base / text).read_text())
 
 
-def _sequence_from_section(label: str, section, base: Path) -> SequenceConfig:
-    try:
-        spec = VideoSpec(
-            width=section.getint("width"),
-            height=section.getint("height"),
-            bit_depth=section.getint("bit_depth", 8),
-            chroma=section.get("chroma", C420).strip(),
-            frame_count=section.getint("frame_count"),
-            label=label,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sequence {label!r}: bad or missing spec fields") from exc
-    if "frame_rate" not in section:
-        raise ConfigError(f"sequence {label!r}: frame_rate must be stated explicitly")
-    try:
-        frame_rate = section.getfloat("frame_rate")
-    except ValueError:
-        raise ConfigError(f"sequence {label!r}: frame_rate must be a number, got {section['frame_rate']!r}") from None
-    seq = SequenceConfig(label=label, path=base / section.get("path"), spec=spec, frame_rate=frame_rate)
-    if section.get("depth_path"):
-        seq.depth_path = base / section.get("depth_path")
-        seq.depth_spec = VideoSpec(
-            width=spec.width,
-            height=spec.height,
-            bit_depth=section.getint("depth_bit_depth", spec.bit_depth),
-            chroma=C400,
-            frame_count=spec.frame_count,
-            label=f"{label}_depth",
-        )
-    return seq
+def _path(text: str, base: Path) -> Path:
+    return base / text
 
 
-def _method_from_section(label: str, section, base: Path, codec_timeout: float | None) -> MethodConfig:
-    codec_kind = section.get("codec", "mock").strip().lower()
-    if codec_kind == "mock":
-        codec = MockCodec()
-    elif codec_kind == "external":
-        codec = ExternalCodec(
-            encode_cmd=section.get("encode_cmd", ""),
-            decode_cmd=section.get("decode_cmd", ""),
-            timeout=codec_timeout,
-        )
-    else:
-        raise ConfigError(f"method {label!r}: unknown codec {codec_kind!r}")
+def _checked(parse, ok=lambda value: True):
+    """A _KEYS parse function: `parse` of the text, and a ValueError
+    unless `ok` holds for the result (`ok` may raise an error of its own)."""
+    def parse_text(text: str, base: Path):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return parse_text
 
-    postproc = None
-    if section.get("postproc_net"):
-        if not section.get("postproc_weights"):
-            raise ConfigError(f"method {label!r}: postproc_net without postproc_weights")
-        postproc = PostprocConfig(
-            net=_parse_net(section.get("postproc_net"), base),
-            weights_by_qp=_parse_weight_map(section.get("postproc_weights"), base),
-            luma_only=section.getboolean("postproc_luma_only", True),
-        )
 
-    def parsed(parse, key, default=None):  # an empty value is the default, as for up_filter
-        text = section.get(key) or default
+_REQUIRED = object()  # the default of a key that must be set
+_NUMBER = _checked(float)
+_POSITIVE = _checked(int, lambda n: n > 0)
+_BIT_DEPTH = _checked(int, lambda n: n in (8, 10))
+_SECONDS = _checked(float, lambda s: 0 < s < math.inf)
+_FILTER = _checked(ResampleFilter.parse)
+_FILTER_VALID = "lanczos, lanczos:<taps> or nn"
+_BOOLEAN = _checked(lambda text: configparser.ConfigParser.BOOLEAN_STATES.get(text.lower()), lambda b: b is not None)
+
+# section kind -> key -> (parse(text, base), what a valid value is, default:
+# INI text, parsed as a value is; None for unset; or _REQUIRED)
+_KEYS = {
+    "run": {
+        "workdir": (_path, "a path", "rqpipe_out"),
+        "codec_timeout": (_SECONDS, "a positive number of seconds", None),
+        "metric_timeout": (_SECONDS, "a positive number of seconds", None),
+        "psnr_inf_cap": (_NUMBER, "a number", "100"),
+    },
+    "sequence.": {
+        "path": (_path, "a path", _REQUIRED),
+        "width": (_POSITIVE, "a positive integer", _REQUIRED),
+        "height": (_POSITIVE, "a positive integer", _REQUIRED),
+        "frame_count": (_POSITIVE, "at least 1", _REQUIRED),
+        "frame_rate": (_NUMBER, "a number", _REQUIRED),
+        "bit_depth": (_BIT_DEPTH, "8 or 10", "8"),
+        "chroma": (_checked(str, lambda c: c in (C420, C400)), f"{C420} or {C400}", C420),
+        "depth_path": (_path, "a path", None),
+        "depth_bit_depth": (_BIT_DEPTH, "8 or 10", None),
+    },
+    "method.": {
+        "scale": (_checked(parse_scale), "a fraction such as 1/2", "1/1"),
+        "down_filter": (_FILTER, _FILTER_VALID, "lanczos:3"),
+        "up_filter": (_FILTER, _FILTER_VALID, None),
+        "depth_down_filter": (_FILTER, _FILTER_VALID, None),
+        "qp_texture_offset": (_checked(int), "an integer", "0"),
+        "codec": (_checked(str.lower, lambda c: c in ("mock", "external")), "mock or external", "mock"),
+        "encode_cmd": (_checked(str, lambda t: check_template(t, ENCODE_FIELDS, what="encode")), "a template", None),
+        "decode_cmd": (_checked(str, lambda t: check_template(t, DECODE_FIELDS, what="decode")), "a template", None),
+        "postproc_net": (_parse_net, "a network JSON file, mfrnet or mfrnet:<blocks>,<convs>,<channels>,<growth>", None),
+        "postproc_weights": (_parse_weight_map, "qp=path entries separated by commas", None),
+        "postproc_luma_only": (_BOOLEAN, "true or false", "true"),
+    },
+    "qps": {
+        "pairs": (_checked(_parse_qp_pairs), "texture:depth pairs separated by commas",
+                  ", ".join(f"{t}:{d}" for t, d in DEFAULT_QP_PAIRS)),
+    },
+}
+
+
+def _read(parser, name: str, base: Path) -> dict:
+    """Each key of section `name`, its value or else its default parsed by
+    its _KEYS entry. ConfigError for a section or key not in _KEYS (but for
+    [DEFAULT] keys), a required key left out, and a value that does not parse."""
+    kind, dot, label = name.partition(".")
+    keys = _KEYS.get(kind + dot)
+    if keys is None:
+        raise ConfigError(f"unknown section [{name}]")
+    section = parser[name] if parser.has_section(name) else {}
+    unknown = sorted(set(section) - set(keys) - set(parser.defaults()))
+    if unknown:
+        raise ConfigError(f"[{name}]: unknown key {', '.join(unknown)}")
+    where = f"{kind} {label!r}:" if dot else f"[{name}]"
+    values = {}
+    for key, (parse, valid, default) in keys.items():
+        text = section.get(key) or default  # an empty value is the default
+        if text is _REQUIRED:
+            raise ConfigError(f"{where} {key} must be set")
         try:
-            return parse(text) if text else None
-        except ConfigError as exc:
-            raise ConfigError(f"method {label!r}: {exc}") from None
-
-    return MethodConfig(
-        label=label,
-        codec=codec,
-        scale=parsed(parse_scale, "scale", "1/1"),
-        down_filter=parsed(ResampleFilter.parse, "down_filter", "lanczos:3"),
-        up_filter=parsed(ResampleFilter.parse, "up_filter"),
-        depth_down_filter=parsed(ResampleFilter.parse, "depth_down_filter"),
-        qp_texture_offset=section.getint("qp_texture_offset", 0),
-        postproc=postproc,
-    )
+            values[key] = None if text is None else parse(text, base)
+        except (ConfigError, OSError) as exc:
+            raise ConfigError(f"{where} {exc} ({key} = {text!r})") from exc
+        except RqpipeError:
+            raise  # an error in the file the value names, a network JSON, which says where it is
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where} {key} must be {valid}, got {text!r}") from exc
+    return values
 
 
-def _timeout(parser, key: str) -> float | None:
-    """[run] `key` in seconds, or None when unset."""
-    text = parser.get("run", key, fallback=None)
-    if text is None:
-        return None
+def _sequence(label: str, v: dict) -> SequenceConfig:
     try:
-        if 0 < float(text) < math.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise ConfigError(f"[run] {key} must be a positive number of seconds, got {text!r}")
+        spec = VideoSpec(v["width"], v["height"], v["bit_depth"], v["chroma"], v["frame_count"], label)
+    except DimensionError as exc:  # odd 4:2:0 sizes: the one check that no single key's parse makes
+        raise ConfigError(f"sequence {label!r}: {exc}") from None
+    depth_spec = None
+    if v["depth_path"]:
+        bit_depth = v["depth_bit_depth"] or spec.bit_depth
+        depth_spec = replace(spec, bit_depth=bit_depth, chroma=C400, label=f"{label}_depth")
+    return SequenceConfig(label, v["path"], spec, v["frame_rate"], v["depth_path"], depth_spec)
 
 
-def _check_keys(parser) -> None:
-    """ConfigError for a section or key that no loader reads."""
-    for name in parser.sections():
-        if name == "metrics":
-            continue
-        kind = name.partition(".")[0] + "." if "." in name else name
-        if kind not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        unknown = sorted(set(parser[name]) - _SECTION_KEYS[kind] - set(parser.defaults()))
-        if unknown:
-            raise ConfigError(f"[{name}]: unknown key {', '.join(unknown)}")
+def _method(label: str, v: dict, codec_timeout: float | None) -> MethodConfig:
+    if v["codec"] == "mock":
+        codec = MockCodec()
+    elif v["encode_cmd"] and v["decode_cmd"]:
+        codec = ExternalCodec(v["encode_cmd"], v["decode_cmd"], codec_timeout)
+    else:
+        raise ConfigError(f"method {label!r}: codec external needs encode_cmd and decode_cmd")
+    postproc = None
+    if v["postproc_net"]:
+        if not v["postproc_weights"]:
+            raise ConfigError(f"method {label!r}: postproc_net without postproc_weights")
+        postproc = PostprocConfig(v["postproc_net"], v["postproc_weights"], v["postproc_luma_only"])
+    fields = ("scale", "down_filter", "up_filter", "depth_down_filter", "qp_texture_offset")
+    return MethodConfig(label, codec, postproc=postproc, **{key: v[key] for key in fields})
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -359,43 +365,36 @@ def load_experiment(path) -> ExperimentConfig:
     path = Path(path)
     # no interpolation: metric/codec command templates may contain % or {}
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:  # not INI text, or a section or key given twice
+        raise ConfigError(f"cannot read experiment config {path}: {exc}") from None
+    if not found:
         raise ConfigError(f"cannot read experiment config {path}")
-    _check_keys(parser)
-    base = path.parent
-    codec_timeout = _timeout(parser, "codec_timeout")
+    names = dict.fromkeys(["run", "qps", *parser.sections()])
+    sections = {name: _read(parser, name, path.parent) for name in names if name != "metrics"}
 
-    sequences = []
-    methods = []
-    for name in parser.sections():
-        if name.startswith("sequence."):
-            sequences.append(_sequence_from_section(name[len("sequence."):], parser[name], base))
-        elif name.startswith("method."):
-            methods.append(_method_from_section(name[len("method."):], parser[name], base, codec_timeout))
+    run = sections["run"]
+    sequences, methods = [], []
+    for name, values in sections.items():
+        kind, _, label = name.partition(".")
+        if kind == "sequence":
+            sequences.append(_sequence(label, values))
+        elif kind == "method":
+            methods.append(_method(label, values, run["codec_timeout"]))
 
-    if parser.has_section("qps") and parser["qps"].get("pairs"):
-        qp_pairs = _parse_qp_pairs(parser["qps"]["pairs"])
-    else:
-        qp_pairs = [QpPair(t, d) for t, d in DEFAULT_QP_PAIRS]
-
-    metrics = {"psnr_y": "native"}
+    metrics = {}
     if parser.has_section("metrics"):
         defaults = parser.defaults()  # shared values, not metric ids
         metrics = {k: v.strip() for k, v in parser["metrics"].items() if k not in defaults}
-        if not metrics:
-            metrics = {"psnr_y": "native"}
-
-    workdir = Path(parser.get("run", "workdir", fallback="rqpipe_out"))
-    if not workdir.is_absolute():
-        workdir = base / workdir
     cfg = ExperimentConfig(
         sequences=sequences,
         methods=methods,
-        qp_pairs=qp_pairs,
-        metrics=metrics,
-        workdir=workdir,
-        psnr_inf_cap=parser.getfloat("run", "psnr_inf_cap", fallback=100.0),
-        metric_timeout=_timeout(parser, "metric_timeout"),
+        qp_pairs=sections["qps"]["pairs"],
+        metrics=metrics or {"psnr_y": "native"},
+        workdir=run["workdir"],
+        psnr_inf_cap=run["psnr_inf_cap"],
+        metric_timeout=run["metric_timeout"],
     )
     cfg.validate()
     return cfg

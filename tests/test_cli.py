@@ -243,6 +243,13 @@ class TestRunAndReport:
         assert run_cli("run", experiment_dir / "exp.ini") == 2
         assert capsys.readouterr().err == "error: key 'residual_global' must be true or false, got 'false'\n"
 
+    def test_bad_config_value_exits_2_naming_it(self, experiment_dir, capsys):
+        # a value that does not parse used to print a ValueError traceback
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace("qp_texture_offset = -6", "qp_texture_offset = -6.5", 1))
+        assert run_cli("run", experiment_dir / "broken.ini") == 2
+        assert capsys.readouterr().err == "error: method 'rescaled': qp_texture_offset must be an integer, got '-6.5'\n"
+
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
         write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import logging
@@ -5,6 +6,7 @@ import math
 import os
 import shlex
 import signal
+import textwrap
 import time
 import tracemalloc
 import types
@@ -37,7 +39,7 @@ from rqpipe.pipeline import (
     dump_patch,
     load_experiment,
 )
-from rqpipe.pipeline import runner
+from rqpipe.pipeline import config, runner
 from rqpipe.pipeline.config import ExperimentConfig
 from rqpipe.pipeline.manifest import JobRecord, sha256_file
 
@@ -188,6 +190,81 @@ class TestConfigLoading:
         (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
         with pytest.raises(ConfigError, match=match):
             load_experiment(experiment_dir / "broken.ini")
+
+    @pytest.mark.parametrize("old, new, match", [
+        # each of these used to escape as a bare ValueError or TypeError
+        ("qp_texture_offset = -6", "qp_texture_offset = -6.5",
+         r"method 'rescaled': qp_texture_offset must be an integer, got '-6\.5'"),
+        ("workdir = out", "workdir = out\npsnr_inf_cap = high", r"\[run\] psnr_inf_cap must be a number, got 'high'"),
+        ("path = synthA.yuv\n", "", r"sequence 'synthA': path must be set"),
+        ("frame_rate = 30", "frame_rate = 30\ndepth_path = synthA.yuv\ndepth_bit_depth = ten",
+         r"sequence 'synthA': depth_bit_depth must be 8 or 10, got 'ten'"),
+        ("postproc_weights", "postproc_luma_only = maybe\npostproc_weights",
+         r"method 'postproc': postproc_luma_only must be true or false, got 'maybe'"),
+        # these used to read "bad or missing spec fields"
+        ("bit_depth = 8", "bit_depth = 12", r"sequence 'synthA': bit_depth must be 8 or 10, got '12'"),
+        ("chroma = 420", "chroma = 444", r"sequence 'synthA': chroma must be 420 or 400, got '444'"),
+        ("width = 64", "width = sixty", r"sequence 'synthA': width must be a positive integer, got 'sixty'"),
+        ("width = 64", "width = 0", r"sequence 'synthA': width must be a positive integer, got '0'"),
+        ("width = 64", "width = 63", r"sequence 'synthA': 4:2:0 requires even dimensions, got 63x64"),
+        # the last weight file for a QP used to replace the first without a word
+        ("27=w27.rqpw", "22=w27.rqpw", r"method 'postproc': two weight files for qp 22 \(postproc_weights = '22="),
+        # these used to escape as a bare OSError
+        ("postproc_net = net.json", "postproc_net = absent.json",
+         r"method 'postproc': .*absent\.json.* \(postproc_net = 'absent\.json'\)"),
+        ("postproc_net = net.json", "postproc_net = .", r"method 'postproc': .*directory.* \(postproc_net = '\.'\)"),
+        # and this as a configparser error
+        ("frame_rate = 30", "frame_rate = 30\nframe_rate = 25",
+         r"option 'frame_rate' in section 'sequence\.synthA' already exists"),
+    ], ids=["offset-fraction", "inf-cap-text", "no-path", "depth-bit-depth-text", "luma-only-text",
+            "bit-depth", "chroma", "width-text", "width-zero", "width-odd", "weights-twice",
+            "net-missing", "net-directory", "key-twice"])
+    def test_bad_value_is_a_config_error_naming_key_and_value(self, experiment_dir, old, new, match):
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=match):
+            load_experiment(experiment_dir / "broken.ini")
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path):
+        # used to escape as a bare UnicodeDecodeError
+        (tmp_path / "bad.ini").write_bytes(b"[run]\nworkdir = \xff\n")
+        with pytest.raises(ConfigError, match=r"cannot read experiment config .*bad\.ini: .*can't decode byte 0xff"):
+            load_experiment(tmp_path / "bad.ini")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_psnr_inf_cap_must_be_finite_and_positive(self, experiment_dir, value):
+        # a NaN cap used to load, and since NaN != NaN every run then wrote
+        # a new manifest header
+        text = (experiment_dir / "exp.ini").read_text()
+        (experiment_dir / "broken.ini").write_text(text.replace("workdir = out", f"workdir = out\npsnr_inf_cap = {value}"))
+        with pytest.raises(ConfigError, match=r"\[run\] psnr_inf_cap must be a finite number > 0"):
+            load_experiment(experiment_dir / "broken.ini")
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        cfg.psnr_inf_cap = float(value)
+        with pytest.raises(ConfigError, match="psnr_inf_cap"):
+            cfg.validate()
+
+    def test_module_docstring_lists_every_key_with_its_default(self, tmp_path):
+        # the example in the docstring is the key list: it parses as INI, it
+        # names the keys the loader reads, with their defaults, and it loads
+        example = textwrap.dedent("    [run]" + config.__doc__.split("    [run]", 1)[1].split("\n\nRelative", 1)[0])
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(example)
+        documented = {name.partition(".")[0] + name.partition(".")[1]: parser[name] for name in parser.sections()}
+        assert documented.pop("metrics")
+        assert documented.keys() == config._KEYS.keys()
+        for kind, keys in config._KEYS.items():
+            assert set(documented[kind]) == set(keys), kind
+            for key, (_, _, default) in keys.items():
+                if default is not config._REQUIRED:
+                    assert documented[kind][key] == (default or ""), key
+        spec = VideoSpec(64, 64, 8, "420", frame_count=8)
+        (tmp_path / "seqs").mkdir()
+        write_sequence(synthetic_sequence(spec, seed=1), spec, tmp_path / "seqs" / "a.yuv")
+        (tmp_path / "example.ini").write_text(example)
+        cfg = load_experiment(tmp_path / "example.ini")
+        assert cfg.workdir == tmp_path / "rqpipe_out" and cfg.psnr_inf_cap == 100.0
+        assert [m.label for m in cfg.methods] == ["<label>"] and cfg.methods[0].postproc is None
 
     def test_nearest_qp_model_selection(self, experiment_dir):
         cfg = load_experiment(experiment_dir / "exp.ini")
