@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import math
 import os
 import signal
@@ -151,12 +152,20 @@ def cmd_run(args) -> int:
     # terminal's hangup: a hangup stops the run as Ctrl-C does, and the run
     # kills them
     hangup = signal.signal(signal.SIGHUP, signal.default_int_handler)
+    # one progress line per finished job, and any warning, to stderr
+    logger = logging.getLogger("rqpipe")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         manifest = run_experiment(
             args.config, workdir=args.workdir, workers=args.workers, resume=not args.no_resume
         )
     finally:
         signal.signal(signal.SIGHUP, hangup)
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     ok = sum(1 for r in manifest.jobs.values() if r.status == "ok")
     failed = len(manifest.jobs) - ok
     print(f"manifest: {manifest.path} ({ok} ok, {failed} failed)")

@@ -59,8 +59,11 @@ goes through one reader, _read, which parses it by its _KEYS entry: an
 unknown section or key, a missing key without a default, and a value that
 does not parse are each a ConfigError naming the section and the key.
 [metrics] keys are free metric ids; keys that a [DEFAULT] section gives
-every section are allowed (and are not metric ids). What could only fail
-the jobs later fails at load too (ExperimentConfig.validate).
+every section are allowed (and are not metric ids). A key that acts only
+with another is a ConfigError without it: postproc_weights without
+postproc_net, depth_bit_depth without depth_path, encode_cmd or
+decode_cmd without codec = external. What could only fail the jobs later
+fails at load too (ExperimentConfig.validate).
 """
 
 from __future__ import annotations
@@ -337,6 +340,8 @@ def _sequence(label: str, v: dict) -> SequenceConfig:
         spec = VideoSpec(v["width"], v["height"], v["bit_depth"], v["chroma"], v["frame_count"], label)
     except DimensionError as exc:  # odd 4:2:0 sizes: the one check that no single key's parse makes
         raise ConfigError(f"sequence {label!r}: {exc}") from None
+    if v["depth_bit_depth"] and not v["depth_path"]:
+        raise ConfigError(f"sequence {label!r}: depth_bit_depth without depth_path")
     depth_spec = None
     if v["depth_path"]:
         bit_depth = v["depth_bit_depth"] or spec.bit_depth
@@ -346,11 +351,16 @@ def _sequence(label: str, v: dict) -> SequenceConfig:
 
 def _method(label: str, v: dict, codec_timeout: float | None) -> MethodConfig:
     if v["codec"] == "mock":
+        for key in ("encode_cmd", "decode_cmd"):
+            if v[key]:
+                raise ConfigError(f"method {label!r}: {key} needs codec = external, got codec = mock")
         codec = MockCodec()
     elif v["encode_cmd"] and v["decode_cmd"]:
         codec = ExternalCodec(v["encode_cmd"], v["decode_cmd"], codec_timeout)
     else:
         raise ConfigError(f"method {label!r}: codec external needs encode_cmd and decode_cmd")
+    if v["postproc_weights"] and not v["postproc_net"]:
+        raise ConfigError(f"method {label!r}: postproc_weights without postproc_net")
     postproc = None
     if v["postproc_net"]:
         if not v["postproc_weights"]:

@@ -23,6 +23,7 @@ import ctypes
 import glob
 import hashlib
 import json
+import logging
 import os
 import time
 from collections import deque
@@ -43,6 +44,8 @@ from ..resample import resample_frame
 from .codecs import CodedStream
 from .config import ExperimentConfig, MethodConfig, QpPair, SequenceConfig, config_as_dict, load_experiment
 from .manifest import JobRecord, RunManifest, sha256_file
+
+log = logging.getLogger(__name__)
 
 
 def _worker_count(requested: int | None) -> int:
@@ -287,6 +290,13 @@ def _run_job(
     return rec
 
 
+def _timed_job(*job) -> tuple[JobRecord, float]:
+    """_run_job's record of `job` and the wall seconds it took."""
+    start = time.perf_counter()
+    rec = _run_job(*job)
+    return rec, time.perf_counter() - start
+
+
 def _job_config_hashes(cfg: ExperimentConfig, echo: dict) -> dict[tuple, str]:
     """config_sha256 of every job, by (sequence, method, qp index) key.
 
@@ -331,6 +341,8 @@ def run_experiment(
     another config gets a new header. While it runs, numpy's OpenBLAS uses
     max(1, CPUs // workers) threads; the header records the count before
     and during the run, the numpy version, the CPU count and the workers.
+    Each finished job logs one INFO line to this module's logger: its key,
+    status, wall seconds and how many of the jobs to run are done.
     """
     if isinstance(config, ExperimentConfig):
         cfg = config
@@ -387,16 +399,18 @@ def run_experiment(
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(_run_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
+                pool.submit(_timed_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
                 for seq, method, qi, pair in todo
             ]
             try:
                 # append each record as its job ends, so a finished job is on
                 # disk while slower jobs submitted before it still run
-                for future in as_completed(futures):
-                    rec = future.result()
+                for done, future in enumerate(as_completed(futures), 1):
+                    rec, seconds = future.result()
                     rec.config_sha256 = config_hashes[rec.key]
                     manifest.append_job(rec)
+                    log.info("job %s %s in %.2f s (%d/%d)%s", "/".join(map(str, rec.key)), rec.status,
+                             seconds, done, len(futures), f": {rec.error}" if rec.error else "")
             except BaseException:
                 # on Ctrl-C or any error: drop the queued jobs and kill the
                 # external tools of the running ones (in sessions of their

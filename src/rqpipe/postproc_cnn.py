@@ -387,10 +387,11 @@ def _kernel(weights: np.ndarray, bias: np.ndarray, stride: int, pad: int, dtype)
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of (C,H,W) input with (O,C,kh,kw) weights, zero padded.
 
-    Computed as im2col + GEMM over bands of output rows. Each band pads
-    only the input rows it reads, fills a (C, kh, kw, rows, ow) column
-    buffer with one strided slice per tap, and multiplies it by the
-    weights reshaped to (O, C*kh*kw); a 1x1, stride-1, unpadded conv
+    Computed as im2col + GEMM over bands of output rows. Each band copies
+    only the input rows it reads into a zero-padded slab, fills a
+    (C, kh, kw, rows, ow) column buffer with one copy from a strided view
+    of every tap's window of the slab, and multiplies it by the weights
+    reshaped to (O, C*kh*kw); a 1x1, stride-1, unpadded conv
     multiplies the band's (C, rows*W) view of the input instead, with no
     column buffer. The bias is added to each band after its GEMM.
     The rows are split into equal bands whose buffers stay under
@@ -419,7 +420,8 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1
 def _ring_rows(ring: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows r0..r1 of a (C, n, W) ring that holds row r at ring row r % n:
     a view, or a copy (into `out` when given) where they run across the
-    ring's end. With `out`, they are always copied into it."""
+    ring's end. With `out`, they are always copied into it: in one copy,
+    or two where they run across the end."""
     n = ring.shape[1]
     i = r0 % n
     k = min(r1 - r0, n - i)
@@ -428,7 +430,8 @@ def _ring_rows(ring: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None
             return ring[:, i : i + k]
         out = np.empty((ring.shape[0], r1 - r0, ring.shape[2]), dtype=ring.dtype)
     out[:, :k] = ring[:, i : i + k]
-    out[:, k:] = ring[:, : r1 - r0 - k]
+    if k < r1 - r0:
+        out[:, k:] = ring[:, : r1 - r0 - k]
     return out
 
 
@@ -451,7 +454,15 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
     multiplies at least as many columns as the cutoff needs; below it,
     where the sums depend on the column count and on each column's place,
     it multiplies the whole band's columns with the part's rows in their
-    place. The other columns hold zeros or what an earlier band left."""
+    place. The other columns hold zeros or what an earlier band left.
+
+    A band of any other conv copies the input rows it reads into a
+    zero-padded slab, in one copy unless they run across the ring's end,
+    and fills its columns with one copy from a strided view of every tap's
+    window of the slab. So a 3x3 run clear of the plane's top and bottom
+    makes seven array operations, each of which drops and retakes the GIL
+    that worker threads share: the pad columns' zeros, the slab, the
+    columns, the GEMM, the bias and the leaky ReLU's multiply and max."""
     out_ch, n, ow = out.shape
     in_ch, _, w = x.shape
     m, kk = k.wmat.shape
@@ -492,15 +503,20 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
                 slab[:, : lo - top] = 0
             if hi < bottom:
                 slab[:, hi - top :] = 0
-            if k.pad:
+            if k.pad == 1:
+                slab[:, :, :: w + 1] = 0  # both pad columns in one call
+            elif k.pad:
                 slab[:, :, : k.pad] = 0
                 slab[:, :, k.pad + w :] = 0
             _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, k.pad : k.pad + w])
+            # the slab's window under tap (di, dj) at output (r, j) is slab[:,
+            # di + r * stride, dj + j * stride]: one view of every tap's
+            # window, read once into the column buffer
+            sc, sr, sw = slab.strides
+            taps = np.ndarray((in_ch, k.kh, k.kw, rows, ow), slab.dtype, slab, 0,
+                              (sc, sr, sw, sr * k.stride, sw * k.stride))
             cols = buf[: kk * g * ow].reshape(in_ch, k.kh, k.kw, g, ow)
-            for di in range(k.kh):
-                for dj in range(k.kw):
-                    cols[:, di, dj, at : at + rows] = slab[:, di : di + rows * k.stride : k.stride,
-                                                           dj : dj + ow * k.stride : k.stride]
+            cols[:, :, :, at : at + rows] = taps
             cols = cols.reshape(kk, -1)
         band = out[:, b0:b1].reshape(out_ch, rows * ow)
         if gemm_out is None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import re
 import shlex
 import tracemalloc
@@ -273,6 +274,38 @@ pairs = 22:4
         )
         assert run_cli("run", tmp_path / "exp.ini", "--workers", "1") == 1
         assert "1 failed" in capsys.readouterr().out
+
+    def test_run_reports_each_finished_job_on_stderr(self, tmp_path, capsys):
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            """
+[run]
+workdir = out
+[sequence.s]
+path = s.yuv
+width = 16
+height = 16
+frame_count = 2
+frame_rate = 30
+[method.anchor]
+codec = mock
+[method.broken]
+codec = external
+encode_cmd = false {in} {out} {qp} {w} {h}
+decode_cmd = false {in} {out}
+[qps]
+pairs = 22:4
+"""
+        )
+        assert run_cli("run", tmp_path / "exp.ini", "--workers", "1") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert re.fullmatch(r"job s/anchor/0 ok in \d+\.\d\d s \(1/2\)", err[0])
+        assert re.fullmatch(r"job s/broken/0 failed in \d+\.\d\d s \(2/2\): ExternalToolError: .*exited.*", err[1])
+        # the command leaves the logger as it found it
+        assert logging.getLogger("rqpipe").handlers == []
+        assert logging.getLogger("rqpipe").level == logging.NOTSET
 
 
     @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="reads process states from /proc")

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import shlex
 import signal
 import textwrap
@@ -225,6 +226,25 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=match):
             load_experiment(experiment_dir / "broken.ini")
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("postproc_net = net.json\n", "", r"method 'postproc': postproc_weights without postproc_net"),
+        ("frame_rate = 30", "frame_rate = 30\ndepth_bit_depth = 10",
+         r"sequence 'synthA': depth_bit_depth without depth_path"),
+        ("scale = 1/1\ncodec = mock", "scale = 1/1\ncodec = mock\nencode_cmd = enc {in} {out} {qp} {w} {h}",
+         r"method 'anchor': encode_cmd needs codec = external, got codec = mock"),
+        ("scale = 1/1\ncodec = mock", "scale = 1/1\ncodec = mock\ndecode_cmd = dec {in} {out}",
+         r"method 'anchor': decode_cmd needs codec = external, got codec = mock"),
+    ], ids=["weights-without-net", "depth-bit-depth-without-path", "encode-under-mock", "decode-under-mock"])
+    def test_key_without_the_key_it_acts_with_rejected(self, experiment_dir, old, new, match):
+        # each used to be ignored: the method ran with no post-processing,
+        # the sequence with no depth stream, the mock codec in place of the
+        # commands
+        text = (experiment_dir / "exp.ini").read_text()
+        assert old in text
+        (experiment_dir / "broken.ini").write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=match):
+            load_experiment(experiment_dir / "broken.ini")
+
     def test_undecodable_config_is_a_config_error(self, tmp_path):
         # used to escape as a bare UnicodeDecodeError
         (tmp_path / "bad.ini").write_bytes(b"[run]\nworkdir = \xff\n")
@@ -383,6 +403,26 @@ class TestDeterminismAndResume:
         after = (experiment_dir / "out" / "manifest.jsonl").read_text()
         assert before == after  # nothing re-appended
         assert len(manifest.ok_jobs()) == 12
+
+    def test_each_finished_job_logs_one_progress_line(self, experiment_dir, caplog):
+        # one INFO line per job as it ends: key, status, wall seconds and
+        # how many of the jobs to run are done; none for a job resume skips
+        def progress():
+            return [r.getMessage() for r in caplog.records if r.name == "rqpipe.pipeline.runner"]
+
+        with caplog.at_level(logging.INFO, logger="rqpipe.pipeline.runner"):
+            run_experiment(experiment_dir / "exp.ini", workers=2)
+            lines = progress()
+            caplog.clear()
+            run_experiment(experiment_dir / "exp.ini", workers=2)
+            assert progress() == []
+        pattern = re.compile(r"job synthA/(anchor|rescaled|postproc)/([0-3]) ok in \d+\.\d\d s \((\d+)/12\)")
+        found = [pattern.fullmatch(line) for line in lines]
+        assert all(found), lines
+        assert sorted((m[1], int(m[2])) for m in found) == sorted(
+            (method, qi) for method in ("anchor", "rescaled", "postproc") for qi in range(4)
+        )
+        assert [int(m[3]) for m in found] == list(range(1, 13))
 
     def test_resume_redoes_tampered_artifact(self, experiment_dir):
         manifest = run_experiment(experiment_dir / "exp.ini", workers=1)

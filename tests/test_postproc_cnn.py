@@ -1,5 +1,7 @@
 import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -794,6 +796,78 @@ class TestShortRuns:
             for r0 in range(0, h, rows):
                 postproc_cnn._conv(k, x, h, out[:, r0 : r0 + rows], r0)
             assert_bits_equal(out, whole)
+
+
+class TestWindowFill:
+    """A conv band fills its columns with one copy from a strided view of
+    every tap's window of its padded slab, and copies its input rows into
+    the slab in one copy unless they run across a ring's end. The columns,
+    so the GEMMs, must be the tap-by-tap oracle's bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel, stride, pad", [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in range(k)])
+    def test_conv2d_equals_slice_oracle(self, monkeypatch, kernel, stride, pad, dtype):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(3, 17, 23)).astype(dtype)
+        ow = (23 + 2 * pad - kernel) // stride + 1
+        for out_ch in (1, 4):
+            w = rng.normal(0, 0.3, (out_ch, 3, kernel, kernel)).astype(np.float32)
+            b = rng.normal(0, 0.3, out_ch).astype(np.float32)
+            assert_bits_equal(conv2d(x, w, b, stride, pad), conv2d_im2col_oracle(x, w, b, stride, pad))
+            with monkeypatch.context() as m:
+                # bands of at most 3 output rows, each reading a slab of its own
+                m.setattr(postproc_cnn, "_COLS_BYTES", 3 * 3 * kernel**2 * ow * x.itemsize)
+                assert_bits_equal(conv2d(x, w, b, stride, pad), conv2d_im2col_oracle(x, w, b, stride, pad))
+
+    @pytest.mark.parametrize("out_ch, in_ch, kernel, rows", [
+        (16, 32, 3, 4),  # at least the 3 rows its GEMM needs
+        (8, 4, 5, 4),  # a GEMM of more columns than the run's rows (13 rows)
+        (32, 32, 1, 4),  # 1x1: the run's rows copied into a GEMM of 10 rows
+        (32, 32, 1, 12),  # 1x1: a copy of the run's rows multiplied as they are
+    ])
+    def test_run_on_rows_across_a_ring_end(self, out_ch, in_ch, kernel, rows):
+        # the band pass's conv runs read their input from a ring that holds
+        # row r at ring row r % n; here the run's rows start two ring rows
+        # before its end, and the rows nobody reads are NaN
+        rng = np.random.default_rng(44)
+        h, w, pad = 64, 100, kernel // 2
+        weights = rng.normal(0, 0.3, (out_ch, in_ch, kernel, kernel)).astype(np.float32)
+        bias = rng.normal(0, 0.3, out_ch).astype(np.float32)
+        x = rng.random((in_ch, h, w)).astype(np.float32)
+        n = rows + 2 * pad + 1
+        first = 2 * n - 2
+        r0 = first + pad
+        ring = np.full((in_ch, n, w), np.nan, np.float32)
+        for r in range(first, r0 + rows + pad):
+            ring[:, r % n] = x[:, r]
+        out = np.empty((out_ch, rows, w), np.float32)
+        postproc_cnn._conv(postproc_cnn._kernel(weights, bias, 1, pad, np.float32), ring, h, out, r0)
+        assert_bits_equal(out, conv2d(x, weights, bias, pad=pad)[:, r0 : r0 + rows])
+
+
+class TestThreads:
+    def test_worker_threads_share_one_net(self):
+        # the runner's worker threads share a method's NetworkSpec: each
+        # plans its plane size into StoragePlan.schedules and runs its band
+        # pass at the same time as the others, with a short switch interval
+        # to interleave them often. Every output must be the one a single
+        # thread gives, bit for bit
+        weights = random_weights(build_mfrnet_style(), seed=45)
+        rng = np.random.default_rng(46)
+        planes = [rng.integers(0, 1024, shape).astype(np.uint16) for shape in ((108, 192), (54, 96)) * 2]
+        alone = build_mfrnet_style()
+        want = [apply_network(alone, weights, plane, 10) for plane in planes]
+        net = build_mfrnet_style()  # nothing planned yet
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(planes)) as pool:
+                futures = [pool.submit(apply_network, net, weights, plane, 10) for plane in planes]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestBuildMfrnetStyle:
