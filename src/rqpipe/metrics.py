@@ -28,7 +28,7 @@ TOOL_SUMMARY = "tool_summary"
 # placeholders of an external metric template: the required ones, then the optional ones
 METRIC_FIELDS = (("ref", "dist"), ("w", "h", "bitdepth", "out"))
 
-DEFAULT_PSNR_CAP = 100.0  # stand-in for infinite per-frame PSNR when averaging
+DEFAULT_PSNR_CAP = 100.0  # the most a frame's PSNR counts, dB; an infinite one counts this
 
 
 @dataclass
@@ -77,7 +77,7 @@ def psnr_y(a: Frame, b: Frame, bit_depth: int) -> float:
 
 
 def mean_psnr(per_frame, inf_cap: float = DEFAULT_PSNR_CAP) -> float:
-    """Mean of per-frame PSNRs, each infinite frame clipped to inf_cap first."""
+    """Mean of per-frame PSNRs, each clipped to inf_cap first (an infinite one too)."""
     return float(np.mean([min(p, inf_cap) for p in per_frame]))
 
 
@@ -87,15 +87,15 @@ def psnr_y_sequence(
     bit_depth: int,
     inf_cap: float = DEFAULT_PSNR_CAP,
 ) -> QualityScore:
-    """Sequence PSNR-Y: the mean of per-frame PSNR, each infinite frame
-    clipped to inf_cap first."""
+    """Sequence PSNR-Y: the mean of per-frame PSNR, each clipped to inf_cap
+    first; per_frame keeps the unclipped values."""
     per_frame = [psnr_y(ra, rb, bit_depth) for ra, rb in zip(ref_frames, dist_frames)]
     if not per_frame:
         raise ConfigError("cannot aggregate PSNR over an empty sequence")
     return QualityScore("psnr_y", per_frame, mean_psnr(per_frame, inf_cap))
 
 
-def _parse_metric_text(text: str, metric_id: str):
+def _parse_metric_text(text: str):
     per_frame: list[float] = []
     summary: dict[str, float] = {}
     for raw in text.splitlines():
@@ -148,7 +148,7 @@ def external_metric(
         if out_file is not None:
             Path(out_file).unlink(missing_ok=True)
 
-    per_frame, summary = _parse_metric_text(text, metric_id)
+    per_frame, summary = _parse_metric_text(text)
     if not per_frame and not summary:
         raise MetricParseError(f"{metric_id}: no scores found in tool output")
     if per_frame:

@@ -17,11 +17,12 @@ Adapter contract: `encode_decode(frames, spec, qp, workdir, tag, timer)`
 takes an iterable of frames and is a generator. It yields one decoded
 frame per input frame, in order, and returns the stream's coded bits
 when it ends; `CodedStream` iterates it and keeps that count. The mock
-codec codes each frame as it arrives, encode then decode, and yields it
-before it takes the next one, so a stream holds one frame of
-coefficients. An external codec must see the whole input file before it
-can encode, so it consumes every input frame before it yields the first
-decoded one, which it then reads back from its output file one at a time.
+codec codes each frame as it arrives, encoding and then decoding one
+plane at a time, and yields it before it takes the next one, so a stream
+holds one plane of coefficients. An external codec must see the whole
+input file before it can encode, so it consumes every input frame before
+it yields the first decoded one, which it then reads back from its output
+file one at a time.
 Its raw input file is removed once the encoder returns, and its decoded
 file once the stream ends, is abandoned or fails.
 """
@@ -135,21 +136,27 @@ class CodedStream:
 
 
 def _code_frames(frames, qp: int, bit_depth: int, timer):
-    """Encode then decode each frame as it arrives; yields the decoded frames
-    and returns the total bits.
+    """Encode then decode each frame as it arrives, plane by plane; yields
+    the decoded frames and returns the total bits.
 
-    mock_encode and mock_decode are looked up on this module at each call,
-    so anything that wraps those names sees every frame.
+    Each plane is decoded before the next is encoded, so one plane's int32
+    coefficients are live at a time, not a frame's. mock_encode and
+    mock_decode are looked up on this module at each call, so anything that
+    wraps those names sees every plane.
     """
     total_bits = 0
     for frame in frames:
-        with timer("encode"):
-            payload, bits = mock_encode([frame], qp, bit_depth)
-        with timer("decode"):
-            (decoded,) = mock_decode(payload, qp, bit_depth)
-        del frame, payload  # not held while the caller works on the decoded frame
-        total_bits += bits
-        yield decoded
+        planes = []
+        for plane in frame.planes():
+            with timer("encode"):
+                payload, bits = mock_encode([Frame(plane)], qp, bit_depth)
+            with timer("decode"):
+                (decoded,) = mock_decode(payload, qp, bit_depth)
+            del payload  # not held while the next plane is encoded
+            planes.append(decoded.y)
+            total_bits += bits
+        del frame  # not held while the caller works on the decoded frame
+        yield Frame(*planes)
     return total_bits
 
 
@@ -197,8 +204,6 @@ def mock_decode(payload, qp: int, bit_depth: int):
 class MockCodec:
     """In-process codec adapter. kind 'mock', block 8, DCT-II transform."""
 
-    kind = "mock"
-
     def describe(self) -> dict:
         return {"kind": "mock", "block": BLOCK, "transform": "dct2_ortho"}
 
@@ -217,8 +222,6 @@ class ExternalCodec:
     are removed once read; the bitstream is kept. A command that exits
     non-zero or outlives `timeout` seconds raises ExternalToolError.
     """
-
-    kind = "external"
 
     def __init__(self, encode_cmd: str, decode_cmd: str, timeout: float | None = None):
         check_template(encode_cmd, ENCODE_FIELDS, what="encode")

@@ -76,7 +76,7 @@ from pathlib import Path
 
 from ..errors import ConfigError, DimensionError, RqpipeError, check_template
 from ..frame_io import C400, C420, VideoSpec
-from ..metrics import METRIC_FIELDS
+from ..metrics import DEFAULT_PSNR_CAP, METRIC_FIELDS
 from ..postproc_cnn import NetworkSpec, build_mfrnet_style, load_weights, validate_weights
 from ..resample import LANCZOS3, NEAREST, ResampleFilter, parse_scale
 from .codecs import DECODE_FIELDS, ENCODE_FIELDS, ExternalCodec, MockCodec, QP_MAX, QP_MIN
@@ -141,10 +141,6 @@ class MethodConfig:
             raise ConfigError(f"method {self.label!r}: scale must be in (0, 1], got {self.scale}")
         if self.scale != 1 and self.up_filter is None:
             self.up_filter = NEAREST
-        if self.postproc is not None and self.up_filter is None:
-            raise ConfigError(
-                f"method {self.label!r}: post-processing requires an upsampling filter"
-            )
 
     @property
     def resamples(self) -> bool:
@@ -167,7 +163,7 @@ class ExperimentConfig:
     qp_pairs: list[QpPair]
     metrics: dict[str, str]  # metric_id -> "native" or command template
     workdir: Path = Path("rqpipe_out")
-    psnr_inf_cap: float = 100.0
+    psnr_inf_cap: float = DEFAULT_PSNR_CAP
     metric_timeout: float | None = None  # seconds; external metrics only
 
     def validate(self):
@@ -273,7 +269,7 @@ _KEYS = {
         "workdir": (_path, "a path", "rqpipe_out"),
         "codec_timeout": (_SECONDS, "a positive number of seconds", None),
         "metric_timeout": (_SECONDS, "a positive number of seconds", None),
-        "psnr_inf_cap": (_NUMBER, "a number", "100"),
+        "psnr_inf_cap": (_NUMBER, "a number", f"{DEFAULT_PSNR_CAP:g}"),
     },
     "sequence.": {
         "path": (_path, "a path", _REQUIRED),

@@ -1,28 +1,38 @@
 """Report emission over a completed manifest.
 
-Produces per-sequence rate-quality CSVs per metric, one BD table per
-non-anchor method (rows are sequences plus an arithmetic-mean Total
-row), and a per-stage timing summary with percentage deltas against the
-anchor method. The summary counts thread-CPU seconds, which leave out
-the time a job waits for other threads; time an external tool spends in
-its own process is not in them either. Also renders luma patches as PGM images for side-by-side
-visual comparison.
+The ok jobs are sorted once by key and grouped into ladders, one per
+(sequence, method, metric), each in QP-index order. From the ladders come
+a rate-quality CSV per sequence and metric (rows in method, then QP-index
+order) and one rate-quality curve per ladder, built once, the first time
+the BD loop needs it; a curve that cannot be built is reported once. Each
+non-anchor method gets a BD table pairing the anchor's curve with its own
+(rows are sequences plus an arithmetic-mean Total row). The per-stage
+timing summary gives each method's stages and then its total as one more
+stage, with percentage deltas against the anchor method. It counts
+thread-CPU seconds, which leave out the time a job waits for other
+threads; time an external tool spends in its own process is not in them
+either. Also renders luma patches as PGM images for side-by-side visual
+comparison.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from ..bd_stats import BdResult, RQCurve, RQPoint, bd_quality
+from ..bd_stats import RQCurve, RQPoint, bd_quality
 from ..errors import ConfigError, CurveError, DimensionError
 from ..frame_io import VideoSpec, read_frame
 from .manifest import RunManifest
 
 ANCHOR_LABEL = "anchor"
+_TIMING_FIELDS = (
+    "method", "stage", "total_seconds", "seconds_per_frame", "pct_of_method_total", "pct_delta_vs_anchor",
+)
 
 
 @dataclass
@@ -44,26 +54,25 @@ def _find_anchor(methods: list[str]) -> str:
     raise ConfigError(f"no method labeled '{ANCHOR_LABEL}' in manifest (have {methods})")
 
 
-def _curves(jobs, sequence, method, metric, warnings) -> RQCurve | None:
-    try:
-        pts = [
-            RQPoint(j.bitrate_kbps, j.scores[metric]["sequence_value"])
-            for j in jobs
-            if j.sequence == sequence and j.method == method and metric in j.scores
-        ]
-        if len(pts) < 2:
-            return None
-        return RQCurve(label=f"{sequence}/{method}", metric_id=metric, points=pts)
-    except CurveError as exc:
-        warnings.append(f"{sequence}/{method}/{metric}: unusable curve: {exc}")
-        return None
+def _write_csv(path: Path, header, rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def assemble_report(manifest: RunManifest | str | Path, out_dir) -> ReportBundle:
-    """Write RQ CSVs, BD tables, and the timing summary for a finished run."""
+    """Write RQ CSVs, BD tables, and the timing summary for a finished run.
+
+    bd_quality is called once for each (non-anchor method, sequence,
+    metric) whose two curves exist; a cell it rejects is left empty with
+    a warning.
+    """
     if not isinstance(manifest, RunManifest):
         manifest = RunManifest.load(manifest)
-    jobs = manifest.ok_jobs()
+    ok = manifest.ok_jobs()
+    jobs = sorted(ok, key=lambda j: j.key)
     if not jobs:
         raise ConfigError("manifest holds no successful jobs")
     out_dir = Path(out_dir)
@@ -71,132 +80,93 @@ def assemble_report(manifest: RunManifest | str | Path, out_dir) -> ReportBundle
     bundle = ReportBundle(out_dir=out_dir)
 
     sequences = sorted({j.sequence for j in jobs})
-    methods = list(dict.fromkeys(j.method for j in sorted(jobs, key=lambda r: r.key)))
+    methods = list(dict.fromkeys(j.method for j in jobs))
     metrics = sorted({m for j in jobs for m in j.scores})
     anchor = _find_anchor(methods)
+    ladders: dict[tuple[str, str, str], list] = {}  # (sequence, method, metric) -> jobs in QP-index order
+    for j in jobs:
+        for metric in j.scores:
+            ladders.setdefault((j.sequence, j.method, metric), []).append(j)
 
+    rq_header = ["method", "qp_index", "qp_texture", "bitrate_kbps", "quality"]
     for seq in sequences:
         for metric in metrics:
             rows = [
-                j for j in jobs if j.sequence == seq and metric in j.scores
+                [j.method, j.qp_index, j.qp_texture,
+                 f"{j.bitrate_kbps:.6f}", f"{j.scores[metric]['sequence_value']:.6f}"]
+                for method in methods
+                for j in ladders.get((seq, method, metric), ())
             ]
-            rows.sort(key=lambda j: (methods.index(j.method), j.qp_index))
-            path = out_dir / f"rq_{seq}_{metric}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["method", "qp_index", "qp_texture", "bitrate_kbps", "quality"])
-                for j in rows:
-                    writer.writerow(
-                        [j.method, j.qp_index, j.qp_texture,
-                         f"{j.bitrate_kbps:.6f}", f"{j.scores[metric]['sequence_value']:.6f}"]
-                    )
-            bundle.rq_csvs[(seq, metric)] = path
+            bundle.rq_csvs[(seq, metric)] = _write_csv(out_dir / f"rq_{seq}_{metric}.csv", rq_header, rows)
 
+    @cache
+    def curve(seq, method, metric) -> RQCurve | None:
+        ladder = ladders.get((seq, method, metric), ())
+        if len(ladder) < 2:
+            return None
+        try:
+            points = [RQPoint(j.bitrate_kbps, j.scores[metric]["sequence_value"]) for j in ladder]
+            return RQCurve(label=f"{seq}/{method}", metric_id=metric, points=points)
+        except CurveError as exc:
+            bundle.warnings.append(f"{seq}/{method}/{metric}: unusable curve: {exc}")
+            return None
+
+    bd_header = ["sequence"] + [f"bd_{m}" for m in metrics]
     for method in methods:
         if method == anchor:
             continue
         per_seq: dict[str, dict[str, float]] = {}
         for seq in sequences:
-            values: dict[str, float] = {}
             for metric in metrics:
-                ref = _curves(jobs, seq, anchor, metric, bundle.warnings)
-                test = _curves(jobs, seq, method, metric, bundle.warnings)
+                where = f"{seq}/{method}/{metric}"
+                ref, test = curve(seq, anchor, metric), curve(seq, method, metric)
                 if ref is None or test is None:
-                    bundle.warnings.append(
-                        f"{seq}/{method}/{metric}: incomplete curve, BD skipped"
-                    )
+                    bundle.warnings.append(f"{where}: incomplete curve, BD skipped")
                     continue
                 try:
-                    result: BdResult = bd_quality(ref, test)
+                    result = bd_quality(ref, test)
                 except CurveError as exc:
-                    bundle.warnings.append(f"{seq}/{method}/{metric}: {exc}")
+                    bundle.warnings.append(f"{where}: {exc}")
                     continue
-                values[metric] = result.delta_quality
-                bundle.warnings.extend(
-                    f"{seq}/{method}/{metric}: {w}" for w in result.warnings
-                )
-            if values:
-                per_seq[seq] = values
-        if per_seq:
-            totals = {
-                metric: float(np.mean([v[metric] for v in per_seq.values() if metric in v]))
-                for metric in metrics
-                if any(metric in v for v in per_seq.values())
-            }
+                per_seq.setdefault(seq, {})[metric] = result.delta_quality
+                bundle.warnings.extend(f"{where}: {w}" for w in result.warnings)
+        totals = {
+            metric: float(np.mean(deltas))
+            for metric in metrics
+            if (deltas := [v[metric] for v in per_seq.values() if metric in v])
+        }
+        if totals:
             per_seq["Total"] = totals
         bundle.bd_values[method] = per_seq
+        rows = [[seq] + [f"{row[m]:.6f}" if m in row else "" for m in metrics] for seq, row in per_seq.items()]
+        bundle.bd_tables[method] = _write_csv(out_dir / f"bd_{method}.csv", bd_header, rows)
 
-        path = out_dir / f"bd_{method}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sequence"] + [f"bd_{m}" for m in metrics])
-            for seq in sequences + ["Total"]:
-                if seq not in per_seq:
-                    continue
-                writer.writerow(
-                    [seq] + [f"{per_seq[seq][m]:.6f}" if m in per_seq[seq] else "" for m in metrics]
-                )
-        bundle.bd_tables[method] = path
-
-    bundle.timing_rows = _timing_rows(jobs, methods, anchor)
-    timing_path = out_dir / "timing_summary.csv"
-    with open(timing_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "method", "stage", "total_seconds", "seconds_per_frame",
-                "pct_of_method_total", "pct_delta_vs_anchor",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(bundle.timing_rows)
-    bundle.timing_csv = timing_path
+    bundle.timing_rows = _timing_rows(ok, methods, anchor)  # summed in manifest order: the sums' last bits depend on it
+    rows = [list(row.values()) for row in bundle.timing_rows]
+    bundle.timing_csv = _write_csv(out_dir / "timing_summary.csv", _TIMING_FIELDS, rows)
     return bundle
 
 
 def _timing_rows(jobs, methods, anchor) -> list[dict]:
-    stage_totals: dict[str, dict[str, float]] = {m: {} for m in methods}
-    frame_totals: dict[str, int] = {m: 0 for m in methods}
+    """A row per method and stage, in stage-name order, then the method's
+    total as one more stage; every row follows the same rule."""
+    stages: dict[str, dict[str, float]] = {m: {} for m in methods}
+    frames = dict.fromkeys(methods, 0)
     for j in jobs:
         for stage, sec in j.stage_cpu_seconds.items():
-            stage_totals[j.method][stage] = stage_totals[j.method].get(stage, 0.0) + sec
-        frame_totals[j.method] += j.frame_count
+            stages[j.method][stage] = stages[j.method].get(stage, 0.0) + sec
+        frames[j.method] += j.frame_count
+    stages = {m: dict(sorted(s.items()), total=sum(s.values())) for m, s in stages.items()}
 
     rows = []
     for method in methods:
-        totals = stage_totals[method]
-        method_total = sum(totals.values())
-        for stage in sorted(totals):
-            sec = totals[stage]
-            anchor_sec = stage_totals[anchor].get(stage)
-            if method == anchor or not anchor_sec:
-                delta = ""
-            else:
-                delta = f"{100.0 * (sec - anchor_sec) / anchor_sec:.2f}"
-            rows.append(
-                {
-                    "method": method,
-                    "stage": stage,
-                    "total_seconds": f"{sec:.6f}",
-                    "seconds_per_frame": f"{sec / max(frame_totals[method], 1):.6f}",
-                    "pct_of_method_total": f"{100.0 * sec / method_total:.2f}" if method_total else "0.00",
-                    "pct_delta_vs_anchor": delta,
-                }
-            )
-        anchor_total = sum(stage_totals[anchor].values())
-        total_delta = ""
-        if method != anchor and anchor_total:
-            total_delta = f"{100.0 * (method_total - anchor_total) / anchor_total:.2f}"
-        rows.append(
-            {
-                "method": method,
-                "stage": "total",
-                "total_seconds": f"{method_total:.6f}",
-                "seconds_per_frame": f"{method_total / max(frame_totals[method], 1):.6f}",
-                "pct_of_method_total": "100.00",
-                "pct_delta_vs_anchor": total_delta,
-            }
-        )
+        total = stages[method]["total"]
+        for stage, sec in stages[method].items():
+            anchor_sec = stages[anchor].get(stage)
+            delta = "" if method == anchor or not anchor_sec else f"{100.0 * (sec - anchor_sec) / anchor_sec:.2f}"
+            share = f"{100.0 * sec / total:.2f}" if total else "0.00"
+            values = (method, stage, f"{sec:.6f}", f"{sec / max(frames[method], 1):.6f}", share, delta)
+            rows.append(dict(zip(_TIMING_FIELDS, values)))
     return rows
 
 

@@ -232,14 +232,13 @@ def _run_job(
 
             frames = _each(postprocess, frames, "postproc", timer)
 
-        psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame
+        psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame, capped
 
         def measure(frame):
             original = originals.popleft()
             if psnr is not None:
-                psnr.extend(
-                    psnr_y_sequence([original], [frame], seq.spec.bit_depth, inf_cap=cfg.psnr_inf_cap).per_frame
-                )
+                (value,) = psnr_y_sequence([original], [frame], seq.spec.bit_depth).per_frame
+                psnr.append(min(value, cfg.psnr_inf_cap))  # as mean_psnr counts it
             return frame
 
         recon_path = workdir / f"{tag}_recon.yuv"

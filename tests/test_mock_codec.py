@@ -334,6 +334,29 @@ class TestCodecMemory:
         growth = peak(8) - peak(2)
         assert growth < 6 * 4 * samples_per_frame
 
+    def test_codes_one_plane_at_a_time(self):
+        # each plane is decoded before the next is encoded, so a 1080p 10-bit
+        # 4:2:0 frame peaks at one luma plane of int32 coefficients (4 bytes
+        # a luma sample) beside the decoded frame (3) and scratch bands:
+        # 13.8 MiB. Coding the frame's planes together held the coefficients
+        # of all three (6 bytes a luma sample): 19.9 MiB
+        spec = VideoSpec(1920, 1080, 10, "420", frame_count=1)
+        rng = np.random.default_rng(9)
+        frame = Frame(*(rng.integers(0, 1024, shape).astype(np.uint16) for shape in spec.plane_shapes))
+
+        def code():
+            return list(CodedStream(MockCodec().encode_decode([frame], spec, 27, None, "t", no_timer)))
+
+        code()  # warm-up
+        tracemalloc.start()
+        try:
+            code()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        luma = spec.width * spec.height
+        assert peak < (4 + 3) * luma + 3 * bands.BAND_BYTES
+
     def test_encode_plane_holds_under_two_float_planes(self):
         # besides its int32 result, encode_plane keeps at most one float64
         # plane (samples, then coefficients in place) and a byte of sign per

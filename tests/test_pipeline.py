@@ -376,6 +376,68 @@ class TestRunExperiment:
         assert again.header["version"]
         assert again.header["config"]["conventions"]["resample_phase"] == "center_aligned"
 
+    def test_post_processed_method_at_full_size(self, experiment_dir):
+        # at scale 1/1 nothing is upsampled, so a CNN on the anchor's coded
+        # frames needs no up_filter: it codes the anchor's stream and ends ok
+        (experiment_dir / "full.ini").write_text(
+            """
+[sequence.synthA]
+path = synthA.yuv
+width = 64
+height = 64
+frame_count = 8
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[method.cnn]
+postproc_net = net.json
+postproc_weights = 22=w22.rqpw, 27=w27.rqpw
+
+[qps]
+pairs = 27:7
+"""
+        )
+        manifest = run_experiment(experiment_dir / "full.ini", workdir=experiment_dir / "full", workers=1)
+        anchor, cnn = manifest.jobs[("synthA", "anchor", 0)], manifest.jobs[("synthA", "cnn", 0)]
+        assert cnn.status == "ok" and cnn.postproc_weights_qp == 27
+        assert "postproc" in cnn.stage_seconds and "upsample" not in cnn.stage_seconds
+        assert cnn.total_bits == anchor.total_bits
+        assert cnn.artifacts["recon"]["sha256"] != anchor.artifacts["recon"]["sha256"]
+
+    def test_per_frame_psnr_recorded_as_the_mean_counts_it(self, tmp_path):
+        # at QP 0 every frame scores about 70 dB: each is recorded at the
+        # 40 dB cap, as the sequence value counts it, so the sequence value
+        # is the mean of the recorded values at every QP
+        spec = VideoSpec(32, 32, 8, "420", frame_count=3, label="s")
+        write_sequence(synthetic_sequence(spec, seed=5), spec, tmp_path / "s.yuv")
+        (tmp_path / "cap.ini").write_text(
+            """
+[run]
+psnr_inf_cap = 40
+
+[sequence.s]
+path = s.yuv
+width = 32
+height = 32
+frame_count = 3
+frame_rate = 30
+
+[method.anchor]
+codec = mock
+
+[qps]
+pairs = 0:0, 37:15
+"""
+        )
+        manifest = run_experiment(tmp_path / "cap.ini", workers=1)
+        scores = [manifest.jobs[("s", "anchor", qi)].scores["psnr_y"] for qi in (0, 1)]
+        assert scores[0]["per_frame"] == [40.0, 40.0, 40.0] and scores[0]["sequence_value"] == 40.0
+        assert 30 < min(scores[1]["per_frame"]) and max(scores[1]["per_frame"]) < 40
+        for score in scores:
+            assert np.mean(score["per_frame"]) == pytest.approx(score["sequence_value"], abs=1e-6)
+
 
 class TestDeterminismAndResume:
     @staticmethod
@@ -1069,9 +1131,9 @@ pairs = 27:7
 
     @pytest.mark.parametrize("method", ["anchor", "rescaled"])
     def test_job_peak_leaves_no_room_for_a_float_plane(self, tmp_path, method):
-        # A 960x544 10-bit 4:2:0 frame is 1.5 MiB. A job holds about six
-        # frames' worth: the source frame, the int32 coefficients (two
-        # frames), the decoded frames and band scratch, about 9 MiB.
+        # A 960x544 10-bit 4:2:0 frame is 1.5 MiB. A job holds about five
+        # frames' worth: the source frame, the int32 coefficients of one
+        # plane, the decoded frames and band scratch, about 8 MiB.
         # The bound of eight frames is 11.95 MiB: a whole float64 luma plane
         # (4 MiB) on top does not fit under it.
         peak = self.job_peak(tmp_path, method)
@@ -1082,7 +1144,7 @@ pairs = 27:7
         # Frames are read into and written from their plane arrays. Reading
         # through a whole-frame bytes buffer and writing through tobytes()
         # copies cost about 1.2 frames more on anchor (10.8 MiB) and 2 more
-        # on rescaled (9.1 MiB); now they peak at 9.0 and 5.9 MiB.
+        # on rescaled (9.1 MiB); now they peak at 8.0 and 5.9 MiB.
         peak = self.job_peak(tmp_path, method)
         assert peak < frames * self.FRAME_BYTES
 
@@ -1641,6 +1703,55 @@ def synthetic_record(sequence, method, qi, rate, quality):
     )
 
 
+# the report of TestAssembleReport.pinned_manifest, written with "\n" for the CSV row ends
+RQ_S2_PSNR_Y = """\
+method,qp_index,qp_texture,bitrate_kbps,quality
+anchor,0,22,500.000000,31.500000
+anchor,1,27,900.000000,34.500000
+anchor,2,32,1600.000000,37.000000
+cnn,0,22,420.000000,32.000000
+cnn,1,27,420.000000,35.000000
+cnn,2,32,1520.000000,37.000000
+rescaled,0,22,400.000000,31.500000
+rescaled,1,27,800.000000,34.250000
+rescaled,2,32,1500.000000,36.500000
+"""
+BD_RESCALED = """\
+sequence,bd_psnr_y,bd_vmaf
+s1,0.765312,3.322857
+s2,0.265312,3.322857
+Total,0.515312,3.322857
+"""
+BD_CNN = """\
+sequence,bd_psnr_y,bd_vmaf
+s1,1.350232,
+Total,1.350232,
+"""
+TIMING_SUMMARY = """\
+method,stage,total_seconds,seconds_per_frame,pct_of_method_total,pct_delta_vs_anchor
+anchor,decode,3.000000,0.062500,33.33,
+anchor,encode,6.000000,0.125000,66.67,
+anchor,total,9.000000,0.187500,100.00,
+cnn,decode,1.500000,0.031250,6.06,-50.00
+cnn,downsample,1.500000,0.031250,6.06,
+cnn,encode,3.000000,0.062500,12.12,-50.00
+cnn,postproc,18.000000,0.375000,72.73,
+cnn,upsample,0.750000,0.015625,3.03,
+cnn,total,24.750000,0.515625,100.00,175.00
+rescaled,decode,1.500000,0.031250,22.22,-50.00
+rescaled,downsample,1.500000,0.031250,22.22,
+rescaled,encode,3.000000,0.062500,44.44,-50.00
+rescaled,upsample,0.750000,0.015625,11.11,
+rescaled,total,6.750000,0.140625,100.00,-25.00
+"""
+PINNED_WARNINGS = [
+    "s1/cnn/vmaf: incomplete curve, BD skipped",
+    "s2/cnn/psnr_y: unusable curve: curve 's2/cnn' has duplicate bitrates",
+    "s2/cnn/psnr_y: incomplete curve, BD skipped",
+    "s2/cnn/vmaf: incomplete curve, BD skipped",
+]
+
+
 class TestAssembleReport:
     RATES = [500.0, 900.0, 1600.0, 2800.0]
     QUALS = [31.0, 34.0, 36.5, 38.0]
@@ -1700,6 +1811,62 @@ class TestAssembleReport:
         assert rows[("rescaled", "decode")]["pct_delta_vs_anchor"] == "-40.00"
         assert rows[("rescaled", "postproc")]["pct_of_method_total"] == "40.00"
         assert rows[("anchor", "decode")]["pct_delta_vs_anchor"] == ""
+
+    @staticmethod
+    def pinned_manifest(tmp_path):
+        """Two sequences and three methods: cnn has no vmaf scores, and its
+        s2 curve is unusable (two jobs at one bitrate)."""
+        manifest = RunManifest(tmp_path / "m.jsonl")
+        cpu = {
+            "anchor": {"encode": 1.0, "decode": 0.5},
+            "rescaled": {"downsample": 0.25, "encode": 0.5, "decode": 0.25, "upsample": 0.125},
+            "cnn": {"downsample": 0.25, "encode": 0.5, "decode": 0.25, "upsample": 0.125, "postproc": 3.0},
+        }
+        ladders = {
+            "anchor": ([500.0, 900.0, 1600.0], [31.0, 34.0, 36.5], [60.0, 75.0, 85.0]),
+            "rescaled": ([400.0, 800.0, 1500.0], [31.5, 34.25, 36.5], [62.0, 76.0, 84.5]),
+            "cnn": ([420.0, 820.0, 1520.0], [32.0, 35.0, 37.0], None),
+        }
+        for seq, shift in (("s1", 0.0), ("s2", 0.5)):  # the anchor's s2 PSNR-Y is 0.5 dB higher
+            for method, (rates, psnr, vmaf) in ladders.items():
+                for qi in range(3):
+                    rate = 420.0 if (seq, method, qi) == ("s2", "cnn", 1) else rates[qi]
+                    rec = synthetic_record(seq, method, qi, rate, psnr[qi] + (shift if method == "anchor" else 0.0))
+                    if vmaf is not None:
+                        rec.scores["vmaf"] = dict(rec.scores["psnr_y"], sequence_value=vmaf[qi])
+                    rec.stage_cpu_seconds = cpu[method]
+                    manifest.append_job(rec)
+        return manifest
+
+    def test_csv_text_is_pinned(self, tmp_path):
+        bundle = assemble_report(self.pinned_manifest(tmp_path), tmp_path / "report")
+        assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+            "bd_cnn.csv", "bd_rescaled.csv", "rq_s1_psnr_y.csv", "rq_s1_vmaf.csv",
+            "rq_s2_psnr_y.csv", "rq_s2_vmaf.csv", "timing_summary.csv",
+        ]
+        for path, text in (
+            (bundle.rq_csvs[("s2", "psnr_y")], RQ_S2_PSNR_Y),
+            (bundle.bd_tables["rescaled"], BD_RESCALED),
+            (bundle.bd_tables["cnn"], BD_CNN),
+            (bundle.timing_csv, TIMING_SUMMARY),
+        ):
+            assert path.read_bytes() == text.replace("\n", "\r\n").encode()  # csv ends rows with CRLF
+        assert bundle.warnings == PINNED_WARNINGS
+
+    def test_unusable_anchor_curve_warned_once(self, tmp_path):
+        manifest = RunManifest(tmp_path / "m.jsonl")
+        for method in ("anchor", "rescaled", "cnn"):
+            for qi in range(3):
+                rate = 500.0 if method == "anchor" else 400.0 * (qi + 1)
+                manifest.append_job(synthetic_record("s", method, qi, rate, 30.0 + qi))
+        bundle = assemble_report(manifest, tmp_path / "report")
+        assert [w for w in bundle.warnings if "unusable" in w] == [
+            "s/anchor/psnr_y: unusable curve: curve 's/anchor' has duplicate bitrates"
+        ]
+        assert [w for w in bundle.warnings if "unusable" not in w] == [
+            "s/cnn/psnr_y: incomplete curve, BD skipped", "s/rescaled/psnr_y: incomplete curve, BD skipped"
+        ]
+        assert bundle.bd_values == {"rescaled": {}, "cnn": {}}
 
     def test_missing_anchor_rejected(self, tmp_path):
         manifest = RunManifest(tmp_path / "m.jsonl")
