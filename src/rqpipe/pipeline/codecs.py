@@ -5,11 +5,16 @@ any codec binaries: per 8x8 block it applies an orthonormal 2-D DCT-II
 to centered samples, quantizes uniformly with step 2^((qp - 4) / 6),
 and prices the quantized coefficients with exp-Golomb code lengths.
 A plane is viewed, without a transpose, in block-row layout
-(H/8, 8, W/8, 8) and transformed along axes 1 and 3; the coefficients
-are kept as int32 in that layout, and the bits are priced from a
-histogram of their magnitudes. Encode and decode run over bands of block
-rows (rqpipe.bands), so the float64 samples and coefficients in flight
-are one band's, not a plane's.
+(H/8, 8, W/8, 8), and the DCT and its inverse are two GEMMs with K = 8
+on that view, against the 8x8 basis matrix. The coefficients are kept as
+int32 in that layout, and the bits are priced from a histogram of their
+magnitudes. Encode and decode run over bands of block rows
+(rqpipe.bands), each with two float64 buffers, so the samples and
+coefficients in flight are one band's, not a plane's.
+The coefficients, bits and samples are those of scipy's `dctn` and
+`idctn`: the GEMMs sum in another order, so the few blocks holding a
+value within a stated error bound of a rounding point are transformed
+again by scipy (see encode_plane and decode_plane).
 External codecs are driven through command templates, run by
 errors.run_tool, and their bitrate is taken from the bitstream size.
 
@@ -29,6 +34,7 @@ file once the stream ends, is abandoned or fails.
 
 from __future__ import annotations
 
+import math
 from contextlib import closing, nullcontext
 from pathlib import Path
 
@@ -60,37 +66,125 @@ def _code_bits(mags: np.ndarray) -> int:
     return int(hist @ cost)
 
 
+def _cos_pi(m: int, d: int) -> float:
+    """cos(pi * m / d) to about an ulp: the angle is folded to at most
+    pi / 4 first, since a large angle loses its low bits when rounded."""
+    m %= 2 * d
+    m = min(m, 2 * d - m)  # now 0 <= m <= d
+    sign = 1.0
+    if 2 * m > d:
+        m, sign = d - m, -1.0  # cos(pi - a) = -cos(a); now 0 <= m <= d / 2
+    return sign * (math.cos(math.pi * m / d) if 4 * m <= d else math.sin(math.pi * (d - 2 * m) / (2 * d)))
+
+
+def _dct_basis(n: int) -> np.ndarray:
+    # from math, not numpy: the first call of numpy's vectorized cos adds
+    # about 256 KB of its code to the process's resident set
+    return np.array([
+        [math.sqrt((1 if k == 0 else 2) / n) * _cos_pi((2 * x + 1) * k, 2 * n) for x in range(n)]
+        for k in range(n)
+    ])
+
+
+# the orthonormal 8x8 DCT-II: block x has coefficients _BASIS @ x @ _BASIS.T.
+# Both are kept C-contiguous: a transposed view as the right operand of the
+# tall first GEMM makes OpenBLAS take a path about 3x slower
+_BASIS = _dct_basis(BLOCK)
+_BASIS_T = np.ascontiguousarray(_BASIS.T)
+
+
+def _transform(x: np.ndarray, scratch: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Every 8x8 block b of x, in block-row layout (nb, 8, bw, 8), becomes
+    left @ b @ right, in place, as two GEMMs with K = 8: the rows of every
+    block times `right` into scratch, then `left` times each block row."""
+    nb, _, bw, _ = x.shape
+    np.matmul(x.reshape(-1, BLOCK), right, out=scratch.reshape(-1, BLOCK))
+    np.matmul(left, scratch.reshape(nb, BLOCK, bw * BLOCK), out=x.reshape(nb, BLOCK, bw * BLOCK))
+
+
+_NO_BLOCKS = (np.empty(0, np.intp), np.empty(0, np.intp))
+
+
+def _near_ties(frac: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of the blocks of `frac`, in block-row layout, that
+    hold a value within eps of 0 or 1: the fractional part of a value that
+    lies within eps of a point where floor steps."""
+    near = frac < eps
+    near |= frac > 1.0 - eps
+    if not near.any():
+        return _NO_BLOCKS
+    # the 8 flags of one row of a block are 8 contiguous bytes: one uint64
+    nb, _, bw, _ = frac.shape
+    return np.nonzero(near.view(np.uint64).reshape(nb, BLOCK, bw).any(axis=1))
+
+
+def _tie_eps(bit_depth: int, step: float) -> tuple[float, float]:
+    """The tie margins of encode_plane and decode_plane, whose docstrings
+    give the error bounds behind them."""
+    unit = 2.0 ** (bit_depth - 36)
+    return unit / min(step, 1.0), unit * max(step, 1.0)
+
+
 def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
     """Quantized DCT coefficients plus their coded size in bits.
 
     The coefficients are int32 in block-row layout (H/8, 8, W/8, 8): block
     (i, j) is q[i, :, j, :], with H and W rounded up to multiples of 8 by
     edge padding. The plane is coded in bands of block rows
-    (rqpipe.bands): besides the int32 result, only one band's centered
-    samples, coefficients and signs are live at a time. A block's DCT does
-    not depend on the other blocks, and each band's bit count is an exact
-    integer, so the split changes neither coefficients nor bits.
+    (rqpipe.bands): besides the int32 result, only one band's two float64
+    buffers (the samples, then the coefficients, and a GEMM scratch that
+    then holds the quantizer's values) and its signs are live at a time. A
+    block's DCT does not depend on the other blocks, and each band's bit
+    count is an exact integer, so the split changes neither coefficients
+    nor bits.
+
+    The DCT is two GEMMs with K = 8 (_transform), and each coefficient c
+    is quantized to sign(c) * floor(|c| / step + 0.5), as against scipy's
+    `dctn`. The GEMMs sum in another order than scipy, so their c can
+    differ from scipy's in its last bits, and where |c| / step + 0.5 lies
+    next to an integer, so can its floor. Every block holding a value
+    within eps = 2^(bit_depth - 36) / min(step, 1) of an integer is
+    transformed again by `dctn` and quantized from scipy's coefficients.
+    The error bound behind eps: centered samples are at most 2^(bit_depth
+    - 1) in magnitude, every basis row has a 1-norm of at most sqrt(8) and
+    every basis entry is within an ulp, so the two rounded 8-term sums of
+    each coefficient are off the exact DCT by less than 2^(bit_depth - 46); scipy's FFT has an error bound of
+    the same order. With the rounding of the division and the add, the
+    two values |c| / step + 0.5 differ by less than 2^(bit_depth - 44) /
+    min(step, 1), 2^8 times below eps (tests pin the measured difference
+    at least 100 times below it). Every other value is at least eps from
+    an integer, and there both floors agree: the coefficients and bits
+    are scipy's, whatever sum order BLAS takes.
     """
     h, w = plane.shape
     bh, bw = -(-h // BLOCK), -(-w // BLOCK)
+    step = quant_step(qp)
+    eps, _ = _tie_eps(bit_depth, step)
+    mid = 1 << (bit_depth - 1)
     q = np.empty((bh, BLOCK, bw, BLOCK), dtype=np.int32)
     bits = 0
-    for b0, b1 in row_bands(bh, BLOCK * bw * BLOCK * 8):
+    for b0, b1 in row_bands(bh, 2 * BLOCK * bw * BLOCK * 8):  # two float64 buffers a band
         rows = plane[b0 * BLOCK : b1 * BLOCK]
         pad = ((0, (b1 - b0) * BLOCK - rows.shape[0]), (0, -w % BLOCK))
         if pad[0][1] or pad[1][1]:
             rows = np.pad(rows, pad, mode="edge")
-        x = np.subtract(rows, 1 << (bit_depth - 1), dtype=np.float64)
-        coef = dctn(x.reshape(b1 - b0, BLOCK, bw, BLOCK), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
-        del rows, x  # a padded copy and the centered samples are not needed again
-        sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
-        mag = np.abs(coef, out=coef)
-        mag /= quant_step(qp)  # not * (1 / step): that moves exact .5 ties
-        mag += 0.5
-        np.floor(mag, out=mag)
+        blocks = rows.reshape(b1 - b0, BLOCK, bw, BLOCK)
+        coef, v = np.empty((2, *blocks.shape))
+        np.subtract(blocks, mid, out=coef, dtype=np.float64)
+        _transform(coef, v, _BASIS, _BASIS_T)
+        np.abs(coef, out=v)
+        v /= step  # not * (1 / step): that moves exact .5 ties
+        v += 0.5
         band = q[b0:b1]
-        band[...] = mag
-        del coef, mag
+        band[...] = v  # v >= 0.5, so the cast's truncation is floor
+        v -= band  # the fractional part
+        i, j = _near_ties(v, eps)
+        if i.size:
+            tied = np.subtract(blocks[i, :, j, :], mid, dtype=np.float64)
+            coef[i, :, j, :] = tied = dctn(tied, type=2, norm="ortho", axes=(1, 2), overwrite_x=True)
+            band[i, :, j, :] = np.abs(tied) / step + 0.5  # the cast floors, as above
+        sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
+        del coef, v  # the float64 buffers are not needed again
         bits += _code_bits(band)
         band *= sign
     return q, (h, w), bits
@@ -99,24 +193,47 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
 def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) -> np.ndarray:
     """Reconstruct an (h, w) plane from encode_plane's block-row coefficients.
 
-    Decodes in bands of block rows, as encode_plane codes them. The
-    mid-level and the rounding half are added as two separate float
-    adds, in that order, as in the reference decoder the tests compare
-    against: one add of (mid + 0.5) can round a sum differently in its last
-    bit, so the order is kept for the float sums to match, not only the
-    rounded samples.
+    Decodes in bands of block rows, as encode_plane codes them, with two
+    float64 buffers a band. The inverse DCT is _transform with the two
+    basis matrices swapped. The mid-level and the rounding half are added
+    as two separate float adds, in that order, as in the reference decoder
+    the tests compare against: one add of (mid + 0.5) can round a sum
+    differently in its last bit, so the order is kept for the float sums
+    to match, not only the rounded samples.
+
+    As in encode_plane, every block holding a value rec + mid + 0.5 within
+    eps = 2^(bit_depth - 36) * max(step, 1) of an integer is reconstructed
+    again by scipy's `idctn`, and every other sample is scipy's. For
+    coefficients that encode_plane made from bit_depth-bit samples,
+    |q * step| is at most 2^(bit_depth + 2) + step, so by the same sums
+    the GEMMs are off the exact inverse by about 2^(bit_depth - 43) *
+    max(step, 1) at most, and with scipy's error of the same order the two
+    values differ by about 2^6 times less than eps at most.
     """
     bh, _, bw, _ = q.shape
     h, w = dims
+    step = quant_step(qp)
+    _, eps = _tie_eps(bit_depth, step)
+    mid = 1 << (bit_depth - 1)
     out = np.empty(dims, dtype=np.uint8 if bit_depth == 8 else np.uint16)
-    for b0, b1 in row_bands(bh, BLOCK * bw * BLOCK * 8):
-        rec = idctn(q[b0:b1] * quant_step(qp), type=2, norm="ortho", axes=(1, 3), overwrite_x=True)
-        rec = rec.reshape((b1 - b0) * BLOCK, bw * BLOCK)
-        rec += 1 << (bit_depth - 1)
+    for b0, b1 in row_bands(bh, 2 * BLOCK * bw * BLOCK * 8):
+        coefs = q[b0:b1]
+        rec, floor = np.empty((2, *coefs.shape))
+        np.multiply(coefs, step, out=rec)
+        _transform(rec, floor, _BASIS_T, _BASIS)
+        rec += mid
         rec += 0.5
-        np.floor(rec, out=rec)
-        np.clip(rec, 0, (1 << bit_depth) - 1, out=rec)
-        out[b0 * BLOCK : b1 * BLOCK] = rec[: min(b1 * BLOCK, h) - b0 * BLOCK, :w]
+        np.floor(rec, out=floor)
+        rec -= floor
+        i, j = _near_ties(rec, eps)
+        if i.size:
+            tied = idctn(coefs[i, :, j, :] * step, type=2, norm="ortho", axes=(1, 2), overwrite_x=True)
+            tied += mid
+            tied += 0.5
+            floor[i, :, j, :] = np.floor(tied)
+        np.clip(floor, 0, (1 << bit_depth) - 1, out=floor)
+        floor = floor.reshape((b1 - b0) * BLOCK, bw * BLOCK)
+        out[b0 * BLOCK : b1 * BLOCK] = floor[: min(b1 * BLOCK, h) - b0 * BLOCK, :w]
     return out
 
 

@@ -18,6 +18,7 @@ comparison.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -141,7 +142,7 @@ def assemble_report(manifest: RunManifest | str | Path, out_dir) -> ReportBundle
         rows = [[seq] + [f"{row[m]:.6f}" if m in row else "" for m in metrics] for seq, row in per_seq.items()]
         bundle.bd_tables[method] = _write_csv(out_dir / f"bd_{method}.csv", bd_header, rows)
 
-    bundle.timing_rows = _timing_rows(ok, methods, anchor)  # summed in manifest order: the sums' last bits depend on it
+    bundle.timing_rows = _timing_rows(ok, methods, anchor)
     rows = [list(row.values()) for row in bundle.timing_rows]
     bundle.timing_csv = _write_csv(out_dir / "timing_summary.csv", _TIMING_FIELDS, rows)
     return bundle
@@ -149,14 +150,22 @@ def assemble_report(manifest: RunManifest | str | Path, out_dir) -> ReportBundle
 
 def _timing_rows(jobs, methods, anchor) -> list[dict]:
     """A row per method and stage, in stage-name order, then the method's
-    total as one more stage; every row follows the same rule."""
-    stages: dict[str, dict[str, float]] = {m: {} for m in methods}
+    total as one more stage; every row follows the same rule.
+
+    Each sum is math.fsum's correctly rounded one, so the rows do not
+    depend on the order of `jobs`, which is the manifest's completion order.
+    """
+    seconds: dict[str, dict[str, list[float]]] = {m: {} for m in methods}
     frames = dict.fromkeys(methods, 0)
     for j in jobs:
         for stage, sec in j.stage_cpu_seconds.items():
-            stages[j.method][stage] = stages[j.method].get(stage, 0.0) + sec
+            seconds[j.method].setdefault(stage, []).append(sec)
         frames[j.method] += j.frame_count
-    stages = {m: dict(sorted(s.items()), total=sum(s.values())) for m, s in stages.items()}
+    stages = {
+        m: {stage: math.fsum(secs) for stage, secs in sorted(s.items())}
+        | {"total": math.fsum(sec for secs in s.values() for sec in secs)}
+        for m, s in seconds.items()
+    }
 
     rows = []
     for method in methods:

@@ -10,7 +10,9 @@ from rqpipe import Frame, VideoSpec, bands, mock_encode_decode
 from rqpipe.errors import ConfigError
 from rqpipe.metrics import mse_plane
 from rqpipe.pipeline import MockCodec
+from rqpipe.pipeline import codecs
 from rqpipe.pipeline.codecs import CodedStream, decode_plane, encode_plane, quant_step
+from rqpipe.synthetic import synthetic_plane
 
 
 def dc_hand_trace(value, qp, bit_depth=8):
@@ -277,6 +279,94 @@ class TestMatchesOracle:
         q, _, _ = encode_plane(plane, 7, 8)
         assert abs(q[0, 6, 0, 2]) == 5
         self.assert_equal_to_oracle(plane, 7, 8)
+
+
+def every_value_plane(bit_depth):
+    """A plane of constant 8x8 blocks, one of every bit_depth-bit sample
+    value, 32 blocks wide. Blocks are coded independently, so it codes as a
+    constant plane of each value would."""
+    values = np.arange(1 << bit_depth).reshape(-1, 32)
+    return np.kron(values, np.ones((8, 8), np.int64)).astype(np.uint8 if bit_depth == 8 else np.uint16)
+
+
+class TestTieGuard:
+    """The GEMM transform differs from scipy's in the last bits, so blocks
+    with a value next to a rounding point go through scipy again
+    (codecs._near_ties); the coefficients, bits and samples stay scipy's."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_constant_planes_of_every_value_at_every_qp(self, bit_depth):
+        # a constant block's DC is 8 * (value - mid): at the power-of-two
+        # steps of QP 28, 34, ... half of the values sit on an exact .5 tie
+        plane = every_value_plane(bit_depth)
+        for qp in range(64):
+            TestMatchesOracle.assert_equal_to_oracle(plane, qp, bit_depth)
+
+    @pytest.mark.parametrize("qp", [16, 22])
+    def test_1080p_synthetic_luma(self, qp):
+        # steps 4 and 8 put exact .5 ties on 6-11% of this plane's blocks
+        plane = np.floor(synthetic_plane(1920, 1080, 0, 1023, np.random.default_rng(1)) + 0.5).astype(np.uint16)
+        TestMatchesOracle.assert_equal_to_oracle(plane, qp, 10)
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        calls = {"dctn": [], "idctn": []}
+
+        def spy(name, fn):
+            def wrapped(x, *args, **kwargs):
+                calls[name].append(x.shape[0])
+                return fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(codecs, name, wrapped)
+
+        spy("dctn", codecs.dctn)
+        spy("idctn", codecs.idctn)
+        return calls
+
+    def test_fallback_runs_on_the_tied_blocks_only(self, monkeypatch):
+        calls = self.count_fallbacks(monkeypatch)
+        plane = np.full((16, 16), 513, np.uint16)
+        # QP 28, step 16: every block's DC is 8, and 8 / 16 + 0.5 is exactly 1
+        TestMatchesOracle.assert_equal_to_oracle(plane, 28, 10)
+        assert calls == {"dctn": [4], "idctn": []}
+        calls["dctn"].clear()
+        # QP 27: 8 / 2^(23/6) + 0.5 = 1.06, and the decoded samples are
+        # 514.28 before rounding: no value is next to a rounding point
+        TestMatchesOracle.assert_equal_to_oracle(plane, 27, 10)
+        assert calls == {"dctn": [], "idctn": []}
+        # a lone DC of 1 at QP 16, step 4, decodes to exactly mid + 0.5 + 0.5
+        # in its block; the all-zero block beside it to mid + 0.5
+        q = np.zeros((1, 8, 2, 8), np.int32)
+        q[0, 0, 0, 0] = 1
+        dec = decode_plane(q, (8, 16), 16, 10)
+        assert calls == {"dctn": [], "idctn": [1]}
+        assert np.array_equal(dec, decode_plane_oracle(q.transpose(0, 2, 1, 3), (8, 16), 16, 10))
+
+    @pytest.mark.parametrize("qp", [0, 63])
+    @pytest.mark.parametrize("pattern", ["random", "checkerboard"])
+    def test_gemm_error_is_far_below_the_tie_margin(self, pattern, qp):
+        # 16-bit full-swing samples give the largest coefficients, QP 0 and
+        # 63 the smallest and largest steps
+        bit_depth, mid, step = 16, 1 << 15, quant_step(qp)
+        if pattern == "random":
+            plane = np.random.default_rng(qp).integers(0, 1 << 16, (64, 64))
+        else:
+            plane = np.indices((64, 64)).sum(axis=0) % 2 * 0xFFFF
+        blocks = (plane - mid).astype(np.float64).reshape(8, 8, 8, 8)
+        encode_eps, decode_eps = codecs._tie_eps(bit_depth, step)
+
+        coef = blocks.copy()
+        codecs._transform(coef, np.empty_like(coef), codecs._BASIS, codecs._BASIS_T)
+        ref = dctn(blocks, type=2, norm="ortho", axes=(1, 3))
+        encode_error = np.abs((np.abs(coef) / step + 0.5) - (np.abs(ref) / step + 0.5)).max()
+        assert encode_error * 100 <= encode_eps
+
+        scaled = encode_plane(plane.astype(np.uint16), qp, bit_depth)[0] * step
+        rec = scaled.copy()
+        codecs._transform(rec, np.empty_like(rec), codecs._BASIS_T, codecs._BASIS)
+        ref = idctn(scaled, type=2, norm="ortho", axes=(1, 3))
+        decode_error = np.abs((rec + mid + 0.5) - (ref + mid + 0.5)).max()
+        assert decode_error * 100 <= decode_eps
 
 
 class TestRowBands:

@@ -1868,6 +1868,22 @@ class TestAssembleReport:
         ]
         assert bundle.bd_values == {"rescaled": {}, "cnn": {}}
 
+    def test_timing_rows_do_not_depend_on_record_order(self, tmp_path):
+        # summed in this order the anchor's encode seconds are 1.5636215000000002
+        # ("1.563622"), summed in reverse 1.5636215 ("1.563621")
+        manifest = RunManifest(tmp_path / "m.jsonl")
+        for qi, sec in enumerate([0.601628, 0.815765, 0.146225, 3.5e-06]):
+            for method in ("anchor", "rescaled"):
+                rec = synthetic_record("s", method, qi, 100.0 * (qi + 1), 30.0 + qi)
+                rec.stage_cpu_seconds = {"encode": sec, "decode": sec / 3}
+                manifest.append_job(rec)
+        lines = manifest.path.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(reversed(lines)))
+        rows = assemble_report(manifest, tmp_path / "report").timing_rows
+        assert assemble_report(shuffled, tmp_path / "report_shuffled").timing_rows == rows
+        assert rows[1]["stage"] == "encode" and rows[1]["total_seconds"] == "1.563621"
+
     def test_missing_anchor_rejected(self, tmp_path):
         manifest = RunManifest(tmp_path / "m.jsonl")
         for qi in range(2):
