@@ -7,8 +7,8 @@ and prices the quantized coefficients with exp-Golomb code lengths.
 A plane is viewed, without a transpose, in block-row layout
 (H/8, 8, W/8, 8), and the DCT and its inverse are two GEMMs with K = 8
 on that view, against the 8x8 basis matrix. The coefficients are kept as
-int32 in that layout, and the bits are priced from a histogram of their
-magnitudes. Encode and decode run over bands of block rows
+int32 in that layout, and the bits are priced from the float32 exponents
+of their magnitudes. Encode and decode run over bands of block rows
 (rqpipe.bands), each with two float64 buffers, so the samples and
 coefficients in flight are one band's, not a plane's.
 The coefficients, bits and samples are those of scipy's `dctn` and
@@ -58,12 +58,18 @@ def quant_step(qp: int) -> float:
 
 
 def _code_bits(mags: np.ndarray) -> int:
-    # zero coefficients cost 1 bit; value v costs 2*floor(log2(2|v|)) + 1 + sign,
-    # and frexp's exponent of |v| is floor(log2(2|v|))
-    hist = np.bincount(mags.ravel())
-    cost = 2 * np.frexp(np.arange(hist.size, dtype=np.float64))[1] + 2
-    cost[0] = 1
-    return int(hist @ cost)
+    """Exp-Golomb bits of int32 magnitudes below 2^24: a zero costs 1 bit,
+    and m > 0 costs 2 * floor(log2(2m)) + 1 + sign = 2 * floor(log2 m) + 4.
+
+    Below 2^24 the float32 of m is exact, and its biased exponent field,
+    bits >> 23, is floor(log2 m) + 127 for m > 0 and 0 for m = 0, so the
+    total is 2 * sum(exponents) - 250 * N + 251 * zeros. Magnitudes stay
+    below 2^19 at every bit depth up to 16 and every QP.
+    """
+    exps = mags.astype(np.float32).view(np.int32)
+    exps >>= 23
+    zeros = mags.size - int(np.count_nonzero(mags))
+    return 2 * int(exps.sum(dtype=np.int64)) - 250 * mags.size + 251 * zeros
 
 
 def _cos_pi(m: int, d: int) -> float:
@@ -140,9 +146,10 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
 
     The DCT is two GEMMs with K = 8 (_transform), and each coefficient c
     is quantized to sign(c) * floor(|c| / step + 0.5), as against scipy's
-    `dctn`. The GEMMs sum in another order than scipy, so their c can
-    differ from scipy's in its last bits, and where |c| / step + 0.5 lies
-    next to an integer, so can its floor. Every block holding a value
+    `dctn`. The GEMMs sum in another order than scipy, and the band
+    multiplies |c| by 1 / step where the reference divides, so their value
+    can differ from scipy's in its last bits, and where |c| / step + 0.5
+    lies next to an integer, so can its floor. Every block holding a value
     within eps = 2^(bit_depth - 36) / min(step, 1) of an integer is
     transformed again by `dctn` and quantized from scipy's coefficients.
     The error bound behind eps: centered samples are at most 2^(bit_depth
@@ -151,10 +158,13 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
     each coefficient are off the exact DCT by less than 2^(bit_depth - 46); scipy's FFT has an error bound of
     the same order. With the rounding of the division and the add, the
     two values |c| / step + 0.5 differ by less than 2^(bit_depth - 44) /
-    min(step, 1), 2^8 times below eps (tests pin the measured difference
-    at least 100 times below it). Every other value is at least eps from
-    an integer, and there both floors agree: the coefficients and bits
-    are scipy's, whatever sum order BLAS takes.
+    min(step, 1). The multiply by 1 / step rounds twice where the division
+    rounds once, which adds at most 2u |c| / step < 2^(bit_depth - 50) /
+    step (u = 2^-53, |c| <= 2^(bit_depth + 2)): still less than
+    2^(bit_depth - 43.9) / min(step, 1), over 2^7.9 times below eps (tests
+    pin the measured difference at least 100 times below it). Every other
+    value is at least eps from an integer, and there both floors agree:
+    the coefficients and bits are scipy's, whatever sum order BLAS takes.
     """
     h, w = plane.shape
     bh, bw = -(-h // BLOCK), -(-w // BLOCK)
@@ -173,7 +183,7 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
         np.subtract(blocks, mid, out=coef, dtype=np.float64)
         _transform(coef, v, _BASIS, _BASIS_T)
         np.abs(coef, out=v)
-        v /= step  # not * (1 / step): that moves exact .5 ties
+        v *= 1.0 / step  # within two ulps of |c| / step; the guard below takes any tie
         v += 0.5
         band = q[b0:b1]
         band[...] = v  # v >= 0.5, so the cast's truncation is floor
@@ -182,7 +192,7 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
         if i.size:
             tied = np.subtract(blocks[i, :, j, :], mid, dtype=np.float64)
             coef[i, :, j, :] = tied = dctn(tied, type=2, norm="ortho", axes=(1, 2), overwrite_x=True)
-            band[i, :, j, :] = np.abs(tied) / step + 0.5  # the cast floors, as above
+            band[i, :, j, :] = np.abs(tied) / step + 0.5  # scipy's values, divided; the cast floors
         sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
         del coef, v  # the float64 buffers are not needed again
         bits += _code_bits(band)

@@ -8,7 +8,13 @@ Conventions, all recorded in run manifests for reproducibility:
   a/scale source samples each side)
 - weights depend only on the output phase: with scale p/q in lowest
   terms, output i + p uses the weights of output i on the source q
-  samples further on, so each tap is one strided slice
+  samples further on, so a block of periods is one banded matrix, and
+  each Lanczos pass is GEMMs of overlapping source windows by it
+- the output is that of pairwise sums: taps t and T-1-t of a phase added
+  as a pair, each tap one strided slice (_filter_axis). The GEMMs sum in
+  another order, so a sample whose sum lies within a derived margin of a
+  rounding tie is summed again pairwise, and every sample is the
+  pairwise one bit for bit
 - the plane is edge-padded, so boundary taps read the edge sample;
   per-phase weights are renormalized to sum to exactly 1, so constant
   planes are preserved
@@ -30,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bands import row_bands
 from .errors import ConfigError
@@ -149,20 +156,76 @@ def _axis_taps(in_len: int, out_len: int, filt: ResampleFilter):
     return _read_only(idx[:, 0], weights / sums[:, None])
 
 
+# output samples (columns) or rows per block of a banded matrix: of 4 to 24,
+# about 8 ran fastest on a 1080p plane (2-CPU Xeon VM, OpenBLAS, 1 thread),
+# as a wider block multiplies more zeros
+_BLOCK_OUTPUTS = 8
+
+
+@lru_cache(maxsize=64)
+def _band_matrix(in_len: int, out_len: int, filt: ResampleFilter, periods: int) -> np.ndarray:
+    """_axis_taps's weights for `periods` output periods as one banded matrix.
+
+    With p outputs read from q source samples a period, column k * p + r
+    holds the weights of phase r of period k, from row starts[r] - first +
+    k * q on (first = starts.min()). So a window of (periods - 1) * q +
+    span source samples from first + j * q on, times the matrix, gives the
+    outputs of periods j to j + periods - 1.
+
+    Memoized and read-only, as _axis_taps.
+    """
+    starts, weights = _axis_taps(in_len, out_len, filt)
+    phases, taps = weights.shape
+    step = in_len * phases // out_len
+    offsets = starts - starts.min()
+    k = np.arange(periods)[:, None, None]
+    rows = offsets[:, None] + k * step + np.arange(taps)
+    cols = np.broadcast_to(k * phases + np.arange(phases)[:, None], rows.shape)
+    mat = np.zeros(((periods - 1) * step + int(offsets.max()) + taps, periods * phases))
+    mat[rows, cols] = weights
+    return _read_only(mat)[0]
+
+
+def _tie_eps(bit_depth: int, *axes: tuple[np.ndarray, np.ndarray]) -> float:
+    """How near a point where floor steps a GEMM sample + 0.5 may lie and
+    still be taken as rounding like the pairwise sums; `axes` holds each
+    pass's widest _band_matrix and its _axis_taps weights.
+
+    Any order of summing n products, with or without fused multiply-adds,
+    is within gamma_n * sum |w_t x_t| of the exact sum, gamma_n = n u /
+    (1 - n u) with u = 2^-53. The samples are below 2^bit_depth and each
+    phase's weights have a 1-norm of at most A_h or A_v, and both paths
+    use the same weights. So the horizontal sums are off the exact ones
+    by at most gamma_K A_h 2^bit_depth, K being the matrix's rows for the
+    GEMM and the taps T for the pairwise sums, and the vertical sums carry
+    that times A_v, plus their own gamma times M = A_h A_v 2^bit_depth.
+    To first order the two vertical sums differ by (K_h + T_h + K_v + T_v)
+    u M at most, and each add of 0.5 rounds by at most u (M + 1); past
+    that distance from a step both floors agree. eps = 16 times that
+    bound, (K_h + T_h + K_v + T_v + 2) 2^-49 (M + 1): a factor 2 holds the
+    second-order terms (n u is far below 1/2), and the rest is margin,
+    which costs nothing where no sample comes near a tie (tests pin the
+    measured difference at least 100 times below eps).
+    """
+    terms, gain = 2, 1.0
+    for mat, weights in axes:
+        terms += mat.shape[0] + weights.shape[1]
+        gain *= float(np.abs(weights).sum(axis=1).max())
+    return terms * 2.0 ** -49 * (gain * 2.0 ** bit_depth + 1)
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _filter_axis(
-    x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter, out: np.ndarray | None = None
-) -> np.ndarray:
+def _filter_axis(x: np.ndarray, axis: int, out_len: int, filt: ResampleFilter) -> np.ndarray:
     """Resample one axis: each tap of each phase is one strided slice.
 
     Lanczos sums in float64: an integer plane is edge-padded in its own
     dtype and converted once, after the pad. Nearest neighbor keeps the
-    dtype of x. The result goes to `out` when given, else to a new array.
+    dtype of x.
     """
     in_len = x.shape[axis]
     starts, weights = _axis_taps(in_len, out_len, filt)
@@ -175,7 +238,7 @@ def _filter_axis(
         x = x.take(np.clip(np.arange(-lo, in_len + hi), 0, in_len - 1), axis=axis)
     if taps > 1:
         x = x.astype(np.float64, copy=False)
-    return _taps_sum(x, axis, starts + lo, weights, step, count, out)
+    return _taps_sum(x, axis, starts + lo, weights, step, count)
 
 
 def _taps_sum(x, axis, starts, weights, step, count, out=None) -> np.ndarray:
@@ -218,18 +281,62 @@ def _lanczos_in_bands(plane, out_h, out_w, filt, bit_depth) -> np.ndarray:
     first + (k1 - 1) * step + span, each clamped to the edge. Each source
     row is filtered horizontally once: the rows a band shares with the one
     before it are kept, and the rows past an edge are copies of the
-    filtered edge row. Every output equals that of one whole-plane pass.
+    filtered edge row.
+
+    Both passes are GEMMs against _band_matrix. The band's new source rows
+    are cast once into a float64 row buffer, padded with copies of the edge
+    samples, and one matmul takes its overlapping column windows, viewed as
+    (blocks, rows, window), times the matrix of a block of periods, straight
+    into the filtered rows. The vertical pass is one matmul of the matrix
+    of a block of periods, transposed, by the overlapping row windows of
+    the filtered rows, viewed as (blocks, window, columns), straight into
+    the band's output rows, and one more for the periods left over.
+
+    The GEMMs sum in another order than _filter_axis and _taps_sum, whose
+    pairwise sums define the output, so a sum can differ from theirs in its
+    last bits, and where it lies next to a point where floor steps, so can
+    its rounded sample. After + 0.5 and floor, every sample whose fraction
+    lies within eps of 0 or 1 takes the value of the pairwise sums instead
+    (_exact_ties), and every other sample already has it: the output is that
+    of one whole-plane pairwise pass, bit for bit, whatever sum order BLAS
+    takes. _tie_eps derives eps.
     """
     h, w = plane.shape
     starts, weights = _axis_taps(h, out_h, filt)
     phases, taps = weights.shape
     step = h * phases // out_h
-    bands = row_bands(out_h // phases, 8 * (step * w + phases * out_w))  # a period's rows as float64
     first = int(starts.min())
     span = int(starts.max()) - first + taps
+    # the horizontal pass: blocks of `per` periods, each a window of `buf`
+    # times `hmat`; column c of `buf` holds source column clamp(hfirst + c)
+    hstarts, hweights = _axis_taps(w, out_w, filt)
+    hphases = hweights.shape[0]
+    hstep = w * hphases // out_w
+    per = min(max(1, _BLOCK_OUTPUTS // hphases), out_w // hphases)
+    hmat = _band_matrix(w, out_w, filt, per)
+    blocks = -(-out_w // (per * hphases))
+    hfirst = int(hstarts.min())
+    buf_w = (blocks - 1) * per * hstep + hmat.shape[0]
+    # a period's rows of the four float64 buffers: buf, wide, tall, rounded
+    bands = row_bands(out_h // phases, 8 * (step * (buf_w + hmat.shape[1] * blocks) + 2 * phases * out_w))
     most = max(k1 - k0 for k0, k1 in bands)
-    wide = np.empty(((most - 1) * step + span, out_w))  # horizontally filtered source rows
-    tall = np.empty((most * phases, out_w))  # one band of output rows
+    rows = (most - 1) * step + span  # source rows a band reads
+    buf = np.empty((min(rows, h), buf_w))  # the rows past an edge are not filtered
+    # (block, row, window): the overlapping column windows, not copied
+    col, row = buf.strides[::-1]
+    windows = as_strided(buf, (blocks, len(buf), len(hmat)), (per * hstep * col, row, col), writeable=False)
+    wide = np.empty((rows, blocks, hmat.shape[1]))  # horizontally filtered source rows
+    filtered = wide.reshape(rows, -1)[:, :out_w]
+    # the vertical pass: blocks of `vper` periods, the transposed `vmat`
+    # times a (window, column) view of `filtered`, and a smaller block for
+    # the rest of the band
+    vper = min(max(1, _BLOCK_OUTPUTS // phases), most)
+    vmat = _band_matrix(h, out_h, filt, vper)
+    vblocks = (rows - vmat.shape[0]) // (vper * step) + 1
+    col, row = filtered.strides[::-1]
+    vwindows = as_strided(filtered, (vblocks, len(vmat), out_w), (vper * step * row, row, col), writeable=False)
+    tall, rounded = np.empty((2, most * phases, out_w))  # one band of output rows
+    eps = _tie_eps(bit_depth, (hmat, hweights), (vmat, weights))
     out = np.empty((out_h, out_w), dtype=plane.dtype)
     held = (first, first)  # the source rows in `wide`
     for k0, k1 in bands:
@@ -240,18 +347,69 @@ def _lanczos_in_bands(plane, out_h, out_w, filt, bit_depth) -> np.ndarray:
         # that the rows past that edge repeat
         a, b = min(max(lo + keep, 0), h), min(hi, h)
         if a < b:
-            _filter_axis(plane[a:b], 1, out_w, filt, out=wide[a - lo : b - lo])
+            _pad_rows(plane[a:b], buf, hfirst)
+            np.matmul(windows[:, : b - a], hmat, out=wide[a - lo : b - lo].transpose(1, 0, 2))
         if lo + keep < 0:
             wide[keep:-lo] = wide[-lo]
         if hi > h:
             wide[max(h, lo + keep) - lo : hi - lo] = wide[h - 1 - lo]
-        x = _taps_sum(wide[: hi - lo], 0, starts - first, weights, step, k1 - k0, tall[: (k1 - k0) * phases])
+        x, f = tall[: (k1 - k0) * phases], rounded[: (k1 - k0) * phases]
+        full, rest = divmod(k1 - k0, vper)
+        if full:
+            np.matmul(vmat.T, vwindows[:full], out=x[: full * vper * phases].reshape(full, -1, out_w))
+        if rest:
+            rest_mat = _band_matrix(h, out_h, filt, rest)
+            np.matmul(rest_mat.T, filtered[full * vper * step : hi - lo], out=x[full * vper * phases :])
         x += 0.5
-        np.floor(x, out=x)
-        np.clip(x, 0, (1 << bit_depth) - 1, out=x)
-        out[k0 * phases : k1 * phases] = x
+        np.floor(x, out=f)
+        x -= f  # the fraction, in [0, 1)
+        if x.min() < eps or x.max() > 1.0 - eps:
+            _exact_ties(plane, out_h, out_w, filt, k0, x, f, eps, buf)
+        np.clip(f, 0, (1 << bit_depth) - 1, out=out[k0 * phases : k1 * phases], casting="unsafe")
         held = (lo, hi)
     return out
+
+
+def _pad_rows(rows: np.ndarray, buf: np.ndarray, first: int) -> None:
+    """Cast `rows` into the first rows of `buf`, column c holding source
+    column clamp(first + c): the columns past an edge repeat the edge."""
+    n, w = rows.shape
+    a, b = min(max(-first, 0), buf.shape[1]), min(max(w - first, 0), buf.shape[1])
+    buf[:n, a:b] = rows[:, a + first : b + first]
+    buf[:n, :a] = rows[:, :1]
+    buf[:n, b:] = rows[:, -1:]
+
+
+def _exact_ties(plane, out_h, out_w, filt, k0, frac, rounded, eps, buf) -> None:
+    """Give the samples of band k0.. whose fraction `frac` lies within eps
+    of 0 or 1 the value of the pairwise sums: the periods from the first to
+    the last that holds one are filtered again with _taps_sum on both axes,
+    summed as _filter_axis sums them, and those samples of `rounded` are
+    replaced. `buf` is the horizontal pass's row buffer, free again."""
+    h, w = plane.shape
+    starts, weights = _axis_taps(h, out_h, filt)
+    hstarts, hweights = _axis_taps(w, out_w, filt)
+    phases, taps = weights.shape
+    hphases = hweights.shape[0]
+    step = h * phases // out_h
+    first, hfirst = int(starts.min()), int(hstarts.min())
+    near = frac < eps
+    near |= frac > 1.0 - eps
+    hit = np.flatnonzero(near.any(axis=1)) // phases
+    ka, kb = int(hit[0]), int(hit[-1]) + 1
+    lo, hi = first + (k0 + ka) * step, (k0 + kb - 1) * step + int(starts.max()) + taps
+    a, b = max(lo, 0), min(hi, h)
+    src = np.empty((hi - lo, out_w))
+    _pad_rows(plane[a:b], buf, hfirst)
+    hstep, hcount = w * hphases // out_w, out_w // hphases
+    _taps_sum(buf[: b - a], 1, hstarts - hfirst, hweights, hstep, hcount, src[a - lo : b - lo])
+    src[: a - lo] = src[a - lo]
+    src[b - lo :] = src[b - 1 - lo]
+    rows = slice(ka * phases, kb * phases)
+    exact = _taps_sum(src, 0, starts - first, weights, step, kb - ka, frac[rows])
+    exact += 0.5
+    np.floor(exact, out=exact)
+    np.copyto(rounded[rows], exact, where=near[rows])
 
 
 def resample_plane(

@@ -118,6 +118,37 @@ class TestBitAccounting:
         q, _, bits = encode_plane(plane, 4, 8)
         assert int(np.abs(q).sum()) >= 1
 
+    @staticmethod
+    def bincount_bits(mags):
+        # the exp-Golomb price as a histogram of the magnitudes: a zero costs
+        # 1 bit, m > 0 costs 2 * frexp(m)[1] + 2
+        hist = np.bincount(mags.ravel())
+        cost = 2 * np.frexp(np.arange(hist.size, dtype=np.float64))[1] + 2
+        cost[0] = 1
+        return int(hist @ cost)
+
+    def test_code_bits_at_powers_of_two(self):
+        # every float32 exponent the magnitudes can take, and both sides of
+        # each step of it; the histogram of 2^23 + 1 entries would take
+        # 64 MB, so each price is also checked one value at a time
+        for k in range(1, 24):
+            mags = np.array([0, 1, (1 << k) - 1, 1 << k], np.int32)
+            expected = sum(1 if m == 0 else 2 * int(m).bit_length() + 2 for m in mags.tolist())
+            bits = codecs._code_bits(mags)
+            assert bits == expected and type(bits) is int, k  # a numpy int would not serialize to JSON
+            if k <= 19:
+                assert codecs._code_bits(mags) == self.bincount_bits(mags), k
+
+    def test_code_bits_at_the_largest_magnitude(self):
+        # 16-bit samples at QP 0: an all-zero block has the largest DC,
+        # 8 * 2^15, which quantizes to 2^18 / 2^(-2/3) + 0.5
+        plane = np.random.default_rng(3).integers(0, 1 << 16, (64, 64)).astype(np.uint16)
+        plane[:8, :8] = 0
+        plane[8:16, :8] = 0xFFFF
+        mags = np.abs(encode_plane(plane, 0, 16)[0])
+        assert mags.max() == math.floor((1 << 18) / quant_step(0) + 0.5)
+        assert codecs._code_bits(mags) == self.bincount_bits(mags)
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("seed", range(10))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rqpipe import Frame, bands, lanczos_weight, resample_frame, resample_plane
+from rqpipe import Frame, bands, lanczos_weight, resample, resample_frame, resample_plane
 from rqpipe.errors import ConfigError, DimensionError
 from rqpipe.resample import LANCZOS3, NEAREST, ResampleFilter, _axis_taps, _filter_axis, parse_scale
 
@@ -331,6 +331,117 @@ class TestRowBands:
             tracemalloc.stop()
         assert peak < out.nbytes + 3 * bands.BAND_BYTES
         assert np.array_equal(out, resample_plane(np.ascontiguousarray(plane), Fraction(1, 2), LANCZOS3, 10))
+
+
+def edge_plane(kind, low, high, dtype, shape=(32, 32)):
+    """`low` with `high` from column 15 on (col), from row 15 on (row), in
+    the corner from both (2d), or on every other sample (checker). At
+    factor 1/2, output i is centered between source samples 2i and 2i + 1,
+    so the edge between samples 14 and 15 lies symmetric in output 7's
+    window, and every window of the checkerboard holds as many lows as
+    highs, in mirrored places: the exact sums are low + (high - low) / 2,
+    next to a rounding tie."""
+    if kind == "checker":
+        return (np.indices(shape).sum(axis=0) % 2 * (high - low) + low).astype(dtype)
+    p = np.full(shape, low, dtype)
+    p[15 if kind != "col" else 0 :, 15 if kind != "row" else 0 :] = high
+    return p
+
+
+# the planes of edge_plane whose sums at factor 1/2 lie next to a tie
+EDGES = [
+    ("col", 0, 1), ("row", 0, 1), ("col", 513, 514), ("row", 513, 514), ("2d", 7, 10), ("row", 7, 10),
+    ("checker", 512, 513),
+]
+
+
+class TestTieGuard:
+    """The GEMMs sum in another order than the pairwise taps, so samples next
+    to a rounding tie take the pairwise value (resample._exact_ties)."""
+
+    @pytest.mark.parametrize("factor", ["1/2", "2"])
+    @pytest.mark.parametrize(
+        "bit_depth, kind, low, high", [(b, *edge) for b in (8, 10) for edge in EDGES if edge[2] < 1 << b]
+    )
+    def test_step_edges_equal_gather_oracle(self, bit_depth, kind, low, high, factor):
+        factor = Fraction(factor)
+        p = edge_plane(kind, low, high, np.uint8 if bit_depth == 8 else np.uint16)
+        out = resample_plane(p, factor, LANCZOS3, bit_depth)
+        assert np.array_equal(out, gather_oracle(p, factor, LANCZOS3, bit_depth))
+
+    def test_exact_path_runs_on_ties_only(self, monkeypatch):
+        calls = []
+
+        def spy(plane, out_h, out_w, filt, k0, frac, rounded, eps, buf):
+            calls.append(int(((frac < eps) | (frac > 1 - eps)).sum()))
+            return exact_ties(plane, out_h, out_w, filt, k0, frac, rounded, eps, buf)
+
+        exact_ties = resample._exact_ties
+        monkeypatch.setattr(resample, "_exact_ties", spy)
+        tie = edge_plane("col", 0, 1, np.uint8)
+        assert np.array_equal(resample_plane(tie, HALF, LANCZOS3, 8), gather_oracle(tie, HALF, LANCZOS3, 8))
+        assert calls == [16]  # output column 7, all 16 rows of it
+        calls.clear()
+        # a constant sums to itself + 0.5 before rounding; random samples sum
+        # to values nowhere near a tie
+        noise = np.random.default_rng(3).integers(0, 1024, (32, 32)).astype(np.uint16)
+        for p in (np.full((32, 32), 513, np.uint16), noise):
+            for factor in (HALF, TWICE):
+                assert np.array_equal(resample_plane(p, factor, LANCZOS3, 10), gather_oracle(p, factor, LANCZOS3, 10))
+        assert calls == []
+
+    @pytest.mark.parametrize("filt", ["lanczos:2", "lanczos:3", "lanczos:5"])
+    @pytest.mark.parametrize("factor", ["1/3", "1/2", "3/4", "3/2", "2"])
+    @pytest.mark.parametrize("pattern", ["random", "checkerboard"])
+    def test_gemm_error_is_far_below_the_tie_margin(self, monkeypatch, pattern, factor, filt):
+        # 16-bit full-swing samples give the largest sums. With eps at 1
+        # every band goes to the exact path, which then sees each GEMM
+        # sample + 0.5 as rounded + frac
+        bit_depth, factor, filt = 16, Fraction(factor), ResampleFilter.parse(filt)
+        q = factor.denominator
+        shape = (24 * q, 40 * q)
+        if pattern == "random":
+            plane = np.random.default_rng(q).integers(0, 1 << 16, shape)
+        else:
+            plane = np.indices(shape).sum(axis=0) % 2 * 0xFFFF
+        plane = plane.astype(np.uint16)
+        seen = {}
+        tie_eps = resample._tie_eps
+
+        def all_near(*args):
+            seen["eps"] = tie_eps(*args)
+            return 1.0
+
+        def record(plane, out_h, out_w, filt, k0, frac, rounded, eps, buf):
+            seen[k0] = rounded + frac
+
+        monkeypatch.setattr(resample, "_tie_eps", all_near)
+        monkeypatch.setattr(resample, "_exact_ties", record)
+        out_h, out_w = (n * factor.numerator // q for n in shape)
+        resample_plane(plane, factor, filt, bit_depth)
+        eps = seen.pop("eps")
+        gemm = np.concatenate([seen[k0] for k0 in sorted(seen)])
+        pairwise = _filter_axis(_filter_axis(plane, 1, out_w, filt), 0, out_h, filt) + 0.5
+        assert gemm.shape == pairwise.shape
+        assert np.abs(gemm - pairwise).max() * 100 <= eps
+
+    def test_tie_heavy_plane_holds_its_result_and_three_bands(self, monkeypatch):
+        # every output of a 1/2 downsample of a 512|513 checkerboard sums to
+        # 512.5 before rounding, so every band takes the exact path, which
+        # reuses the band's row buffer and holds only the periods it redoes
+        calls = []
+        exact_ties = resample._exact_ties
+        monkeypatch.setattr(resample, "_exact_ties", lambda *args: calls.append(exact_ties(*args)))
+        plane = edge_plane("checker", 512, 513, np.uint16, (2048, 4096))
+        out = resample_plane(plane, HALF, LANCZOS3, 10)  # warm-up
+        assert len(calls) > 1 and set(np.unique(out)) <= {512, 513}
+        tracemalloc.start()
+        try:
+            resample_plane(plane, HALF, LANCZOS3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 3 * bands.BAND_BYTES
 
 
 class TestResampleFrame:
