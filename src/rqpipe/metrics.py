@@ -1,7 +1,8 @@
 """Objective quality metrics: native PSNR on luma, plus external tool hooks.
 
 The MSE behind PSNR sums squared differences in bands of rows
-(rqpipe.bands), holding one band of float64 rather than a plane.
+(rqpipe.bands), one dot product per band, holding one band of float64
+rather than a plane.
 
 VMAF and IV-PSNR style metrics are never computed here; they are obtained
 by spawning an external command and parsing its scores, and their values
@@ -42,10 +43,11 @@ class QualityScore:
 def mse_plane(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared sample difference in double precision.
 
-    The squares are summed in bands of rows (rqpipe.bands), so the scratch
-    is one band of float64, not a plane. For integer samples whose squared
-    differences sum to less than 2^53 (any plane of up to 2^33 10-bit or
-    2^21 16-bit samples), every partial sum is an exact integer, so the
+    Each band of rows (rqpipe.bands) is one float64 difference d, summed
+    as the dot product d @ d, so the scratch is one band, not a plane. For
+    integer samples whose squared differences sum to less than 2^53 (any
+    plane of up to 2^33 10-bit or 2^21 16-bit samples), every partial sum
+    is an exact integer, in whatever order the dot product adds, so the
     result has the same bits as the mean of one whole-plane float64 pass.
     A 0-d input is scored as one sample; an empty one is a DimensionError.
     """
@@ -57,9 +59,8 @@ def mse_plane(a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionError(f"empty plane: shape {a.shape}")
     total = 0.0
     for r0, r1 in row_bands(a.shape[0], a[:1].size * 8):
-        d = np.subtract(a[r0:r1], b[r0:r1], dtype=np.float64)
-        np.square(d, out=d)
-        total += float(np.add.reduce(d, axis=None))
+        d = np.subtract(a[r0:r1], b[r0:r1], dtype=np.float64).ravel()
+        total += float(d @ d)
     return total / a.size
 
 

@@ -6,8 +6,10 @@ method, qp) job, or a new header when a rerun's configuration differs
 (the last header read wins). Appends are flushed immediately so a crash
 loses at most the jobs still in flight, and re-running a config can skip
 every job whose record, config hash, source hash and artifact hashes are
-intact. A job record with a field this version does not know is skipped,
-with a warning, so its job is redone and left out of reports.
+intact. Those checks can hash the files larger than HASH_CHUNK on an
+executor, several at once, and the smaller ones inline. A job record
+with a field this version does not know is skipped, with a warning, so
+its job is redone and left out of reports.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import stat
 import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -22,15 +26,38 @@ from pathlib import Path
 log = logging.getLogger(__name__)
 
 
-def sha256_file(path, chunk=1 << 20) -> str:
+# sha256_file's read size; a file no larger is hashed inline, since a pool
+# task would cost more than it saves
+HASH_CHUNK = 1 << 20
+
+
+def sha256_file(path, chunk=HASH_CHUNK) -> str:
+    """Hex sha256 of a file, read in chunks into one reused buffer.
+
+    A file smaller than a chunk gets a buffer of its own size, since
+    zeroing a whole chunk would take longer than hashing the file.
+    """
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(chunk)
-            if not block:
-                break
-            h.update(block)
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(min(chunk, size) if size else chunk)  # st_size 0 may be a special file
+        view = memoryview(buf)
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
+
+
+def sha256_soon(path, size: int, submit=None):
+    """A function that returns sha256_file(path) of a file of `size` bytes.
+
+    With submit (an executor's submit), a file larger than HASH_CHUNK is
+    hashed on the executor and the function waits for its digest; any
+    other file is hashed now, on the calling thread.
+    """
+    if submit is not None and size > HASH_CHUNK:
+        return submit(sha256_file, path).result
+    digest = sha256_file(path)
+    return lambda: digest
 
 
 @dataclass
@@ -119,23 +146,40 @@ class RunManifest:
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
 
-    def job_intact(self, key: tuple, reference_sha256: str, config_sha256: str) -> bool:
-        """True when the job succeeded with the configuration that now hashes
+    def intact_jobs(self, checks, submit=None) -> list[bool]:
+        """For each (key, reference_sha256, config_sha256) of checks, in order:
+        True when the job succeeded with the configuration that now hashes
         to config_sha256, on the source file that now hashes to
-        reference_sha256, and all its artifacts still hash-match."""
-        rec = self.jobs.get(key)
-        if (
-            rec is None
-            or rec.status != "ok"
-            or rec.reference_sha256 != reference_sha256
-            or rec.config_sha256 != config_sha256
-        ):
-            return False
-        for info in rec.artifacts.values():
-            path = Path(info["path"])
-            if not path.is_file() or sha256_file(path) != info["sha256"]:
-                return False
-        return True
+        reference_sha256, and all its artifacts still hash-match.
+
+        Artifacts are hashed through sha256_soon: with submit, those larger
+        than HASH_CHUNK on the executor, all queued before the first answer
+        waits for one; the rest inline, in order.
+        """
+        pending = []  # per job: (digest function, recorded sha256) of each artifact, or None
+        for key, reference_sha256, config_sha256 in checks:
+            rec = self.jobs.get(key)
+            if (
+                rec is None
+                or rec.status != "ok"
+                or rec.reference_sha256 != reference_sha256
+                or rec.config_sha256 != config_sha256
+            ):
+                pending.append(None)
+                continue
+            artifacts = []
+            for info in rec.artifacts.values():
+                try:
+                    st = os.stat(info["path"])
+                except OSError:
+                    st = None
+                if st is None or not stat.S_ISREG(st.st_mode):
+                    artifacts = None
+                    break
+                artifacts.append((sha256_soon(info["path"], st.st_size, submit), info["sha256"]))
+            pending.append(artifacts)
+        # every digest is read, so that a hash that failed raises
+        return [a is not None and all([digest() == sha for digest, sha in a]) for a in pending]
 
     def ok_jobs(self) -> list[JobRecord]:
         return [r for r in self.jobs.values() if r.status == "ok"]

@@ -12,7 +12,11 @@ running. Jobs run on a bounded worker pool (RQPIPE_WORKERS overrides the
 size) and each record is appended to the manifest as its job ends, so
 the lines come in completion order; the record set does not depend on
 the worker count. Each record carries a hash of the configuration its
-job ran with, and resume redoes a job whose hash changed. For the run,
+job ran with, and resume redoes a job whose hash changed. Before any job
+starts, the same pool hashes each source file and, on resume, each
+job's recon, when the file is larger than the 1 MiB hash chunk; smaller
+files are hashed on the calling thread, where a pool task would cost
+more than it saves. For the run,
 numpy's OpenBLAS gets the CPUs divided by the workers as its thread
 count, so workers and BLAS threads do not oversubscribe the CPUs.
 """
@@ -43,7 +47,7 @@ from ..postproc_cnn import apply_network, load_weights
 from ..resample import resample_frame
 from .codecs import CodedStream
 from .config import ExperimentConfig, MethodConfig, QpPair, SequenceConfig, config_as_dict, load_experiment
-from .manifest import JobRecord, RunManifest, sha256_file
+from .manifest import JobRecord, RunManifest, sha256_file, sha256_soon
 
 log = logging.getLogger(__name__)
 
@@ -336,7 +340,11 @@ def run_experiment(
 
     The manifest is persisted incrementally, each record as its job ends;
     with resume=True, jobs whose records, config hashes, source hashes and
-    artifact hashes are intact are skipped. A manifest whose header echoes
+    artifact hashes are intact are skipped. Before the jobs start, the
+    worker pool hashes each source file and, with resume=True, each
+    artifact that is larger than manifest.HASH_CHUNK (1 MiB); smaller ones
+    are hashed on the calling thread. The checks are read in job order, so
+    the same jobs run whatever the worker count. A manifest whose header echoes
     another config gets a new header. While it runs, numpy's OpenBLAS uses
     max(1, CPUs // workers) threads; the header records the count before
     and during the run, the numpy version, the CPU count and the workers.
@@ -376,32 +384,36 @@ def run_experiment(
                 }
             )
 
-        reference_hashes = {s.label: sha256_file(s.path) for s in cfg.sequences}
-        config_hashes = _job_config_hashes(cfg, echo)
-        jobs = [
-            (seq, method, qi, pair)
-            for seq in cfg.sequences
-            for method in cfg.methods
-            for qi, pair in enumerate(cfg.qp_pairs)
-        ]
-        todo = [
-            (seq, method, qi, pair)
-            for seq, method, qi, pair in jobs
-            if not (
-                resume
-                and manifest.job_intact(
-                    (seq.label, method.label, qi), reference_hashes[seq.label],
-                    config_hashes[(seq.label, method.label, qi)],
-                )
-            )
-        ]
-
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_timed_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
-                for seq, method, qi, pair in todo
-            ]
+            tasks = []  # every hash and job on the pool, so an error cancels the queued ones
+
+            def submit(fn, *args):
+                tasks.append(pool.submit(fn, *args))
+                return tasks[-1]
+
             try:
+                # sources and recons larger than the hash chunk are hashed on
+                # the pool, several at once, the smaller ones here in order;
+                # the answers are read in job order, so the jobs to run are
+                # the same as with every file hashed here
+                sources = [sha256_soon(s.path, os.stat(s.path).st_size, submit) for s in cfg.sequences]
+                reference_hashes = {s.label: digest() for s, digest in zip(cfg.sequences, sources)}
+                config_hashes = _job_config_hashes(cfg, echo)
+                jobs = [
+                    (seq, method, qi, pair)
+                    for seq in cfg.sequences
+                    for method in cfg.methods
+                    for qi, pair in enumerate(cfg.qp_pairs)
+                ]
+                keys = [(seq.label, method.label, qi) for seq, method, qi, _ in jobs]
+                intact = manifest.intact_jobs(
+                    [(key, reference_hashes[key[0]], config_hashes[key]) for key in keys], submit
+                ) if resume else [False] * len(jobs)
+                futures = [
+                    submit(_timed_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
+                    for (seq, method, qi, pair), skip in zip(jobs, intact)
+                    if not skip
+                ]
                 # append each record as its job ends, so a finished job is on
                 # disk while slower jobs submitted before it still run
                 for done, future in enumerate(as_completed(futures), 1):
@@ -411,12 +423,12 @@ def run_experiment(
                     log.info("job %s %s in %.2f s (%d/%d)%s", "/".join(map(str, rec.key)), rec.status,
                              seconds, done, len(futures), f": {rec.error}" if rec.error else "")
             except BaseException:
-                # on Ctrl-C or any error: drop the queued jobs and kill the
-                # external tools of the running ones (in sessions of their
-                # own, no terminal signal reaches them) until those jobs end
-                for future in futures:
-                    future.cancel()
-                pending = futures
+                # on Ctrl-C or any error: drop the queued hashes and jobs and
+                # kill the external tools of the running jobs (in sessions of
+                # their own, no terminal signal reaches them) until those end
+                for task in tasks:
+                    task.cancel()
+                pending = tasks
                 while pending:
                     kill_running_tools()
                     pending = wait(pending, timeout=0.1).not_done

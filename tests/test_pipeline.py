@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ import re
 import shlex
 import signal
 import textwrap
+import threading
 import time
 import tracemalloc
 import types
@@ -42,7 +44,8 @@ from rqpipe.pipeline import (
 )
 from rqpipe.pipeline import config, runner
 from rqpipe.pipeline.config import ExperimentConfig
-from rqpipe.pipeline.manifest import JobRecord, sha256_file
+from rqpipe.pipeline import manifest as manifest_module
+from rqpipe.pipeline.manifest import HASH_CHUNK, JobRecord, sha256_file
 
 
 class TestPresets:
@@ -683,6 +686,122 @@ pairs = 22:4, 37:15
         manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
         assert seen == [True]
         assert len(manifest.ok_jobs()) == 12
+
+    def test_resume_redoes_a_missing_recon_and_a_recon_that_is_not_a_file(self, experiment_dir):
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=1)
+        gone, folder = (manifest.jobs[("synthA", "anchor", qi)] for qi in (1, 2))
+        os.unlink(gone.artifacts["recon"]["path"])
+        os.unlink(folder.artifacts["recon"]["path"])
+        os.mkdir(folder.artifacts["recon"]["path"])
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        lines = (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()
+        redone = sorted(map(json.loads, lines[13:]), key=lambda doc: doc["qp_index"])
+        assert [(doc["method"], doc["qp_index"], doc["status"]) for doc in redone] == [
+            ("anchor", 1, "ok"), ("anchor", 2, "failed")  # a job cannot write over a folder
+        ]
+        assert redone[1]["error"].startswith("IsADirectoryError")
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Every non-empty file above the hash gate, so each source and recon
+        hash of the fixture runs on the worker pool."""
+        monkeypatch.setattr(manifest_module, "HASH_CHUNK", 0)
+
+    def test_pooled_full_resume_appends_nothing(self, experiment_dir, pooled):
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        before = (experiment_dir / "out" / "manifest.jsonl").read_bytes()
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert (experiment_dir / "out" / "manifest.jsonl").read_bytes() == before
+        assert len(manifest.ok_jobs()) == 12
+
+    def test_pooled_a_tampered_recon_redoes_exactly_its_job(self, experiment_dir, pooled):
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
+        rec = manifest.jobs[("synthA", "rescaled", 2)]
+        with open(rec.artifacts["recon"]["path"], "r+b") as fh:
+            fh.write(b"\xff")
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        lines = (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 12 + 1
+        redone = json.loads(lines[-1])
+        assert (redone["sequence"], redone["method"], redone["qp_index"]) == rec.key
+
+    def test_pooled_a_changed_source_redoes_every_job(self, experiment_dir, pooled):
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        spec = VideoSpec(64, 64, 8, "420", frame_count=8)
+        write_sequence(synthetic_sequence(spec, seed=2), spec, experiment_dir / "synthA.yuv")
+        again = run_experiment(experiment_dir / "exp.ini", workers=2)
+        lines = (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 12 + 12
+        assert {r.reference_sha256 for r in again.ok_jobs()} == {sha256_file(experiment_dir / "synthA.yuv")}
+
+    def test_pooled_one_and_two_workers_give_the_same_records(self, experiment_dir, pooled):
+        resumed = []
+        for workers in (1, 2):
+            workdir = experiment_dir / f"w{workers}"
+            first = run_experiment(experiment_dir / "exp.ini", workdir=workdir, workers=workers)
+            with open(first.jobs[("synthA", "postproc", 3)].artifacts["recon"]["path"], "r+b") as fh:
+                fh.write(b"\xff")
+            resumed.append(run_experiment(experiment_dir / "exp.ini", workdir=workdir, workers=workers))
+            assert len((workdir / "manifest.jsonl").read_text().splitlines()) == 1 + 12 + 1
+        assert self.strip_volatile(resumed[0]) == self.strip_volatile(resumed[1])
+
+    def test_an_interrupted_hash_cancels_the_queued_ones(self, experiment_dir, pooled, monkeypatch):
+        # the third hash (the second recon's) raises KeyboardInterrupt on the
+        # one worker; the hashes after it wait 0.2 s, time enough for the
+        # calling thread to cancel the queue, so most of them never run
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        path = experiment_dir / "out" / "manifest.jsonl"
+        before = path.read_bytes()
+        hash_file, hashed, ran = manifest_module.sha256_file, [], []
+
+        def interrupting(path, *args, **kwargs):
+            hashed.append(path)
+            if len(hashed) == 3:
+                raise KeyboardInterrupt
+            if len(hashed) > 3:
+                time.sleep(0.2)
+            return hash_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(manifest_module, "sha256_file", interrupting)
+        monkeypatch.setattr(runner, "_run_job", lambda *job: ran.append(job))
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(experiment_dir / "exp.ini", workers=1)
+        assert 3 <= len(hashed) < 1 + 12  # the source and the 12 recons were queued
+        assert ran == []
+        assert path.read_bytes() == before
+
+    def test_only_files_above_the_hash_chunk_hash_off_the_calling_thread(self, tmp_path, monkeypatch):
+        # a 1024x512 8-bit 4:2:0 source of 2 frames is 1.5 MiB, a 16x16 one 768 bytes
+        body = "[run]\nworkdir = out\n[method.anchor]\ncodec = mock\n[qps]\npairs = 27:7\n"
+        for label, width, height in (("big", 1024, 512), ("small", 16, 16)):
+            spec = VideoSpec(width, height, 8, "420", frame_count=2)
+            write_sequence(synthetic_sequence(spec, seed=0), spec, tmp_path / f"{label}.yuv")
+            body += (f"[sequence.{label}]\npath = {label}.yuv\nwidth = {width}\nheight = {height}\n"
+                     "frame_count = 2\nframe_rate = 30\n")
+        (tmp_path / "exp.ini").write_text(body)
+        run_experiment(tmp_path / "exp.ini", workers=2)
+        caller, calls = threading.current_thread(), []
+
+        def spy(fn):
+            def sha(path, *args, **kwargs):
+                calls.append((os.path.getsize(path), threading.current_thread() is caller))
+                return fn(path, *args, **kwargs)
+            return sha
+
+        for module in (runner, manifest_module):
+            monkeypatch.setattr(module, "sha256_file", spy(module.sha256_file))
+        run_experiment(tmp_path / "exp.ini", workers=2)
+        big = 1024 * 512 * 3 // 2 * 2
+        assert big > HASH_CHUNK > 768
+        assert sorted(calls) == [(768, True), (768, True), (big, False), (big, False)]  # sources and recons
+
+
+class TestSha256File:
+    @pytest.mark.parametrize("size", [0, 1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1, 3 * HASH_CHUNK + 7])
+    def test_digest_equals_hashlib(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        (tmp_path / "f").write_bytes(data)
+        assert sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
 
 
 class TestWorkerCount:
