@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("config")
     p.add_argument("--workdir")
-    p.add_argument("--workers", type=int, help="overrides RQPIPE_WORKERS")
+    p.add_argument("--workers", type=int, help="worker-pool size (default: the CPUs this process may use)")
     p.add_argument("--no-resume", action="store_true", help="redo completed jobs")
     p.set_defaults(func=cmd_run)
 

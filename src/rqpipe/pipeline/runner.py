@@ -8,17 +8,17 @@ codec a job holds one frame at a time, however long the sequence; an
 external codec takes its whole input file before it returns a frame.
 External metrics run on the written recon file. Every stage is timed in
 wall and thread-CPU seconds, each second charged to the innermost stage
-running. Jobs run on a bounded worker pool (RQPIPE_WORKERS overrides the
-size) and each record is appended to the manifest as its job ends, so
-the lines come in completion order; the record set does not depend on
-the worker count. Each record carries a hash of the configuration its
-job ran with, and resume redoes a job whose hash changed. Before any job
-starts, the same pool hashes each source file and, on resume, each
-job's recon, when the file is larger than the 1 MiB hash chunk; smaller
-files are hashed on the calling thread, where a pool task would cost
-more than it saves. For the run,
-numpy's OpenBLAS gets the CPUs divided by the workers as its thread
-count, so workers and BLAS threads do not oversubscribe the CPUs.
+running. Jobs run on a bounded worker pool, by default one worker per
+CPU this process may use, and each record is appended to the manifest
+as its job ends, so the lines come in completion order; the record set
+does not depend on the worker count. Each record carries a hash of the
+configuration its job ran with, and resume redoes a job whose hash
+changed. Before any job starts, the same pool hashes each source file
+and, on resume, each job's recon, when the file is larger than the
+1 MiB hash chunk; smaller files are hashed on the calling thread, where
+a pool task would cost more than it saves. For the run, numpy's
+OpenBLAS gets the CPUs divided by the workers as its thread count, so
+workers and BLAS threads do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import ConfigError, ExternalToolError, kill_running_tools
+from ..errors import ExternalToolError, kill_running_tools
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import QualityScore, external_metric, mean_psnr, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
@@ -53,15 +53,7 @@ log = logging.getLogger(__name__)
 
 
 def _worker_count(requested: int | None) -> int:
-    env = os.environ.get("RQPIPE_WORKERS")
-    if requested is not None:
-        return max(1, requested)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"RQPIPE_WORKERS must be an integer, got {env!r}") from None
-    return _cpu_count()
+    return _cpu_count() if requested is None else max(1, requested)
 
 
 def _cpu_count() -> int:

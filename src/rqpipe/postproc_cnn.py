@@ -1,7 +1,10 @@
 """From-scratch CNN inference for residual dense post-processing networks.
 
 A network is a small DAG of layers (conv2d, activation, add, concat) over
-(channels, height, width) float tensors. Planes are normalized to [0, 1]
+(channels, height, width) float tensors, every one as large as the plane:
+each conv has an odd kernel, stride 1 and pad (kernel - 1) / 2, and each
+activation is relu or leaky_relu (NetworkSpec.validate, which from_json,
+build_mfrnet_style and the storage plan call). Planes are normalized to [0, 1]
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
 Each conv is im2col + one GEMM per band of output rows, with the column
@@ -35,7 +38,7 @@ Weight file format (little-endian throughout):
             f32*     weights, row-major (out_ch, in_ch, kh, kw)
             f32*     bias, length out_ch
 
-Trailing bytes after the last record are an error.
+Layer ids are unique; trailing bytes after the last record are an error.
 """
 
 from __future__ import annotations
@@ -102,8 +105,6 @@ def conv_layer(layer_id, inp, in_ch, out_ch, kernel, stride=1, pad=None) -> Laye
 
 
 def act_layer(layer_id, inp, kind=LEAKY_RELU, alpha=0.2) -> LayerSpec:
-    if kind not in (RELU, LEAKY_RELU):
-        raise ConfigError(f"unknown activation {kind!r}")
     return LayerSpec(layer_id, ACTIVATION, (inp,), act=kind, alpha=alpha)
 
 
@@ -126,7 +127,10 @@ class NetworkSpec:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> dict[str, int]:
-        """Check reference order and channel arithmetic; returns id -> channels."""
+        """Check reference order, channel arithmetic and layer kinds; returns
+        id -> channels. Every value is as large as the plane: a conv must
+        have a positive odd kernel, stride 1 and pad (kernel - 1) / 2, and
+        an activation is relu or leaky_relu."""
         channels = {self.input_id: 1}
         for layer in self.layers:
             if layer.id in channels:
@@ -144,10 +148,17 @@ class NetworkSpec:
                     raise ShapeError(
                         f"layer {layer.id!r}: in_ch {layer.in_ch} != producing channels {ins[0]}"
                     )
+                if layer.kernel < 1 or layer.stride != 1 or 2 * layer.pad + 1 != layer.kernel:
+                    raise ShapeError(
+                        f"conv layer {layer.id!r}: kernel {layer.kernel}, stride {layer.stride}, pad {layer.pad};"
+                        " a conv keeps the plane size, with a positive odd kernel, stride 1 and pad (kernel - 1) / 2"
+                    )
                 channels[layer.id] = layer.out_ch
             elif layer.op == ACTIVATION:
                 if len(ins) != 1:
                     raise ShapeError(f"activation {layer.id!r} needs exactly one input")
+                if layer.act not in (RELU, LEAKY_RELU):
+                    raise ShapeError(f"activation {layer.id!r}: unknown kind {layer.act!r}, not relu or leaky_relu")
                 channels[layer.id] = ins[0]
             elif layer.op == ADD:
                 if len(set(ins)) != 1:
@@ -172,16 +183,13 @@ class NetworkSpec:
         return [l for l in self.layers if l.op == CONV2D]
 
     def receptive_radius(self) -> int:
-        """Input pixels (each side) that can influence one output pixel."""
+        """Input pixels (each side) that can influence one output pixel:
+        each conv adds its pad, which is half its kernel less one (validate)."""
         radius = {self.input_id: 0}
         for layer in self.layers:
             r = max(radius[ref] for ref in layer.inputs)
             if layer.op == CONV2D:
-                if layer.stride != 1:
-                    raise ConfigError(
-                        f"receptive radius only defined for stride-1 nets (layer {layer.id!r})"
-                    )
-                r += (layer.kernel - 1) // 2
+                r += layer.pad
             radius[layer.id] = r
         return radius[self.output_id]
 
@@ -282,8 +290,9 @@ def save_weights(path, weights: dict[str, tuple[np.ndarray, np.ndarray]]) -> Non
 
 
 def load_weights(path, sha256: str | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read a weight file; trailing bytes or short reads are format errors,
-    and so is a file whose bytes do not hash to `sha256`, when given."""
+    """Read a weight file; trailing bytes, short reads and a layer id that
+    appears twice are format errors, and so is a file whose bytes do not
+    hash to `sha256`, when given."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if sha256 is not None and (actual := hashlib.sha256(blob).hexdigest()) != sha256:
@@ -309,7 +318,11 @@ def load_weights(path, sha256: str | None = None) -> dict[str, tuple[np.ndarray,
             pos += 4 * n
             b = np.frombuffer(blob, dtype="<f4", count=out_ch, offset=pos).copy()
             pos += 4 * out_ch
+            if layer_id in weights:
+                raise WeightFormatError(f"{path}: layer id {layer_id!r} appears twice")
             weights[layer_id] = (w, b)
+    except WeightFormatError:
+        raise
     except (struct.error, ValueError) as exc:
         raise WeightFormatError(f"{path}: truncated weight file") from exc
     if pos != len(blob):
@@ -645,35 +658,11 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
     return StoragePlan(steps, tuple(sizes), slots, {})
 
 
-def _shapes(net: NetworkSpec, shape: tuple[int, int, int]) -> dict[str, tuple[int, int, int]]:
-    """(channels, height, width) of every value for an input of `shape`."""
-    shapes = {net.input_id: tuple(shape)}
-    for l in net.layers:
-        ins = [shapes[ref] for ref in l.inputs]
-        _, h, w = ins[0]
-        if l.op == CONV2D:
-            shapes[l.id] = (l.out_ch, *_conv_hw(h, w, l.kernel, l.kernel, l.stride, l.pad))
-        elif l.op == CONCAT:
-            if any(s[1:] != (h, w) for s in ins):
-                raise ShapeError(f"concat layer {l.id!r}: inputs differ in height or width: "
-                                 f"{[s[1:] for s in ins]}")
-            shapes[l.id] = (sum(s[0] for s in ins), h, w)
-        else:
-            if any(s != ins[0] for s in ins):
-                raise ShapeError(f"add layer {l.id!r} mixes shapes {ins}")
-            shapes[l.id] = ins[0]
-    return shapes
-
-
 def _band_rows(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> int:
     """Input rows per band of the band pass over an input of `shape`: as
     many as fit one row of every store within BAND_BYTES, so a band's
-    working set stays about as large as the other kernels' bands; a net
-    whose convs change the plane size runs as one band as tall as the plane."""
-    _, h, w = shape
-    if any(l.stride != 1 or 2 * l.pad != l.kernel - 1 for l in net.conv_layers()):
-        return h
-    return max(1, BAND_BYTES // (sum(net.storage_plan.stores) * w * np.dtype(dtype).itemsize))
+    working set stays about as large as the other kernels' bands."""
+    return max(1, BAND_BYTES // (sum(net.storage_plan.stores) * shape[2] * np.dtype(dtype).itemsize))
 
 
 class _Band(NamedTuple):
@@ -686,12 +675,13 @@ class _Band(NamedTuple):
 class _Schedule(NamedTuple):
     bands: tuple[_Band, ...]
     rows: tuple[int, ...]  # rows of each store's ring
-    shapes: dict[str, tuple[int, int, int]]  # (channels, height, width) of every value
 
 
 def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bool) -> _Schedule:
-    """For an input of `shape`, which rows of each layer every band
-    computes, and how many rows each store keeps.
+    """For an input of `shape`, (1, H, W), which rows of each layer every
+    band computes, and how many rows each store keeps. Every value is H x W
+    (NetworkSpec.validate), and a conv's row r reads its input's rows
+    r - pad to r + pad.
 
     The input comes in equal bands of at most band_rows rows (row_bands),
     one a band. In each band, in graph order, a conv computes the rows its
@@ -717,40 +707,38 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bo
     key = (tuple(shape), band_rows, residual)
     if key in plan.schedules:
         return plan.schedules[key]
-    shapes = _shapes(net, shape)
+    _, h, w = shape
     layers = net.layers
     ids = [net.input_id, *(l.id for l in layers)]
-    height = {v: shapes[v][1] for v in ids}
     readers: dict[str, list[LayerSpec]] = {v: [] for v in ids}
     for l in layers:
         for ref in dict.fromkeys(l.inputs):
             readers[ref].append(l)
-    inputs = dict(row_bands(height[net.input_id], 1, band_rows))
+    inputs = dict(row_bands(h, 1, band_rows))
     band = min(r1 - r0 for r0, r1 in inputs.items())
     in_store = [[] for _ in plan.stores]
     for v in ids:
         in_store[plan.slots[v][0]].append(v)
     least = {}  # conv id -> fewest rows a run waits for
     for l in net.conv_layers():
-        _, oh, ow = shapes[l.id]
-        g = _gemm_rows(max(l.out_ch, 2), l.in_ch * l.kernel**2, ow)
+        g = _gemm_rows(max(l.out_ch, 2), l.in_ch * l.kernel**2, w)
         stores = {plan.slots[v][0] for v in (l.inputs[0], l.id)}
-        row = sum(plan.stores[s] for s in stores) * ow * np.dtype(dtype).itemsize
-        least[l.id] = min(max(band, g if g * row <= BAND_BYTES // 4 else 1), oh)
+        row = sum(plan.stores[s] for s in stores) * w * np.dtype(dtype).itemsize
+        least[l.id] = min(max(band, g if g * row <= BAND_BYTES // 4 else 1), h)
     skip = {l.id for l, step in zip(layers, plan.steps) if step.out is None or step.view}
 
     out = net.output_id
     done = dict.fromkeys(ids, 0)
     rows = [0] * len(plan.stores)
     bands = []
-    while done[out] < height[out]:
+    while done[out] < h:
         # the first row of each value that a reader still reads: a conv's
         # next run starts at its top tap's row
         keep = {}
         for v in ids:
             k = done[v]
             for r in readers[v]:
-                k = min(k, max(done[r.id] * r.stride - r.pad, 0) if r.op == CONV2D else done[r.id])
+                k = min(k, max(done[r.id] - r.pad, 0) if r.op == CONV2D else done[r.id])
             keep[v] = k
         if residual:
             keep[net.input_id] = min(keep[net.input_id], done[out])
@@ -766,9 +754,9 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bo
                 end = min(done[ref] for ref in l.inputs)
             else:
                 (ref,) = l.inputs
-                end = height[l.id] if done[ref] == height[ref] else (done[ref] + l.pad - l.kernel) // l.stride + 1
+                end = h if done[ref] == h else done[ref] - l.pad
                 end = min(end, done[l.id] + 2 * least[l.id])
-                if end < height[l.id] and end - done[l.id] < least[l.id]:
+                if end < h and end - done[l.id] < least[l.id]:
                     continue
             if end > done[l.id]:
                 if l.id not in skip:
@@ -777,7 +765,7 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bo
         for s, vals in enumerate(in_store):
             rows[s] = max(rows[s], max(done[v] for v in vals) - first[s])
         bands.append(_Band((e0, done[out]), tuple(work)))
-    plan.schedules[key] = _Schedule(tuple(bands), tuple(rows), shapes)
+    plan.schedules[key] = _Schedule(tuple(bands), tuple(rows))
     return plan.schedules[key]
 
 
@@ -825,8 +813,8 @@ def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, 
     of a ring are read into, or made in, a copy.
     """
     plan = net.storage_plan
-    width = {slot[0]: sched.shapes[v][2] for v, slot in plan.slots.items()}
-    stores = [np.empty((c, r, width[s]), dtype=dtype) for s, (c, r) in enumerate(zip(plan.stores, sched.rows))]
+    _, h, w = src.shape
+    stores = [np.empty((c, r, w), dtype=dtype) for c, r in zip(plan.stores, sched.rows)]
     rings = {v: stores[s][c0 : c0 + c] for v, (s, c0, c) in plan.slots.items()}
     kernels = {l.id: _kernel(*weights[l.id], l.stride, l.pad, dtype) for l in net.conv_layers()}
     for band in sched.bands:
@@ -840,7 +828,7 @@ def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, 
                     out /= scale
             elif layer.op == CONV2D:
                 (ref,) = layer.inputs
-                _conv(kernels[v], rings[ref], sched.shapes[ref][1], out, r0, plan.steps[i].act)
+                _conv(kernels[v], rings[ref], h, out, r0, plan.steps[i].act)
             else:
                 _run_layer(layer, plan.steps[i], [_ring_rows(rings[ref], r0, r1) for ref in layer.inputs], out)
             if out.base is None:  # made in a copy where the ring wraps
@@ -866,17 +854,11 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
     are bit-identical.
     """
     maxv = (1 << bit_depth) - 1
-    net.storage_plan  # plans the net once, which validates it
+    if (channels := net.validate()[net.output_id]) != 1:
+        raise ShapeError(f"network output has {channels} channels, expected 1")
     validate_weights(net, weights)
     sched = _schedule(net, (1, *plane.shape), np.float32, net.residual_global)
-    shapes = sched.shapes
-    if shapes[net.output_id][0] != 1:
-        raise ShapeError(f"network output has {shapes[net.output_id][0]} channels, expected 1")
-    if net.residual_global and shapes[net.output_id] != shapes[net.input_id]:
-        raise ShapeError(
-            f"global residual needs matching shapes, got {shapes[net.output_id]} vs {shapes[net.input_id]}"
-        )
-    out = np.empty(shapes[net.output_id][1:], plane.dtype)
+    out = np.empty(plane.shape, plane.dtype)
     for r0, r1, y, x in _bands(net, weights, sched, plane[None], np.float32, np.float32(maxv), net.residual_global):
         # float64 rounding in row bands (rqpipe.bands), after the float32 residual add
         for a, b in row_bands(r1 - r0, y.shape[2] * 8):

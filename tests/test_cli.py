@@ -165,6 +165,21 @@ class TestPostprocCommand:
         for a, b in zip(before, after):
             assert np.array_equal(a.y, b.y)
 
+    def test_size_changing_net_exits_2_and_writes_nothing(self, yuv, tmp_path, capsys):
+        path, _ = yuv
+        net = build_mfrnet_style(1, 1, 2, 2)
+        save_weights(tmp_path / "w.rqpw", random_weights(net))
+        doc = json.loads(net.to_json())
+        doc["layers"][0]["stride"] = 2
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        out = tmp_path / "pp.yuv"
+        assert run_cli(
+            "postproc", "--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
+            "--in", path, "--spec", "32x32:8:420", "--out", out,
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: conv layer 'head': kernel 3, stride 2, pad 1;")
+        assert not out.exists()
+
 
 class TestMockCodecCommand:
     def test_encode_decode_reports_rate(self, yuv, tmp_path, capsys):
@@ -221,11 +236,14 @@ class TestRunAndReport:
         assert run_cli("run", tmp_path / "absent.ini") == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_non_integer_workers_env_exits_2(self, experiment_dir, monkeypatch, capsys):
-        monkeypatch.setenv("RQPIPE_WORKERS", "two")
-        assert run_cli("run", experiment_dir / "exp.ini") == 2
+    def test_size_changing_net_exits_2_before_any_job(self, experiment_dir, capsys):
+        doc = json.loads((experiment_dir / "net.json").read_text())
+        del doc["layers"][0]["pad"]
+        (experiment_dir / "net.json").write_text(json.dumps(doc))
+        assert run_cli("run", experiment_dir / "exp.ini", "--workers", "1") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "RQPIPE_WORKERS" in err and "'two'" in err
+        assert err.startswith("error: conv layer 'head': kernel 3, stride 1, pad 0;") and err.count("\n") == 1
+        assert not (experiment_dir / "out" / "manifest.jsonl").exists()
 
     def test_malformed_net_json_exits_2(self, experiment_dir, capsys):
         doc = json.loads((experiment_dir / "net.json").read_text())

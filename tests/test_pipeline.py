@@ -32,7 +32,7 @@ from rqpipe import (
     synthetic_sequence,
     write_sequence,
 )
-from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, run_tool
+from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, ShapeError, run_tool
 from rqpipe.pipeline import (
     DEFAULT_QP_PAIRS,
     HALF_RES_QP_OFFSET,
@@ -126,6 +126,18 @@ class TestConfigLoading:
         cfg.metrics[metric] = "native"
         with pytest.raises(ConfigError, match=metric):
             cfg.validate()
+
+    @pytest.mark.parametrize("stride, pad", [(1, None), (2, 1)], ids=["3x3-without-pad", "stride-2"])
+    def test_size_changing_net_rejected_at_load(self, experiment_dir, stride, pad):
+        # such a net used to load, and every post-processed job then failed after its CNN ran
+        doc = json.loads((experiment_dir / "net.json").read_text())
+        head = doc["layers"][0]
+        head["stride"] = stride
+        if pad is None:
+            del head["pad"]
+        (experiment_dir / "net.json").write_text(json.dumps(doc))
+        with pytest.raises(ShapeError, match=rf"^conv layer 'head': kernel 3, stride {stride}, pad {pad or 0};"):
+            load_experiment(experiment_dir / "exp.ini")
 
     def test_timeouts(self, experiment_dir):
         cfg = load_experiment(experiment_dir / "exp.ini")
@@ -805,29 +817,18 @@ class TestSha256File:
 
 
 class TestWorkerCount:
-    def test_env_override_and_argument_priority(self, monkeypatch):
+    def test_env_override_and_argument_priority(self):
         from rqpipe.pipeline.runner import _worker_count
 
-        monkeypatch.setenv("RQPIPE_WORKERS", "3")
-        assert _worker_count(None) == 3
-        assert _worker_count(5) == 5  # explicit argument beats the env
-        monkeypatch.delenv("RQPIPE_WORKERS")
+        assert _worker_count(5) == 5  # an explicit argument is the count
         assert _worker_count(None) >= 1
 
     def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
         from rqpipe.pipeline.runner import _worker_count
 
-        monkeypatch.delenv("RQPIPE_WORKERS", raising=False)
         monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
         assert _worker_count(None) == 1
-
-    def test_non_integer_env_is_config_error(self, monkeypatch):
-        from rqpipe.pipeline.runner import _worker_count
-
-        monkeypatch.setenv("RQPIPE_WORKERS", "two")
-        with pytest.raises(ConfigError, match="RQPIPE_WORKERS.*'two'"):
-            _worker_count(None)
 
 
 @pytest.fixture

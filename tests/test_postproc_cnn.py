@@ -1,4 +1,5 @@
 import json
+import struct
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -172,7 +173,7 @@ def apply_layers(net, weights, x):
     global residual and rounding, gathered into one array."""
     postproc_cnn.validate_weights(net, weights)
     sched = postproc_cnn._schedule(net, x.shape, x.dtype, False)
-    y = np.empty(sched.shapes[net.output_id], dtype=x.dtype)
+    y = np.empty((net.validate()[net.output_id], *x.shape[1:]), dtype=x.dtype)
     for r0, r1, rows, _ in postproc_cnn._bands(net, weights, sched, x, x.dtype):
         y[:, r0:r1] = rows
     return y
@@ -707,19 +708,62 @@ class TestTiledApply:
 
         assert peak(128) - peak(32) <= 16 * 96 * 4096
 
-    @pytest.mark.parametrize("stride, pad", [(2, 1), (1, 0)])
-    def test_size_changing_net_runs_whole(self, stride, pad):
-        # a net whose convs change the plane size runs as one band at any budget
+
+class TestLayerContract:
+    """Every value is as large as the plane, so NetworkSpec.validate rejects
+    a conv without a positive odd kernel, stride 1 and pad (kernel - 1) / 2,
+    and an activation that is not relu or leaky_relu, naming the layer."""
+
+    BAD_CONVS = pytest.mark.parametrize(
+        "kernel, stride, pad", [(3, 2, 1), (3, 1, 0), (3, 1, 2), (2, 1, 0), (-1, 1, -1)]
+    )
+
+    @staticmethod
+    def conv_error(kernel, stride, pad):
+        return rf"^conv layer 'c': kernel {kernel}, stride {stride}, pad {pad}; a conv keeps the plane size"
+
+    @BAD_CONVS
+    def test_from_json_names_the_layer(self, kernel, stride, pad):
+        second = conv_entry("c", "h", 1, 1) | {"kernel": kernel, "stride": stride, "pad": pad}
+        doc = {"layers": [conv_entry("h", "input", 1, 1), second], "output_id": "c"}
+        with pytest.raises(ShapeError, match=self.conv_error(kernel, stride, pad)):
+            NetworkSpec.from_json(json.dumps(doc))
+
+    @BAD_CONVS
+    def test_apply_network_names_the_layer(self, kernel, stride, pad):
         net = NetworkSpec(
-            layers=(conv_layer("c", "input", 1, 1, 3, stride=stride, pad=pad),),
+            layers=(conv_layer("c", "input", 1, 1, kernel, stride=stride, pad=pad),),
             output_id="c",
-            residual_global=False,
         )
-        weights = random_weights(net, seed=28, scale=0.3)
-        whole = apply_network(net, weights, self.plane, 8)
-        got, runs = apply_in_bands(net, weights, self.plane, 8, BAND_BYTES=1)
-        assert runs == [(0, 64)]
-        assert np.array_equal(whole, got)
+        k = max(kernel, 1)
+        weights = {"c": (np.ones((1, 1, k, k), np.float32), np.zeros(1, np.float32))}
+        with pytest.raises(ShapeError, match=self.conv_error(kernel, stride, pad)):
+            apply_network(net, weights, np.zeros((64, 64), np.uint8), 8)
+
+    def test_json_3x3_conv_without_pad(self):
+        # LayerSpec's pad defaults to 0, which shrinks a 3x3 conv's output by two rows
+        second = {k: v for k, v in conv_entry("c", "h", 1, 1).items() if k != "pad"}
+        doc = {"layers": [conv_entry("h", "input", 1, 1), second], "output_id": "c"}
+        with pytest.raises(ShapeError, match=self.conv_error(3, 1, 0)):
+            NetworkSpec.from_json(json.dumps(doc))
+
+    def test_unknown_activation_kind_from_json(self):
+        # it used to run as a leaky ReLU with alpha 0.2
+        tanh = {"id": "a", "op": "activation", "inputs": ["c"], "act": "tanh"}
+        doc = {"layers": [conv_entry("c", "input", 1, 1), tanh], "output_id": "a"}
+        with pytest.raises(ShapeError, match=r"^activation 'a': unknown kind 'tanh', not relu or leaky_relu"):
+            NetworkSpec.from_json(json.dumps(doc))
+
+    def test_unknown_activation_kind_built_directly(self):
+        net = NetworkSpec(
+            layers=(conv_layer("c", "input", 1, 1, 1), act_layer("a", "c", "tanh")),
+            output_id="a",
+        )
+        with pytest.raises(ShapeError, match=r"^activation 'a': unknown kind 'tanh'"):
+            net.validate()
+        weights = {"c": (np.ones((1, 1, 1, 1), np.float32), np.zeros(1, np.float32))}
+        with pytest.raises(ShapeError, match=r"^activation 'a': unknown kind 'tanh'"):
+            apply_network(net, weights, np.zeros((4, 4), np.uint8), 8)
 
 
 class TestGemmBanding:
@@ -971,6 +1015,18 @@ class TestWeightFiles:
         for key in weights:
             assert np.array_equal(back[key][0], weights[key][0])
             assert np.array_equal(back[key][1], weights[key][1])
+
+    def test_repeated_layer_id(self, tmp_path):
+        # save_weights takes a dict, so the records are packed by hand
+        def record(weight):
+            return struct.pack("<H", 1) + b"c" + struct.pack("<IIIIff", 1, 1, 1, 1, weight, 0.0)
+
+        path = tmp_path / "w.rqpw"
+        path.write_bytes(b"RQPW1" + struct.pack("<I", 1) + record(1.0))
+        assert load_weights(path)["c"][0].item() == 1.0
+        path.write_bytes(b"RQPW1" + struct.pack("<I", 2) + record(1.0) + record(2.0))
+        with pytest.raises(WeightFormatError, match=r"w\.rqpw: layer id 'c' appears twice"):
+            load_weights(path)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.rqpw"
