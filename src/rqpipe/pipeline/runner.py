@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import ExternalToolError, kill_running_tools
+from ..errors import ConfigError, ExternalToolError, kill_running_tools
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import QualityScore, external_metric, mean_psnr, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
@@ -53,7 +53,9 @@ log = logging.getLogger(__name__)
 
 
 def _worker_count(requested: int | None) -> int:
-    return _cpu_count() if requested is None else max(1, requested)
+    if requested is not None and requested < 1:
+        raise ConfigError(f"workers must be at least 1, got {requested}")
+    return _cpu_count() if requested is None else requested
 
 
 def _cpu_count() -> int:
@@ -65,18 +67,23 @@ def _cpu_count() -> int:
 
 @cache
 def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS bundled with numpy, or None."""
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
+    its core name and its build config, or None."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(path)
             get = lib.scipy_openblas_get_num_threads64_
             set_ = lib.scipy_openblas_set_num_threads64_
+            core = lib.scipy_openblas_get_corename64_
+            config = lib.scipy_openblas_get_config64_
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        for name in (core, config):
+            name.argtypes, name.restype = [], ctypes.c_char_p
+        return get, set_, core().decode(), config().decode()
     return None
 
 
@@ -84,18 +91,20 @@ def _openblas():
 def _blas_threads(n: int):
     """Run the block with numpy's OpenBLAS at n threads, then restore the old count.
 
-    Yields (threads before, threads during); both are None when the
-    thread count cannot be set, and the threads are then left alone.
+    Yields the manifest header's BLAS fields: the threads before and
+    during the block, and the OpenBLAS core name and build config, on
+    which the CNN's sums depend too. All are None when the thread count
+    cannot be set, and the threads are then left alone.
     """
     hook = _openblas()
     if hook is None:
-        yield None, None
+        yield dict.fromkeys(("blas_threads_before", "blas_threads", "blas_core", "blas_config"))
         return
-    get, set_ = hook
+    get, set_, core, config = hook
     before = get()
     set_(n)
     try:
-        yield before, get()
+        yield {"blas_threads_before": before, "blas_threads": get(), "blas_core": core, "blas_config": config}
     finally:
         set_(before)
 
@@ -336,19 +345,21 @@ def run_experiment(
     worker pool hashes each source file and, with resume=True, each
     artifact that is larger than manifest.HASH_CHUNK (1 MiB); smaller ones
     are hashed on the calling thread. The checks are read in job order, so
-    the same jobs run whatever the worker count. A manifest whose header echoes
-    another config gets a new header. While it runs, numpy's OpenBLAS uses
+    the same jobs run whatever the worker count. A worker count below 1 is
+    a ConfigError. A manifest whose header echoes another config gets a
+    new header. While it runs, numpy's OpenBLAS uses
     max(1, CPUs // workers) threads; the header records the count before
-    and during the run, the numpy version, the CPU count and the workers.
+    and during the run, OpenBLAS's core name and build config, the numpy
+    version, the CPU count and the workers.
     Each finished job logs one INFO line to this module's logger: its key,
     status, wall seconds and how many of the jobs to run are done.
     """
+    n_workers = _worker_count(workers)
     if isinstance(config, ExperimentConfig):
         cfg = config
         cfg.validate()
     else:
         cfg = load_experiment(config)  # parses and validates
-    n_workers = _worker_count(workers)
     out = Path(workdir) if workdir is not None else cfg.workdir
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.jsonl"
@@ -358,7 +369,7 @@ def run_experiment(
 
     echo = config_as_dict(cfg)
     cpus = _cpu_count()
-    with _blas_threads(max(1, cpus // n_workers)) as (blas_before, blas_during):
+    with _blas_threads(max(1, cpus // n_workers)) as blas:
         if manifest.header.get("config") != echo:  # the echo holds JSON types only
             manifest.write_header(
                 {
@@ -370,8 +381,7 @@ def run_experiment(
                         "numpy": np.__version__,
                         "cpu_count": cpus,
                         "workers": n_workers,
-                        "blas_threads_before": blas_before,
-                        "blas_threads": blas_during,
+                        **blas,
                     },
                 }
             )

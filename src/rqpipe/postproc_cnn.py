@@ -7,15 +7,16 @@ activation is relu or leaky_relu (NetworkSpec.validate, which from_json,
 build_mfrnet_style and the storage plan call). Planes are normalized to [0, 1]
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
-Each conv is im2col + one GEMM per band of output rows, with the column
-buffer bounded by _COLS_BYTES; a 1x1 conv multiplies the band's view of
-its input and needs no column buffer. apply_network runs the whole graph
-in one pass of row bands, top to bottom (the fused-layer schedule of
-Alwani et al., MICRO 2016): each value lives in a ring of rows that keeps
-only what its readers still read, for a 3x3 conv's input its run plus
-the halo rows, so no row is computed twice or moved and the working set
-grows with the band, not the plane. However few rows a conv runs at a
-time, its GEMMs sum as the whole-plane run's do. A storage plan, derived
+The conv engine is same-size only: no stride, and a pad of half the
+kernel less one. Each conv is im2col + one GEMM per band of output rows,
+with the column buffer bounded by _COLS_BYTES; a 1x1 conv multiplies the
+band's view of its input and needs no column buffer. apply_network runs
+the whole graph in one pass of row bands, top to bottom (the fused-layer
+schedule of Alwani et al., MICRO 2016): each value lives in a ring of
+rows that keeps only what its readers still read, for a 3x3 conv's input
+its run plus the halo rows, so no row is computed twice or moved and the
+working set grows with the band, not the plane. However few rows a conv
+runs at a time, its GEMMs sum as the whole-plane run's do. A storage plan, derived
 once per NetworkSpec from the graph's readers (never from layer names),
 gives every value its store.
 Concats follow one rule: one whose inputs are not placed yet puts them
@@ -97,11 +98,9 @@ class LayerSpec:
     alpha: float = 0.2
 
 
-def conv_layer(layer_id, inp, in_ch, out_ch, kernel, stride=1, pad=None) -> LayerSpec:
-    if pad is None:
-        pad = (kernel - 1) // 2
+def conv_layer(layer_id, inp, in_ch, out_ch, kernel) -> LayerSpec:
     return LayerSpec(layer_id, CONV2D, (inp,), in_ch=in_ch, out_ch=out_ch,
-                     kernel=kernel, stride=stride, pad=pad)
+                     kernel=kernel, pad=(kernel - 1) // 2)
 
 
 def act_layer(layer_id, inp, kind=LEAKY_RELU, alpha=0.2) -> LayerSpec:
@@ -235,7 +234,11 @@ class NetworkSpec:
             if not isinstance(value, top[key]):
                 raise ShapeError(f"key {key!r} must be {names[top[key]]}, got {value!r}")
         # each layer key takes its default's JSON type; an int counts as a float, a bool as no number
-        types = {f.name: type(f.default) for f in fields(LayerSpec)} | {"id": str, "op": str, "inputs": list}
+        common = {"id": str, "op": str, "inputs": list}
+        types = {f.name: type(f.default) for f in fields(LayerSpec)} | common
+        # the keys each op reads besides the common ones; validate names an unknown op
+        reads = {CONV2D: {"in_ch", "out_ch", "kernel", "stride", "pad"}, ACTIVATION: {"act", "alpha"},
+                 ADD: set(), CONCAT: set()}
         layers = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
@@ -250,6 +253,9 @@ class NetworkSpec:
             for key in ("id", "op"):
                 if key not in entry:
                     raise ShapeError(f"layer {i}: missing key {key!r}")
+            for key in entry:
+                if key not in common and key not in reads.get(entry["op"], types):
+                    raise ShapeError(f"layer {entry['id']!r}: key {key!r} is not read by a {entry['op']} layer")
             entry = dict(entry)
             entry["inputs"] = tuple(entry.get("inputs", ()))
             layers.append(LayerSpec(**entry))
@@ -365,50 +371,37 @@ def random_weights(net: NetworkSpec, seed: int = 0, scale: float = 0.05):
 # ---------------------------------------------------------------------------
 
 
-def _conv_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
-    """Output height and width of a conv over an h x w input."""
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
-        )
-    return oh, ow
-
-
 class _Kernel(NamedTuple):
-    """A conv's weights as its GEMM takes them, and its geometry."""
+    """A same-size conv's weights as its GEMM takes them, and its odd size."""
 
-    wmat: np.ndarray  # (max(out_ch, 2), in_ch*kh*kw); see _kernel
+    wmat: np.ndarray  # (max(out_ch, 2), in_ch*size*size); see _kernel
     bias: np.ndarray  # (out_ch, 1)
-    kh: int
-    kw: int
-    stride: int
-    pad: int
+    size: int
 
 
-def _kernel(weights: np.ndarray, bias: np.ndarray, stride: int, pad: int, dtype) -> _Kernel:
-    out_ch, in_ch, kh, kw = weights.shape
-    k = in_ch * kh * kw
+def _kernel(weights: np.ndarray, bias: np.ndarray, dtype) -> _Kernel:
+    out_ch, in_ch, size, _ = weights.shape
+    k = in_ch * size * size
     # numpy sends a one-row weight matrix to GEMV, whose sums depend on the
     # column count and the thread split; a zero second row keeps it on GEMM
     wmat = np.zeros((max(out_ch, 2), k), dtype=dtype)
     wmat[:out_ch] = weights.reshape(out_ch, k)
-    return _Kernel(wmat, bias.astype(dtype)[:, None], kh, kw, stride, pad)
+    return _Kernel(wmat, bias.astype(dtype)[:, None], size)
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlation of (C,H,W) input with (O,C,kh,kw) weights, zero padded.
+def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-size cross-correlation of (C,H,W) input with (O,C,k,k) weights:
+    stride 1, zero padded by (k - 1) / 2, so the output is (O,H,W). A
+    kernel that is not square and odd is a ShapeError.
 
     Computed as im2col + GEMM over bands of output rows. Each band copies
     only the input rows it reads into a zero-padded slab, fills a
-    (C, kh, kw, rows, ow) column buffer with one copy from a strided view
+    (C, k, k, rows, W) column buffer with one copy from a strided view
     of every tap's window of the slab, and multiplies it by the weights
-    reshaped to (O, C*kh*kw); a 1x1, stride-1, unpadded conv
-    multiplies the band's (C, rows*W) view of the input instead, with no
-    column buffer. The bias is added to each band after its GEMM.
-    The rows are split into equal bands whose buffers stay under
-    _COLS_BYTES, so no band is a thin remainder.
+    reshaped to (O, C*k*k); a 1x1 conv multiplies the band's (C, rows*W)
+    view of the input instead, with no column buffer. The bias is added to
+    each band after its GEMM. The rows are split into equal bands whose
+    buffers stay under _COLS_BYTES, so no band is a thin remainder.
 
     The accumulation order within an output pixel is whatever BLAS uses
     for the GEMM's shape: OpenBLAS, for one, sends products with
@@ -420,13 +413,15 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int = 1
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"input must be (C,H,W), got shape {x.shape}")
+    if x.ndim != 3 or 0 in x.shape[1:]:
+        raise ShapeError(f"input must be a non-empty (C,H,W), got shape {x.shape}")
     out_ch, in_ch, kh, kw = weights.shape
     if x.shape[0] != in_ch:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
-    out = np.empty((out_ch, *_conv_hw(*x.shape[1:], kh, kw, stride, pad)), dtype=x.dtype)
-    _conv(_kernel(weights, bias, stride, pad, x.dtype), x, x.shape[1], out, 0)
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"kernel {kh}x{kw}: a same-size conv needs a square, odd kernel")
+    out = np.empty((out_ch, *x.shape[1:]), dtype=x.dtype)
+    _conv(_kernel(weights, bias, x.dtype), x, x.shape[1], out, 0)
     return out
 
 
@@ -448,17 +443,18 @@ def _ring_rows(ring: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None
     return out
 
 
-def _gemm_rows(m: int, k: int, ow: int) -> int:
-    """Fewest output rows of width ow for which an (m, k) weight matrix's
+def _gemm_rows(m: int, k: int, w: int) -> int:
+    """Fewest output rows of width w for which an (m, k) weight matrix's
     GEMM has M*N*K above _SMALL_GEMM."""
-    return _SMALL_GEMM // (m * k * ow) + 1
+    return _SMALL_GEMM // (m * k * w) + 1
 
 
 def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: LayerSpec | None = None) -> None:
-    """Output rows r0, r0 + 1, ... of a conv into `out` (out_ch, rows, ow),
-    with `act` applied to each band. `x` is a ring of input rows (see
-    _ring_rows) that holds the rows they read of an input h rows tall; a
-    whole input is a ring as tall as itself.
+    """Output rows r0, r0 + 1, ... of a same-size conv into `out`
+    (out_ch, rows, W), with `act` applied to each band. `x` is a ring of
+    input rows (see _ring_rows) that holds the rows they read of an input
+    h rows tall, padded by k.size // 2; a whole input is a ring as tall as
+    itself.
 
     The rows go in the bands a whole-plane run uses (row_bands under
     _COLS_BYTES), cut where `out` starts and ends, and each GEMM sums as
@@ -469,74 +465,72 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
     it multiplies the whole band's columns with the part's rows in their
     place. The other columns hold zeros or what an earlier band left.
 
-    A band of any other conv copies the input rows it reads into a
+    A 1x1 conv's band multiplies its input rows as they are, or a copy of
+    them. A band of any other conv copies the input rows it reads into a
     zero-padded slab, in one copy unless they run across the ring's end,
     and fills its columns with one copy from a strided view of every tap's
     window of the slab. So a 3x3 run clear of the plane's top and bottom
     makes seven array operations, each of which drops and retakes the GIL
     that worker threads share: the pad columns' zeros, the slab, the
     columns, the GEMM, the bias and the leaky ReLU's multiply and max."""
-    out_ch, n, ow = out.shape
-    in_ch, _, w = x.shape
+    out_ch, n, w = out.shape
+    in_ch, pad = len(x), k.size // 2
     m, kk = k.wmat.shape
-    least = _gemm_rows(m, kk, ow)
-    oh = _conv_hw(h, w, k.kh, k.kw, k.stride, k.pad)[0]
-    count = band_count(oh, kk * ow * x.itemsize, _COLS_BYTES)
+    least = _gemm_rows(m, kk, w)
+    count = band_count(h, kk * w * x.itemsize, _COLS_BYTES)
     bands = []  # (first row, end row, first row in the GEMM, rows the GEMM multiplies)
-    i = r0 * count // oh  # the whole-plane band that holds row r0, or the one before it
-    while oh * i // count < r0 + n:
-        p0, p1 = oh * i // count, oh * (i + 1) // count
+    i = r0 * count // h  # the whole-plane band that holds row r0, or the one before it
+    while h * i // count < r0 + n:
+        p0, p1 = h * i // count, h * (i + 1) // count
         a, b = max(p0 - r0, 0), min(p1 - r0, n)
         if a < b:
             bands.append((a, b, 0, max(b - a, least)) if p1 - p0 >= least else (a, b, r0 + a - p0, p1 - p0))
         i += 1
     most = max(g for *_, g in bands)
-    direct = k.kh == k.kw == 1 and k.stride == 1 and k.pad == 0
+    direct = k.size == 1
     padded = any(g != b - a for a, b, _, g in bands)
     if padded or not direct:
         # zeroed when padded, so the columns no band filled yet are finite
-        buf = (np.zeros if padded else np.empty)(kk * most * ow, dtype=x.dtype)
+        buf = (np.zeros if padded else np.empty)(kk * most * w, dtype=x.dtype)
     # a one-channel conv's zero second row, and padded columns, go to band scratch
-    gemm_out = np.empty((m, most * ow), dtype=x.dtype) if padded or m != out_ch else None
+    gemm_out = np.empty((m, most * w), dtype=x.dtype) if padded or m != out_ch else None
     for b0, b1, at, g in bands:
         rows, o0 = b1 - b0, r0 + b0
         if direct and g == rows:
             cols = _ring_rows(x, o0, o0 + rows).reshape(in_ch, rows * w)
         elif direct:
-            cols = buf[: kk * g * ow].reshape(kk, g, ow)
+            cols = buf[: kk * g * w].reshape(kk, g, w)
             _ring_rows(x, o0, o0 + rows, cols[:, at : at + rows])
             cols = cols.reshape(kk, -1)
         else:
             # zero-padded copy of just the input rows this band reads
-            top, bottom = o0 * k.stride - k.pad, (o0 + rows - 1) * k.stride + k.kh - k.pad
-            lo = max(top, 0)
-            hi = max(min(bottom, h), lo)
-            slab = np.empty((in_ch, bottom - top, w + 2 * k.pad), dtype=x.dtype)
+            top, bottom = o0 - pad, o0 + rows + pad
+            lo, hi = max(top, 0), min(bottom, h)
+            slab = np.empty((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
             if top < lo:
                 slab[:, : lo - top] = 0
             if hi < bottom:
                 slab[:, hi - top :] = 0
-            if k.pad == 1:
+            if pad == 1:
                 slab[:, :, :: w + 1] = 0  # both pad columns in one call
-            elif k.pad:
-                slab[:, :, : k.pad] = 0
-                slab[:, :, k.pad + w :] = 0
-            _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, k.pad : k.pad + w])
-            # the slab's window under tap (di, dj) at output (r, j) is slab[:,
-            # di + r * stride, dj + j * stride]: one view of every tap's
-            # window, read once into the column buffer
+            else:
+                slab[:, :, :pad] = 0
+                slab[:, :, pad + w :] = 0
+            _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, pad : pad + w])
+            # the slab's window under tap (di, dj) at output (r, j) is
+            # slab[:, di + r, dj + j]: one view of every tap's window, read
+            # once into the column buffer
             sc, sr, sw = slab.strides
-            taps = np.ndarray((in_ch, k.kh, k.kw, rows, ow), slab.dtype, slab, 0,
-                              (sc, sr, sw, sr * k.stride, sw * k.stride))
-            cols = buf[: kk * g * ow].reshape(in_ch, k.kh, k.kw, g, ow)
+            taps = np.ndarray((in_ch, k.size, k.size, rows, w), slab.dtype, slab, 0, (sc, sr, sw, sr, sw))
+            cols = buf[: kk * g * w].reshape(in_ch, k.size, k.size, g, w)
             cols[:, :, :, at : at + rows] = taps
             cols = cols.reshape(kk, -1)
-        band = out[:, b0:b1].reshape(out_ch, rows * ow)
+        band = out[:, b0:b1].reshape(out_ch, rows * w)
         if gemm_out is None:
             np.matmul(k.wmat, cols, out=band)
         else:
-            np.matmul(k.wmat, cols, out=gemm_out[:, : g * ow])
-            band[...] = gemm_out[:out_ch, at * ow : (at + rows) * ow]
+            np.matmul(k.wmat, cols, out=gemm_out[:, : g * w])
+            band[...] = gemm_out[:out_ch, at * w : (at + rows) * w]
         band += k.bias
         if act is not None:
             _activate_in_place(band, act)
@@ -816,7 +810,7 @@ def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, 
     _, h, w = src.shape
     stores = [np.empty((c, r, w), dtype=dtype) for c, r in zip(plan.stores, sched.rows)]
     rings = {v: stores[s][c0 : c0 + c] for v, (s, c0, c) in plan.slots.items()}
-    kernels = {l.id: _kernel(*weights[l.id], l.stride, l.pad, dtype) for l in net.conv_layers()}
+    kernels = {l.id: _kernel(*weights[l.id], dtype) for l in net.conv_layers()}
     for band in sched.bands:
         for i, r0, r1 in band.work:
             layer = net.layers[i] if i >= 0 else None

@@ -245,6 +245,12 @@ class TestRunAndReport:
         assert err.startswith("error: conv layer 'head': kernel 3, stride 1, pad 0;") and err.count("\n") == 1
         assert not (experiment_dir / "out" / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, experiment_dir, capsys, workers):
+        assert run_cli("run", experiment_dir / "exp.ini", "--workers", workers) == 2
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+        assert not (experiment_dir / "out" / "manifest.jsonl").exists()
+
     def test_malformed_net_json_exits_2(self, experiment_dir, capsys):
         doc = json.loads((experiment_dir / "net.json").read_text())
         doc["layers"][0]["kernal"] = doc["layers"][0].pop("kernel")

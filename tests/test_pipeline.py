@@ -830,6 +830,13 @@ class TestWorkerCount:
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
         assert _worker_count(None) == 1
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_count_below_one_is_config_error(self, experiment_dir, workers):
+        # it used to run one worker without a word
+        with pytest.raises(ConfigError, match=rf"^workers must be at least 1, got {workers}$"):
+            run_experiment(experiment_dir / "exp.ini", workers=workers)
+        assert not (experiment_dir / "out" / "manifest.jsonl").exists()
+
 
 @pytest.fixture
 def blas():
@@ -839,9 +846,10 @@ def blas():
     hook = _openblas()
     if hook is None:
         pytest.skip("numpy's OpenBLAS exposes no thread-count functions")
-    before = hook[0]()
-    yield hook
-    hook[1](before)
+    get, set_ = hook[:2]
+    before = get()
+    yield get, set_
+    set_(before)
 
 
 class TestBlasThreads:
@@ -901,6 +909,9 @@ pairs = 22:4, 37:15
             set_(max(1, _cpu_count() // n))  # OpenBLAS caps it at its build's maximum
             assert env["blas_threads"] == get()
             assert env["numpy"] == np.__version__
+            # the OpenBLAS the sums came from, as it names itself
+            assert isinstance(env["blas_core"], str) and env["blas_core"]
+            assert env["blas_config"].startswith("OpenBLAS ")
 
     def test_threads_restored_after_failed_job(self, tmp_path, blas):
         get, set_ = blas

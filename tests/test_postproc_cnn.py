@@ -21,6 +21,8 @@ from rqpipe import (
 from rqpipe.errors import ConfigError, ShapeError, WeightFormatError
 from rqpipe.postproc_cnn import (
     CONCAT,
+    CONV2D,
+    LayerSpec,
     _activate_in_place,
     act_layer,
     add_layer,
@@ -205,7 +207,7 @@ def planned_bytes(net, h, w):
 
 def identity_net(residual=False):
     return NetworkSpec(
-        layers=(conv_layer("c", "input", 1, 1, 1, pad=0),),
+        layers=(conv_layer("c", "input", 1, 1, 1),),
         output_id="c",
         residual_global=residual,
     )
@@ -224,7 +226,7 @@ class TestConv2d:
     def test_all_ones_3x3_on_constant(self):
         c = 2.5
         x = np.full((1, 6, 6), c)
-        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), pad=1)
+        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1))
         assert out[0, 2, 3] == pytest.approx(9 * c)  # interior: 9 taps in bounds
         assert out[0, 0, 0] == pytest.approx(4 * c)  # corner: 4 taps in bounds
         assert out[0, 0, 3] == pytest.approx(6 * c)  # edge: 6 taps in bounds
@@ -234,7 +236,7 @@ class TestConv2d:
         x = rng.normal(size=(1, 5, 5))
         w = rng.normal(size=(2, 1, 3, 3))
         b = rng.normal(size=2)
-        mine = conv2d(x, w, b, pad=1)
+        mine = conv2d(x, w, b)
         oracle = conv2d_oracle(x, w, b, pad=1)
         assert np.abs(mine - oracle).max() < 1e-5
 
@@ -244,14 +246,12 @@ class TestConv2d:
         in_ch = int(rng.integers(1, 4))
         out_ch = int(rng.integers(1, 4))
         k = int(rng.choice([1, 3, 5]))
-        stride = int(rng.choice([1, 2]))
-        pad = int(rng.integers(0, k))
         size = int(rng.integers(k, k + 6))
         x = rng.normal(size=(in_ch, size, size))
         w = rng.normal(size=(out_ch, in_ch, k, k))
         b = rng.normal(size=out_ch)
-        mine = conv2d(x, w, b, stride=stride, pad=pad)
-        oracle = conv2d_oracle(x, w, b, stride=stride, pad=pad)
+        mine = conv2d(x, w, b)
+        oracle = conv2d_oracle(x, w, b, pad=k // 2)
         assert mine.shape == oracle.shape
         assert np.abs(mine - oracle).max() < 1e-5 * max(1.0, np.abs(oracle).max())
 
@@ -262,8 +262,8 @@ class TestConv2d:
         w = rng.normal(size=(3, 2, 3, 3))
         b = np.zeros(3)
         alpha, beta = 1.7, -0.4
-        lhs = conv2d(alpha * x + beta * y, w, b, pad=1)
-        rhs = alpha * conv2d(x, w, b, pad=1) + beta * conv2d(y, w, b, pad=1)
+        lhs = conv2d(alpha * x + beta * y, w, b)
+        rhs = alpha * conv2d(x, w, b) + beta * conv2d(y, w, b)
         denom = max(1.0, np.abs(rhs).max())
         assert np.abs(lhs - rhs).max() / denom < 1e-6
 
@@ -272,14 +272,21 @@ class TestConv2d:
         x = rng.normal(size=(1, 12, 12))
         w = rng.normal(size=(1, 1, 3, 3))
         b = np.zeros(1)
-        base = conv2d(x, w, b, pad=1)
-        shifted = conv2d(np.roll(x, 1, axis=2), w, b, pad=1)
+        base = conv2d(x, w, b)
+        shifted = conv2d(np.roll(x, 1, axis=2), w, b)
         # columns touched by the roll wrap-around or the pad are not interior
         assert np.allclose(shifted[:, :, 2:-1], base[:, :, 1:-2], atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("kh, kw", [(2, 2), (4, 4), (3, 1)])
+    def test_kernel_not_square_and_odd(self, kh, kw):
+        # a same-size conv pads by (k - 1) / 2; a 2x2 kernel used to give a
+        # smaller output without a word
+        with pytest.raises(ShapeError, match=rf"^kernel {kh}x{kw}: a same-size conv needs a square, odd kernel"):
+            conv2d(np.zeros((1, 6, 6)), np.zeros((1, 1, kh, kw)), np.zeros(1))
 
 
 class TestApplyNetwork:
@@ -302,9 +309,9 @@ class TestApplyNetwork:
         # straight-line float64 script
         net = NetworkSpec(
             layers=(
-                conv_layer("c1", "input", 1, 2, 3, pad=1),
+                conv_layer("c1", "input", 1, 2, 3),
                 act_layer("a1", "c1", alpha=0.2),
-                conv_layer("c2", "a1", 2, 1, 1, pad=0),
+                conv_layer("c2", "a1", 2, 1, 1),
             ),
             output_id="c2",
             residual_global=False,
@@ -401,7 +408,7 @@ class TestApplyNetwork:
 
     def test_multichannel_output_rejected(self):
         net = NetworkSpec(
-            layers=(conv_layer("c", "input", 1, 2, 1, pad=0),),
+            layers=(conv_layer("c", "input", 1, 2, 1),),
             output_id="c",
             residual_global=False,
         )
@@ -731,10 +738,8 @@ class TestLayerContract:
 
     @BAD_CONVS
     def test_apply_network_names_the_layer(self, kernel, stride, pad):
-        net = NetworkSpec(
-            layers=(conv_layer("c", "input", 1, 1, kernel, stride=stride, pad=pad),),
-            output_id="c",
-        )
+        conv = LayerSpec("c", CONV2D, ("input",), in_ch=1, out_ch=1, kernel=kernel, stride=stride, pad=pad)
+        net = NetworkSpec(layers=(conv,), output_id="c")
         k = max(kernel, 1)
         weights = {"c": (np.ones((1, 1, k, k), np.float32), np.zeros(1, np.float32))}
         with pytest.raises(ShapeError, match=self.conv_error(kernel, stride, pad)):
@@ -794,8 +799,8 @@ class TestGemmBanding:
             for rows in (16, 37, 64, 100):
                 assert_bits_equal(layers_in_bands(self.net, self.weights, x, rows), whole)
 
-    @pytest.mark.parametrize("rows, width, stride", [(1, 100, 1), (7, 100, 1), (4, 41, 1), (3, 100, 2)])
-    def test_row_bands_equal_one_band(self, monkeypatch, rows, width, stride):
+    @pytest.mark.parametrize("rows, width", [(1, 100), (7, 100), (4, 41), (3, 100)])
+    def test_row_bands_equal_one_band(self, monkeypatch, rows, width):
         # the default net's widest conv: K = 80*3*3 = 720, 16 outputs. A
         # 4-row budget over 30 rows of 41 must give bands of 3-4 rows, not
         # 7x4 + 2: a 2-row remainder (82 columns) falls under OpenBLAS's
@@ -806,10 +811,9 @@ class TestGemmBanding:
         x = rng.normal(size=(80, 30, width)).astype(np.float32)
         w = rng.normal(0, 0.05, (16, 80, 3, 3)).astype(np.float32)
         b = rng.normal(0, 0.05, 16).astype(np.float32)
-        one_band = conv2d(x, w, b, stride=stride, pad=1)
-        ow = one_band.shape[2]
-        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 80 * 3 * 3 * ow * 4)
-        assert np.array_equal(conv2d(x, w, b, stride=stride, pad=1), one_band)
+        one_band = conv2d(x, w, b)
+        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 80 * 3 * 3 * width * 4)
+        assert np.array_equal(conv2d(x, w, b), one_band)
 
 
 class TestShortRuns:
@@ -833,8 +837,8 @@ class TestShortRuns:
         weights = rng.normal(0, 0.3, (out_ch, in_ch, kernel, kernel)).astype(np.float32)
         bias = rng.normal(0, 0.3, out_ch).astype(np.float32)
         x = rng.random((in_ch, h, w)).astype(np.float32)
-        whole = conv2d(x, weights, bias, pad=kernel // 2)
-        k = postproc_cnn._kernel(weights, bias, 1, kernel // 2, np.float32)
+        whole = conv2d(x, weights, bias)
+        k = postproc_cnn._kernel(weights, bias, np.float32)
         for rows in (1, 3, 5):
             out = np.empty_like(whole)
             for r0 in range(0, h, rows):
@@ -849,19 +853,19 @@ class TestWindowFill:
     so the GEMMs, must be the tap-by-tap oracle's bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kernel, stride, pad", [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in range(k)])
-    def test_conv2d_equals_slice_oracle(self, monkeypatch, kernel, stride, pad, dtype):
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_conv2d_equals_slice_oracle(self, monkeypatch, kernel, dtype):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(3, 17, 23)).astype(dtype)
-        ow = (23 + 2 * pad - kernel) // stride + 1
+        pad = kernel // 2
         for out_ch in (1, 4):
             w = rng.normal(0, 0.3, (out_ch, 3, kernel, kernel)).astype(np.float32)
             b = rng.normal(0, 0.3, out_ch).astype(np.float32)
-            assert_bits_equal(conv2d(x, w, b, stride, pad), conv2d_im2col_oracle(x, w, b, stride, pad))
+            assert_bits_equal(conv2d(x, w, b), conv2d_im2col_oracle(x, w, b, pad=pad))
             with monkeypatch.context() as m:
                 # bands of at most 3 output rows, each reading a slab of its own
-                m.setattr(postproc_cnn, "_COLS_BYTES", 3 * 3 * kernel**2 * ow * x.itemsize)
-                assert_bits_equal(conv2d(x, w, b, stride, pad), conv2d_im2col_oracle(x, w, b, stride, pad))
+                m.setattr(postproc_cnn, "_COLS_BYTES", 3 * 3 * kernel**2 * 23 * x.itemsize)
+                assert_bits_equal(conv2d(x, w, b), conv2d_im2col_oracle(x, w, b, pad=pad))
 
     @pytest.mark.parametrize("out_ch, in_ch, kernel, rows", [
         (16, 32, 3, 4),  # at least the 3 rows its GEMM needs
@@ -885,8 +889,8 @@ class TestWindowFill:
         for r in range(first, r0 + rows + pad):
             ring[:, r % n] = x[:, r]
         out = np.empty((out_ch, rows, w), np.float32)
-        postproc_cnn._conv(postproc_cnn._kernel(weights, bias, 1, pad, np.float32), ring, h, out, r0)
-        assert_bits_equal(out, conv2d(x, weights, bias, pad=pad)[:, r0 : r0 + rows])
+        postproc_cnn._conv(postproc_cnn._kernel(weights, bias, np.float32), ring, h, out, r0)
+        assert_bits_equal(out, conv2d(x, weights, bias)[:, r0 : r0 + rows])
 
 
 class TestThreads:
@@ -964,9 +968,9 @@ class TestBuildMfrnetStyle:
         assert channels["b2_reuse"] == 16  # outputs of blocks 0 and 1 concatenated
 
     def test_json_roundtrip(self):
-        net = build_mfrnet_style(2, 2, 8, 4)
-        back = NetworkSpec.from_json(net.to_json())
-        assert back == net
+        for net in (build_mfrnet_style(2, 2, 8, 4), build_mfrnet_style()):
+            back = NetworkSpec.from_json(net.to_json())
+            assert back == net and back.sha256 == net.sha256
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -978,9 +982,9 @@ class TestReceptiveField:
         # conv5 (r2) -> leaky -> conv3 (r1): radius 3
         net = NetworkSpec(
             layers=(
-                conv_layer("c1", "input", 1, 2, 5, pad=2),
+                conv_layer("c1", "input", 1, 2, 5),
                 act_layer("a1", "c1"),
-                conv_layer("c2", "a1", 2, 1, 3, pad=1),
+                conv_layer("c2", "a1", 2, 1, 3),
             ),
             output_id="c2",
             residual_global=False,
@@ -1121,6 +1125,21 @@ class TestMalformedJson:
         doc = json.loads(self.doc())
         doc["residual"] = False
         with pytest.raises(ShapeError, match=r"unknown top-level key 'residual'"):
+            NetworkSpec.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("layer, key", [
+        ({"op": "conv2d", "in_ch": 1, "out_ch": 1, "kernel": 1, "pad": 0, "act": "relu", "alpha": 5.0}, "act"),
+        ({"op": "activation", "kernel": 7, "pad": 3, "in_ch": 9}, "kernel"),
+        ({"op": "add", "alpha": 0.5}, "alpha"),
+        ({"op": "concat", "out_ch": 2}, "out_ch"),
+    ], ids=["conv-act", "activation-kernel", "add-alpha", "concat-out_ch"])
+    def test_key_its_op_does_not_read(self, layer, key):
+        # such a key used to load and be ignored: a conv's "act" ran no
+        # activation, and to_json dropped it
+        doc = json.loads(self.doc())
+        doc["layers"].append({"id": "x", "inputs": ["c"], **layer})
+        doc["output_id"] = "x"
+        with pytest.raises(ShapeError, match=rf"^layer 'x': key '{key}' is not read by a {layer['op']} layer$"):
             NetworkSpec.from_json(json.dumps(doc))
 
     def test_int_accepted_as_a_float(self):
