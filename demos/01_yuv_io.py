@@ -37,6 +37,6 @@ frame3 = read_frame(path, spec, 3)
 print(f"frame 3 via seek: luma mean {frame3.y.mean():.1f}, "
       f"matches stream read: {np.array_equal(frame3.y, back[3].y)}")
 
-# 10-bit samples live in the low bits of little-endian 16-bit words; the
-# reader masks stray high bits (with a warning) or rejects them in strict mode.
+# 10-bit samples live in the low bits of little-endian 16-bit words; a sample
+# above 1023 is a SampleRangeError naming the file, frame, plane and sample.
 print(f"sample range used: {back[0].y.min()}..{back[0].y.max()} of 0..{spec.max_value}")

@@ -56,7 +56,7 @@ finally:
     postproc_cnn.BAND_BYTES = budget
 print(f"\nrow bands (16 rows) == whole plane: {np.array_equal(banded, enhanced)}")
 full = build_mfrnet_style()
-rings = postproc_cnn._schedule(full, (1, 2048, 4096), np.float32, True).rows
+rings = postproc_cnn._schedule(full, (1, 2048, 4096), np.float32).rows
 print(f"full-size net, one 4096x2048 plane: rings of {min(rings)} to {max(rings)} rows, "
       f"{sum(c * r for c, r in zip(full.storage_plan.stores, rings)) * 4096 * 4 / 1e6:.0f} MB "
       f"(6.4 GB whole)")

@@ -7,13 +7,14 @@ carry depth maps). 8-bit samples occupy one byte; 10-bit samples occupy
 the low 10 bits of a 16-bit little-endian word. Frame k starts at byte
 k * frame_size_bytes(spec), so single frames can be read by seeking.
 Each plane is read straight into its own array and written from its own
-memory, so no frame is held as bytes on the way in or out.
+memory, so no frame is held as bytes on the way in or out. A sample
+outside the stated bit depth, read or written, is a SampleRangeError
+naming the file, frame, plane and sample; none is masked or clipped.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -133,51 +134,46 @@ def _check_size(path, spec: VideoSpec, frames: int, what: str) -> None:
         raise TruncatedFileError(f"{path}: need {needed} bytes for {what}, file has {actual}")
 
 
-def _read_frame(fh, spec: VideoSpec, index: int, strict: bool) -> Frame:
+def _range_error(path, index: int, p: int, plane: np.ndarray, spec: VideoSpec) -> SampleRangeError:
+    r, c = np.unravel_index(np.argmax((plane < 0) | (plane > spec.max_value)), plane.shape)
+    return SampleRangeError(f"{path}: frame {index}, plane {p}: sample {plane[r, c]} at row {r},"
+                            f" column {c} is outside [0, {spec.max_value}]")
+
+
+def _read_frame(fh, spec: VideoSpec, index: int) -> Frame:
     """Frame `index`, read from fh's position with each plane filled in place."""
     planes = []
-    for shape in spec.plane_shapes:
+    for p, shape in enumerate(spec.plane_shapes):
         plane = np.empty(shape, _file_dtype(spec))
         if fh.readinto(plane) != plane.nbytes:
             raise TruncatedFileError(f"{fh.name}: file ends inside frame {index}")
         if spec.bit_depth == 10 and plane.max() > spec.max_value:
-            if strict:
-                raise SampleRangeError(
-                    f"frame {index}: sample exceeds {spec.bit_depth}-bit range"
-                )
-            warnings.warn(
-                f"frame {index}: masking samples above {spec.bit_depth}-bit range",
-                stacklevel=2,
-            )
-            plane &= spec.max_value
+            raise _range_error(fh.name, index, p, plane, spec)
         planes.append(plane)
     return Frame(*planes)
 
 
-def read_sequence(path, spec: VideoSpec, strict: bool = False) -> Iterator[Frame]:
-    """Yield exactly spec.frame_count frames from a raw planar file.
-
-    The file size is checked eagerly; out-of-range 10-bit samples are
-    masked with a warning, or raise SampleRangeError when strict=True.
-    """
+def read_sequence(path, spec: VideoSpec) -> Iterator[Frame]:
+    """Yield exactly spec.frame_count frames from a raw planar file; the
+    size is checked eagerly, each frame's sample range as it is read."""
     _check_size(path, spec, spec.frame_count, f"{spec.frame_count} frames")
 
     def _frames():
         with open(path, "rb") as fh:
             for k in range(spec.frame_count):
-                yield _read_frame(fh, spec, k, strict)
+                yield _read_frame(fh, spec, k)
 
     return _frames()
 
 
-def read_frame(path, spec: VideoSpec, index: int, strict: bool = False) -> Frame:
-    """Read frame `index` directly by seeking (frames are fixed-size records)."""
+def read_frame(path, spec: VideoSpec, index: int) -> Frame:
+    """Read frame `index` by seeking (frames are fixed-size records), checked as read_sequence's are."""
     if not 0 <= index < spec.frame_count:
         raise IndexError(f"frame index {index} outside [0, {spec.frame_count})")
     _check_size(path, spec, index + 1, f"frame {index}")
     with open(path, "rb") as fh:
         fh.seek(index * frame_size_bytes(spec))
-        return _read_frame(fh, spec, index, strict)
+        return _read_frame(fh, spec, index)
 
 
 def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path) -> int:
@@ -195,12 +191,10 @@ def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path) -> int:
                 raise DimensionError(
                     f"frame {k} does not match spec {spec.width}x{spec.height} {spec.chroma}"
                 )
-            for plane in frame.planes():
+            for p, plane in enumerate(frame.planes()):
                 if plane.min() < 0 or plane.max() > spec.max_value:
-                    raise SampleRangeError(
-                        f"frame {k}: sample outside [0, {spec.max_value}] on write"
-                    )
+                    raise _range_error(path, k, p, plane, spec)
                 written += fh.write(np.ascontiguousarray(plane, dtype=_file_dtype(spec)))
-            del frame, plane  # not enumerate(): it would hold the frame during the next pull
+            del frame, plane  # k, not enumerate(frames): that would hold the frame during the next pull
             k += 1
     return written

@@ -96,25 +96,26 @@ def psnr_y_sequence(
     return QualityScore("psnr_y", per_frame, mean_psnr(per_frame, inf_cap))
 
 
-def _parse_metric_text(text: str):
+def _parse_metric_text(text: str, metric_id: str):
     per_frame: list[float] = []
-    summary: dict[str, float] = {}
+    summary: list[tuple[str, float | None]] = []  # (key, number or None) of each key=value line
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
         try:
-            per_frame.append(float(line))
-            continue
+            per_frame.append(float(raw))
         except ValueError:
-            pass
-        if "=" in line:
-            key, _, value = line.partition("=")
-            try:
-                summary[key.strip()] = float(value.strip())
-            except ValueError:
-                continue
-    return per_frame, summary
+            key, eq, value = raw.partition("=")
+            if eq:
+                try:
+                    summary.append((key.strip(), float(value)))
+                except ValueError:
+                    summary.append((key.strip(), None))
+    values = [v for k, v in summary if k == metric_id] or [v for _, v in summary if v is not None]
+    if len(values) > 1 or None in values:
+        raise MetricParseError(
+            f"{metric_id}: cannot tell the score among summary keys {', '.join(k for k, _ in summary)}:"
+            f" want one numeric line named {metric_id!r}, or a single numeric line"
+        )
+    return per_frame, (values[0] if values else None)
 
 
 def external_metric(
@@ -131,9 +132,13 @@ def external_metric(
     {out} are filled in when present, each as one argument, and any other
     placeholder is a ConfigError. Scores are read from the {out} file if
     the template declares one, otherwise from stdout: one float per line
-    gives per-frame scores, `key=value` lines give a summary. A command
-    that exits non-zero or outlives `timeout` seconds raises
-    ExternalToolError.
+    gives per-frame scores, whose mean is the sequence score unless a
+    `key=value` summary line gives it: the line whose key is metric_id (a
+    config lowercases metric ids), else the only line with a numeric
+    value. Several numeric lines and none named after the metric, or a
+    named line that is not one number, are a MetricParseError listing the
+    keys. A command that exits non-zero or outlives `timeout` seconds
+    raises ExternalToolError.
     """
     names = check_template(cmd_template, *METRIC_FIELDS, what=f"metric {metric_id!r}")
     fields = {"ref": ref_path, "dist": dist_path, "w": spec.width, "h": spec.height, "bitdepth": spec.bit_depth}
@@ -149,16 +154,13 @@ def external_metric(
         if out_file is not None:
             Path(out_file).unlink(missing_ok=True)
 
-    per_frame, summary = _parse_metric_text(text)
-    if not per_frame and not summary:
+    per_frame, seq = _parse_metric_text(text, metric_id)
+    if not per_frame and seq is None:
         raise MetricParseError(f"{metric_id}: no scores found in tool output")
-    if per_frame:
-        if spec.frame_count and len(per_frame) != spec.frame_count:
-            raise MetricParseError(
-                f"{metric_id}: got {len(per_frame)} per-frame scores, expected {spec.frame_count}"
-            )
-        seq = summary[next(reversed(summary))] if summary else float(np.mean(per_frame))
-        agg = TOOL_SUMMARY if summary else MEAN_OF_PER_FRAME
-        return QualityScore(metric_id, per_frame, seq, agg)
-    seq = summary[next(reversed(summary))]
-    return QualityScore(metric_id, [], seq, TOOL_SUMMARY)
+    if per_frame and spec.frame_count and len(per_frame) != spec.frame_count:
+        raise MetricParseError(
+            f"{metric_id}: got {len(per_frame)} per-frame scores, expected {spec.frame_count}"
+        )
+    if seq is None:
+        return QualityScore(metric_id, per_frame, float(np.mean(per_frame)), MEAN_OF_PER_FRAME)
+    return QualityScore(metric_id, per_frame, seq, TOOL_SUMMARY)

@@ -568,7 +568,7 @@ class StoragePlan(NamedTuple):
     steps: tuple[_Step, ...]
     stores: tuple[int, ...]
     slots: dict[str, tuple[int, int, int]]
-    schedules: dict  # (input shape, band rows, residual) -> _Schedule
+    schedules: dict  # (input shape, band rows) -> _Schedule
 
 
 def _plan_storage(net: NetworkSpec) -> StoragePlan:
@@ -671,7 +671,7 @@ class _Schedule(NamedTuple):
     rows: tuple[int, ...]  # rows of each store's ring
 
 
-def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bool) -> _Schedule:
+def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule:
     """For an input of `shape`, (1, H, W), which rows of each layer every
     band computes, and how many rows each store keeps. Every value is H x W
     (NetworkSpec.validate), and a conv's row r reads its input's rows
@@ -691,14 +691,13 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bo
     at most twice its least rows at a time, so the lag that builds up from
     conv to conv is worked off over the last bands, not held by the rings.
     A store keeps the rows from the first one any reader of its values
-    still reads (the input's rows are read again as they yield, for the
-    global residual) to the last one made: its ring is as tall as the most
+    still reads to the last one made: its ring is as tall as the most
     rows that spans after any band. Planned once per plane size and kept
     in the storage plan.
     """
     plan = net.storage_plan
     band_rows = _band_rows(net, shape, dtype)
-    key = (tuple(shape), band_rows, residual)
+    key = (tuple(shape), band_rows)
     if key in plan.schedules:
         return plan.schedules[key]
     _, h, w = shape
@@ -734,8 +733,6 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype, residual: bo
             for r in readers[v]:
                 k = min(k, max(done[r.id] - r.pad, 0) if r.op == CONV2D else done[r.id])
             keep[v] = k
-        if residual:
-            keep[net.input_id] = min(keep[net.input_id], done[out])
         first = [min(keep[v] for v in vals) for vals in in_store]  # first row each store keeps
 
         e0 = done[out]
@@ -792,13 +789,12 @@ def _put_ring_rows(ring: np.ndarray, r0: int, rows: np.ndarray) -> None:
     ring[:, i:], ring[:, : rows.shape[1] - k] = rows[:, :k], rows[:, k:]
 
 
-def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, scale=None, residual=False):
+def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, scale=None):
     """Run the graph over `src`, (1, H, W), in the bands of `sched`.
 
-    Yields (first row, end row, rows, input rows) for each band of output
-    rows; the input rows, for the global residual, only when `residual`
-    (else None). Both are only valid until the next band starts. The input
-    rows are cast to `dtype` and divided by `scale` when given. Each store
+    Yields (first row, end row, rows) for each band of output rows; the
+    rows are only valid until the next band starts. The input rows are
+    cast to `dtype` and divided by `scale` when given. Each store
     is a ring of rows (see _schedule): image row r sits in ring row
     r % rows, so the rows no reader needs any more are written over in
     place, and each layer's new rows go after the ones it made before, so
@@ -829,8 +825,7 @@ def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, 
                 _put_ring_rows(rings[v], r0, out)
         e0, e1 = band.rows
         if e1 > e0:
-            x = _ring_rows(rings[net.input_id], e0, e1) if residual else None
-            yield e0, e1, _ring_rows(rings[net.output_id], e0, e1), x
+            yield e0, e1, _ring_rows(rings[net.output_id], e0, e1)
 
 
 def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) -> np.ndarray:
@@ -848,15 +843,18 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
     are bit-identical.
     """
     maxv = (1 << bit_depth) - 1
-    if (channels := net.validate()[net.output_id]) != 1:
+    if (channels := net.storage_plan.slots[net.output_id][2]) != 1:
         raise ShapeError(f"network output has {channels} channels, expected 1")
     validate_weights(net, weights)
-    sched = _schedule(net, (1, *plane.shape), np.float32, net.residual_global)
+    sched = _schedule(net, (1, *plane.shape), np.float32)
     out = np.empty(plane.shape, plane.dtype)
-    for r0, r1, y, x in _bands(net, weights, sched, plane[None], np.float32, np.float32(maxv), net.residual_global):
+    for r0, r1, y in _bands(net, weights, sched, plane[None], np.float32, np.float32(maxv)):
         # float64 rounding in row bands (rqpipe.bands), after the float32 residual add
         for a, b in row_bands(r1 - r0, y.shape[2] * 8):
-            band = (y[0, a:b] if x is None else y[0, a:b] + x[0, a:b]).astype(np.float64)
+            band = y[0, a:b]
+            if net.residual_global:  # the input rows, cast and scaled as the band pass's are
+                band = band + np.divide(plane[r0 + a : r0 + b], maxv, dtype=np.float32)
+            band = band.astype(np.float64)
             band *= maxv
             band += 0.5
             np.floor(band, out=band)

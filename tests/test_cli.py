@@ -83,6 +83,22 @@ class TestPsnrCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 and rows[0]["psnr_y_db"] == "inf"
 
+    def test_sample_above_10_bits_exits_2_naming_the_file(self, tmp_path, capsys):
+        spec = VideoSpec(32, 32, 10, "420", frame_count=2)
+        frames = list(synthetic_sequence(spec, seed=3))
+        good, hot = tmp_path / "good.yuv", tmp_path / "hot.yuv"
+        write_sequence(frames, spec, good)
+        raw = bytearray(good.read_bytes())
+        raw[frame_size_bytes(spec) + 2 * (32 * 32 + 17)] = 0  # frame 1, Cb sample 17
+        raw[frame_size_bytes(spec) + 2 * (32 * 32 + 17) + 1] = 8  # little-endian 2048
+        hot.write_bytes(bytes(raw))
+        assert run_cli("psnr", "--ref", good, "--dist", hot, "--spec", "32x32:10:420") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {hot}: frame 1, plane 1: sample 2048 at row 1, column 1 is outside [0, 1023]\n"
+        )
+
 
 class TestFrameCount:
     """resample, psnr, postproc and mock-codec read --spec/--frames alike."""

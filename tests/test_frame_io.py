@@ -1,5 +1,7 @@
 import os
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,13 +84,16 @@ class TestRead:
         with pytest.raises(TruncatedFileError, match="48.*20"):
             read_sequence(path, spec)
 
-    def test_out_of_range_10bit_masked_with_warning(self, tmp_path):
+    def test_out_of_range_10bit_raises_not_masked(self, tmp_path):
         path = tmp_path / "hot.yuv"
         path.write_bytes(np.array([0xFFFF, 1, 2, 3], dtype="<u2").tobytes())
         spec = VideoSpec(2, 2, 10, C400, frame_count=1)
-        with pytest.warns(UserWarning, match="masking"):
-            (frame,) = list(read_sequence(path, spec))
-        assert frame.y[0, 0] == 0x3FF
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleRangeError, match=re.escape(
+                f"{path}: frame 0, plane 0: sample 65535 at row 0, column 0 is outside [0, 1023]"
+            )):
+                list(read_sequence(path, spec))
 
     def test_out_of_range_strict_raises_with_frame_index(self, tmp_path):
         path = tmp_path / "hot.yuv"
@@ -97,7 +102,24 @@ class TestRead:
         path.write_bytes(good + bad)
         spec = VideoSpec(2, 2, 10, C400, frame_count=2)
         with pytest.raises(SampleRangeError, match="frame 1"):
-            list(read_sequence(path, spec, strict=True))
+            list(read_sequence(path, spec))
+
+    def test_every_bad_file_of_a_process_raises_with_its_own_names(self, tmp_path):
+        # the same fault in a second file is named again: nothing is said once
+        # per process and then read silently
+        spec = VideoSpec(4, 4, 10, C420, frame_count=2)
+        cases = [("a.yuv", 1, 2, (1, 0), 2048), ("b.yuv", 0, 0, (3, 2), 4095)]
+        for name, frame, plane, (r, c), value in cases:
+            frames = [make_frame(spec, np.random.default_rng(3)) for _ in range(2)]
+            list(frames[frame].planes())[plane][r, c] = value
+            path = tmp_path / name
+            path.write_bytes(b"".join(p.astype("<u2").tobytes() for f in frames for p in f.planes()))
+            want = re.escape(f"{path}: frame {frame}, plane {plane}: sample {value} at row {r}, column {c}")
+            with pytest.raises(SampleRangeError, match=want):
+                list(read_sequence(path, spec))
+            with pytest.raises(SampleRangeError, match=want):
+                read_frame(path, spec, frame)
+            assert np.array_equal(read_frame(path, spec, 1 - frame).y, frames[1 - frame].y)
 
     def test_file_cut_short_after_the_size_check_raises(self, tmp_path):
         path = tmp_path / "a.yuv"
@@ -160,6 +182,18 @@ class TestWrite:
         frame = Frame(y=np.full((2, 2), 1024, np.uint16))
         with pytest.raises(SampleRangeError):
             write_sequence([frame], spec, tmp_path / "x.yuv")
+
+    @pytest.mark.parametrize("value", [-1, 1024])
+    def test_out_of_range_write_names_file_plane_and_sample(self, tmp_path, value):
+        spec = VideoSpec(4, 4, 10, C420, frame_count=2)
+        frames = [make_frame(spec, np.random.default_rng(4)) for _ in range(2)]
+        frames[1].cb = frames[1].cb.astype(np.int32)
+        frames[1].cb[1, 0] = value
+        path = tmp_path / "x.yuv"
+        with pytest.raises(SampleRangeError, match=re.escape(
+            f"{path}: frame 1, plane 1: sample {value} at row 1, column 0 is outside [0, 1023]"
+        )):
+            write_sequence(frames, spec, path)
 
 
 class TestCopies:

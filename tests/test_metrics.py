@@ -198,6 +198,30 @@ class TestExternalMetric:
         assert score.sequence_value == 87.25
         assert score.aggregation == TOOL_SUMMARY
 
+    @staticmethod
+    def run_stub(tmp_path, lines, metric_id):
+        stub = tmp_path / "stub.py"
+        stub.write_text("".join(f"print({line!r})\n" for line in lines))
+        return external_metric(f"{sys.executable} {stub} {{ref}} {{dist}}", "r", "d", SPEC3, metric_id)
+
+    @pytest.mark.parametrize("lines, per_frame, value", [
+        (["vmaf=95.125", "elapsed_s=12.5"], [], 95.125),  # the named line, not the last one
+        (["90", "91", "92", "elapsed_s=1.5", "vmaf=90.5"], [90.0, 91.0, 92.0], 90.5),
+        (["model=vmaf_v0.6.1", "vmaf_mean=87.25", "status=done"], [], 87.25),  # the only numeric one
+    ])
+    def test_summary_line_read_as_stated(self, tmp_path, lines, per_frame, value):
+        score = self.run_stub(tmp_path, lines, "vmaf")
+        assert (score.per_frame, score.sequence_value, score.aggregation) == (per_frame, value, TOOL_SUMMARY)
+
+    @pytest.mark.parametrize("metric_id, lines, keys", [
+        ("ms_ssim", ["vmaf=95.125", "elapsed_s=12.5"], "vmaf, elapsed_s"),  # none named, several numeric
+        ("vmaf", ["vmaf=N/A", "elapsed_s=12.5"], "vmaf, elapsed_s"),  # the named one is no number
+        ("vmaf", ["vmaf=95.1", "vmaf=95.2"], "vmaf, vmaf"),  # two named ones
+    ])
+    def test_summary_that_cannot_be_told_raises_listing_the_keys(self, tmp_path, metric_id, lines, keys):
+        with pytest.raises(MetricParseError, match=rf"^{metric_id}: .*keys {keys}:"):
+            self.run_stub(tmp_path, lines, metric_id)
+
     def test_output_file_parsing(self, tmp_path):
         stub = tmp_path / "stub.py"
         stub.write_text(

@@ -32,7 +32,7 @@ from rqpipe import (
     synthetic_sequence,
     write_sequence,
 )
-from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, ShapeError, run_tool
+from rqpipe.errors import ConfigError, DimensionError, ExternalToolError, SampleRangeError, ShapeError, run_tool
 from rqpipe.pipeline import (
     DEFAULT_QP_PAIRS,
     HALF_RES_QP_OFFSET,
@@ -1117,6 +1117,29 @@ fakevmaf = {_sys.executable} {stub} --ref {{ref}} --dist {{dist}} -w {{w}} -h {{
         assert "psnr_y" in rec.scores
         assert manifest.header["config"]["metrics"]["fakevmaf"].startswith(_sys.executable)
 
+    @pytest.mark.parametrize("metric_id, status", [("VMAF", "ok"), ("ms_ssim", "failed")])
+    def test_summary_is_the_line_named_after_the_metric(self, tmp_path, metric_id, status):
+        # the config lowercases metric ids, so `VMAF` reads the `vmaf=` line;
+        # with no line of its name, two numeric lines fail the job
+        import sys as _sys
+
+        stub = tmp_path / "stub_metric.py"
+        stub.write_text("print('vmaf=95.125')\nprint('elapsed_s=12.5')\n")
+        spec = VideoSpec(16, 16, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=8), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            "[sequence.s]\npath = s.yuv\nwidth = 16\nheight = 16\nframe_count = 2\nframe_rate = 30\n"
+            "[method.anchor]\ncodec = mock\n[qps]\npairs = 27:7\n"
+            f"[metrics]\n{metric_id} = {_sys.executable} {stub} {{ref}} {{dist}}\n"
+        )
+        (rec,) = run_experiment(tmp_path / "exp.ini", tmp_path / "out", workers=1).jobs.values()
+        assert rec.status == status
+        if status == "ok":
+            assert rec.scores["vmaf"]["sequence_value"] == 95.125
+        else:
+            assert rec.error.startswith("MetricParseError: ms_ssim: cannot tell the score among summary keys"
+                                        " vmaf, elapsed_s")
+
 
 class TestJobStreaming:
     """A job streams its frames one at a time: read, code, restore, write and score."""
@@ -1881,6 +1904,90 @@ PINNED_WARNINGS = [
     "s2/cnn/psnr_y: incomplete curve, BD skipped",
     "s2/cnn/vmaf: incomplete curve, BD skipped",
 ]
+
+
+class TestSamplesOutsideTheBitDepth:
+    """A 10-bit file with a sample above 1023 is never read masked: every job
+    that reads it ends in a failed record naming the file."""
+
+    SPEC = VideoSpec(32, 32, 10, "420", frame_count=2)
+
+    def write(self, path, spec=SPEC, frame=None, value=None, seed=0):
+        frames = list(synthetic_sequence(spec, seed=seed))
+        if frame is not None:
+            frames[frame].y = frames[frame].y.astype(np.int32)
+            frames[frame].y[3, 5] = value
+        path.write_bytes(b"".join(p.astype("<u2").tobytes() for f in frames for p in f.planes()))
+
+    def config(self, tmp_path, sequences, method="codec = mock"):
+        seq = "".join(
+            f"[sequence.{label}]\npath = {label}.yuv\nwidth = 32\nheight = 32\nbit_depth = 10\n"
+            f"frame_count = 2\nframe_rate = 30\n{extra}\n"
+            for label, extra in sequences
+        )
+        (tmp_path / "exp.ini").write_text(
+            f"[run]\nworkdir = out\n\n{seq}[method.anchor]\n{method}\n\n"
+            "[method.rescaled]\nscale = 1/2\ncodec = mock\n\n[qps]\npairs = 22:4, 32:11\n\n"
+            "[metrics]\npsnr_y = native\n"
+        )
+        return tmp_path / "exp.ini"
+
+    def test_hot_source_fails_its_jobs_and_only_those(self, tmp_path):
+        self.write(tmp_path / "good.yuv")
+        self.write(tmp_path / "hot.yuv", frame=1, value=2048, seed=1)
+        manifest = run_experiment(self.config(tmp_path, [("good", ""), ("hot", "")]), workers=2)
+        assert len(manifest.jobs) == 8
+        for rec in manifest.jobs.values():
+            if rec.sequence == "good":
+                assert rec.status == "ok"
+            else:
+                assert rec.status == "failed"
+                assert rec.error == (
+                    f"SampleRangeError: {tmp_path / 'hot.yuv'}: frame 1, plane 0: sample 2048"
+                    " at row 3, column 5 is outside [0, 1023]"
+                )
+
+    def test_hot_depth_stream_fails_its_jobs(self, tmp_path):
+        self.write(tmp_path / "s.yuv")
+        depth_spec = VideoSpec(32, 32, 10, "400", frame_count=2)
+        self.write(tmp_path / "d.yuv", depth_spec, frame=0, value=4095)
+        manifest = run_experiment(self.config(tmp_path, [("s", "depth_path = d.yuv")]), workers=1)
+        assert len(manifest.jobs) == 4
+        for rec in manifest.jobs.values():
+            assert rec.status == "failed"
+            assert f"{tmp_path / 'd.yuv'}: frame 0, plane 0: sample 4095 at row 3, column 5" in rec.error
+
+    def test_hot_decoded_file_fails_its_jobs(self, tmp_path):
+        import sys as _sys
+
+        # a "codec" that keeps its input as the bitstream and decodes it
+        # with the first luma sample set to 4095
+        codec = tmp_path / "hotcodec.py"
+        codec.write_text(
+            "import sys\ndata = bytearray(open(sys.argv[1], 'rb').read())\n"
+            "if sys.argv[3:] == ['--hot']:\n    data[:2] = b'\\xff\\x0f'\n"
+            "open(sys.argv[2], 'wb').write(data)\n"
+        )
+        self.write(tmp_path / "s.yuv")
+        manifest = run_experiment(self.config(tmp_path, [("s", "")], (
+            f"codec = external\nencode_cmd = {_sys.executable} {codec} {{in}} {{out}} {{qp}} {{w}} {{h}}\n"
+            f"decode_cmd = {_sys.executable} {codec} {{in}} {{out}} --hot"
+        )), workers=1)
+        assert len(manifest.jobs) == 4
+        for rec in manifest.jobs.values():
+            if rec.method == "rescaled":
+                assert rec.status == "ok"
+            else:
+                assert rec.status == "failed"
+                assert re.match(r"SampleRangeError: \S+_dec\.yuv: frame 0, plane 0: sample 4095 at row 0, column 0",
+                                rec.error)
+
+    def test_dump_patch_names_the_file(self, tmp_path):
+        path = tmp_path / "hot.yuv"
+        self.write(path, frame=1, value=1024)
+        assert dump_patch(path, self.SPEC, 0, 0, 0, 8, 8, tmp_path / "p.pgm").exists()
+        with pytest.raises(SampleRangeError, match=re.escape(f"{path}: frame 1, plane 0: sample 1024")):
+            dump_patch(path, self.SPEC, 1, 0, 0, 8, 8, tmp_path / "p.pgm")
 
 
 class TestAssembleReport:

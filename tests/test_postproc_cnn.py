@@ -174,9 +174,9 @@ def apply_layers(net, weights, x):
     """The band pass's float output for a (1, H, W) float input, before the
     global residual and rounding, gathered into one array."""
     postproc_cnn.validate_weights(net, weights)
-    sched = postproc_cnn._schedule(net, x.shape, x.dtype, False)
+    sched = postproc_cnn._schedule(net, x.shape, x.dtype)
     y = np.empty((net.validate()[net.output_id], *x.shape[1:]), dtype=x.dtype)
-    for r0, r1, rows, _ in postproc_cnn._bands(net, weights, sched, x, x.dtype):
+    for r0, r1, rows in postproc_cnn._bands(net, weights, sched, x, x.dtype):
         y[:, r0:r1] = rows
     return y
 
@@ -192,7 +192,7 @@ def planned_bytes(net, h, w):
     """The band pass's planned working set for an h x w plane in float32:
     every store's ring of rows, plus the widest conv's column buffer for
     the most rows one of its GEMMs multiplies."""
-    sched = postproc_cnn._schedule(net, (1, h, w), np.float32, net.residual_global)
+    sched = postproc_cnn._schedule(net, (1, h, w), np.float32)
     rings = sum(c * r for c, r in zip(net.storage_plan.stores, sched.rows)) * w * 4
     cols = 0
     for band in sched.bands:
@@ -303,6 +303,18 @@ class TestApplyNetwork:
         rng = np.random.default_rng(6)
         plane = rng.integers(0, 1024, (12, 12)).astype(np.uint16)
         assert np.array_equal(apply_network(net, weights, plane, bit_depth=10), plane)
+
+    def test_global_residual_is_a_float32_add(self):
+        # a bias of half a step puts every sample next to a rounding tie, where a
+        # float32 and a float64 add of the residual round apart (500 of these
+        # 1024 samples): the add is float32, of the input cast and scaled as the
+        # band pass's own input is
+        net = identity_net(residual=True)
+        bias = np.float32(0.5 / 1023)
+        weights = {"c": (np.zeros((1, 1, 1, 1), np.float32), np.array([bias], np.float32))}
+        plane = np.arange(1024, dtype=np.uint16).reshape(32, 32)
+        want = np.floor((bias + plane.astype(np.float32) / np.float32(1023)).astype(np.float64) * 1023 + 0.5)
+        assert np.array_equal(apply_network(net, weights, plane, 10), want)
 
     def test_three_layer_net_matches_scripted_oracle(self):
         # conv3x3 -> leaky relu -> conv1x1, no residual, evaluated by a
@@ -610,12 +622,20 @@ class TestStoragePlan:
         net = build_mfrnet_style()
 
         def rings(h, w=1920):
-            sched = postproc_cnn._schedule(net, (1, h, w), np.float32, True)
+            sched = postproc_cnn._schedule(net, (1, h, w), np.float32)
             return [r for c, r in zip(net.storage_plan.stores, sched.rows) if c == 96]
 
         assert rings(1080) == rings(4320)
         assert max(rings(1080)) <= 10
         assert max(rings(64, 96)) <= 16
+
+    def test_input_ring_keeps_only_what_the_head_conv_reads(self):
+        # apply_network adds the global residual from the plane itself, so the
+        # input's ring holds no rows for it
+        net = build_mfrnet_style()
+        store = net.storage_plan.slots[net.input_id][0]
+        for h, w in ((1080, 1920), (108, 192)):
+            assert postproc_cnn._schedule(net, (1, h, w), np.float32).rows[store] <= 4
 
 
 class TestInPlaceLeakyRelu:
@@ -925,6 +945,15 @@ class TestBuildMfrnetStyle:
         fuse_layers = [l for l in net.layers if l.id.endswith("_fuse")]
         assert len(fuse_layers) == 4
         net.validate()
+
+    @pytest.mark.parametrize("args, sha256", [
+        ((), "c25c63d923dabbad6ea227458cb53c15906409c6376c2325ce4bfa11eea6c66d"),
+        ((1, 1, 4, 4), "f112c11004397ae3599232e76917f9d38f9f65376c8f7f49b3bec33811e0aa6c"),
+    ])
+    def test_network_hash_is_pinned(self, args, sha256):
+        # every post-processed job's config_sha256 includes this hash, so a
+        # change to the builder or to to_json would redo every such job on resume
+        assert build_mfrnet_style(*args).sha256 == sha256
 
     def test_minimal_instance_validates(self):
         net = build_mfrnet_style(1, 1, 1, 1)
