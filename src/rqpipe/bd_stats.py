@@ -11,6 +11,10 @@ of their ranges:
   gap in metric units (dB, VMAF points, ...).
 - bd_rate integrates log10(bitrate) over quality and reports the average
   rate change as a percentage, 100 * (10^delta - 1).
+
+Both share one core: overlap, fit both curves, integrate, mean gap. The
+Hermite fit is integrated by Simpson's rule over evaluate_interpolant on
+each knot interval, exact for a cubic; the polynomial fit by np.polyint.
 """
 
 from __future__ import annotations
@@ -122,31 +126,14 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     return float(slope)
 
 
-# antiderivatives of the cubic Hermite basis on [0, 1]
-def _H00(t):
-    return t ** 4 / 2 - t ** 3 + t
-
-
-def _H10(t):
-    return t ** 4 / 4 - 2 * t ** 3 / 3 + t ** 2 / 2
-
-
-def _H01(t):
-    return -(t ** 4) / 2 + t ** 3
-
-
-def _H11(t):
-    return t ** 4 / 4 - t ** 3 / 3
-
-
 def integrate_interpolant(xs, ys, slopes, lo: float, hi: float) -> float:
-    """Closed-form integral of the piecewise-cubic Hermite interpolant.
+    """Integral of the piecewise-cubic Hermite interpolant over [lo, hi].
 
-    [lo, hi] must lie inside the knot range; lo == hi integrates to zero.
+    Simpson's rule over evaluate_interpolant on each knot interval's part
+    inside [lo, hi], which is exact for a cubic. [lo, hi] must lie inside
+    the knot range; lo == hi integrates to zero.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    slopes = np.asarray(slopes, dtype=np.float64)
     if lo > hi:
         raise CurveError(f"integration bounds reversed: [{lo}, {hi}]")
     if lo < xs[0] - 1e-12 or hi > xs[-1] + 1e-12:
@@ -155,31 +142,18 @@ def integrate_interpolant(xs, ys, slopes, lo: float, hi: float) -> float:
         )
     lo = min(max(lo, xs[0]), xs[-1])
     hi = min(max(hi, xs[0]), xs[-1])
-
-    total = 0.0
-    for k in range(len(xs) - 1):
-        a, b = xs[k], xs[k + 1]
-        seg_lo, seg_hi = max(lo, a), min(hi, b)
-        if seg_hi <= seg_lo:
-            continue
-        h = b - a
-        t0 = (seg_lo - a) / h
-        t1 = (seg_hi - a) / h
-        total += h * (
-            ys[k] * (_H00(t1) - _H00(t0))
-            + h * slopes[k] * (_H10(t1) - _H10(t0))
-            + ys[k + 1] * (_H01(t1) - _H01(t0))
-            + h * slopes[k + 1] * (_H11(t1) - _H11(t0))
-        )
-    return total
+    cuts = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+    a, b = cuts[:-1], cuts[1:]
+    fa, fm, fb = evaluate_interpolant(xs, ys, slopes, [a, (a + b) / 2, b])
+    return float(np.sum((b - a) / 6 * (fa + 4 * fm + fb)))
 
 
-def evaluate_interpolant(xs, ys, slopes, x) -> np.ndarray:
-    """Evaluate the Hermite interpolant at x (scalar or array), for inspection."""
+def evaluate_interpolant(xs, ys, slopes, x) -> np.ndarray | float:
+    """Evaluate the Hermite interpolant at x: a float for a scalar, else an array of x's shape."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     slopes = np.asarray(slopes, dtype=np.float64)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     h = xs[k + 1] - xs[k]
     t = (x - xs[k]) / h
@@ -188,7 +162,7 @@ def evaluate_interpolant(xs, ys, slopes, x) -> np.ndarray:
     h01 = -2 * t ** 3 + 3 * t ** 2
     h11 = t ** 3 - t ** 2
     out = ys[k] * h00 + h * slopes[k] * h10 + ys[k + 1] * h01 + h * slopes[k + 1] * h11
-    return out if out.shape != (1,) else float(out[0])
+    return out if x.ndim else float(out)
 
 
 def _fit_and_integrate(xs, ys, lo, hi, interpolation, warnings_out, label):
@@ -227,19 +201,25 @@ def _overlap(ref_xs, test_xs, what: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _mean_gap(curves, what: str, interpolation: str):
+    """Fit each (label, xs, ys) curve, reference then test, and integrate
+    it over the overlap of their xs. Returns the mean gap (test minus
+    reference), the overlap and the fits' warnings."""
+    lo, hi = _overlap(curves[0][1], curves[1][1], what)
+    warns: list[str] = []
+    area_ref, area_test = (
+        _fit_and_integrate(xs, ys, lo, hi, interpolation, warns, label) for label, xs, ys in curves
+    )
+    return (area_test - area_ref) / (hi - lo), (lo, hi), warns
+
+
 def bd_quality(reference: RQCurve, test: RQCurve, interpolation: str = PCHIP) -> BdResult:
     """Average quality gap (test minus reference) over the shared log-rate range."""
     _check_compatible(reference, test)
-    lo, hi = _overlap(reference.log_rates, test.log_rates, "log-rate")
-    warns: list[str] = []
-    area_ref = _fit_and_integrate(
-        reference.log_rates, reference.qualities, lo, hi, interpolation, warns, reference.label
+    delta, overlap, warns = _mean_gap(
+        [(c.label, c.log_rates, c.qualities) for c in (reference, test)], "log-rate", interpolation
     )
-    area_test = _fit_and_integrate(
-        test.log_rates, test.qualities, lo, hi, interpolation, warns, test.label
-    )
-    delta = (area_test - area_ref) / (hi - lo)
-    return BdResult(delta, None, (lo, hi), warns, interpolation)
+    return BdResult(delta, None, overlap, warns, interpolation)
 
 
 def bd_rate(reference: RQCurve, test: RQCurve, interpolation: str = PCHIP) -> BdResult:
@@ -251,27 +231,21 @@ def bd_rate(reference: RQCurve, test: RQCurve, interpolation: str = PCHIP) -> Bd
     prone tails.
     """
     _check_compatible(reference, test)
-    ref_q = reference.qualities
-    test_q = test.qualities
-    order_ref = np.argsort(ref_q)
-    order_test = np.argsort(test_q)
-    ref_xs, ref_ys = ref_q[order_ref], reference.log_rates[order_ref]
-    test_xs, test_ys = test_q[order_test], test.log_rates[order_test]
-    if len(np.unique(ref_xs)) != len(ref_xs) or len(np.unique(test_xs)) != len(test_xs):
+    curves = []
+    for c in (reference, test):
+        order = np.argsort(c.qualities)
+        curves.append((c.label, c.qualities[order], c.log_rates[order]))
+    if any(len(np.unique(xs)) != len(xs) for _, xs, _ in curves):
         raise CurveError("duplicate quality values; cannot fit rate vs quality")
 
-    lo, hi = _overlap(ref_xs, test_xs, "quality")
-    warns: list[str] = []
-    span = hi - lo
-    for label, xs in ((reference.label, ref_xs), (test.label, test_xs)):
+    delta_log, (lo, hi), fit_warns = _mean_gap(curves, "quality", interpolation)
+    warns = []
+    for label, xs, _ in curves:
         full = xs.max() - xs.min()
-        if full > 0 and span < 0.5 * full:
+        if full > 0 and hi - lo < 0.5 * full:
             warns.append(
-                f"{label}: quality overlap covers {100 * span / full:.1f}% of the curve; "
+                f"{label}: quality overlap covers {100 * (hi - lo) / full:.1f}% of the curve; "
                 "rate delta leans on near-extrapolated fit regions"
             )
-    area_ref = _fit_and_integrate(ref_xs, ref_ys, lo, hi, interpolation, warns, reference.label)
-    area_test = _fit_and_integrate(test_xs, test_ys, lo, hi, interpolation, warns, test.label)
-    delta_log = (area_test - area_ref) / span
     percent = 100.0 * (10.0 ** delta_log - 1.0)
-    return BdResult(None, percent, (lo, hi), warns, interpolation)
+    return BdResult(None, percent, (lo, hi), warns + fit_warns, interpolation)

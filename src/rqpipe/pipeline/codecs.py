@@ -29,7 +29,9 @@ input file before it can encode, so it consumes every input frame before
 it yields the first decoded one, which it then reads back from its output
 file one at a time.
 Its raw input file is removed once the encoder returns, and its decoded
-file once the stream ends, is abandoned or fails.
+file once the stream ends, is abandoned or fails, except when the file
+itself cannot be read (SampleRangeError, TruncatedFileError): then it is
+kept, so the file the failed record names can be inspected.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..bands import row_bands
-from ..errors import ConfigError, check_template, run_tool
+from ..errors import ConfigError, SampleRangeError, TruncatedFileError, check_template, run_tool
 from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
 
 BLOCK = 8
@@ -346,7 +348,8 @@ class ExternalCodec:
     argument per placeholder. The encode output is the bitstream
     <tag>.bin, whose byte size supplies the rate; the decode output is a
     raw sequence matching the input spec. The raw input and decoded files
-    are removed once read; the bitstream is kept. A command that exits
+    are removed once read; the bitstream is kept, and so is a decoded file
+    that cannot be read as the spec states. A command that exits
     non-zero or outlives `timeout` seconds raises ExternalToolError.
     """
 
@@ -379,6 +382,7 @@ class ExternalCodec:
         finally:
             src.unlink(missing_ok=True)
         total_bits = bitstream.stat().st_size * 8
+        unreadable = False
         try:
             with timer("decode"):
                 run_tool(self.decode_cmd, "codec", self.timeout, {"in": bitstream, "out": recon})
@@ -388,6 +392,10 @@ class ExternalCodec:
                     with timer("decode"):
                         frame = next(decoded)
                     yield frame
+        except (SampleRangeError, TruncatedFileError):
+            unreadable = True  # keep the file the error names
+            raise
         finally:  # also when the decoder fails or the stream is abandoned
-            recon.unlink(missing_ok=True)
+            if not unreadable:
+                recon.unlink(missing_ok=True)
         return total_bits

@@ -115,6 +115,11 @@ def concat_layer(layer_id, inputs) -> LayerSpec:
     return LayerSpec(layer_id, CONCAT, tuple(inputs))
 
 
+# the keys each op has besides id, op and inputs, in the order to_json writes them
+_OP_KEYS = {CONV2D: ("in_ch", "out_ch", "kernel", "stride", "pad"), ACTIVATION: ("act", "alpha"),
+            ADD: (), CONCAT: ()}
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Layer graph in topological order, from input_id to output_id."""
@@ -193,15 +198,10 @@ class NetworkSpec:
         return radius[self.output_id]
 
     def to_json(self) -> str:
-        entries = []
-        for l in self.layers:
-            entry = {"id": l.id, "op": l.op, "inputs": list(l.inputs)}
-            if l.op == CONV2D:
-                entry.update(in_ch=l.in_ch, out_ch=l.out_ch, kernel=l.kernel,
-                             stride=l.stride, pad=l.pad)
-            elif l.op == ACTIVATION:
-                entry.update(act=l.act, alpha=l.alpha)
-            entries.append(entry)
+        entries = [
+            {"id": l.id, "op": l.op, "inputs": list(l.inputs)} | {k: getattr(l, k) for k in _OP_KEYS.get(l.op, ())}
+            for l in self.layers
+        ]
         doc = {
             "input_id": self.input_id,
             "output_id": self.output_id,
@@ -236,9 +236,6 @@ class NetworkSpec:
         # each layer key takes its default's JSON type; an int counts as a float, a bool as no number
         common = {"id": str, "op": str, "inputs": list}
         types = {f.name: type(f.default) for f in fields(LayerSpec)} | common
-        # the keys each op reads besides the common ones; validate names an unknown op
-        reads = {CONV2D: {"in_ch", "out_ch", "kernel", "stride", "pad"}, ACTIVATION: {"act", "alpha"},
-                 ADD: set(), CONCAT: set()}
         layers = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
@@ -254,7 +251,8 @@ class NetworkSpec:
                 if key not in entry:
                     raise ShapeError(f"layer {i}: missing key {key!r}")
             for key in entry:
-                if key not in common and key not in reads.get(entry["op"], types):
+                # an unknown op may carry any layer key: validate names the op
+                if key not in common and key not in _OP_KEYS.get(entry["op"], types):
                     raise ShapeError(f"layer {entry['id']!r}: key {key!r} is not read by a {entry['op']} layer")
             entry = dict(entry)
             entry["inputs"] = tuple(entry.get("inputs", ()))

@@ -123,7 +123,7 @@ class TestAcceptance:
                 bd_quality(ref_c, other_c).delta_quality - bd_quality(ref, other).delta_quality
             ) < 1e-12
 
-        # closed-form integral vs 1e5-sample trapezoid quadrature
+        # Hermite integral (Simpson per knot interval) vs 1e5-sample trapezoid quadrature
         for seed in range(5):
             r2 = np.random.default_rng(seed)
             xs = np.sort(r2.uniform(0, 10, 5))

@@ -60,6 +60,16 @@ class TestPchipSlopes:
         slopes = pchip_slopes(xs, ys)
         assert np.allclose(evaluate_interpolant(xs, ys, slopes, xs), ys, atol=1e-14)
 
+    def test_array_in_array_out(self):
+        xs = np.array([0.0, 1.0, 2.5, 4.0])
+        ys = np.array([1.0, -2.0, 0.5, 3.0])
+        slopes = pchip_slopes(xs, ys)
+        one = evaluate_interpolant(xs, ys, slopes, np.array([2.0]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert evaluate_interpolant(xs, ys, slopes, np.ones((2, 3))).shape == (2, 3)
+        scalar = evaluate_interpolant(xs, ys, slopes, 2.0)
+        assert type(scalar) is float and scalar == one[0]
+
 
 class TestIntegrate:
     def test_linear_data_is_trapezoid(self):
@@ -90,6 +100,29 @@ class TestIntegrate:
         oracle = np.trapezoid(spline(grid), grid)
         mine = integrate_interpolant(xs, ys, slopes, lo, hi)
         assert mine == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("pchip", [True, False])
+    def test_matches_exact_integral(self, seed, pchip):
+        # scipy integrates the same Hermite cubics exactly, through their
+        # antiderivative; bounds cover partial intervals, knots and lo == hi
+        rng = np.random.default_rng(seed + 200)
+        xs = np.sort(rng.uniform(0, 10, 6))
+        while np.min(np.diff(xs)) < 1e-2:
+            xs = np.sort(rng.uniform(0, 10, 6))
+        ys = rng.uniform(20, 40, 6)
+        slopes = pchip_slopes(xs, ys) if pchip else rng.uniform(-3, 3, 6)
+        spline = CubicHermiteSpline(xs, ys, slopes)
+        inner = np.sort(rng.uniform(xs[0], xs[-1], 2))
+        bounds = [
+            (xs[0], xs[-1]), tuple(inner), (xs[1], xs[4]), (xs[2], xs[3]),
+            (xs[0], inner[0]), (inner[1], xs[-1]), tuple(sorted((xs[1], inner[1]))),
+            (inner[0], inner[0]), (xs[2], xs[2]),
+        ]
+        for lo, hi in bounds:
+            np.testing.assert_allclose(
+                integrate_interpolant(xs, ys, slopes, lo, hi), spline.integrate(lo, hi), rtol=1e-12
+            )
 
     def test_out_of_range_bounds_rejected(self):
         xs = np.array([0.0, 1.0, 2.0])

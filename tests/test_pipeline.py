@@ -1957,7 +1957,7 @@ class TestSamplesOutsideTheBitDepth:
             assert rec.status == "failed"
             assert f"{tmp_path / 'd.yuv'}: frame 0, plane 0: sample 4095 at row 3, column 5" in rec.error
 
-    def test_hot_decoded_file_fails_its_jobs(self, tmp_path):
+    def run_hot_decoder(self, tmp_path):
         import sys as _sys
 
         # a "codec" that keeps its input as the bitstream and decodes it
@@ -1969,10 +1969,13 @@ class TestSamplesOutsideTheBitDepth:
             "open(sys.argv[2], 'wb').write(data)\n"
         )
         self.write(tmp_path / "s.yuv")
-        manifest = run_experiment(self.config(tmp_path, [("s", "")], (
+        return run_experiment(self.config(tmp_path, [("s", "")], (
             f"codec = external\nencode_cmd = {_sys.executable} {codec} {{in}} {{out}} {{qp}} {{w}} {{h}}\n"
             f"decode_cmd = {_sys.executable} {codec} {{in}} {{out}} --hot"
         )), workers=1)
+
+    def test_hot_decoded_file_fails_its_jobs(self, tmp_path):
+        manifest = self.run_hot_decoder(tmp_path)
         assert len(manifest.jobs) == 4
         for rec in manifest.jobs.values():
             if rec.method == "rescaled":
@@ -1981,6 +1984,19 @@ class TestSamplesOutsideTheBitDepth:
                 assert rec.status == "failed"
                 assert re.match(r"SampleRangeError: \S+_dec\.yuv: frame 0, plane 0: sample 4095 at row 0, column 0",
                                 rec.error)
+
+    def test_hot_decoded_file_is_kept_for_its_record(self, tmp_path):
+        # the failed record names the decoded file, so the file stays for
+        # inspection; the raw input still goes
+        manifest = self.run_hot_decoder(tmp_path)
+        failed = [r for r in manifest.jobs.values() if r.status == "failed"]
+        assert [r.method for r in failed] == ["anchor", "anchor"]
+        for rec in failed:
+            named = re.match(r"SampleRangeError: (\S+_dec\.yuv): ", rec.error).group(1)
+            assert Path(named).is_file()
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("*_dec.yuv")) == ["s_anchor_qp0_dec.yuv", "s_anchor_qp1_dec.yuv"]
+        assert list(out.glob("*_in.yuv")) == []
 
     def test_dump_patch_names_the_file(self, tmp_path):
         path = tmp_path / "hot.yuv"
