@@ -22,7 +22,6 @@ from rqpipe import (
 net = build_mfrnet_style(blocks=2, convs_per_block=2, channels=8, growth=4)
 print(f"network: {len(net.layers)} layers, {len(net.conv_layers())} convs, "
       f"{net.meta['blocks']} dense blocks")
-print(f"receptive-field radius: {net.receptive_radius()} pixels")
 
 params = sum(w.size + b.size for w, b in random_weights(net).values())
 print(f"parameters: {params}")

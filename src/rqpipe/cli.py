@@ -30,8 +30,8 @@ from .postproc_cnn import NetworkSpec, apply_network, load_weights
 from .resample import ResampleFilter, parse_scale, resample_frame
 
 
-def _spec_arg(parser, required=True):
-    parser.add_argument("--spec", required=required,
+def _spec_arg(parser):
+    parser.add_argument("--spec", required=True,
                         help="WxH:bitdepth:chroma, e.g. 1920x1080:10:420")
 
 
@@ -268,10 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RqpipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RqpipeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,12 +110,12 @@ def frame_size_bytes(spec: VideoSpec) -> int:
     return sum(h * w for h, w in spec.plane_shapes) * spec.container_bytes
 
 
-def parse_spec_string(text: str, frame_count: int = 0, label: str = "") -> VideoSpec:
+def parse_spec_string(text: str, frame_count: int = 0) -> VideoSpec:
     """Parse 'WxH:bitdepth:chroma' (e.g. '1920x1080:10:420') into a VideoSpec."""
     try:
         dims, depth, chroma = text.split(":")
         w, h = dims.lower().split("x")
-        return VideoSpec(int(w), int(h), int(depth), chroma, frame_count, label)
+        return VideoSpec(int(w), int(h), int(depth), chroma, frame_count)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, (DimensionError, ConfigError)):
             raise

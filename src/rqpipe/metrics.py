@@ -82,18 +82,14 @@ def mean_psnr(per_frame, inf_cap: float = DEFAULT_PSNR_CAP) -> float:
     return float(np.mean([min(p, inf_cap) for p in per_frame]))
 
 
-def psnr_y_sequence(
-    ref_frames,
-    dist_frames,
-    bit_depth: int,
-    inf_cap: float = DEFAULT_PSNR_CAP,
-) -> QualityScore:
-    """Sequence PSNR-Y: the mean of per-frame PSNR, each clipped to inf_cap
-    first; per_frame keeps the unclipped values."""
+def psnr_y_sequence(ref_frames, dist_frames, bit_depth: int) -> QualityScore:
+    """Sequence PSNR-Y: the mean of per-frame PSNR, each clipped to
+    DEFAULT_PSNR_CAP first; per_frame keeps the unclipped values. The
+    runner scores one frame at a time and applies its config's cap."""
     per_frame = [psnr_y(ra, rb, bit_depth) for ra, rb in zip(ref_frames, dist_frames)]
     if not per_frame:
         raise ConfigError("cannot aggregate PSNR over an empty sequence")
-    return QualityScore("psnr_y", per_frame, mean_psnr(per_frame, inf_cap))
+    return QualityScore("psnr_y", per_frame, mean_psnr(per_frame))
 
 
 def _parse_metric_text(text: str, metric_id: str):

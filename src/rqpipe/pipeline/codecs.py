@@ -315,14 +315,7 @@ def mock_encode(frames, qp: int, bit_depth: int):
 
 
 def mock_decode(payload, qp: int, bit_depth: int):
-    frames = []
-    for coded in payload:
-        planes = [decode_plane(q, dims, qp, bit_depth) for q, dims in coded]
-        if len(planes) == 1:
-            frames.append(Frame(y=planes[0]))
-        else:
-            frames.append(Frame(y=planes[0], cb=planes[1], cr=planes[2]))
-    return frames
+    return [Frame(*(decode_plane(q, dims, qp, bit_depth) for q, dims in coded)) for coded in payload]
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"sequence {seq.label!r}: frame_rate must be a finite number > 0, got {seq.frame_rate}"
                 )
-            if not Path(seq.path).is_file():
-                raise ConfigError(f"sequence {seq.label!r}: file missing: {seq.path}")
+            for path in filter(None, (seq.path, seq.depth_path)):
+                if not Path(path).is_file():
+                    raise ConfigError(f"sequence {seq.label!r}: file missing: {path}")
             # a depth stream has the texture's size and no chroma, so it
             # scales whenever the texture does
             for method in self.methods:

@@ -6,7 +6,7 @@ method, qp) job, or a new header when a rerun's configuration differs
 (the last header read wins). Appends are flushed immediately so a crash
 loses at most the jobs still in flight, and re-running a config can skip
 every job whose record, config hash, source hash and artifact hashes are
-intact. Those checks can hash the files larger than HASH_CHUNK on an
+intact. Those checks hash the files larger than HASH_CHUNK on an
 executor, several at once, and the smaller ones inline. A job record
 with a field this version does not know is skipped, with a warning, so
 its job is redone and left out of reports.
@@ -47,14 +47,14 @@ def sha256_file(path, chunk=HASH_CHUNK) -> str:
     return h.hexdigest()
 
 
-def sha256_soon(path, size: int, submit=None):
+def sha256_soon(path, size: int, submit):
     """A function that returns sha256_file(path) of a file of `size` bytes.
 
-    With submit (an executor's submit), a file larger than HASH_CHUNK is
-    hashed on the executor and the function waits for its digest; any
-    other file is hashed now, on the calling thread.
+    A file larger than HASH_CHUNK is hashed through submit (an executor's
+    submit) and the function waits for its digest; any other file is
+    hashed now, on the calling thread.
     """
-    if submit is not None and size > HASH_CHUNK:
+    if size > HASH_CHUNK:
         return submit(sha256_file, path).result
     digest = sha256_file(path)
     return lambda: digest
@@ -146,15 +146,15 @@ class RunManifest:
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
 
-    def intact_jobs(self, checks, submit=None) -> list[bool]:
+    def intact_jobs(self, checks, submit) -> list[bool]:
         """For each (key, reference_sha256, config_sha256) of checks, in order:
         True when the job succeeded with the configuration that now hashes
         to config_sha256, on the source file that now hashes to
         reference_sha256, and all its artifacts still hash-match.
 
-        Artifacts are hashed through sha256_soon: with submit, those larger
-        than HASH_CHUNK on the executor, all queued before the first answer
-        waits for one; the rest inline, in order.
+        Artifacts are hashed through sha256_soon: those larger than
+        HASH_CHUNK through submit (an executor's), all queued before the
+        first answer waits for one; the rest inline, in order.
         """
         pending = []  # per job: (digest function, recorded sha256) of each artifact, or None
         for key, reference_sha256, config_sha256 in checks:

@@ -12,13 +12,13 @@ running. Jobs run on a bounded worker pool, by default one worker per
 CPU this process may use, and each record is appended to the manifest
 as its job ends, so the lines come in completion order; the record set
 does not depend on the worker count. Each record carries a hash of the
-configuration its job ran with, and resume redoes a job whose hash
-changed. Before any job starts, the same pool hashes each source file
-and, on resume, each job's recon, when the file is larger than the
-1 MiB hash chunk; smaller files are hashed on the calling thread, where
-a pool task would cost more than it saves. For the run, numpy's
-OpenBLAS gets the CPUs divided by the workers as its thread count, so
-workers and BLAS threads do not oversubscribe the CPUs.
+configuration its job ran with, input contents but no paths, and resume
+redoes a job whose hash changed. Before any job starts, the same pool
+hashes each source and depth file and, on resume, each job's recon, when
+the file is larger than the 1 MiB hash chunk; smaller files are hashed
+on the calling thread, where a pool task would cost more. For the run,
+numpy's OpenBLAS gets the CPUs divided by the workers as its thread
+count, so workers and BLAS threads do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -49,7 +49,15 @@ from .codecs import CodedStream
 from .config import ExperimentConfig, MethodConfig, QpPair, SequenceConfig, config_as_dict, load_experiment
 from .manifest import JobRecord, RunManifest, sha256_file, sha256_soon
 
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # not on Windows
+    getrusage = None
+
 log = logging.getLogger(__name__)
+
+# a job logs its frame progress at most once per this many of its wall seconds
+PROGRESS_SECONDS = 30.0
 
 
 def _worker_count(requested: int | None) -> int:
@@ -197,6 +205,7 @@ def _run_job(
 ) -> JobRecord:
     pair = method.effective_qp(base_pair)
     timer = _StageTimer()
+    start = last = time.perf_counter()
     tag = f"{seq.label}_{method.label}_qp{qp_index}"
     rec = JobRecord(
         sequence=seq.label,
@@ -239,16 +248,21 @@ def _run_job(
 
         psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame, capped
 
-        def measure(frame):
+        def measure(item):
+            nonlocal last
+            k, frame = item
             original = originals.popleft()
             if psnr is not None:
                 (value,) = psnr_y_sequence([original], [frame], seq.spec.bit_depth).per_frame
                 psnr.append(min(value, cfg.psnr_inf_cap))  # as mean_psnr counts it
+            if (now := time.perf_counter()) - last >= PROGRESS_SECONDS:
+                log.info("job %s/%s/%d: frame %d/%d in %.1f s", *rec.key, k, seq.spec.frame_count, now - start)
+                last = now
             return frame
 
         recon_path = workdir / f"{tag}_recon.yuv"
         with timer("write"):
-            write_sequence(_each(measure, frames, "metrics", timer), seq.spec, recon_path)
+            write_sequence(_each(measure, enumerate(frames, 1), "metrics", timer), seq.spec, recon_path)
         total_bits = texture.bits
 
         if seq.depth_path is not None:
@@ -301,14 +315,16 @@ def _timed_job(*job) -> tuple[JobRecord, float]:
     return rec, time.perf_counter() - start
 
 
-def _job_config_hashes(cfg: ExperimentConfig, echo: dict) -> dict[tuple, str]:
+def _job_config_hashes(cfg: ExperimentConfig, echo: dict, depth_hashes: dict) -> dict[tuple, str]:
     """config_sha256 of every job, by (sequence, method, qp index) key.
 
-    It hashes what the job reads from the config echo (its sequence, its
-    method with the codec description but not the codec's timeout, which
-    cannot change a job that succeeded, its QP pair, the metrics and the
-    PSNR cap) and, for a post-processing method, its network and the
-    sha256 of the weight file the job loads, as validate() recorded it.
+    It hashes what the job reads from the config echo but no path (its
+    sequence, its method with the codec description but not the codec's
+    timeout, which cannot change a job that succeeded, its QP pair, the
+    metrics and the PSNR cap), its depth file's sha256 in depth_hashes
+    (None without one) and, for a post-processing method, its network and
+    the QP and sha256 of the weight file the job loads, as validate()
+    recorded it. The source counts by the record's reference_sha256.
     """
     hashes = {}
     pairs = [json.dumps(p).encode() for p in echo["qp_pairs"]]
@@ -316,12 +332,14 @@ def _job_config_hashes(cfg: ExperimentConfig, echo: dict) -> dict[tuple, str]:
         codec = {k: v for k, v in method_echo["codec"].items() if k != "timeout"}
         method_echo = {**method_echo, "codec": codec}
         pp = method.postproc
-        tails = pairs if pp is None else [
-            pair + pp.net.sha256.encode()
-            + pp.weights_sha256[str(pp.weights_by_qp[pp.select_weights_qp(p.qp_texture)])].encode()
-            for pair, p in zip(pairs, cfg.qp_pairs)
-        ]
+        tails = pairs
+        if pp is not None:
+            method_echo["postproc"] = {k: v for k, v in method_echo["postproc"].items() if k != "weights_by_qp"}
+            tails = [pair + f"{qp} {pp.net.sha256} {pp.weights_sha256[str(pp.weights_by_qp[qp])]}".encode()
+                     for pair, qp in zip(pairs, (pp.select_weights_qp(p.qp_texture) for p in cfg.qp_pairs))]
         for seq, seq_echo in zip(cfg.sequences, echo["sequences"]):
+            seq_echo = {k: v for k, v in seq_echo.items() if k not in ("path", "depth_path")}
+            seq_echo["depth_sha256"] = depth_hashes[seq.label]
             doc = [seq_echo, method_echo, echo["metrics"], echo["psnr_inf_cap"]]
             base = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
             for qi, tail in enumerate(tails):
@@ -352,7 +370,9 @@ def run_experiment(
     and during the run, OpenBLAS's core name and build config, the numpy
     version, the CPU count and the workers.
     Each finished job logs one INFO line to this module's logger: its key,
-    status, wall seconds and how many of the jobs to run are done.
+    status, wall seconds and how many of the jobs to run are done; a job
+    logs its frames done at most once per PROGRESS_SECONDS of its time.
+    Its record's notes hold the process's peak RSS so far, where known.
     """
     n_workers = _worker_count(workers)
     if isinstance(config, ExperimentConfig):
@@ -398,9 +418,11 @@ def run_experiment(
                 # the pool, several at once, the smaller ones here in order;
                 # the answers are read in job order, so the jobs to run are
                 # the same as with every file hashed here
-                sources = [sha256_soon(s.path, os.stat(s.path).st_size, submit) for s in cfg.sequences]
-                reference_hashes = {s.label: digest() for s, digest in zip(cfg.sequences, sources)}
-                config_hashes = _job_config_hashes(cfg, echo)
+                sources = [[sha256_soon(p, os.stat(p).st_size, submit) if p else lambda: None
+                            for p in (s.path, s.depth_path)] for s in cfg.sequences]
+                reference_hashes = {s.label: digest() for s, (digest, _) in zip(cfg.sequences, sources)}
+                depth_hashes = {s.label: digest() for s, (_, digest) in zip(cfg.sequences, sources)}
+                config_hashes = _job_config_hashes(cfg, echo, depth_hashes)
                 jobs = [
                     (seq, method, qi, pair)
                     for seq in cfg.sequences
@@ -421,6 +443,8 @@ def run_experiment(
                 for done, future in enumerate(as_completed(futures), 1):
                     rec, seconds = future.result()
                     rec.config_sha256 = config_hashes[rec.key]
+                    if getrusage is not None:  # KiB on Linux; the process's, as workers are threads
+                        rec.notes["process_peak_rss_mb"] = round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 1)
                     manifest.append_job(rec)
                     log.info("job %s %s in %.2f s (%d/%d)%s", "/".join(map(str, rec.key)), rec.status,
                              seconds, done, len(futures), f": {rec.error}" if rec.error else "")

@@ -186,17 +186,6 @@ class NetworkSpec:
     def conv_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers if l.op == CONV2D]
 
-    def receptive_radius(self) -> int:
-        """Input pixels (each side) that can influence one output pixel:
-        each conv adds its pad, which is half its kernel less one (validate)."""
-        radius = {self.input_id: 0}
-        for layer in self.layers:
-            r = max(radius[ref] for ref in layer.inputs)
-            if layer.op == CONV2D:
-                r += layer.pad
-            radius[layer.id] = r
-        return radius[self.output_id]
-
     def to_json(self) -> str:
         entries = [
             {"id": l.id, "op": l.op, "inputs": list(l.inputs)} | {k: getattr(l, k) for k in _OP_KEYS.get(l.op, ())}
@@ -870,7 +859,6 @@ def build_mfrnet_style(
     convs_per_block: int = 4,
     channels: int = 32,
     growth: int = 16,
-    alpha: float = 0.2,
 ) -> NetworkSpec:
     """Residual dense block cascade for plane post-processing.
 
@@ -887,7 +875,7 @@ def build_mfrnet_style(
         raise ConfigError("blocks, convs_per_block, channels, growth must all be >= 1")
     layers: list[LayerSpec] = []
     layers.append(conv_layer("head", "input", 1, channels, 3))
-    layers.append(act_layer("head_act", "head", alpha=alpha))
+    layers.append(act_layer("head_act", "head"))
 
     block_outputs: list[str] = []
     for b in range(blocks):
@@ -905,7 +893,7 @@ def build_mfrnet_style(
                 layers.append(concat_layer(src, feats))
             in_ch = channels + (len(feats) - 1) * growth
             layers.append(conv_layer(f"b{b}_conv{j}", src, in_ch, growth, 3))
-            layers.append(act_layer(f"b{b}_act{j}", f"b{b}_conv{j}", alpha=alpha))
+            layers.append(act_layer(f"b{b}_act{j}", f"b{b}_conv{j}"))
             feats.append(f"b{b}_act{j}")
         fuse_cat = f"b{b}_fuse_cat"
         layers.append(concat_layer(fuse_cat, feats))

@@ -328,8 +328,8 @@ def _lanczos_in_bands(plane, out_h, out_w, filt, bit_depth) -> np.ndarray:
     wide = np.empty((rows, blocks, hmat.shape[1]))  # horizontally filtered source rows
     filtered = wide.reshape(rows, -1)[:, :out_w]
     # the vertical pass: blocks of `vper` periods, the transposed `vmat`
-    # times a (window, column) view of `filtered`, and a smaller block for
-    # the rest of the band
+    # times a (window, column) view of `filtered`, and a corner of `vmat`
+    # for the rest of the band
     vper = min(max(1, _BLOCK_OUTPUTS // phases), most)
     vmat = _band_matrix(h, out_h, filt, vper)
     vblocks = (rows - vmat.shape[0]) // (vper * step) + 1
@@ -357,9 +357,9 @@ def _lanczos_in_bands(plane, out_h, out_w, filt, bit_depth) -> np.ndarray:
         full, rest = divmod(k1 - k0, vper)
         if full:
             np.matmul(vmat.T, vwindows[:full], out=x[: full * vper * phases].reshape(full, -1, out_w))
-        if rest:
-            rest_mat = _band_matrix(h, out_h, filt, rest)
-            np.matmul(rest_mat.T, filtered[full * vper * step : hi - lo], out=x[full * vper * phases :])
+        if rest:  # the first `rest` periods' part of vmat
+            mat = vmat[: (rest - 1) * step + span, : rest * phases]
+            np.matmul(mat.T, filtered[full * vper * step : hi - lo], out=x[full * vper * phases :])
         x += 0.5
         np.floor(x, out=f)
         x -= f  # the fraction, in [0, 1)

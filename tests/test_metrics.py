@@ -164,7 +164,7 @@ class TestSequenceAggregation:
     def test_mean_of_per_frame_caps_infinite(self):
         a = Frame(y=np.zeros((4, 4), np.uint8))
         b = Frame(y=np.ones((4, 4), np.uint8))
-        score = psnr_y_sequence([a, a], [a, b], 8, inf_cap=100.0)
+        score = psnr_y_sequence([a, a], [a, b], 8)
         assert score.per_frame[0] == math.inf
         expected = (100.0 + 20 * math.log10(255)) / 2
         assert score.sequence_value == pytest.approx(expected, abs=1e-9)

@@ -197,8 +197,10 @@ class TestConfigLoading:
          r"method 'rescaled' cannot code sequence 'synthA': 4:2:0 requires even dimensions, got 1x1"),
         ("down_filter = lanczos:3", "down_filter = lanczos:x", r"method 'rescaled': cannot parse filter 'lanczos:x'"),
         ("up_filter = nn", "up_filter = box", r"method 'rescaled': cannot parse filter 'box'"),
+        ("frame_rate = 30", "frame_rate = 30\ndepth_path = absent.yuv",
+         r"sequence 'synthA': file missing: .*absent\.yuv"),
     ], ids=["frame-count", "rate-zero", "rate-negative", "rate-nan", "rate-inf", "rate-text",
-            "scale-fraction", "scale-odd", "down-filter", "up-filter"])
+            "scale-fraction", "scale-odd", "down-filter", "up-filter", "depth-missing"])
     def test_value_that_fails_every_job_rejected_at_load(self, experiment_dir, old, new, match):
         # each used to fail every job of its sequence or method, or, for a
         # zero or non-finite frame rate, drop every curve from the report
@@ -462,6 +464,7 @@ class TestDeterminismAndResume:
             doc = json.loads(manifest.jobs[key].to_line())
             doc.pop("stage_seconds")
             doc.pop("stage_cpu_seconds")
+            doc["notes"].pop("process_peak_rss_mb", None)  # a measurement, as the timings are
             doc["artifacts"] = {
                 name: info["sha256"] for name, info in doc["artifacts"].items()
             }
@@ -500,6 +503,50 @@ class TestDeterminismAndResume:
             (method, qi) for method in ("anchor", "rescaled", "postproc") for qi in range(4)
         )
         assert [int(m[3]) for m in found] == list(range(1, 13))
+
+    def test_long_job_logs_its_frames(self, tmp_path, monkeypatch, caplog):
+        # a frame line at most once per PROGRESS_SECONDS of a job's wall
+        # time: none for a fast job, every frame's with the gap set to 0
+        spec = VideoSpec(32, 32, 8, "420", frame_count=3, label="s")
+        write_sequence(synthetic_sequence(spec, seed=5), spec, tmp_path / "s.yuv")
+        (tmp_path / "exp.ini").write_text(
+            "[sequence.s]\npath = s.yuv\nwidth = 32\nheight = 32\nframe_count = 3\nframe_rate = 30\n\n"
+            "[method.anchor]\ncodec = mock\n\n[qps]\npairs = 27:7\n"
+        )
+
+        def frame_lines(gap):
+            monkeypatch.setattr(runner, "PROGRESS_SECONDS", gap)
+            caplog.clear()
+            run_experiment(tmp_path / "exp.ini", workdir=tmp_path / f"out{gap}", workers=1)
+            lines = [r.getMessage() for r in caplog.records if r.name == "rqpipe.pipeline.runner"]
+            return [line for line in lines if ": frame " in line]
+
+        with caplog.at_level(logging.INFO, logger="rqpipe.pipeline.runner"):
+            assert frame_lines(runner.PROGRESS_SECONDS) == []
+            lines = frame_lines(0)
+        pattern = re.compile(r"job s/anchor/0: frame (\d)/3 in \d+\.\d s")
+        assert [pattern.fullmatch(line)[1] for line in lines] == ["1", "2", "3"]
+
+    def test_each_record_holds_the_process_peak_rss(self, experiment_dir):
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        docs = [json.loads(line) for line in (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()]
+        peaks = [doc["notes"]["process_peak_rss_mb"] for doc in docs if doc["record"] == "job"]
+        assert len(peaks) == 12 and peaks[0] > 0
+        assert peaks == sorted(peaks)  # a high-water mark, read as each record is appended
+
+    def test_inputs_in_another_directory_resume_appends_no_job(self, experiment_dir):
+        # the config hash covers the files' contents, not their paths
+        first = run_experiment(experiment_dir / "exp.ini", workers=1)
+        moved = experiment_dir / "moved"
+        moved.mkdir()
+        for name in ["exp.ini", "synthA.yuv", "net.json", *(f"w{qp}.rqpw" for qp in (22, 27, 32, 37))]:
+            (moved / name).write_bytes((experiment_dir / name).read_bytes())
+        again = run_experiment(moved / "exp.ini", workdir=experiment_dir / "out", workers=1)
+        docs = [json.loads(line) for line in (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()]
+        assert [doc["record"] for doc in docs].count("job") == 12
+        assert {k: r.config_sha256 for k, r in again.jobs.items()} == {
+            k: r.config_sha256 for k, r in first.jobs.items()
+        }
 
     def test_resume_redoes_tampered_artifact(self, experiment_dir):
         manifest = run_experiment(experiment_dir / "exp.ini", workers=1)
@@ -1023,6 +1070,22 @@ psnr_y = native
         manifest = run_experiment(config_with_depth / "exp.ini", workers=1)
         assert len(manifest.ok_jobs()) == 2
         assert sorted(factors) == [Fraction(1, 2)] * 4 + [Fraction(2)] * 2
+
+    def test_rewritten_depth_file_redoes_its_jobs(self, config_with_depth):
+        # the depth file counts by its content: other samples of the same size
+        # must not resume with the old depth bits
+        first = run_experiment(config_with_depth / "exp.ini", workers=1)
+        depth_spec = VideoSpec(32, 32, 8, "400", frame_count=2)
+        path = config_with_depth / "s_depth.yuv"
+        size = path.stat().st_size
+        write_sequence(synthetic_sequence(depth_spec, seed=6), depth_spec, path)
+        assert path.stat().st_size == size
+        again = run_experiment(config_with_depth / "exp.ini", workers=1)
+        lines = (config_with_depth / "out" / "manifest.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + 2 + 2  # header, the first run's jobs, both again
+        for key, rec in again.jobs.items():
+            assert rec.config_sha256 != first.jobs[key].config_sha256
+            assert rec.notes["depth_bits"] != first.jobs[key].notes["depth_bits"]
 
 
 class TestMonochromeTexture:
