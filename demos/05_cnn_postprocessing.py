@@ -44,9 +44,9 @@ print(f"enhanced psnr vs clean: {psnr_y(Frame(y=clean), Frame(y=enhanced), 8):.2
 # keeps a ring of only the rows its readers still read (for a 3x3 conv, its
 # band plus the halo rows), so the working set grows with the plane's width,
 # not its height. Shrinking the band budget to 16-row bands shows the split
-# on this plane. However few rows a conv runs at a time, its GEMMs sum in
-# the whole-plane order, so equality is a tested property
-# (tests/test_postproc_cnn.py::TestGemmBanding and TestShortRuns).
+# on this plane. Every conv GEMM covers one output row, so its shape and
+# sum order do not depend on the bands, and equality holds by construction
+# (checked in tests/test_postproc_cnn.py::TestGemmBanding and TestShortRuns).
 budget = postproc_cnn.BAND_BYTES
 postproc_cnn.BAND_BYTES = sum(net.storage_plan.stores) * 48 * 4 * 16
 try:

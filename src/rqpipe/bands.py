@@ -5,9 +5,9 @@ plane in bands of rows under BAND_BYTES, so each holds its result plus
 scratch for one band instead of whole float64 planes. The CNN runs its
 whole graph in bands of input rows, as many as fit one row of each of its
 stores in BAND_BYTES, and rounds its output in bands under it; its convs
-split their im2col buffer the same way under their own budget. Every
-sample of a band is computed as it would be in one whole-plane pass, so
-the split never changes a result.
+split their im2col buffer into chunks of rows under it too. Every sample
+of a band is computed as it would be in one whole-plane pass, so the
+split never changes a result.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ def row_bands(rows: int, row_bytes: int, budget: int | None = None) -> list[tupl
     `budget` bytes (BAND_BYTES when None; a band has at least one unit),
     their sizes differing by at most one, so no band is a thin remainder.
     """
-    count = band_count(rows, row_bytes, budget)
-    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
-
-
-def band_count(rows: int, row_bytes: int, budget: int | None = None) -> int:
-    """How many bands row_bands splits `rows` units into; band i of them
-    runs from rows * i // count to rows * (i + 1) // count."""
     budget = BAND_BYTES if budget is None else budget
-    return max(1, -(-rows // max(1, budget // max(1, row_bytes))))
+    count = max(1, -(-rows // max(1, budget // max(1, row_bytes))))
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]

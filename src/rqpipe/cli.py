@@ -26,6 +26,7 @@ from .metrics import psnr_y_sequence
 from .pipeline import assemble_report, dump_patch, run_experiment
 from .pipeline.codecs import CodedStream, MockCodec
 from .pipeline.manifest import RunManifest
+from .pipeline.runner import one_blas_thread
 from .postproc_cnn import NetworkSpec, apply_network, load_weights
 from .resample import ResampleFilter, parse_scale, resample_frame
 
@@ -121,7 +122,8 @@ def cmd_postproc(args) -> int:
     weights = load_weights(args.weights)
     frames = (replace(f, y=apply_network(net, weights, f.y, spec.bit_depth))
               for f in read_sequence(args.infile, spec))
-    written = write_sequence(frames, spec, args.out)
+    with one_blas_thread():  # as `run` does, so the output is a run's recon of the same plane
+        written = write_sequence(frames, spec, args.out)
     print(f"post-processed {spec.frame_count} frames ({written} bytes) to {args.out}")
     return 0
 

@@ -17,8 +17,9 @@ redoes a job whose hash changed. Before any job starts, the same pool
 hashes each source and depth file and, on resume, each job's recon, when
 the file is larger than the 1 MiB hash chunk; smaller files are hashed
 on the calling thread, where a pool task would cost more. For the run,
-numpy's OpenBLAS gets the CPUs divided by the workers as its thread
-count, so workers and BLAS threads do not oversubscribe the CPUs.
+numpy's OpenBLAS runs at one thread: the workers use the CPUs, and the
+CNN's sums, whose order OpenBLAS picks by thread count, are the same
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -96,8 +97,10 @@ def _openblas():
 
 
 @contextmanager
-def _blas_threads(n: int):
-    """Run the block with numpy's OpenBLAS at n threads, then restore the old count.
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore the
+    old count. OpenBLAS picks a GEMM's sum order by its thread count, so
+    the CNN's bits then depend on its kernel alone.
 
     Yields the manifest header's BLAS fields: the threads before and
     during the block, and the OpenBLAS core name and build config, on
@@ -110,7 +113,7 @@ def _blas_threads(n: int):
         return
     get, set_, core, config = hook
     before = get()
-    set_(n)
+    set_(1)
     try:
         yield {"blas_threads_before": before, "blas_threads": get(), "blas_core": core, "blas_config": config}
     finally:
@@ -365,14 +368,16 @@ def run_experiment(
     are hashed on the calling thread. The checks are read in job order, so
     the same jobs run whatever the worker count. A worker count below 1 is
     a ConfigError. A manifest whose header echoes another config gets a
-    new header. While it runs, numpy's OpenBLAS uses
-    max(1, CPUs // workers) threads; the header records the count before
-    and during the run, OpenBLAS's core name and build config, the numpy
-    version, the CPU count and the workers.
+    new header. While it runs, numpy's OpenBLAS uses one thread, so a
+    post-processed job's bits do not depend on the worker count; the
+    header records the count before and during the run, OpenBLAS's core
+    name and build config, the numpy version, the CPU count and the
+    workers.
     Each finished job logs one INFO line to this module's logger: its key,
     status, wall seconds and how many of the jobs to run are done; a job
     logs its frames done at most once per PROGRESS_SECONDS of its time.
-    Its record's notes hold the process's peak RSS so far, where known.
+    Its record's notes hold the process's peak RSS so far, where known,
+    and the OpenBLAS core and thread count its sums came from.
     """
     n_workers = _worker_count(workers)
     if isinstance(config, ExperimentConfig):
@@ -388,8 +393,7 @@ def run_experiment(
         manifest_path.unlink()
 
     echo = config_as_dict(cfg)
-    cpus = _cpu_count()
-    with _blas_threads(max(1, cpus // n_workers)) as blas:
+    with one_blas_thread() as blas:
         if manifest.header.get("config") != echo:  # the echo holds JSON types only
             manifest.write_header(
                 {
@@ -399,7 +403,7 @@ def run_experiment(
                     "config": echo,
                     "environment": {
                         "numpy": np.__version__,
-                        "cpu_count": cpus,
+                        "cpu_count": _cpu_count(),
                         "workers": n_workers,
                         **blas,
                     },
@@ -445,6 +449,8 @@ def run_experiment(
                     rec.config_sha256 = config_hashes[rec.key]
                     if getrusage is not None:  # KiB on Linux; the process's, as workers are threads
                         rec.notes["process_peak_rss_mb"] = round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 1)
+                    # a post-processed recon's bits hold for this OpenBLAS core
+                    rec.notes["blas_core"], rec.notes["blas_threads"] = blas["blas_core"], blas["blas_threads"]
                     manifest.append_job(rec)
                     log.info("job %s %s in %.2f s (%d/%d)%s", "/".join(map(str, rec.key)), rec.status,
                              seconds, done, len(futures), f": {rec.error}" if rec.error else "")

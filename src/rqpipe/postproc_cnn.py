@@ -8,17 +8,20 @@ build_mfrnet_style and the storage plan call). Planes are normalized to [0, 1]
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
 The conv engine is same-size only: no stride, and a pad of half the
-kernel less one. Each conv is im2col + one GEMM per band of output rows,
-with the column buffer bounded by _COLS_BYTES; a 1x1 conv multiplies the
-band's view of its input and needs no column buffer. apply_network runs
-the whole graph in one pass of row bands, top to bottom (the fused-layer
-schedule of Alwani et al., MICRO 2016): each value lives in a ring of
-rows that keeps only what its readers still read, for a 3x3 conv's input
-its run plus the halo rows, so no row is computed twice or moved and the
-working set grows with the band, not the plane. However few rows a conv
-runs at a time, its GEMMs sum as the whole-plane run's do. A storage plan, derived
-once per NetworkSpec from the graph's readers (never from layer names),
-gives every value its store.
+kernel less one. Each conv is im2col + one GEMM per output row, (M, K)
+weights times the row's (K, W) columns, with a chunk of rows run in one
+batched matmul and its column buffer bounded by BAND_BYTES; a 1x1 conv
+multiplies its input rows as they are and needs no column buffer.
+apply_network runs the whole graph in one pass of row bands, top to
+bottom (the fused-layer schedule of Alwani et al., MICRO 2016): each
+value lives in a ring of rows that keeps only what its readers still
+read, for a 3x3 conv's input its run plus the halo rows, so no row is
+computed twice or moved and the working set grows with the band, not the
+plane. A GEMM's shape depends on the plane's width alone, so the output
+does not depend on how the pass cuts the plane into rows, for a given
+BLAS kernel and thread count. A storage plan, derived once per
+NetworkSpec from the graph's readers (never from layer names), gives
+every value its store.
 Concats follow one rule: one whose inputs are not placed yet puts them
 side by side in a fresh shared store and is a slice of it; one whose
 inputs already sit in order in one store is a slice of that; any other
@@ -55,23 +58,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import BAND_BYTES, band_count, row_bands
+from .bands import BAND_BYTES, row_bands
 from .errors import ConfigError, ShapeError, WeightFormatError
 
 MAGIC = b"RQPW1"
-
-# upper bound on one conv2d column buffer, which sets how many output rows
-# a band holds. At 8 MB the buffer is reused from the heap and mostly stays
-# in cache, which runs the default net faster than 64 MB does. When a plane
-# needs more than one band, each float32 band still fills a third of the
-# budget, so its GEMM has M*N*K >= 2 * 7e5, above OpenBLAS's small-matrix
-# cutoff (1e6)
-_COLS_BYTES = 8 << 20
-
-# OpenBLAS sends a GEMM with M*N*K at most this to a small-matrix kernel
-# that sums in another order, so a conv run on a few rows multiplies more
-# columns where the whole-plane GEMM is above it (see _conv)
-_SMALL_GEMM = 10**6
 
 CONV2D = "conv2d"
 ACTIVATION = "activation"
@@ -381,21 +371,20 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     stride 1, zero padded by (k - 1) / 2, so the output is (O,H,W). A
     kernel that is not square and odd is a ShapeError.
 
-    Computed as im2col + GEMM over bands of output rows. Each band copies
-    only the input rows it reads into a zero-padded slab, fills a
-    (C, k, k, rows, W) column buffer with one copy from a strided view
-    of every tap's window of the slab, and multiplies it by the weights
-    reshaped to (O, C*k*k); a 1x1 conv multiplies the band's (C, rows*W)
-    view of the input instead, with no column buffer. The bias is added to
-    each band after its GEMM. The rows are split into equal bands whose
-    buffers stay under _COLS_BYTES, so no band is a thin remainder.
+    Computed as im2col + one GEMM per output row, over chunks of rows
+    (see _conv). The input is copied into a zero-padded slab; each chunk
+    fills a (C, k, k, rows, W) column buffer with one copy from a strided
+    view of every tap's window of the slab and multiplies each row's
+    (C*k*k, W) columns by the weights reshaped to (O, C*k*k); a 1x1 conv
+    multiplies each row's (C, W) view of the input instead, with no slab
+    or column buffer. The bias is added after the last chunk.
 
     The accumulation order within an output pixel is whatever BLAS uses
-    for the GEMM's shape: OpenBLAS, for one, sends products with
-    M*N*K <= 1e6 to a small-matrix kernel that sums in another order.
-    Row bands (here and in apply_network) matching one whole-plane run bit
-    for bit is therefore a tested property (TestGemmBanding, TestShortRuns),
-    not a guarantee by construction.
+    for the GEMM's shape, and with one GEMM per row that shape is
+    (O, C*k*k) x (C*k*k, W) however the rows are chunked. So the band
+    pass of apply_network, which runs a conv a few rows at a time, gives
+    this whole-plane run's bits by construction, for one BLAS kernel and
+    thread count (TestGemmBanding and TestShortRuns check it).
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
@@ -430,97 +419,80 @@ def _ring_rows(ring: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None
     return out
 
 
-def _gemm_rows(m: int, k: int, w: int) -> int:
-    """Fewest output rows of width w for which an (m, k) weight matrix's
-    GEMM has M*N*K above _SMALL_GEMM."""
-    return _SMALL_GEMM // (m * k * w) + 1
-
-
 def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: LayerSpec | None = None) -> None:
     """Output rows r0, r0 + 1, ... of a same-size conv into `out`
-    (out_ch, rows, W), with `act` applied to each band. `x` is a ring of
+    (out_ch, rows, W), with `act` applied after the bias. `x` is a ring of
     input rows (see _ring_rows) that holds the rows they read of an input
     h rows tall, padded by k.size // 2; a whole input is a ring as tall as
     itself.
 
-    The rows go in the bands a whole-plane run uses (row_bands under
-    _COLS_BYTES), cut where `out` starts and ends, and each GEMM sums as
-    the whole-plane run's does (see conv2d). Where a whole-plane band's
-    GEMM is above OpenBLAS's small-matrix cutoff, the GEMM of a part of it
-    multiplies at least as many columns as the cutoff needs; below it,
-    where the sums depend on the column count and on each column's place,
-    it multiplies the whole band's columns with the part's rows in their
-    place. The other columns hold zeros or what an earlier band left.
+    Every GEMM covers one output row: the (M, K) weights times that row's
+    (K, W) columns. The rows go in chunks of as many as keep K x rows x W
+    values within BAND_BYTES (row_bands), and each chunk runs in one
+    np.matmul over its columns seen as (rows, K, W) into `out` seen as
+    (rows, M, W), which calls the BLAS GEMM once a row. So the GEMM's
+    shape depends on W alone, and an output pixel has the same place in
+    the same product however the rows are split into runs and chunks.
 
-    A 1x1 conv's band multiplies its input rows as they are, or a copy of
-    them. A band of any other conv copies the input rows it reads into a
-    zero-padded slab, in one copy unless they run across the ring's end,
-    and fills its columns with one copy from a strided view of every tap's
-    window of the slab. So a 3x3 run clear of the plane's top and bottom
-    makes seven array operations, each of which drops and retakes the GIL
-    that worker threads share: the pad columns' zeros, the slab, the
-    columns, the GEMM, the bias and the leaky ReLU's multiply and max."""
+    A 1x1 conv multiplies its input rows as they are, or a copy of them
+    where they run across the ring's end. Any other conv copies the input
+    rows it reads into a zero-padded slab, in one copy unless they run
+    across the ring's end, and each chunk fills its column buffer with one
+    copy from a strided view of every tap's window of the slab. The bias
+    and `act` then run once over all the rows. So a 3x3 run of one chunk,
+    clear of the plane's top and bottom, makes seven array operations,
+    each of which drops and retakes the GIL that worker threads share: the
+    pad columns' zeros, the slab, the columns, the GEMM, the bias and the
+    leaky ReLU's multiply and max; each further chunk adds two."""
     out_ch, n, w = out.shape
     in_ch, pad = len(x), k.size // 2
     m, kk = k.wmat.shape
-    least = _gemm_rows(m, kk, w)
-    count = band_count(h, kk * w * x.itemsize, _COLS_BYTES)
-    bands = []  # (first row, end row, first row in the GEMM, rows the GEMM multiplies)
-    i = r0 * count // h  # the whole-plane band that holds row r0, or the one before it
-    while h * i // count < r0 + n:
-        p0, p1 = h * i // count, h * (i + 1) // count
-        a, b = max(p0 - r0, 0), min(p1 - r0, n)
-        if a < b:
-            bands.append((a, b, 0, max(b - a, least)) if p1 - p0 >= least else (a, b, r0 + a - p0, p1 - p0))
-        i += 1
-    most = max(g for *_, g in bands)
     direct = k.size == 1
-    padded = any(g != b - a for a, b, _, g in bands)
-    if padded or not direct:
-        # zeroed when padded, so the columns no band filled yet are finite
-        buf = (np.zeros if padded else np.empty)(kk * most * w, dtype=x.dtype)
-    # a one-channel conv's zero second row, and padded columns, go to band scratch
-    gemm_out = np.empty((m, most * w), dtype=x.dtype) if padded or m != out_ch else None
-    for b0, b1, at, g in bands:
-        rows, o0 = b1 - b0, r0 + b0
-        if direct and g == rows:
-            cols = _ring_rows(x, o0, o0 + rows).reshape(in_ch, rows * w)
-        elif direct:
-            cols = buf[: kk * g * w].reshape(kk, g, w)
-            _ring_rows(x, o0, o0 + rows, cols[:, at : at + rows])
-            cols = cols.reshape(kk, -1)
+    if direct:
+        src = _ring_rows(x, r0, r0 + n)
+    else:
+        # zero-padded copy of just the input rows this run reads
+        top, bottom = r0 - pad, r0 + n + pad
+        lo, hi = max(top, 0), min(bottom, h)
+        slab = np.empty((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
+        if top < lo:
+            slab[:, : lo - top] = 0
+        if hi < bottom:
+            slab[:, hi - top :] = 0
+        if pad == 1:
+            slab[:, :, :: w + 1] = 0  # both pad columns in one call
         else:
-            # zero-padded copy of just the input rows this band reads
-            top, bottom = o0 - pad, o0 + rows + pad
-            lo, hi = max(top, 0), min(bottom, h)
-            slab = np.empty((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
-            if top < lo:
-                slab[:, : lo - top] = 0
-            if hi < bottom:
-                slab[:, hi - top :] = 0
-            if pad == 1:
-                slab[:, :, :: w + 1] = 0  # both pad columns in one call
-            else:
-                slab[:, :, :pad] = 0
-                slab[:, :, pad + w :] = 0
-            _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, pad : pad + w])
-            # the slab's window under tap (di, dj) at output (r, j) is
-            # slab[:, di + r, dj + j]: one view of every tap's window, read
-            # once into the column buffer
-            sc, sr, sw = slab.strides
-            taps = np.ndarray((in_ch, k.size, k.size, rows, w), slab.dtype, slab, 0, (sc, sr, sw, sr, sw))
-            cols = buf[: kk * g * w].reshape(in_ch, k.size, k.size, g, w)
-            cols[:, :, :, at : at + rows] = taps
-            cols = cols.reshape(kk, -1)
-        band = out[:, b0:b1].reshape(out_ch, rows * w)
+            slab[:, :, :pad] = 0
+            slab[:, :, pad + w :] = 0
+        _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, pad : pad + w])
+        # the slab's window under tap (di, dj) at output (r, j) is
+        # slab[:, di + r, dj + j]: one view of every tap's window, read
+        # once into the column buffers
+        sc, sr, sw = slab.strides
+        taps = np.ndarray((in_ch, k.size, k.size, n, w), slab.dtype, slab, 0, (sc, sr, sw, sr, sw))
+    chunks = row_bands(n, kk * w * x.itemsize)
+    most = max(c1 - c0 for c0, c1 in chunks)
+    if not direct:
+        buf = np.empty(kk * most * w, dtype=x.dtype)
+    # a one-channel conv's zero second row goes to chunk scratch
+    gemm_out = np.empty((most, m, w), dtype=x.dtype) if m != out_ch else None
+    for c0, c1 in chunks:
+        rows = c1 - c0
+        if direct:
+            cols = src[:, c0:c1]
+        else:
+            cols = buf[: kk * rows * w].reshape(in_ch, k.size, k.size, rows, w)
+            cols[...] = taps[:, :, :, c0:c1]
+            cols = cols.reshape(kk, rows, w)
         if gemm_out is None:
-            np.matmul(k.wmat, cols, out=band)
+            np.matmul(k.wmat, cols.transpose(1, 0, 2), out=out[:, c0:c1].transpose(1, 0, 2))
         else:
-            np.matmul(k.wmat, cols, out=gemm_out[:, : g * w])
-            band[...] = gemm_out[:out_ch, at * w : (at + rows) * w]
-        band += k.bias
-        if act is not None:
-            _activate_in_place(band, act)
+            np.matmul(k.wmat, cols.transpose(1, 0, 2), out=gemm_out[:rows])
+            out[:, c0:c1] = gemm_out[:rows, :out_ch].transpose(1, 0, 2)
+    band = out.reshape(out_ch, n * w)
+    band += k.bias
+    if act is not None:
+        _activate_in_place(band, act)
 
 
 def _activate_in_place(v: np.ndarray, act: LayerSpec) -> None:
@@ -668,14 +640,9 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
     one a band. In each band, in graph order, a conv computes the rows its
     input allows once they are at least a band's rows, and any other layer
     catches up with its inputs; the output rows made yield at the end of
-    the band. A conv waits instead for as many rows as its GEMM needs to
-    stay above OpenBLAS's small-matrix cutoff where those rows of the
-    stores it reads and writes take at most a quarter of BAND_BYTES (in
-    the default net 96 to 192 wide, the one-channel tail conv, whose
-    two-row GEMM is slow per column, but not the head conv, whose output
-    shares block 0's 96-channel store); any other conv's short runs
-    multiply extra columns (see _conv). A conv runs
-    at most twice its least rows at a time, so the lag that builds up from
+    the band. A conv's GEMMs cover one output row each (see _conv), so
+    how many rows it runs at a time never changes its bits. A conv runs
+    at most two bands' rows at a time, so the lag that builds up from
     conv to conv is worked off over the last bands, not held by the rings.
     A store keeps the rows from the first one any reader of its values
     still reads to the last one made: its ring is as tall as the most
@@ -687,7 +654,7 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
     key = (tuple(shape), band_rows)
     if key in plan.schedules:
         return plan.schedules[key]
-    _, h, w = shape
+    h = shape[1]
     layers = net.layers
     ids = [net.input_id, *(l.id for l in layers)]
     readers: dict[str, list[LayerSpec]] = {v: [] for v in ids}
@@ -699,12 +666,6 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
     in_store = [[] for _ in plan.stores]
     for v in ids:
         in_store[plan.slots[v][0]].append(v)
-    least = {}  # conv id -> fewest rows a run waits for
-    for l in net.conv_layers():
-        g = _gemm_rows(max(l.out_ch, 2), l.in_ch * l.kernel**2, w)
-        stores = {plan.slots[v][0] for v in (l.inputs[0], l.id)}
-        row = sum(plan.stores[s] for s in stores) * w * np.dtype(dtype).itemsize
-        least[l.id] = min(max(band, g if g * row <= BAND_BYTES // 4 else 1), h)
     skip = {l.id for l, step in zip(layers, plan.steps) if step.out is None or step.view}
 
     out = net.output_id
@@ -733,8 +694,8 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
             else:
                 (ref,) = l.inputs
                 end = h if done[ref] == h else done[ref] - l.pad
-                end = min(end, done[l.id] + 2 * least[l.id])
-                if end < h and end - done[l.id] < least[l.id]:
+                end = min(end, done[l.id] + 2 * band)
+                if end < h and end - done[l.id] < band:
                     continue
             if end > done[l.id]:
                 if l.id not in skip:
@@ -824,10 +785,11 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
     (_bands): each value keeps only the rows its readers still need, so
     the working set grows with the plane's width and the band, not its
     height, and the only whole plane made is the integer output. Each
-    conv's GEMMs sum in the order of one whole-plane run's however few
-    rows it runs at a time (see _conv), so the output does not depend on
-    the band height (a tested property; see conv2d), and repeated runs
-    are bit-identical.
+    conv multiplies one GEMM per output row, whose shape depends on the
+    width alone (see _conv), so the output does not depend on the band
+    height, and repeated runs are bit-identical. The bits do depend on
+    the BLAS kernel and thread count; `rqpipe run` and `rqpipe postproc`
+    hold OpenBLAS at one thread.
     """
     maxv = (1 << bit_depth) - 1
     if (channels := net.storage_plan.slots[net.output_id][2]) != 1:

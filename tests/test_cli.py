@@ -181,6 +181,40 @@ class TestPostprocCommand:
         for a, b in zip(before, after):
             assert np.array_equal(a.y, b.y)
 
+    def test_runs_the_net_at_one_blas_thread(self, yuv, tmp_path, monkeypatch):
+        # as `rqpipe run` does, so its output is a run's recon of the same
+        # plane; the thread count is restored after
+        from rqpipe import cli
+        from rqpipe.pipeline.runner import _openblas
+
+        if _openblas() is None:
+            pytest.skip("numpy's OpenBLAS exposes no thread-count functions")
+        get, set_ = _openblas()[:2]
+        before = get()
+        seen = []
+
+        def spy(*args):
+            seen.append(get())
+            return apply(*args)
+
+        apply = cli.apply_network
+        monkeypatch.setattr(cli, "apply_network", spy)
+        path, _ = yuv
+        net = build_mfrnet_style(1, 1, 2, 2)
+        (tmp_path / "net.json").write_text(net.to_json())
+        save_weights(tmp_path / "w.rqpw", random_weights(net))
+        set_(2)
+        two = get()  # OpenBLAS caps the count at its build's maximum
+        try:
+            assert run_cli(
+                "postproc", "--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
+                "--in", path, "--spec", "32x32:8:420", "--out", tmp_path / "pp.yuv",
+            ) == 0
+            assert seen and set(seen) == {1}
+            assert get() == two
+        finally:
+            set_(before)
+
     def test_size_changing_net_exits_2_and_writes_nothing(self, yuv, tmp_path, capsys):
         path, _ = yuv
         net = build_mfrnet_style(1, 1, 2, 2)

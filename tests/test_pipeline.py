@@ -949,16 +949,45 @@ pairs = 22:4, 37:15
         assert len(hashes[1]) == 2 and hashes[1] == hashes[2]
         from rqpipe.pipeline.runner import _cpu_count
 
-        get, set_ = blas
         for n, m in runs.items():
             env = m.header["environment"]
             assert env["workers"] == n and env["cpu_count"] == _cpu_count()
-            set_(max(1, _cpu_count() // n))  # OpenBLAS caps it at its build's maximum
-            assert env["blas_threads"] == get()
+            assert env["blas_threads"] == 1  # whatever the workers
             assert env["numpy"] == np.__version__
             # the OpenBLAS the sums came from, as it names itself
             assert isinstance(env["blas_core"], str) and env["blas_core"]
             assert env["blas_config"].startswith("OpenBLAS ")
+
+    @pytest.mark.skipif(runner._cpu_count() < 2, reason="1 and 2 workers give the same BLAS threads below 2 CPUs")
+    def test_k720_net_records_equal_at_one_and_two_workers(self, tmp_path, blas):
+        # a 3x3 conv over 80 channels, K = 720, as in the default net's
+        # blocks, on 480x272 planes. When the run gave OpenBLAS CPUs //
+        # workers threads, workers=1 summed its GEMMs at 2 threads and
+        # workers=2 at 1, in other orders, and both recons moved
+        layers = [
+            {"id": "head", "op": "conv2d", "inputs": ["input"], "in_ch": 1, "out_ch": 80, "kernel": 3, "pad": 1},
+            {"id": "a", "op": "activation", "inputs": ["head"]},
+            {"id": "mid", "op": "conv2d", "inputs": ["a"], "in_ch": 80, "out_ch": 16, "kernel": 3, "pad": 1},
+            {"id": "b", "op": "activation", "inputs": ["mid"]},
+            {"id": "tail", "op": "conv2d", "inputs": ["b"], "in_ch": 16, "out_ch": 1, "kernel": 3, "pad": 1},
+        ]
+        from rqpipe import NetworkSpec
+
+        net = NetworkSpec.from_json(json.dumps({"layers": layers, "output_id": "tail"}))
+        spec = VideoSpec(480, 272, 10, "420", frame_count=1)
+        write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
+        (tmp_path / "net.json").write_text(net.to_json())
+        save_weights(tmp_path / "w.rqpw", random_weights(net, seed=3))
+        (tmp_path / "exp.ini").write_text(
+            self.CONFIG.replace("width = 96", "width = 480").replace("height = 64", "height = 272")
+            .replace("postproc_net = mfrnet", "postproc_net = net.json")
+        )
+        runs = {n: run_experiment(tmp_path / "exp.ini", workdir=tmp_path / f"w{n}", workers=n) for n in (1, 2)}
+        records = {n: TestDeterminismAndResume.strip_volatile(m) for n, m in runs.items()}
+        assert len(records[1]) == 2 and records[1] == records[2]
+        core = runs[1].header["environment"]["blas_core"]
+        # each record names the kernel and thread count its sums came from
+        assert all(r["notes"]["blas_core"] == core and r["notes"]["blas_threads"] == 1 for r in records[1])
 
     def test_threads_restored_after_failed_job(self, tmp_path, blas):
         get, set_ = blas

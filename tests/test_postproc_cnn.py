@@ -1,7 +1,10 @@
 import json
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -55,9 +58,10 @@ def conv2d_oracle(x, w, b, stride=1, pad=0):
 
 
 def conv2d_im2col_oracle(x, weights, bias, stride=1, pad=0):
-    """conv2d before the storage plan: every kernel, 1x1 included, fills a
-    padded slab and a column buffer per band of _COLS_BYTES, and the bias is
-    added once after the last band."""
+    """conv2d before the storage plan: every kernel, 1x1 included, takes
+    its columns from a zero-padded copy of the whole input, one GEMM per
+    output row ((M, K) weights times the row's (K, W) columns, as the
+    engine multiplies), and the bias is added once after the last row."""
     out_ch, in_ch, kh, kw = weights.shape
     _, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
@@ -66,25 +70,17 @@ def conv2d_im2col_oracle(x, weights, bias, stride=1, pad=0):
     m = max(out_ch, 2)
     wmat = np.zeros((m, k), dtype=x.dtype)
     wmat[:out_ch] = weights.reshape(out_ch, k)
-    bands = -(-oh // max(1, postproc_cnn._COLS_BYTES // (k * ow * x.itemsize)))
-    buf = np.empty(k * -(-oh // bands) * ow, dtype=x.dtype)
-    out = np.empty((m, oh * ow), dtype=x.dtype)
-    for i in range(bands):
-        r0, r1 = oh * i // bands, oh * (i + 1) // bands
-        rows = r1 - r0
-        top, bottom = r0 * stride - pad, (r1 - 1) * stride + kh - pad
-        lo = max(top, 0)
-        hi = max(min(bottom, h), lo)
-        slab = np.zeros((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
-        slab[:, lo - top : hi - top, pad : pad + w] = x[:, lo:hi]
-        cols = buf[: k * rows * ow].reshape(in_ch, kh, kw, rows, ow)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((in_ch, kh, kw, ow), dtype=x.dtype)
+    out = np.empty((oh, m, ow), dtype=x.dtype)
+    for i in range(oh):
         for di in range(kh):
             for dj in range(kw):
-                cols[:, di, dj] = slab[:, di : di + rows * stride : stride, dj : dj + ow * stride : stride]
-        np.matmul(wmat, cols.reshape(k, -1), out=out[:, r0 * ow : r1 * ow])
-    out = out[:out_ch]
-    out += bias.astype(x.dtype)[:, None]
-    return out.reshape(out_ch, oh, ow)
+                cols[:, di, dj] = xp[:, i * stride + di, dj : dj + ow * stride : stride]
+        np.matmul(wmat, cols.reshape(k, ow), out=out[i])
+    out = out[:, :out_ch].transpose(1, 0, 2).copy()
+    out += bias.astype(x.dtype)[:, None, None]
+    return out
 
 
 def run_layer_oracle(layer, ins, weights):
@@ -121,11 +117,12 @@ def apply_layers_oracle(net, weights, x):
 
 
 def sequential_matmul(a, b, out=None):
-    """a @ b with every output summed in k order, whatever the shapes: a
-    stand-in for BLAS, whose order depends on them."""
-    acc = a[:, :1] * b[:1]
-    for k in range(1, a.shape[1]):
-        acc += a[:, k : k + 1] * b[k : k + 1]
+    """a @ b with every output summed in k order, whatever the shapes, for
+    2-D operands or stacks of them: a stand-in for BLAS, whose order
+    depends on them."""
+    acc = a[..., :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        acc += a[..., k : k + 1] * b[..., k : k + 1, :]
     if out is None:
         return acc
     out[...] = acc
@@ -191,7 +188,7 @@ def layers_in_bands(net, weights, x, rows):
 def planned_bytes(net, h, w):
     """The band pass's planned working set for an h x w plane in float32:
     every store's ring of rows, plus the widest conv's column buffer for
-    the most rows one of its GEMMs multiplies."""
+    the most rows one of its chunks fills."""
     sched = postproc_cnn._schedule(net, (1, h, w), np.float32)
     rings = sum(c * r for c, r in zip(net.storage_plan.stores, sched.rows)) * w * 4
     cols = 0
@@ -200,8 +197,7 @@ def planned_bytes(net, h, w):
             l = net.layers[i] if i >= 0 else None
             if l is not None and l.op == "conv2d":
                 k = l.in_ch * l.kernel**2
-                least = postproc_cnn._gemm_rows(max(l.out_ch, 2), k, w)
-                cols = max(cols, k * w * 4 * min(max(r1 - r0, least), max(1, postproc_cnn._COLS_BYTES // (k * w * 4))))
+                cols = max(cols, k * w * 4 * min(r1 - r0, max(1, bands.BAND_BYTES // (k * w * 4))))
     return rings + cols
 
 
@@ -276,6 +272,41 @@ class TestConv2d:
         shifted = conv2d(np.roll(x, 1, axis=2), w, b)
         # columns touched by the roll wrap-around or the pad are not interior
         assert np.allclose(shifted[:, :, 2:-1], base[:, :, 1:-2], atol=1e-12)
+
+    def test_widest_default_conv_within_a_derived_bound(self):
+        # The im2col oracles share the engine's geometry, so this check does
+        # not: the default net's widest conv, (16, 80, 3, 3) weights, K = 720,
+        # against the float64 sum of its float32 products. An output is
+        # y = fl(fl(s) + b) for the true dot product s of K products. In any
+        # summation order, FMAs included, |fl(s) - s| <= g S, with
+        # S = sum |w x|, g = K u / (1 - K u) and u = 2^-24 (Higham, Accuracy
+        # and Stability of Numerical Algorithms, 3.1); the bias add rounds
+        # once more, by at most u |fl(s) + b| <= u (|s + b| + g S). The
+        # reference's products are exact in float64 (24 + 24 bits), and its
+        # K + 1 terms, bias included, sum within g64 (S + |b|), with g64 the
+        # same gamma at 2^-53 for K + 1 terms.
+        rng = np.random.default_rng(47)
+        h, w, k = 8, 100, 720
+        x = rng.random((80, h, w)).astype(np.float32)
+        weights = rng.normal(0, 0.05, (16, 80, 3, 3)).astype(np.float32)
+        bias = rng.normal(0, 0.05, 16).astype(np.float32)
+        got = conv2d(x, weights, bias).astype(np.float64)
+        xp = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1)))
+        ref = np.zeros(got.shape)
+        mag = np.zeros(got.shape)
+        for di in range(3):
+            for dj in range(3):
+                tap = weights[:, :, di, dj].astype(np.float64)
+                window = xp[:, di : di + h, dj : dj + w]
+                ref += np.einsum("oc,chw->ohw", tap, window)
+                mag += np.einsum("oc,chw->ohw", np.abs(tap), window)  # x >= 0
+        ref += bias[:, None, None]
+        u, u64 = 2.0**-24, 2.0**-53
+        g, g64 = k * u / (1 - k * u), (k + 1) * u64 / (1 - (k + 1) * u64)
+        slack = g64 * (mag + np.abs(bias)[:, None, None])  # the reference's own error
+        bound = g * mag + u * (np.abs(ref) + slack + g * mag) + slack
+        assert np.all(np.abs(got - ref) <= bound)
+        assert bound.max() < 1e-3  # 0.05 is a bias's scale: a lost bias or tap shows
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -377,6 +408,23 @@ class TestApplyNetwork:
             tracemalloc.stop()
         assert peak < 0.6 * all_values, f"peak {peak} of {all_values} bytes"
 
+    def test_default_net_peak_at_benchmark_size(self):
+        # the default net on the 192x108 plane of the post-processing
+        # benchmark: its column buffers are chunks of one-row GEMMs under
+        # BAND_BYTES, and no run waits for rows to keep a GEMM wide. A
+        # column budget of 8 MB, with waits and padded runs, peaked at 7.19 MiB
+        net = build_mfrnet_style()
+        weights = random_weights(net, seed=48)
+        plane = np.random.default_rng(49).integers(0, 1024, (108, 192)).astype(np.uint16)
+        apply_network(net, weights, plane, 10)  # plans this size once
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, f"peak {peak / 2**20:.2f} MiB"
+
     @pytest.mark.parametrize("residual", [False, True])
     def test_no_whole_float64_plane(self, residual):
         # A one-conv 1x1 net at 1080p holds the float32 input (4 B/px), the
@@ -446,12 +494,10 @@ class TestStoragePlan:
         assert_bits_equal(apply_layers(net, weights, x), want)
         for rows in (1, 3):
             assert_bits_equal(layers_in_bands(net, weights, x, rows), want)
-        # these planes are too small for any conv to run in parts above the
-        # GEMM cutoff; without it, and with a GEMM whose sums do not depend on
-        # its shape, every conv runs band by band and rows wrap around the
-        # rings, and the pass must still give the oracle's bits
+        # with a GEMM whose sums do not depend on its shape, in bands where
+        # rows wrap around the rings, the pass must still give the oracle's
+        # bits: a wrong row or tap would show here, not only a sum order
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(postproc_cnn, "_SMALL_GEMM", 0)
             m.setattr(np, "matmul", sequential_matmul)
             want = apply_layers_oracle(net, weights, x)
             for rows in (1, 2, 5):
@@ -469,8 +515,8 @@ class TestStoragePlan:
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 64])
     def test_default_net_in_row_bands(self, rows):
-        # bands of `rows` input rows; each conv still runs as many rows as its
-        # GEMM needs to sum in the whole-plane oracle's order (see _schedule)
+        # bands of `rows` input rows; each conv's GEMMs cover one output row
+        # each, as the whole-plane oracle's do, so they sum in its order
         net = build_mfrnet_style()
         weights = random_weights(net, seed=33)
         x = self.float_input(72, 100)
@@ -593,15 +639,16 @@ class TestStoragePlan:
         self.check(net, 12, 17)
 
     def test_peak_memory_with_small_column_buffer(self, monkeypatch):
-        # with a 2-row column budget the peak stays under what layer-at-a-time
-        # evaluation with concats as slices holds: one block's buffer and the
-        # reuse buffer, 192 whole-plane channels, plus one column buffer and
-        # one more budget for its padded slab and the band temporaries. The
-        # band pass peaks at 4.3 MB; copying every concat, at 7.0 MB
+        # with a 2-row column budget (the conv's chunks follow the kernels'
+        # BAND_BYTES) the peak stays under what layer-at-a-time evaluation
+        # with concats as slices holds: one block's buffer and the reuse
+        # buffer, 192 whole-plane channels, plus one column buffer and one
+        # more budget for its padded slab and the band temporaries. The band
+        # pass peaks at 4.2 MB; copying every concat, at 7.0 MB
         net = build_mfrnet_style()
         h, w = 64, 96
         budget = 2 * 720 * w * 4
-        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", budget)
+        monkeypatch.setattr(bands, "BAND_BYTES", budget)
         weights = random_weights(net, seed=24)
         plane = np.random.default_rng(25).integers(0, 1024, (h, w)).astype(np.uint16)
         bound = 2 * 96 * h * w * 4 + 2 * budget
@@ -617,8 +664,8 @@ class TestStoragePlan:
         # a store's ring holds the rows its readers still read, which depend
         # on the plane's width and the net, not on its height: a 1080p plane
         # and one four times as tall plan the same rings, each 96-channel
-        # block buffer a few rows. On a narrow plane, where a conv's GEMM
-        # needs many rows, no 96-channel ring is a quarter of the plane
+        # block buffer a few rows. On a narrow plane, where a band holds
+        # many rows, no 96-channel ring is a quarter of the plane
         net = build_mfrnet_style()
 
         def rings(h, w=1920):
@@ -636,20 +683,6 @@ class TestStoragePlan:
         store = net.storage_plan.slots[net.input_id][0]
         for h, w in ((1080, 1920), (108, 192)):
             assert postproc_cnn._schedule(net, (1, h, w), np.float32).rows[store] <= 4
-
-    def test_tail_conv_waits_for_the_rows_its_gemm_needs(self):
-        # at 192 wide the one-channel tail conv's two-row GEMM is slow per
-        # column, so each run of it but the last waits for as many rows as
-        # keep the GEMM above the small-matrix cutoff. Without the wait the
-        # bits stay the same, but the 192x108 benchmark ran 11% fewer frames/s
-        net = build_mfrnet_style()
-        tail = [l.id for l in net.layers].index(net.output_id)
-        sched = postproc_cnn._schedule(net, (1, 108, 192), np.float32)
-        runs = [(r0, r1) for band in sched.bands for i, r0, r1 in band.work if i == tail]
-        least = postproc_cnn._gemm_rows(2, 288, 192)
-        assert 1 < least < 108 and len(runs) > 1
-        assert [r0 for r0, _ in runs] == [0] + [r1 for _, r1 in runs[:-1]] and runs[-1][1] == 108
-        assert all(r1 - r0 >= least for r0, r1 in runs[:-1])
 
 
 class TestInPlaceLeakyRelu:
@@ -807,7 +840,9 @@ class TestLayerContract:
 
 class TestGemmBanding:
     """GEMM accumulation order may depend on the matrix shape, so bands of
-    rows are checked on the default network's real shapes (K up to 720)."""
+    rows are checked on the default network's real shapes (K up to 720):
+    each GEMM covers one output row, so its shape must not depend on the
+    bands."""
 
     def setup_method(self):
         self.net = build_mfrnet_style()
@@ -835,36 +870,36 @@ class TestGemmBanding:
 
     @pytest.mark.parametrize("rows, width", [(1, 100), (7, 100), (4, 41), (3, 100)])
     def test_row_bands_equal_one_band(self, monkeypatch, rows, width):
-        # the default net's widest conv: K = 80*3*3 = 720, 16 outputs. A
-        # 4-row budget over 30 rows of 41 must give bands of 3-4 rows, not
-        # 7x4 + 2: a 2-row remainder (82 columns) falls under OpenBLAS's
-        # small-matrix cutoff (M*N*K <= 1e6), whose sums differ in the last
-        # ulp. 1-row bands of 41 columns fall under it too, which the 8 MB
-        # budget never produces, so the other cases use 100 columns.
+        # the default net's widest conv: K = 80*3*3 = 720, 16 outputs, in
+        # chunks of at most `rows` rows (a budget of that many rows'
+        # columns) against one chunk. Every GEMM is (16, 720) @ (720, W)
+        # whatever the chunk, so OpenBLAS sums it the same way, also where
+        # it falls under the small-matrix cutoff (M*N*K <= 1e6), as all
+        # these do; at 41 wide the 4-row budget gives chunks of 3-4 rows
         rng = np.random.default_rng(23)
         x = rng.normal(size=(80, 30, width)).astype(np.float32)
         w = rng.normal(0, 0.05, (16, 80, 3, 3)).astype(np.float32)
         b = rng.normal(0, 0.05, 16).astype(np.float32)
         one_band = conv2d(x, w, b)
-        monkeypatch.setattr(postproc_cnn, "_COLS_BYTES", rows * 80 * 3 * 3 * width * 4)
+        monkeypatch.setattr(bands, "BAND_BYTES", rows * 80 * 3 * 3 * width * 4)
         assert np.array_equal(conv2d(x, w, b), one_band)
 
 
 class TestShortRuns:
-    """The band pass runs a conv a few rows at a time. Above the small-GEMM
-    cutoff a short run multiplies as many columns as the cutoff needs;
-    below it, OpenBLAS's sums depend on the column count and on where a
-    column sits in the tail of the matrix, so a run multiplies its
-    whole-plane band's columns with its rows in their place. Either way
-    the run must give the whole-plane conv2d's bits."""
+    """The band pass runs a conv a few rows at a time. Each GEMM covers one
+    output row, so a short run's GEMMs have the whole plane's shapes; that
+    holds below OpenBLAS's small-matrix cutoff (M*N*K <= 1e6), where the
+    sums depend on the column count and on a column's place in the
+    matrix's tail, as above it. The run must give the whole-plane
+    conv2d's bits."""
 
     @pytest.mark.parametrize("out_ch, in_ch, kernel, h, w", [
-        (1, 4, 3, 10, 37),  # below the cutoff, one-channel
-        (2, 16, 3, 9, 45),  # below the cutoff
-        (4, 4, 1, 10, 37),  # below the cutoff, 1x1
-        (32, 1, 3, 64, 96),  # the default head: 37 rows for the cutoff
-        (16, 32, 3, 40, 100),  # 3 rows
-        (32, 32, 1, 40, 100),  # 1x1: 10 rows
+        (1, 4, 3, 10, 37),  # one-channel: the zero second weight row
+        (2, 16, 3, 9, 45),
+        (4, 4, 1, 10, 37),  # 1x1
+        (32, 1, 3, 64, 96),  # the default head
+        (16, 32, 3, 40, 100),
+        (32, 32, 1, 40, 100),  # 1x1
     ])
     def test_runs_equal_whole_plane(self, out_ch, in_ch, kernel, h, w):
         rng = np.random.default_rng(40)
@@ -881,10 +916,11 @@ class TestShortRuns:
 
 
 class TestWindowFill:
-    """A conv band fills its columns with one copy from a strided view of
-    every tap's window of its padded slab, and copies its input rows into
-    the slab in one copy unless they run across a ring's end. The columns,
-    so the GEMMs, must be the tap-by-tap oracle's bit for bit."""
+    """A conv run copies its input rows into a padded slab in one copy
+    unless they run across a ring's end, and each chunk of it fills its
+    columns with one copy from a strided view of every tap's window of the
+    slab. The columns, so the GEMMs, must be the tap-by-tap oracle's bit
+    for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -897,15 +933,15 @@ class TestWindowFill:
             b = rng.normal(0, 0.3, out_ch).astype(np.float32)
             assert_bits_equal(conv2d(x, w, b), conv2d_im2col_oracle(x, w, b, pad=pad))
             with monkeypatch.context() as m:
-                # bands of at most 3 output rows, each reading a slab of its own
-                m.setattr(postproc_cnn, "_COLS_BYTES", 3 * 3 * kernel**2 * 23 * x.itemsize)
+                # chunks of at most 3 output rows, each filling its columns from the slab
+                m.setattr(bands, "BAND_BYTES", 3 * 3 * kernel**2 * 23 * x.itemsize)
                 assert_bits_equal(conv2d(x, w, b), conv2d_im2col_oracle(x, w, b, pad=pad))
 
     @pytest.mark.parametrize("out_ch, in_ch, kernel, rows", [
-        (16, 32, 3, 4),  # at least the 3 rows its GEMM needs
-        (8, 4, 5, 4),  # a GEMM of more columns than the run's rows (13 rows)
-        (32, 32, 1, 4),  # 1x1: the run's rows copied into a GEMM of 10 rows
-        (32, 32, 1, 12),  # 1x1: a copy of the run's rows multiplied as they are
+        (16, 32, 3, 4),
+        (8, 4, 5, 4),  # a 5x5 slab across the ring's end
+        (32, 32, 1, 4),  # 1x1: a copy of the run's rows multiplied as they are
+        (32, 32, 1, 12),
     ])
     def test_run_on_rows_across_a_ring_end(self, out_ch, in_ch, kernel, rows):
         # the band pass's conv runs read their input from a ring that holds
@@ -925,6 +961,38 @@ class TestWindowFill:
         out = np.empty((out_ch, rows, w), np.float32)
         postproc_cnn._conv(postproc_cnn._kernel(weights, bias, np.float32), ring, h, out, r0)
         assert_bits_equal(out, conv2d(x, weights, bias)[:, r0 : r0 + rows])
+
+
+def cpu_flags():
+    try:
+        return Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return []
+
+
+class TestBlasKernels:
+    """The bit-exactness classes under another OpenBLAS kernel set, in a
+    child process, since OpenBLAS picks its kernels as it loads. Under
+    the Haswell kernels the last columns of a GEMM sum in another order
+    than the same columns inside a wider GEMM, so every band and
+    schedule invariance failed there while a GEMM's width followed the
+    band; with one GEMM per output row they hold by construction."""
+
+    @pytest.mark.skipif("avx2" not in cpu_flags(), reason="OpenBLAS's Haswell kernels need AVX2")
+    def test_bit_exactness_classes_under_haswell_kernels(self):
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+        root = Path(__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        probe = "from rqpipe.pipeline.runner import _openblas; print((_openblas() or [None] * 3)[2])"
+        core = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        if core.stdout.strip() != "Haswell":
+            pytest.skip(f"numpy's BLAS did not load the Haswell kernels: {core.stdout.strip()}")
+        classes = " or ".join(("TestGemmBanding", "TestShortRuns", "TestWindowFill", "TestStoragePlan"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", classes],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout[-4000:]
 
 
 class TestThreads:
