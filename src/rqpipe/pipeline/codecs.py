@@ -14,7 +14,8 @@ coefficients in flight are one band's, not a plane's.
 The coefficients, bits and samples are those of scipy's `dctn` and
 `idctn`: the GEMMs sum in another order, so the few blocks holding a
 value within a stated error bound of a rounding point are transformed
-again by scipy (see encode_plane and decode_plane).
+again by scipy's pocketfft kernel, the one `scipy.fft.dctn` calls,
+loaded on its own (see encode_plane and decode_plane).
 External codecs are driven through command templates, run by
 errors.run_tool, and their bitrate is taken from the bitstream size.
 
@@ -36,12 +37,13 @@ kept, so the file the failed record names can be inspected.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from contextlib import closing, nullcontext
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from ..bands import row_bands
 from ..errors import ConfigError, SampleRangeError, TruncatedFileError, check_template, run_tool
@@ -52,6 +54,43 @@ QP_MIN, QP_MAX = 0, 63
 # the placeholders of an external codec's encode and decode templates
 ENCODE_FIELDS = ("in", "out", "qp", "w", "h")
 DECODE_FIELDS = ("in", "out")
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file without
+    importing scipy: `import scipy.fft` also imports scipy.special, the
+    array-API layers, numpy.testing and unittest: about 21 MB of resident
+    set and 0.1-0.15 s of start-up (2-CPU VM) that this module does not use."""
+    scipy = importlib.util.find_spec("scipy")  # a top-level package is found, not imported
+    if scipy is None:
+        raise ImportError("the mock codec needs scipy's pocketfft extension, and scipy is not installed")
+    where = Path(scipy.submodule_search_locations[0], "fft", "_pocketfft")
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("pypocketfft")
+    if spec is None:
+        from importlib.metadata import version
+
+        raise ImportError(f"no pypocketfft extension in {where} (scipy {version('scipy')}); the mock codec needs it")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
+
+
+# scipy.fft.dctn and idctn of float64 blocks with type=2, norm="ortho",
+# overwrite_x=True and one worker call the kernel with these arguments: DCT
+# type 2, or 3 for the inverse, normalization 1 (ortho), out=x, 1 thread;
+# its last parameter, orthogonalize (scipy >= 1.11), is left at its default
+# of None, as those calls pass it
+def dctn(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """scipy.fft.dctn(x, 2, axes=axes, norm="ortho", overwrite_x=True)."""
+    return _pocketfft.dct(x, 2, axes, 1, x, 1)
+
+
+def idctn(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """scipy.fft.idctn(x, 2, axes=axes, norm="ortho", overwrite_x=True)."""
+    return _pocketfft.dct(x, 3, axes, 1, x, 1)
 
 
 def quant_step(qp: int) -> float:
@@ -153,7 +192,9 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
     can differ from scipy's in its last bits, and where |c| / step + 0.5
     lies next to an integer, so can its floor. Every block holding a value
     within eps = 2^(bit_depth - 36) / min(step, 1) of an integer is
-    transformed again by `dctn` and quantized from scipy's coefficients.
+    transformed again by scipy's pocketfft kernel, the one
+    `scipy.fft.dctn` calls, loaded on its own (dctn), and quantized from
+    scipy's coefficients.
     The error bound behind eps: centered samples are at most 2^(bit_depth
     - 1) in magnitude, every basis row has a 1-norm of at most sqrt(8) and
     every basis entry is within an ulp, so the two rounded 8-term sums of
@@ -193,7 +234,7 @@ def encode_plane(plane: np.ndarray, qp: int, bit_depth: int):
         i, j = _near_ties(v, eps)
         if i.size:
             tied = np.subtract(blocks[i, :, j, :], mid, dtype=np.float64)
-            coef[i, :, j, :] = tied = dctn(tied, type=2, norm="ortho", axes=(1, 2), overwrite_x=True)
+            coef[i, :, j, :] = tied = dctn(tied, (1, 2))
             band[i, :, j, :] = np.abs(tied) / step + 0.5  # scipy's values, divided; the cast floors
         sign = 1 - 2 * np.signbit(coef).view(np.int8)  # +1 or -1, one byte per coefficient
         del coef, v  # the float64 buffers are not needed again
@@ -215,7 +256,8 @@ def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) 
 
     As in encode_plane, every block holding a value rec + mid + 0.5 within
     eps = 2^(bit_depth - 36) * max(step, 1) of an integer is reconstructed
-    again by scipy's `idctn`, and every other sample is scipy's. For
+    again by scipy's pocketfft kernel, the one `scipy.fft.idctn` calls,
+    loaded on its own (idctn), and every other sample is scipy's. For
     coefficients that encode_plane made from bit_depth-bit samples,
     |q * step| is at most 2^(bit_depth + 2) + step, so by the same sums
     the GEMMs are off the exact inverse by about 2^(bit_depth - 43) *
@@ -239,7 +281,7 @@ def decode_plane(q: np.ndarray, dims: tuple[int, int], qp: int, bit_depth: int) 
         rec -= floor
         i, j = _near_ties(rec, eps)
         if i.size:
-            tied = idctn(coefs[i, :, j, :] * step, type=2, norm="ortho", axes=(1, 2), overwrite_x=True)
+            tied = idctn(coefs[i, :, j, :] * step, (1, 2))
             tied += mid
             tied += 0.5
             floor[i, :, j, :] = np.floor(tied)
@@ -286,6 +328,7 @@ def _code_frames(frames, qp: int, bit_depth: int, timer):
             total_bits += bits
         del frame  # not held while the caller works on the decoded frame
         yield Frame(*planes)
+        del planes, decoded  # not held while the next frame is pulled
     return total_bits
 
 

@@ -165,6 +165,7 @@ def _read(path, spec, timer):
         if frame is None:
             return
         yield frame
+        del frame  # not held while the next frame is read
 
 
 def _each(fn, frames, stage, timer):
@@ -173,6 +174,7 @@ def _each(fn, frames, stage, timer):
         with timer(stage):
             frame = fn(frame)
         yield frame
+        del frame  # not held while the next frame is pulled
 
 
 def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer):
@@ -228,6 +230,7 @@ def _run_job(
             for frame in _read(seq.path, seq.spec, timer):
                 originals.append(frame)
                 yield frame
+                del frame  # measure pops it from originals; then nothing holds it
 
         texture, frames = _code_stream(
             method, method.down_filter, source(), seq.spec, pair.qp_texture, workdir, tag, timer
@@ -250,22 +253,23 @@ def _run_job(
             frames = _each(postprocess, frames, "postproc", timer)
 
         psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame, capped
+        done = 0  # frames measured: a count, not enumerate, which holds its last frame during the next pull
 
-        def measure(item):
-            nonlocal last
-            k, frame = item
+        def measure(frame):
+            nonlocal last, done
+            done += 1
             original = originals.popleft()
             if psnr is not None:
                 (value,) = psnr_y_sequence([original], [frame], seq.spec.bit_depth).per_frame
                 psnr.append(min(value, cfg.psnr_inf_cap))  # as mean_psnr counts it
             if (now := time.perf_counter()) - last >= PROGRESS_SECONDS:
-                log.info("job %s/%s/%d: frame %d/%d in %.1f s", *rec.key, k, seq.spec.frame_count, now - start)
+                log.info("job %s/%s/%d: frame %d/%d in %.1f s", *rec.key, done, seq.spec.frame_count, now - start)
                 last = now
             return frame
 
         recon_path = workdir / f"{tag}_recon.yuv"
         with timer("write"):
-            write_sequence(_each(measure, enumerate(frames, 1), "metrics", timer), seq.spec, recon_path)
+            write_sequence(_each(measure, frames, "metrics", timer), seq.spec, recon_path)
         total_bits = texture.bits
 
         if seq.depth_path is not None:

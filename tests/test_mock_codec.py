@@ -1,6 +1,11 @@
 import contextlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +403,63 @@ class TestTieGuard:
         ref = idctn(scaled, type=2, norm="ortho", axes=(1, 3))
         decode_error = np.abs((rec + mid + 0.5) - (ref + mid + 0.5)).max()
         assert decode_error * 100 <= decode_eps
+
+
+class TestPocketfftKernel:
+    """codecs.dctn and idctn call scipy's pocketfft kernel, loaded from its
+    file, with the arguments scipy.fft.dctn and idctn pass it: their values
+    are the public functions', bit for bit, without importing scipy."""
+
+    @staticmethod
+    def assert_kernel_is_scipys(blocks):
+        for ours, public in ((codecs.dctn, dctn), (codecs.idctn, idctn)):
+            expected = public(blocks, type=2, norm="ortho", axes=(1, 2))
+            x = blocks.copy()
+            got = ours(x, (1, 2))
+            assert np.shares_memory(got, x)  # in place, as overwrite_x=True
+            assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 4, 37])
+    def test_random_blocks(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_kernel_is_scipys(rng.uniform(-600.0, 600.0, (n, 8, 8)))
+        self.assert_kernel_is_scipys(rng.integers(-512, 512, (n, 8, 8)).astype(np.float64))
+
+    def test_blocks_on_exact_ties(self):
+        # the flat 513 plane's blocks at 10 bits, whose DC of 8 (scipy's is
+        # one ulp above) sits on a tie at QP 28 (step 16); and a lone DC of 1
+        # at QP 16 (step 4), which decodes to exactly mid + 0.5 + 0.5
+        self.assert_kernel_is_scipys(np.full((4, 8, 8), 513.0 - 512))
+        lone = np.zeros((1, 8, 8))
+        lone[0, 0, 0] = quant_step(16)
+        self.assert_kernel_is_scipys(lone)
+        assert np.all(codecs.idctn(lone.copy(), (1, 2)) + 512 + 0.5 == 513.0)
+
+    def test_missing_extension_names_where_it_looked(self, monkeypatch):
+        # no other path: without the extension, loading fails, naming the
+        # directory searched and scipy's version
+        monkeypatch.setattr(codecs, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        with pytest.raises(ImportError, match=r"_pocketfft \(scipy \d+\.\d+"):
+            codecs._load_pocketfft()
+
+    def test_coding_imports_no_scipy_module(self):
+        # a child process imports rqpipe and codes a plane whose 4 blocks
+        # are tied, so the kernel runs; importing scipy.fft would have
+        # loaded scipy, scipy.fft and scipy.special, among others
+        child = """
+import json, sys
+import numpy as np
+from rqpipe import Frame, mock_encode_decode
+from rqpipe.pipeline import codecs
+calls = []
+dctn = codecs.dctn
+codecs.dctn = lambda x, *args, **kwargs: calls.append(len(x)) or dctn(x, *args, **kwargs)
+mock_encode_decode([Frame(np.full((16, 16), 513, np.uint16))], 28, 10)
+print(json.dumps([calls, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(codecs.__file__).parents[2])}
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == [[4], []]
 
 
 class TestRowBands:

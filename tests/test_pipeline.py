@@ -1394,6 +1394,14 @@ pairs = 27:7
         peak = self.job_peak(tmp_path, method)
         assert peak < frames * self.FRAME_BYTES
 
+    def test_anchor_job_drops_each_frame_before_the_next(self, tmp_path):
+        # No stage keeps a frame while it pulls the next one: not the
+        # generators' loop variables, not the coder's decoded planes, and
+        # no enumerate of the frames to count them. When they did, this job
+        # peaked at 5.27 frames (7.87 MiB); now at 4.27 (6.38 MiB).
+        peak = self.job_peak(tmp_path, "anchor")
+        assert peak < 4.75 * self.FRAME_BYTES
+
 
 class TestFailureHandling:
     def test_external_codec_success_path(self, tmp_path):
