@@ -37,10 +37,14 @@ def _spec_arg(parser):
 
 
 def _input_spec(args, path) -> VideoSpec:
-    """--spec with --frames frames, or as many whole frames as `path` holds."""
+    """--spec with --frames frames, or as many whole frames as `path` holds:
+    a ConfigError if that is none."""
     spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
     if not spec.frame_count:
-        spec = replace(spec, frame_count=os.path.getsize(path) // frame_size_bytes(spec))
+        size, frame = os.path.getsize(path), frame_size_bytes(spec)
+        if size < frame:
+            raise ConfigError(f"{path}: {size} bytes hold no whole frame of {frame} bytes ({args.spec})")
+        spec = replace(spec, frame_count=size // frame)
     return spec
 
 
@@ -143,6 +147,8 @@ def cmd_mock_codec(args) -> int:
 
 
 def cmd_dump_patch(args) -> int:
+    if args.frame < 0:
+        raise ConfigError(f"--frame must be at least 0, got {args.frame}")
     spec = parse_spec_string(args.spec, frame_count=args.frame + 1)
     out = dump_patch(args.infile, spec, args.frame, args.x, args.y, args.w, args.h, args.out)
     print(f"wrote {args.w}x{args.h} patch from frame {args.frame} to {out}")

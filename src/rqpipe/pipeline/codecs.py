@@ -28,7 +28,10 @@ plane at a time, and yields it before it takes the next one, so a stream
 holds one plane of coefficients. An external codec must see the whole
 input file before it can encode, so it consumes every input frame before
 it yields the first decoded one, which it then reads back from its output
-file one at a time.
+file one at a time. The runner goes by that order alone: while a codec
+returns each frame before it takes the next, a job keeps the one source
+frame to score; once it takes a frame before it returned the last, the
+job keeps none and scores against a second read of the source.
 Its raw input file is removed once the encoder returns, and its decoded
 file once the stream ends, is abandoned or fails, except when the file
 itself cannot be read (SampleRangeError, TruncatedFileError): then it is

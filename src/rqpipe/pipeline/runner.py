@@ -2,10 +2,16 @@
 
 Each job is one stream of frames: read, optional downsample, encode and
 decode, optional upsample, optional CNN post-processing, then the recon
-write and PSNR-Y against the original native-resolution frame. A source
-frame is held only until its decoded frame comes back, so with the mock
-codec a job holds one frame at a time, however long the sequence; an
-external codec takes its whole input file before it returns a frame.
+write and PSNR-Y against the original native-resolution frame. The read,
+the resampling, the post-processing and the scoring each map one timed
+call over the frames, and a map drops its frame when the call returns, so
+no stage holds a frame while the next one is pulled. A source frame is
+kept until its decoded frame is scored: with the mock codec, which
+returns each frame before it takes the next, that is one frame at a
+time, however long the sequence. A codec that takes a frame while one is
+kept reads ahead, as an external codec, which takes its whole input file
+first, does; the job then keeps none and scores the decoded frames
+against a second, streaming read of the source.
 External metrics run on the written recon file. Every stage is timed in
 wall and thread-CPU seconds, each second charged to the innermost stage
 running. Jobs run on a bounded worker pool, by default one worker per
@@ -34,8 +40,8 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed, wait
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +132,7 @@ class _StageTimer:
     Stages nest while frames stream through them: writing the recon pulls
     each frame through reading, coding and resampling. Every second is
     charged to the innermost open stage only, so the stages of a job add
-    up to no more than its wall time. A stage must not yield inside its
-    block; the generators time only the work between their yields.
+    up to no more than its wall time; a stage must not yield inside its block.
     """
 
     def __init__(self):
@@ -156,25 +161,20 @@ class _StageTimer:
             self._open.pop()
 
 
-def _read(path, spec, timer):
-    """The frames of a raw file, one at a time, each read timed as 'read'."""
-    frames = read_sequence(path, spec)
-    while True:
-        with timer("read"):
-            frame = next(frames, None)
-        if frame is None:
-            return
-        yield frame
-        del frame  # not held while the next frame is read
+def _timed(fn, stage, timer):
+    """fn, each call of it timed as `stage`."""
 
-
-def _each(fn, frames, stage, timer):
-    """fn(frame) for each frame as it arrives, timed as `stage`."""
-    for frame in frames:
+    def call(item):
         with timer(stage):
-            frame = fn(frame)
-        yield frame
-        del frame  # not held while the next frame is pulled
+            return fn(item)
+
+    return call
+
+
+def _read(path, spec, timer):
+    """The frames of a raw file, each read timed as 'read': exactly spec.frame_count
+    reads, the frames read_sequence yields, as a StopIteration would end the map."""
+    return map(_timed(next, "read", timer), repeat(read_sequence(path, spec), spec.frame_count))
 
 
 def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer):
@@ -185,18 +185,14 @@ def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer):
     """
     coded_spec = spec
     if method.resamples:
-        frames = _each(
-            lambda f: resample_frame(f, method.scale, down_filter, spec.bit_depth),
-            frames, "downsample", timer,
-        )
+        down = _timed(lambda f: resample_frame(f, method.scale, down_filter, spec.bit_depth), "downsample", timer)
+        frames = map(down, frames)
         coded_spec = spec.scaled(method.scale)
     coded = CodedStream(method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer))
     if not method.resamples:
         return coded, iter(coded)
-    up = Fraction(1, 1) / method.scale
-    return coded, _each(
-        lambda f: resample_frame(f, up, method.up_filter, spec.bit_depth), coded, "upsample", timer
-    )
+    up = _timed(lambda f: resample_frame(f, 1 / method.scale, method.up_filter, spec.bit_depth), "upsample", timer)
+    return coded, map(up, coded)
 
 
 def _run_job(
@@ -224,16 +220,23 @@ def _run_job(
         reference_sha256=reference_hash,
     )
     try:
-        originals = deque()  # source frames whose decoded frame is not scored yet
+        psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame, capped
+        held = []  # the source frame whose decoded frame is not scored yet
+        rereads = None  # once the codec reads ahead, a second read of the source to score against
 
-        def source():
-            for frame in _read(seq.path, seq.spec, timer):
-                originals.append(frame)
-                yield frame
-                del frame  # measure pops it from originals; then nothing holds it
+        def source(frame):
+            nonlocal rereads
+            if held:  # a frame taken before the one held came back: the codec reads its whole input first
+                held.clear()
+                rereads = _read(seq.path, seq.spec, timer)
+            elif rereads is None:
+                held.append(frame)
+            return frame
 
+        frames = _read(seq.path, seq.spec, timer)
         texture, frames = _code_stream(
-            method, method.down_filter, source(), seq.spec, pair.qp_texture, workdir, tag, timer
+            method, method.down_filter, frames if psnr is None else map(source, frames),
+            seq.spec, pair.qp_texture, workdir, tag, timer,
         )
 
         if method.postproc is not None:
@@ -250,16 +253,15 @@ def _run_job(
                     frame.cr = apply_network(pp.net, weights, frame.cr, seq.spec.bit_depth)
                 return frame
 
-            frames = _each(postprocess, frames, "postproc", timer)
+            frames = map(_timed(postprocess, "postproc", timer), frames)
 
-        psnr = [] if cfg.metrics.get("psnr_y") == "native" else None  # PSNR-Y per frame, capped
         done = 0  # frames measured: a count, not enumerate, which holds its last frame during the next pull
 
         def measure(frame):
             nonlocal last, done
             done += 1
-            original = originals.popleft()
             if psnr is not None:
+                original = held.pop() if rereads is None else next(rereads)
                 (value,) = psnr_y_sequence([original], [frame], seq.spec.bit_depth).per_frame
                 psnr.append(min(value, cfg.psnr_inf_cap))  # as mean_psnr counts it
             if (now := time.perf_counter()) - last >= PROGRESS_SECONDS:
@@ -269,7 +271,7 @@ def _run_job(
 
         recon_path = workdir / f"{tag}_recon.yuv"
         with timer("write"):
-            write_sequence(_each(measure, frames, "metrics", timer), seq.spec, recon_path)
+            write_sequence(map(_timed(measure, "metrics", timer), frames), seq.spec, recon_path)
         total_bits = texture.bits
 
         if seq.depth_path is not None:

@@ -2,9 +2,10 @@
 
 A network is a small DAG of layers (conv2d, activation, add, concat) over
 (channels, height, width) float tensors, every one as large as the plane:
-each conv has an odd kernel, stride 1 and pad (kernel - 1) / 2, and each
-activation is relu or leaky_relu (NetworkSpec.validate, which from_json,
-build_mfrnet_style and the storage plan call). Planes are normalized to [0, 1]
+each conv has an odd kernel, stride 1 and pad (kernel - 1) / 2, each
+activation is relu or leaky_relu, and the output is one channel
+(NetworkSpec.validate, which from_json, build_mfrnet_style and the
+storage plan call). Planes are normalized to [0, 1]
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
 The conv engine is same-size only: no stride, and a pad of half the
@@ -124,7 +125,8 @@ class NetworkSpec:
         """Check reference order, channel arithmetic and layer kinds; returns
         id -> channels. Every value is as large as the plane: a conv must
         have a positive odd kernel, stride 1 and pad (kernel - 1) / 2, and
-        an activation is relu or leaky_relu."""
+        an activation is relu or leaky_relu. The output, a plane's
+        correction, is one channel."""
         channels = {self.input_id: 1}
         for layer in self.layers:
             if layer.id in channels:
@@ -166,6 +168,8 @@ class NetworkSpec:
                 raise ShapeError(f"unknown op {layer.op!r} in layer {layer.id!r}")
         if self.output_id not in channels:
             raise ShapeError(f"output id {self.output_id!r} never produced")
+        if channels[self.output_id] != 1:
+            raise ShapeError(f"network output has {channels[self.output_id]} channels, expected 1")
         return channels
 
     @cached_property
@@ -792,10 +796,8 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
     hold OpenBLAS at one thread.
     """
     maxv = (1 << bit_depth) - 1
-    if (channels := net.storage_plan.slots[net.output_id][2]) != 1:
-        raise ShapeError(f"network output has {channels} channels, expected 1")
+    sched = _schedule(net, (1, *plane.shape), np.float32)  # plans the net's storage, so validates it first
     validate_weights(net, weights)
-    sched = _schedule(net, (1, *plane.shape), np.float32)
     out = np.empty(plane.shape, plane.dtype)
     for r0, r1, y in _bands(net, weights, sched, plane[None], np.float32, np.float32(maxv)):
         # float64 rounding in row bands (rqpipe.bands), after the float32 residual add

@@ -103,6 +103,8 @@ class TestPsnrCommand:
 class TestFrameCount:
     """resample, psnr, postproc and mock-codec read --spec/--frames alike."""
 
+    COMMANDS = ["resample", "psnr", "postproc", "mock-codec"]
+
     @pytest.fixture
     def partial_yuv(self, yuv, tmp_path):
         path, spec = yuv
@@ -113,18 +115,22 @@ class TestFrameCount:
         save_weights(tmp_path / "w.rqpw", random_weights(net))
         return path, spec
 
-    @pytest.mark.parametrize("frames", [None, 2])
-    @pytest.mark.parametrize("command", ["resample", "psnr", "postproc", "mock-codec"])
-    def test_whole_frames_unless_frames_given(self, partial_yuv, tmp_path, capsys, command, frames):
-        path, spec = partial_yuv
-        out = tmp_path / "out.yuv"
-        args = {
+    @staticmethod
+    def args(command, path, out, tmp_path):
+        return {
             "resample": ["--in", path, "--scale", "1/2", "--out", out],
             "psnr": ["--ref", path, "--dist", path],
             "postproc": ["--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
                          "--in", path, "--out", out],
             "mock-codec": ["--in", path, "--qp", "27", "--out", out],
         }[command]
+
+    @pytest.mark.parametrize("frames", [None, 2])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_whole_frames_unless_frames_given(self, partial_yuv, tmp_path, capsys, command, frames):
+        path, spec = partial_yuv
+        out = tmp_path / "out.yuv"
+        args = self.args(command, path, out, tmp_path)
         if frames is not None:
             args += ["--frames", frames]
         assert run_cli(command, *args, "--spec", "32x32:8:420") == 0
@@ -134,6 +140,20 @@ class TestFrameCount:
         else:
             out_spec = spec.scaled(Fraction(1, 2)) if command == "resample" else spec
             assert out.stat().st_size == expected * frame_size_bytes(out_spec)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_whole_frame_exits_2_and_writes_nothing(self, partial_yuv, tmp_path, capsys, command):
+        # mock-codec used to write an empty file, then die on a division by
+        # zero; resample and postproc wrote an empty file and reported success
+        _, spec = partial_yuv
+        path = tmp_path / "half.yuv"
+        path.write_bytes(b"\x00" * (frame_size_bytes(spec) // 2))
+        out = tmp_path / "out.yuv"
+        assert run_cli(command, *self.args(command, path, out, tmp_path), "--spec", "32x32:8:420") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 768 bytes hold no whole frame of 1536 bytes (32x32:8:420)\n"
+        )
+        assert not out.exists()
 
 
 class TestBdCommand:
@@ -219,16 +239,20 @@ class TestPostprocCommand:
         path, _ = yuv
         net = build_mfrnet_style(1, 1, 2, 2)
         save_weights(tmp_path / "w.rqpw", random_weights(net))
-        doc = json.loads(net.to_json())
-        doc["layers"][0]["stride"] = 2
-        (tmp_path / "net.json").write_text(json.dumps(doc))
         out = tmp_path / "pp.yuv"
-        assert run_cli(
-            "postproc", "--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
-            "--in", path, "--spec", "32x32:8:420", "--out", out,
-        ) == 2
-        assert capsys.readouterr().err.startswith("error: conv layer 'head': kernel 3, stride 2, pad 1;")
-        assert not out.exists()
+        for layer, key, error in [
+            (0, "stride", "error: conv layer 'head': kernel 3, stride 2, pad 1;"),
+            (-1, "out_ch", "error: network output has 2 channels, expected 1\n"),
+        ]:
+            doc = json.loads(net.to_json())
+            doc["layers"][layer][key] = 2
+            (tmp_path / "net.json").write_text(json.dumps(doc))
+            assert run_cli(
+                "postproc", "--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
+                "--in", path, "--spec", "32x32:8:420", "--out", out,
+            ) == 2
+            assert capsys.readouterr().err.startswith(error)
+            assert not out.exists()
 
 
 class TestMockCodecCommand:
@@ -270,6 +294,17 @@ class TestDumpPatchCommand:
                        "--w", "8", "--h", "8", "--out", out) == 0
         assert out.read_bytes().startswith(b"P5\n8 8\n255\n")
 
+    @pytest.mark.parametrize("frame", ["-1", "-5"])
+    def test_negative_frame_exits_2(self, yuv, tmp_path, capsys, frame):
+        # -1 used to end in an IndexError traceback
+        path, _ = yuv
+        out = tmp_path / "p.pgm"
+        assert run_cli("dump-patch", "--in", path, "--spec", "32x32:8:420",
+                       "--frame", frame, "--x", "4", "--y", "4",
+                       "--w", "8", "--h", "8", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --frame must be at least 0, got {frame}\n"
+        assert not out.exists()
+
 
 class TestRunAndReport:
     def test_end_to_end(self, experiment_dir, capsys):
@@ -287,13 +322,20 @@ class TestRunAndReport:
         assert "error:" in capsys.readouterr().err
 
     def test_size_changing_net_exits_2_before_any_job(self, experiment_dir, capsys):
-        doc = json.loads((experiment_dir / "net.json").read_text())
-        del doc["layers"][0]["pad"]
-        (experiment_dir / "net.json").write_text(json.dumps(doc))
-        assert run_cli("run", experiment_dir / "exp.ini", "--workers", "1") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: conv layer 'head': kernel 3, stride 1, pad 0;") and err.count("\n") == 1
-        assert not (experiment_dir / "out" / "manifest.jsonl").exists()
+        # a conv that changes the plane size, and a two-channel output, which
+        # used to fail each post-processed job at its first frame
+        text = (experiment_dir / "net.json").read_text()
+        for edit, error in [
+            (lambda doc: doc["layers"][0].pop("pad"), "error: conv layer 'head': kernel 3, stride 1, pad 0;"),
+            (lambda doc: doc["layers"][-1].update(out_ch=2), "error: network output has 2 channels, expected 1\n"),
+        ]:
+            doc = json.loads(text)
+            edit(doc)
+            (experiment_dir / "net.json").write_text(json.dumps(doc))
+            assert run_cli("run", experiment_dir / "exp.ini", "--workers", "1") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(error) and err.count("\n") == 1
+            assert not (experiment_dir / "out" / "manifest.jsonl").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, experiment_dir, capsys, workers):

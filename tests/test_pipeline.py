@@ -251,7 +251,12 @@ class TestConfigLoading:
          r"method 'anchor': encode_cmd needs codec = external, got codec = mock"),
         ("scale = 1/1\ncodec = mock", "scale = 1/1\ncodec = mock\ndecode_cmd = dec {in} {out}",
          r"method 'anchor': decode_cmd needs codec = external, got codec = mock"),
-    ], ids=["weights-without-net", "depth-bit-depth-without-path", "encode-under-mock", "decode-under-mock"])
+        ("scale = 1/1\ncodec = mock", "scale = 1/1\ncodec = external\nencode_cmd = enc {in} {out} {qp} {w} {h}",
+         r"method 'anchor': codec external needs encode_cmd and decode_cmd"),
+        ("postproc_weights = 22=w22.rqpw, 27=w27.rqpw, 32=w32.rqpw, 37=w37.rqpw\n", "",
+         r"method 'postproc': postproc_net without postproc_weights"),
+    ], ids=["weights-without-net", "depth-bit-depth-without-path", "encode-under-mock", "decode-under-mock",
+            "external-without-decode", "net-without-weights"])
     def test_key_without_the_key_it_acts_with_rejected(self, experiment_dir, old, new, match):
         # each used to be ignored: the method ran with no post-processing,
         # the sequence with no depth stream, the mock codec in place of the
@@ -1302,6 +1307,65 @@ pairs = 27:7
         peak("two")  # warm-up: first-call allocations inside numpy and scipy
         assert peak("eight") - peak("two") < frame_bytes
 
+    def test_external_codec_peak_does_not_grow_with_frame_count(self, tmp_path):
+        # the codec takes its whole input before it returns a frame, so the
+        # job keeps no source frame and scores against a second read of the
+        # source. When it kept them all, a 480x272 10-bit anchor job peaked
+        # at 2.26, 4.51 and 7.51 MiB for 2, 8 and 16 frames; now at 1.90
+        import sys as _sys
+
+        frame_bytes = 480 * 272 * 3 // 2 * 2
+        spec = VideoSpec(480, 272, 10, "420", frame_count=16)
+        write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
+        codec = tmp_path / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        sequences = "".join(
+            f"[sequence.f{count}]\npath = s.yuv\nwidth = 480\nheight = 272\nbit_depth = 10\n"
+            f"frame_count = {count}\nframe_rate = 30\n\n"
+            for count in (2, 16)
+        )
+        (tmp_path / "exp.ini").write_text(
+            sequences
+            + f"""
+[method.anchor]
+codec = external
+encode_cmd = {_sys.executable} {codec} {{in}} {{out}} {{qp}} {{w}} {{h}}
+decode_cmd = {_sys.executable} {codec} {{in}} {{out}}
+
+[qps]
+pairs = 27:7
+"""
+        )
+        cfg = load_experiment(tmp_path / "exp.ini")
+
+        def peak(label):
+            tracemalloc.start()
+            try:
+                rec = self.run_job(cfg, label, "anchor")
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # lossless, so each decoded frame is scored against its own source frame
+            assert rec.scores["psnr_y"]["per_frame"] == [cfg.psnr_inf_cap] * rec.frame_count
+            return traced
+
+        peak("f2")  # warm-up
+        assert peak("f16") - peak("f2") < frame_bytes
+
+    @pytest.mark.parametrize("method", ["anchor", "rescaled", "postproc"])
+    def test_mock_job_reads_its_source_once(self, config, method, monkeypatch):
+        # the mock codec returns each frame before it takes the next, so the
+        # job keeps the one source frame to score and never reads it again
+        calls = []
+
+        def spy(path, spec):
+            calls.append(path)
+            return read_sequence(path, spec)
+
+        monkeypatch.setattr(runner, "read_sequence", spy)
+        self.run_job(config, "eight", method)
+        assert len(calls) == 1
+
     def test_stage_times_fit_in_the_job_wall_time(self, config):
         start = time.perf_counter()
         rec = self.run_job(config, "eight", "postproc")
@@ -1401,6 +1465,15 @@ pairs = 27:7
         # peaked at 5.27 frames (7.87 MiB); now at 4.27 (6.38 MiB).
         peak = self.job_peak(tmp_path, "anchor")
         assert peak < 4.75 * self.FRAME_BYTES
+
+    def test_rescaled_job_drops_the_downsampled_frame_once_coded(self, tmp_path):
+        # The down-sampler's generator held each down-sampled frame, a
+        # quarter of a frame, while the codec decoded it and the up-sampler,
+        # the scoring and the write ran: the job peaked at 3.93 frames
+        # (5.88 MiB). As a map it drops the frame when its call returns, and
+        # the coder's own release is the last: 3.72 frames (5.56 MiB).
+        peak = self.job_peak(tmp_path, "rescaled")
+        assert peak < 3.85 * self.FRAME_BYTES
 
 
 class TestFailureHandling:

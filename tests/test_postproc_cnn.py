@@ -600,8 +600,8 @@ class TestStoragePlan:
             conv_entry("c", "input", 1, 2),
             {"id": "ab", "op": "concat", "inputs": ["a", "b"]},
             {"id": "ac", "op": "concat", "inputs": ["a", "c"]},
-            conv_entry("d", "ab", 5, 2),
-            conv_entry("e", "ac", 4, 2),
+            conv_entry("d", "ab", 5, 1),
+            conv_entry("e", "ac", 4, 1),
             {"id": "out", "op": "add", "inputs": ["d", "e"]},
         ], "out")
         assert self.views(net) == {"ab": True, "ac": False}
@@ -625,6 +625,22 @@ class TestStoragePlan:
         steps = net.storage_plan.steps
         assert (steps[0].act is not None) == fused
         assert steps[3].inplace
+        self.check(net, 12, 17)
+
+    def test_relu_on_an_add_of_a_value_read_again(self):
+        # c is read by d as well as by the add, so the add copies it before
+        # it accumulates, and the ReLU reads an add, not a conv, so it runs
+        # on its own rows
+        net = json_net([
+            conv_entry("c", "input", 1, 4),
+            conv_entry("d", "c", 4, 4),
+            {"id": "s", "op": "add", "inputs": ["c", "d"]},
+            {"id": "a", "op": "activation", "inputs": ["s"], "act": "relu"},
+            conv_entry("out", "a", 4, 1),
+        ], "out")
+        steps = net.storage_plan.steps
+        assert not steps[2].inplace
+        assert steps[3].out == "a" and steps[1].act is None
         self.check(net, 12, 17)
 
     def test_conv_read_by_activation_and_concat(self):
