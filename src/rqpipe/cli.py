@@ -20,11 +20,11 @@ from pathlib import Path
 
 from . import __version__
 from .bd_stats import RQCurve, RQPoint, bd_quality, bd_rate
-from .errors import ConfigError, RqpipeError
+from .errors import ConfigError, CurveError, RqpipeError
 from .frame_io import VideoSpec, frame_size_bytes, parse_spec_string, read_sequence, write_sequence
 from .metrics import psnr_y_sequence
 from .pipeline import assemble_report, dump_patch, run_experiment
-from .pipeline.codecs import CodedStream, MockCodec
+from .pipeline.codecs import QP_MAX, QP_MIN, CodedStream, MockCodec
 from .pipeline.manifest import RunManifest
 from .pipeline.runner import one_blas_thread
 from .postproc_cnn import NetworkSpec, apply_network, load_weights
@@ -38,7 +38,9 @@ def _spec_arg(parser):
 
 def _input_spec(args, path) -> VideoSpec:
     """--spec with --frames frames, or as many whole frames as `path` holds:
-    a ConfigError if that is none."""
+    a ConfigError if that is none, or if --frames is below 1."""
+    if args.frames is not None and args.frames < 1:
+        raise ConfigError(f"--frames must be at least 1, got {args.frames}")
     spec = parse_spec_string(args.spec, frame_count=args.frames or 0)
     if not spec.frame_count:
         size, frame = os.path.getsize(path), frame_size_bytes(spec)
@@ -52,10 +54,19 @@ def _load_curve(path, label) -> RQCurve:
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "bitrate_kbps" not in reader.fieldnames:
-            raise ConfigError(f"{path}: need CSV columns bitrate_kbps,quality")
+        if not {"bitrate_kbps", "quality"} <= set(reader.fieldnames or ()):
+            raise ConfigError(f"{path}, line 1: need CSV columns bitrate_kbps,quality")
         for row in reader:
-            points.append(RQPoint(float(row["bitrate_kbps"]), float(row["quality"])))
+            rate, quality = row["bitrate_kbps"], row["quality"]
+            try:
+                points.append(RQPoint(float(rate), float(quality)))
+            except CurveError as exc:  # a ValueError too
+                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+            except (TypeError, ValueError):  # None for a short row
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: bitrate_kbps {rate!r} and quality {quality!r} "
+                    "must be numbers"
+                ) from None
     return RQCurve(label=label, metric_id="csv", points=points)
 
 
@@ -134,6 +145,10 @@ def cmd_postproc(args) -> int:
 
 def cmd_mock_codec(args) -> int:
     # one frame at a time: code, write, then score the two files as `psnr` does
+    if not QP_MIN <= args.qp <= QP_MAX:  # before the output is opened
+        raise ConfigError(f"qp {args.qp} outside [{QP_MIN}, {QP_MAX}]")
+    if not 0 < args.fps < math.inf:
+        raise ConfigError(f"--fps must be a finite number > 0, got {args.fps}")
     spec = _input_spec(args, args.infile)
     coded = CodedStream(
         MockCodec().encode_decode(read_sequence(args.infile, spec), spec, args.qp, None, None, nullcontext)

@@ -372,9 +372,11 @@ def run_experiment(
     worker pool hashes each source file and, with resume=True, each
     artifact that is larger than manifest.HASH_CHUNK (1 MiB); smaller ones
     are hashed on the calling thread. The checks are read in job order, so
-    the same jobs run whatever the worker count. A worker count below 1 is
-    a ConfigError. A manifest whose header echoes another config gets a
-    new header. While it runs, numpy's OpenBLAS uses one thread, so a
+    the same jobs run whatever the worker count. Post-processed jobs, the
+    longest, are submitted first, so that none starts last; otherwise jobs
+    go in sequence, method and QP order. A worker count below 1 is a
+    ConfigError. A manifest whose header echoes another config gets a new
+    header. While it runs, numpy's OpenBLAS uses one thread, so a
     post-processed job's bits do not depend on the worker count; the
     header records the count before and during the run, OpenBLAS's core
     name and build config, the numpy version, the CPU count and the
@@ -433,12 +435,15 @@ def run_experiment(
                 reference_hashes = {s.label: digest() for s, (digest, _) in zip(cfg.sequences, sources)}
                 depth_hashes = {s.label: digest() for s, (_, digest) in zip(cfg.sequences, sources)}
                 config_hashes = _job_config_hashes(cfg, echo, depth_hashes)
-                jobs = [
-                    (seq, method, qi, pair)
-                    for seq in cfg.sequences
-                    for method in cfg.methods
-                    for qi, pair in enumerate(cfg.qp_pairs)
-                ]
+                jobs = sorted(  # post-processed jobs first
+                    (
+                        (seq, method, qi, pair)
+                        for seq in cfg.sequences
+                        for method in cfg.methods
+                        for qi, pair in enumerate(cfg.qp_pairs)
+                    ),
+                    key=lambda job: job[1].postproc is None,
+                )
                 keys = [(seq.label, method.label, qi) for seq, method, qi, _ in jobs]
                 intact = manifest.intact_jobs(
                     [(key, reference_hashes[key[0]], config_hashes[key]) for key in keys], submit

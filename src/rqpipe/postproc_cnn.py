@@ -353,21 +353,27 @@ def random_weights(net: NetworkSpec, seed: int = 0, scale: float = 0.05):
 
 
 class _Kernel(NamedTuple):
-    """A same-size conv's weights as its GEMM takes them, and its odd size."""
+    """A same-size conv's weights as its GEMM takes them, and its odd size.
+    Both arrays may share memory with the caller's weights and bias, so
+    nothing writes to them."""
 
-    wmat: np.ndarray  # (max(out_ch, 2), in_ch*size*size); see _kernel
+    wmat: np.ndarray  # (max(out_ch, 2), in_ch*size*size), C-contiguous; see _kernel
     bias: np.ndarray  # (out_ch, 1)
     size: int
 
 
 def _kernel(weights: np.ndarray, bias: np.ndarray, dtype) -> _Kernel:
+    # weights already C-contiguous in `dtype`, as load_weights and
+    # random_weights return them, are multiplied where they are: a view,
+    # not a copy of the network on every call
     out_ch, in_ch, size, _ = weights.shape
-    k = in_ch * size * size
-    # numpy sends a one-row weight matrix to GEMV, whose sums depend on the
-    # column count and the thread split; a zero second row keeps it on GEMM
-    wmat = np.zeros((max(out_ch, 2), k), dtype=dtype)
-    wmat[:out_ch] = weights.reshape(out_ch, k)
-    return _Kernel(wmat, bias.astype(dtype)[:, None], size)
+    wmat = np.ascontiguousarray(weights, dtype=dtype).reshape(out_ch, in_ch * size * size)
+    if out_ch == 1:
+        # numpy sends a one-row weight matrix to GEMV, whose sums depend on
+        # the column count and the thread split; a zero second row keeps it
+        # on GEMM
+        wmat = np.vstack([wmat, np.zeros_like(wmat)])
+    return _Kernel(wmat, bias.astype(dtype, copy=False)[:, None], size)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -221,6 +221,13 @@ class TestCurveValidation:
         with pytest.raises(CurveError):
             curve([(1000.0, 30.0), (1000.0, 31.0), (2000.0, 33.0)])
 
+    def test_duplicate_qualities_rejected_by_bd_rate(self):
+        # bd_rate fits rate against quality, so a repeated quality has two rates
+        flat = curve([(1000.0, 30.0), (2000.0, 30.0), (4000.0, 35.0)])
+        with pytest.raises(CurveError, match="duplicate quality values"):
+            bd_rate(curve(FOUR_POINTS), flat)
+        assert bd_quality(curve(FOUR_POINTS), flat).delta_quality is not None
+
     def test_nonpositive_bitrate_rejected(self):
         with pytest.raises(CurveError):
             RQPoint(0.0, 30.0)

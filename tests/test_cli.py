@@ -155,6 +155,17 @@ class TestFrameCount:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("frames", ["0", "-2"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_frames_below_one_exits_2_and_writes_nothing(self, partial_yuv, tmp_path, capsys, command, frames):
+        # 0 used to read the whole file, and -2 failed without naming the flag
+        path, _ = partial_yuv
+        out = tmp_path / "out.yuv"
+        args = self.args(command, path, out, tmp_path)
+        assert run_cli(command, *args, "--spec", "32x32:8:420", "--frames", frames) == 2
+        assert capsys.readouterr().err == f"error: --frames must be at least 1, got {frames}\n"
+        assert not out.exists()
+
 
 class TestBdCommand:
     @pytest.fixture
@@ -180,6 +191,30 @@ class TestBdCommand:
         bad.write_text("rate,quality\n1,2\n")
         assert run_cli("bd", "--ref", bad, "--test", bad) == 2
         assert "bitrate_kbps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, error", [
+        ("bitrate_kbps,rate\n1000,30\n", "line 1: need CSV columns bitrate_kbps,quality"),
+        ("bitrate_kbps,quality\n1000,30\n2000,high\n",
+         "line 3: bitrate_kbps '2000' and quality 'high' must be numbers"),
+        ("bitrate_kbps,quality\n1000,30\n2000\n", "line 3: bitrate_kbps '2000' and quality None must be numbers"),
+        ("bitrate_kbps,quality\n0,30\n2000,33\n", "line 2: bitrate must be positive, got 0.0"),
+    ], ids=["no-quality-column", "text-cell", "short-row", "zero-rate"])
+    def test_malformed_csv_exits_2_naming_file_and_line(self, csvs, tmp_path, capsys, body, error):
+        # each used to end in a traceback, or, for a zero rate, name no file
+        _, test = csvs
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        assert run_cli("bd", "--ref", bad, "--test", test) == 2
+        assert capsys.readouterr().err == f"error: {bad}, {error}\n"
+
+    def test_fit_warning_goes_to_stderr(self, csvs, tmp_path, capsys):
+        ref, _ = csvs
+        two = tmp_path / "two.csv"
+        two.write_text("bitrate_kbps,quality\n1000,31\n8000,38\n")
+        assert run_cli("bd", "--ref", ref, "--test", two) == 0
+        captured = capsys.readouterr()
+        assert "bd-quality:" in captured.out
+        assert captured.err == "warning: test: only 2 points, using linear interpolation\n"
 
 
 class TestPostprocCommand:
@@ -264,6 +299,25 @@ class TestMockCodecCommand:
         text = capsys.readouterr().out
         assert "bits" in text and "psnr_y" in text
         assert out.stat().st_size == path.stat().st_size
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--qp", "70", "qp 70 outside [0, 63]"),
+        ("--qp", "-1", "qp -1 outside [0, 63]"),
+        ("--fps", "0", "--fps must be a finite number > 0, got 0.0"),
+        ("--fps", "-30", "--fps must be a finite number > 0, got -30.0"),
+        ("--fps", "nan", "--fps must be a finite number > 0, got nan"),
+        ("--fps", "inf", "--fps must be a finite number > 0, got inf"),
+    ], ids=["qp-above", "qp-below", "fps-zero", "fps-negative", "fps-nan", "fps-inf"])
+    def test_bad_qp_or_fps_exits_2_and_writes_nothing(self, yuv, tmp_path, capsys, flag, value, error):
+        # a bad QP used to leave an empty output file, and a bad rate
+        # reported a zero, negative or NaN bitrate with exit 0
+        path, _ = yuv
+        out = tmp_path / "dec.yuv"
+        args = {"--qp": "27", "--fps": "30", flag: value}
+        assert run_cli("mock-codec", "--in", path, "--spec", "32x32:8:420", "--out", out,
+                       *(x for kv in args.items() for x in kv)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     def test_peak_does_not_grow_with_frame_count(self, tmp_path):
         # frames stream from the input through the codec into the output,

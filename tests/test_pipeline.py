@@ -139,6 +139,15 @@ class TestConfigLoading:
         with pytest.raises(ShapeError, match=rf"^conv layer 'head': kernel 3, stride {stride}, pad {pad or 0};"):
             load_experiment(experiment_dir / "exp.ini")
 
+    def test_duplicate_method_labels_rejected(self, experiment_dir):
+        # an INI file cannot name a section twice, so only a config built
+        # in code reaches this check
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        cfg.methods.append(cfg.methods[0])
+        labels = r"\['anchor', 'rescaled', 'postproc', 'anchor'\]"
+        with pytest.raises(ConfigError, match=rf"^duplicate method labels: {labels}$"):
+            cfg.validate()
+
     def test_timeouts(self, experiment_dir):
         cfg = load_experiment(experiment_dir / "exp.ini")
         assert cfg.metric_timeout is None
@@ -750,6 +759,32 @@ pairs = 22:4, 37:15
         manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
         assert seen == [True]
         assert len(manifest.ok_jobs()) == 12
+
+    def test_post_processed_jobs_run_first(self, experiment_dir, monkeypatch):
+        # at one worker the jobs run as submitted: every post-processed job,
+        # the longest, before any other, then the config's order; the
+        # records are those of the config's order
+        (experiment_dir / "two.ini").write_text(
+            (experiment_dir / "exp.ini").read_text() + "\n[sequence.synthB]\npath = synthA.yuv\n"
+            "width = 64\nheight = 64\nbit_depth = 8\nchroma = 420\nframe_count = 2\nframe_rate = 30\n"
+        )
+        run_job, order = runner._run_job, []
+
+        def spy(seq, method, qi, *args):
+            order.append((seq.label, method.label, qi))
+            return run_job(seq, method, qi, *args)
+
+        def jobs(*methods):
+            return [(s, m, qi) for s in ("synthA", "synthB") for m in methods for qi in range(4)]
+
+        monkeypatch.setattr(runner, "_run_job", spy)
+        first = run_experiment(experiment_dir / "two.ini", workdir=experiment_dir / "first", workers=1)
+        assert order == jobs("postproc") + jobs("anchor", "rescaled")
+        order.clear()
+        monkeypatch.setattr(runner, "sorted", lambda jobs, key: list(jobs), raising=False)  # the config's order
+        in_order = run_experiment(experiment_dir / "two.ini", workdir=experiment_dir / "in_order", workers=1)
+        assert order == jobs("anchor", "rescaled", "postproc")
+        assert self.strip_volatile(first) == self.strip_volatile(in_order)
 
     def test_resume_redoes_a_missing_recon_and_a_recon_that_is_not_a_file(self, experiment_dir):
         manifest = run_experiment(experiment_dir / "exp.ini", workers=1)
@@ -2202,6 +2237,15 @@ class TestAssembleReport:
         assert abs(table["s1"]["psnr_y"]) < 1e-12
         assert abs(table["s2"]["psnr_y"]) < 1e-12
         assert abs(table["Total"]["psnr_y"]) < 1e-12
+
+    def test_no_ok_job_is_a_config_error(self, tmp_path):
+        manifest = RunManifest(tmp_path / "m.jsonl")
+        rec = synthetic_record("s", "anchor", 0, 500.0, 31.0)
+        rec.status, rec.error = "failed", "RuntimeError: boom"
+        manifest.append_job(rec)
+        with pytest.raises(ConfigError, match="^manifest holds no successful jobs$"):
+            assemble_report(manifest, tmp_path / "report")
+        assert not (tmp_path / "report").exists()
 
     def test_total_row_is_mean_of_sequence_rows(self, tmp_path):
         manifest = self.build_manifest(tmp_path, {"s1": 2.0, "s2": 1.0})

@@ -425,6 +425,36 @@ class TestApplyNetwork:
             tracemalloc.stop()
         assert peak < 6 << 20, f"peak {peak / 2**20:.2f} MiB"
 
+    def test_loaded_weights_are_not_copied_per_call(self, tmp_path):
+        # the same plane with the weights a job loads from its file: a copy
+        # of every conv's weights on every call made this peak 5.32 MiB
+        net = build_mfrnet_style()
+        save_weights(tmp_path / "w.rqpw", random_weights(net, seed=48))
+        weights = load_weights(tmp_path / "w.rqpw")
+        plane = np.random.default_rng(49).integers(0, 1024, (108, 192)).astype(np.uint16)
+        apply_network(net, weights, plane, 10)  # plans this size once
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_kernel_multiplies_the_weights_where_they_are(self):
+        # only a one-channel conv gets a new matrix: its weights over a zero
+        # second row (see _kernel)
+        convs = random_weights(build_mfrnet_style()).values()
+        assert any(w.shape[0] == 1 for w, _ in convs)
+        for w, b in convs:
+            k = postproc_cnn._kernel(w, b, np.float32)
+            assert np.shares_memory(k.bias, b)
+            if w.shape[0] > 1:
+                assert np.shares_memory(k.wmat, w)
+            else:
+                assert k.wmat.shape == (2, w.size)
+                assert np.array_equal(k.wmat[0], w.ravel()) and not k.wmat[1].any()
+
     @pytest.mark.parametrize("residual", [False, True])
     def test_no_whole_float64_plane(self, residual):
         # A one-conv 1x1 net at 1080p holds the float32 input (4 B/px), the
@@ -1309,6 +1339,18 @@ class TestGraphValidation:
     def test_concat_without_inputs_rejected(self):
         net = NetworkSpec(layers=(concat_layer("cat", []),), output_id="cat")
         with pytest.raises(ShapeError, match="cat"):
+            net.validate()
+
+    def test_duplicate_layer_id_rejected(self):
+        net = NetworkSpec(
+            layers=(conv_layer("c", "input", 1, 1, 1), conv_layer("c", "c", 1, 1, 1)), output_id="c"
+        )
+        with pytest.raises(ShapeError, match="^duplicate layer id 'c'$"):
+            net.validate()
+
+    def test_output_id_never_produced_rejected(self):
+        net = NetworkSpec(layers=(conv_layer("c", "input", 1, 1, 1),), output_id="out")
+        with pytest.raises(ShapeError, match="^output id 'out' never produced$"):
             net.validate()
 
     def test_concat_sums_channels(self):

@@ -529,6 +529,7 @@ class TestParsing:
 
     def test_parse_filter(self):
         assert ResampleFilter.parse("lanczos:4").a == 4
+        assert ResampleFilter.parse("lanczos") == ResampleFilter.lanczos(3)
         assert ResampleFilter.parse("nn").kind == "nearest"
         with pytest.raises(ConfigError):
             ResampleFilter.parse("box")
