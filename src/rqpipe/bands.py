@@ -5,7 +5,7 @@ plane in bands of rows under BAND_BYTES, so each holds its result plus
 scratch for one band instead of whole float64 planes. The CNN runs its
 whole graph in bands of input rows, as many as fit one row of each of its
 stores in BAND_BYTES, and rounds its output in bands under it; its convs
-split their im2col buffer into chunks of rows under it too. Every sample
+split their GEMM output into chunks of rows under it too. Every sample
 of a band is computed as it would be in one whole-plane pass, so the
 split never changes a result.
 """

@@ -176,12 +176,14 @@ def read_frame(path, spec: VideoSpec, index: int) -> Frame:
         return _read_frame(fh, spec, index)
 
 
-def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path) -> int:
+def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path, *, digest=None) -> int:
     """Write frames as a raw planar file; returns the byte count written.
 
     Round-trips bit-exactly with read_sequence for any valid spec. A plane
     already in the container dtype is written from its own memory; each
-    frame is dropped before the next one is pulled.
+    frame is dropped before the next one is pulled. A hashlib object given
+    as `digest` is fed every byte written, plane by plane, so the file
+    need not be read back to hash it.
     """
     written = 0
     k = 0
@@ -194,7 +196,10 @@ def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path) -> int:
             for p, plane in enumerate(frame.planes()):
                 if plane.min() < 0 or plane.max() > spec.max_value:
                     raise _range_error(path, k, p, plane, spec)
-                written += fh.write(np.ascontiguousarray(plane, dtype=_file_dtype(spec)))
-            del frame, plane  # k, not enumerate(frames): that would hold the frame during the next pull
+                data = np.ascontiguousarray(plane, dtype=_file_dtype(spec))
+                written += fh.write(data)
+                if digest is not None:
+                    digest.update(data)
+            del frame, plane, data  # k, not enumerate(frames): that would hold the frame during the next pull
             k += 1
     return written

@@ -52,6 +52,10 @@ from ..bands import row_bands
 from ..errors import ConfigError, SampleRangeError, TruncatedFileError, check_template, run_tool
 from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
 
+# the mock codec's sums, which a job's resume key takes in. A constant, not
+# a setting: a change that moves any bit or sample it outputs changes it
+ARITHMETIC = "dct gemm, pocketfft ties 1"
+
 BLOCK = 8
 QP_MIN, QP_MAX = 0, 63
 # the placeholders of an external codec's encode and decode templates

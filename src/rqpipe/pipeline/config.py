@@ -115,7 +115,8 @@ class PostprocConfig:
     weights_by_qp: dict[int, Path]
     luma_only: bool = True
     # sha256 of each weight file by path, taken when validate() first reads
-    # it; a job loads only weights that still hash to it
+    # and checks it, which later calls do not repeat; a job loads only
+    # weights that still hash to it
     weights_sha256: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def select_weights_qp(self, base_qp_texture: int) -> int:
@@ -194,8 +195,9 @@ class ExperimentConfig:
                         raise ConfigError(
                             f"method {method.label!r}: weights for qp {qp} missing: {path}"
                         )
-                    validate_weights(method.postproc.net, load_weights(path))
                     if str(path) not in method.postproc.weights_sha256:
+                        # read and checked once, when hashed: a job refuses weights that no longer hash to it
+                        validate_weights(method.postproc.net, load_weights(path))
                         method.postproc.weights_sha256[str(path)] = sha256_file(path)
         for seq in self.sequences:
             if seq.spec.frame_count < 1:

@@ -46,15 +46,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import __version__
+from .. import __version__, postproc_cnn, resample
 from ..errors import ConfigError, ExternalToolError, kill_running_tools
 from ..frame_io import read_sequence, write_sequence
 from ..metrics import QualityScore, external_metric, mean_psnr, psnr_y_sequence
 from ..postproc_cnn import apply_network, load_weights
 from ..resample import resample_frame
+from . import codecs
 from .codecs import CodedStream
 from .config import ExperimentConfig, MethodConfig, QpPair, SequenceConfig, config_as_dict, load_experiment
-from .manifest import JobRecord, RunManifest, sha256_file, sha256_soon
+from .manifest import JobRecord, RunManifest, sha256_soon
+from .manifest import sha256_file  # noqa: F401  a name perfbench's spans wrap, though no job reads its recon back
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -270,8 +272,9 @@ def _run_job(
             return frame
 
         recon_path = workdir / f"{tag}_recon.yuv"
+        recon_sha256 = hashlib.sha256()  # of the bytes as they are written: the recon is not read back
         with timer("write"):
-            write_sequence(map(_timed(measure, "metrics", timer), frames), seq.spec, recon_path)
+            write_sequence(map(_timed(measure, "metrics", timer), frames), seq.spec, recon_path, digest=recon_sha256)
         total_bits = texture.bits
 
         if seq.depth_path is not None:
@@ -284,10 +287,7 @@ def _run_job(
             total_bits += depth.bits
             rec.notes["depth_bits"] = depth.bits
 
-        rec.artifacts["recon"] = {
-            "path": str(recon_path),
-            "sha256": sha256_file(recon_path),
-        }
+        rec.artifacts["recon"] = {"path": str(recon_path), "sha256": recon_sha256.hexdigest()}
 
         with timer("metrics"):
             for metric_id, how in cfg.metrics.items():
@@ -324,23 +324,32 @@ def _timed_job(*job) -> tuple[JobRecord, float]:
     return rec, time.perf_counter() - start
 
 
-def _job_config_hashes(cfg: ExperimentConfig, echo: dict, depth_hashes: dict) -> dict[tuple, str]:
+def _job_config_hashes(cfg: ExperimentConfig, echo: dict, depth_hashes: dict, blas_core) -> dict[tuple, str]:
     """config_sha256 of every job, by (sequence, method, qp index) key.
 
     It hashes what the job reads from the config echo but no path (its
     sequence, its method with the codec description but not the codec's
     timeout, which cannot change a job that succeeded, its QP pair, the
     metrics and the PSNR cap), its depth file's sha256 in depth_hashes
-    (None without one) and, for a post-processing method, its network and
-    the QP and sha256 of the weight file the job loads, as validate()
-    recorded it. The source counts by the record's reference_sha256.
+    (None without one), the ARITHMETIC of each engine the job runs (the
+    mock codec, the resampler, the CNN) and, for a post-processing method,
+    the OpenBLAS core `blas_core` whose kernels the CNN's sums follow, its
+    network and the QP and sha256 of the weight file the job loads, as
+    validate() recorded it. The source counts by the record's
+    reference_sha256.
     """
     hashes = {}
     pairs = [json.dumps(p).encode() for p in echo["qp_pairs"]]
     for method, method_echo in zip(cfg.methods, echo["methods"]):
         codec = {k: v for k, v in method_echo["codec"].items() if k != "timeout"}
-        method_echo = {**method_echo, "codec": codec}
         pp = method.postproc
+        engines = (
+            (codecs.ARITHMETIC, isinstance(method.codec, codecs.MockCodec)),
+            (resample.ARITHMETIC, method.resamples),
+            (f"{postproc_cnn.ARITHMETIC} on {blas_core}", pp is not None),
+        )
+        arithmetic = [name for name, runs in engines if runs]
+        method_echo = {**method_echo, "codec": codec, "arithmetic": arithmetic}
         tails = pairs
         if pp is not None:
             method_echo["postproc"] = {k: v for k, v in method_echo["postproc"].items() if k != "weights_by_qp"}
@@ -434,7 +443,7 @@ def run_experiment(
                             for p in (s.path, s.depth_path)] for s in cfg.sequences]
                 reference_hashes = {s.label: digest() for s, (digest, _) in zip(cfg.sequences, sources)}
                 depth_hashes = {s.label: digest() for s, (_, digest) in zip(cfg.sequences, sources)}
-                config_hashes = _job_config_hashes(cfg, echo, depth_hashes)
+                config_hashes = _job_config_hashes(cfg, echo, depth_hashes, blas["blas_core"])
                 jobs = sorted(  # post-processed jobs first
                     (
                         (seq, method, qi, pair)

@@ -2,17 +2,21 @@
 
 A network is a small DAG of layers (conv2d, activation, add, concat) over
 (channels, height, width) float tensors, every one as large as the plane:
-each conv has an odd kernel, stride 1 and pad (kernel - 1) / 2, each
+each conv has an odd kernel, so stride 1 and pad (kernel - 1) / 2, each
 activation is relu or leaky_relu, and the output is one channel
 (NetworkSpec.validate, which from_json, build_mfrnet_style and the
 storage plan call). Planes are normalized to [0, 1]
 before inference and rounded back to integers after, with an optional
 global residual that adds the network input to its output.
 The conv engine is same-size only: no stride, and a pad of half the
-kernel less one. Each conv is im2col + one GEMM per output row, (M, K)
-weights times the row's (K, W) columns, with a chunk of rows run in one
-batched matmul and its column buffer bounded by BAND_BYTES; a 1x1 conv
-multiplies its input rows as they are and needs no column buffer.
+kernel less one. A k x k conv is one GEMM per output row, with no im2col
+column buffer: the (kM, kC) weights times a (kC, W + 2p) view of the
+row's k input rows in a zero-padded, row-major slab, which makes the k
+column taps' partial sums, then one reduce that adds them into the
+output in column-tap order. A chunk of rows runs in one batched matmul,
+its GEMM output bounded by BAND_BYTES; a 1x1 conv multiplies its input
+rows as they are. ARITHMETIC names these sums, which a run's resume key
+takes in.
 apply_network runs the whole graph in one pass of row bands, top to
 bottom (the fused-layer schedule of Alwani et al., MICRO 2016): each
 value lives in a ring of rows that keeps only what its readers still
@@ -55,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -63,6 +67,10 @@ from .bands import BAND_BYTES, row_bands
 from .errors import ConfigError, ShapeError, WeightFormatError
 
 MAGIC = b"RQPW1"
+
+# the sums the output comes from, which a job's resume key takes in. A
+# constant, not a setting: a change that moves any output bit changes it
+ARITHMETIC = "row-window gemm, dj-ordered taps 1"
 
 CONV2D = "conv2d"
 ACTIVATION = "activation"
@@ -83,15 +91,26 @@ class LayerSpec:
     in_ch: int = 0
     out_ch: int = 0
     kernel: int = 0
-    stride: int = 1
-    pad: int = 0
     act: str = LEAKY_RELU
     alpha: float = 0.2
 
+    # a conv keeps the plane size: stride 1, zero padded by (kernel - 1) / 2
+    stride: ClassVar[int] = 1
+
+    @property
+    def pad(self) -> int:
+        return (self.kernel - 1) // 2
+
+
+def _conv_shape_error(layer_id, kernel, stride, pad) -> ShapeError:
+    return ShapeError(
+        f"conv layer {layer_id!r}: kernel {kernel}, stride {stride}, pad {pad};"
+        " a conv keeps the plane size, with a positive odd kernel, stride 1 and pad (kernel - 1) / 2"
+    )
+
 
 def conv_layer(layer_id, inp, in_ch, out_ch, kernel) -> LayerSpec:
-    return LayerSpec(layer_id, CONV2D, (inp,), in_ch=in_ch, out_ch=out_ch,
-                     kernel=kernel, pad=(kernel - 1) // 2)
+    return LayerSpec(layer_id, CONV2D, (inp,), in_ch=in_ch, out_ch=out_ch, kernel=kernel)
 
 
 def act_layer(layer_id, inp, kind=LEAKY_RELU, alpha=0.2) -> LayerSpec:
@@ -107,8 +126,9 @@ def concat_layer(layer_id, inputs) -> LayerSpec:
 
 
 # the keys each op has besides id, op and inputs, in the order to_json writes them
-_OP_KEYS = {CONV2D: ("in_ch", "out_ch", "kernel", "stride", "pad"), ACTIVATION: ("act", "alpha"),
-            ADD: (), CONCAT: ()}
+_OP_KEYS = {CONV2D: ("in_ch", "out_ch", "kernel"), ACTIVATION: ("act", "alpha"), ADD: (), CONCAT: ()}
+# from_json also reads a conv's stride and pad, only to check that they are a same-size conv's
+_READ_KEYS = _OP_KEYS | {CONV2D: (*_OP_KEYS[CONV2D], "stride", "pad")}
 
 
 @dataclass(frozen=True)
@@ -124,9 +144,8 @@ class NetworkSpec:
     def validate(self) -> dict[str, int]:
         """Check reference order, channel arithmetic and layer kinds; returns
         id -> channels. Every value is as large as the plane: a conv must
-        have a positive odd kernel, stride 1 and pad (kernel - 1) / 2, and
-        an activation is relu or leaky_relu. The output, a plane's
-        correction, is one channel."""
+        have a positive odd kernel, and an activation is relu or
+        leaky_relu. The output, a plane's correction, is one channel."""
         channels = {self.input_id: 1}
         for layer in self.layers:
             if layer.id in channels:
@@ -144,11 +163,8 @@ class NetworkSpec:
                     raise ShapeError(
                         f"layer {layer.id!r}: in_ch {layer.in_ch} != producing channels {ins[0]}"
                     )
-                if layer.kernel < 1 or layer.stride != 1 or 2 * layer.pad + 1 != layer.kernel:
-                    raise ShapeError(
-                        f"conv layer {layer.id!r}: kernel {layer.kernel}, stride {layer.stride}, pad {layer.pad};"
-                        " a conv keeps the plane size, with a positive odd kernel, stride 1 and pad (kernel - 1) / 2"
-                    )
+                if layer.kernel < 1 or layer.kernel % 2 == 0:
+                    raise _conv_shape_error(layer.id, layer.kernel, layer.stride, layer.pad)
                 channels[layer.id] = layer.out_ch
             elif layer.op == ACTIVATION:
                 if len(ins) != 1:
@@ -218,7 +234,7 @@ class NetworkSpec:
                 raise ShapeError(f"key {key!r} must be {names[top[key]]}, got {value!r}")
         # each layer key takes its default's JSON type; an int counts as a float, a bool as no number
         common = {"id": str, "op": str, "inputs": list}
-        types = {f.name: type(f.default) for f in fields(LayerSpec)} | common
+        types = {f.name: type(f.default) for f in fields(LayerSpec)} | {"stride": int, "pad": int} | common
         layers = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
@@ -235,10 +251,16 @@ class NetworkSpec:
                     raise ShapeError(f"layer {i}: missing key {key!r}")
             for key in entry:
                 # an unknown op may carry any layer key: validate names the op
-                if key not in common and key not in _OP_KEYS.get(entry["op"], types):
+                if key not in common and key not in _READ_KEYS.get(entry["op"], types):
                     raise ShapeError(f"layer {entry['id']!r}: key {key!r} is not read by a {entry['op']} layer")
             entry = dict(entry)
             entry["inputs"] = tuple(entry.get("inputs", ()))
+            if entry["op"] == CONV2D:
+                # a stride and pad, where given, must be the ones the conv has
+                kernel = entry.get("kernel", 0)
+                stride, pad = entry.pop("stride", 1), entry.pop("pad", (kernel - 1) // 2)
+                if (stride, pad) != (1, (kernel - 1) // 2):
+                    raise _conv_shape_error(entry["id"], kernel, stride, pad)
             layers.append(LayerSpec(**entry))
         net = cls(
             layers=tuple(layers),
@@ -279,7 +301,8 @@ def save_weights(path, weights: dict[str, tuple[np.ndarray, np.ndarray]]) -> Non
 def load_weights(path, sha256: str | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read a weight file; trailing bytes, short reads and a layer id that
     appears twice are format errors, and so is a file whose bytes do not
-    hash to `sha256`, when given."""
+    hash to `sha256`, when given. Each array is held in the memory order
+    its conv multiplies (see _gemm_order)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if sha256 is not None and (actual := hashlib.sha256(blob).hexdigest()) != sha256:
@@ -299,9 +322,7 @@ def load_weights(path, sha256: str | None = None) -> dict[str, tuple[np.ndarray,
             out_ch, in_ch, kh, kw = struct.unpack_from("<IIII", blob, pos)
             pos += 16
             n = out_ch * in_ch * kh * kw
-            w = np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(
-                out_ch, in_ch, kh, kw
-            ).copy()
+            w = _gemm_order(np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(out_ch, in_ch, kh, kw))
             pos += 4 * n
             b = np.frombuffer(blob, dtype="<f4", count=out_ch, offset=pos).copy()
             pos += 4 * out_ch
@@ -315,6 +336,12 @@ def load_weights(path, sha256: str | None = None) -> dict[str, tuple[np.ndarray,
     if pos != len(blob):
         raise WeightFormatError(f"{path}: {len(blob) - pos} trailing bytes")
     return weights
+
+
+def _gemm_order(w: np.ndarray) -> np.ndarray:
+    """A float32 copy of (out, in, kh, kw) weights in (kw, out, kh, in) memory
+    order, whose GEMM matrix is then a view (see _kernel)."""
+    return w.transpose(3, 0, 2, 1).astype(np.float32, order="C").transpose(1, 3, 2, 0)
 
 
 def validate_weights(net: NetworkSpec, weights) -> None:
@@ -341,7 +368,7 @@ def random_weights(net: NetworkSpec, seed: int = 0, scale: float = 0.05):
     for layer in net.conv_layers():
         shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
         out[layer.id] = (
-            rng.normal(0.0, scale, shape).astype(np.float32),
+            _gemm_order(rng.normal(0.0, scale, shape)),
             rng.normal(0.0, scale, layer.out_ch).astype(np.float32),
         )
     return out
@@ -357,21 +384,21 @@ class _Kernel(NamedTuple):
     Both arrays may share memory with the caller's weights and bias, so
     nothing writes to them."""
 
-    wmat: np.ndarray  # (max(out_ch, 2), in_ch*size*size), C-contiguous; see _kernel
+    wmat: np.ndarray  # (size*out_ch, size*in_ch), or (2, in_ch) for one 1x1 output; see _kernel
     bias: np.ndarray  # (out_ch, 1)
     size: int
 
 
 def _kernel(weights: np.ndarray, bias: np.ndarray, dtype) -> _Kernel:
-    # weights already C-contiguous in `dtype`, as load_weights and
-    # random_weights return them, are multiplied where they are: a view,
+    # weights held in (kw, M, kh, C) memory order in `dtype`, as load_weights
+    # and random_weights hold them, are multiplied where they are: a view,
     # not a copy of the network on every call
     out_ch, in_ch, size, _ = weights.shape
-    wmat = np.ascontiguousarray(weights, dtype=dtype).reshape(out_ch, in_ch * size * size)
-    if out_ch == 1:
+    wmat = np.ascontiguousarray(weights.transpose(3, 0, 2, 1), dtype=dtype).reshape(size * out_ch, size * in_ch)
+    if len(wmat) == 1:
         # numpy sends a one-row weight matrix to GEMV, whose sums depend on
-        # the column count and the thread split; a zero second row keeps it
-        # on GEMM
+        # the column count and the thread split; a zero second row keeps a
+        # one-channel 1x1 conv on GEMM
         wmat = np.vstack([wmat, np.zeros_like(wmat)])
     return _Kernel(wmat, bias.astype(dtype, copy=False)[:, None], size)
 
@@ -381,20 +408,22 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     stride 1, zero padded by (k - 1) / 2, so the output is (O,H,W). A
     kernel that is not square and odd is a ShapeError.
 
-    Computed as im2col + one GEMM per output row, over chunks of rows
-    (see _conv). The input is copied into a zero-padded slab; each chunk
-    fills a (C, k, k, rows, W) column buffer with one copy from a strided
-    view of every tap's window of the slab and multiplies each row's
-    (C*k*k, W) columns by the weights reshaped to (O, C*k*k); a 1x1 conv
-    multiplies each row's (C, W) view of the input instead, with no slab
-    or column buffer. The bias is added after the last chunk.
+    Computed as one GEMM per output row, over chunks of rows (see _conv).
+    The input is copied into a zero-padded slab stored row by row,
+    (H + 2p, C, W + 2p), and each output row multiplies the (k*O, k*C)
+    weights, rows in (dj, out) and columns in (di, in) order, by its k
+    slab rows seen as one (k*C, W + 2p) matrix, with no copy; the k
+    column taps of the product, each shifted by its dj, are then added in
+    order dj = 0..k-1. A 1x1 conv multiplies each row's (C, W) view of
+    the input, with no slab. The bias is added after the last chunk.
 
     The accumulation order within an output pixel is whatever BLAS uses
-    for the GEMM's shape, and with one GEMM per row that shape is
-    (O, C*k*k) x (C*k*k, W) however the rows are chunked. So the band
-    pass of apply_network, which runs a conv a few rows at a time, gives
-    this whole-plane run's bits by construction, for one BLAS kernel and
-    thread count (TestGemmBanding and TestShortRuns check it).
+    for the GEMM's shape, then the taps in dj order, and with one GEMM per
+    row that shape is (k*O, k*C) x (k*C, W + 2p) however the rows are
+    chunked. So the band pass of apply_network, which runs a conv a few
+    rows at a time, gives this whole-plane run's bits by construction, for
+    one BLAS kernel and thread count (TestGemmBanding and TestShortRuns
+    check it).
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
@@ -436,69 +465,60 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
     h rows tall, padded by k.size // 2; a whole input is a ring as tall as
     itself.
 
-    Every GEMM covers one output row: the (M, K) weights times that row's
-    (K, W) columns. The rows go in chunks of as many as keep K x rows x W
-    values within BAND_BYTES (row_bands), and each chunk runs in one
-    np.matmul over its columns seen as (rows, K, W) into `out` seen as
-    (rows, M, W), which calls the BLAS GEMM once a row. So the GEMM's
-    shape depends on W alone, and an output pixel has the same place in
-    the same product however the rows are split into runs and chunks.
+    Every GEMM covers one output row. A k x k conv copies the input rows
+    it reads into a zero-padded, row-major slab, (rows, C, W + 2p), in one
+    copy unless they run across the ring's end; output row r's operand,
+    slab rows r..r+k-1, is then a (kC, W + 2p) view. The (kM, kC) weights
+    (see _kernel) times it give g[r, dj*M + m, j + dj], the partial sum of
+    column tap dj, and one np.add.reduce over a strided view of g adds the
+    taps into `out` in order dj = 0..k-1. A 1x1 conv multiplies its input
+    rows as they are, or a copy of them where they run across the ring's
+    end. The rows go in chunks that keep the GEMM output within BAND_BYTES
+    (row_bands), each in one batched np.matmul, which calls the BLAS GEMM
+    once a row. So the GEMM's shape depends on W alone, and an output
+    pixel is summed in the same order however the rows are split.
 
-    A 1x1 conv multiplies its input rows as they are, or a copy of them
-    where they run across the ring's end. Any other conv copies the input
-    rows it reads into a zero-padded slab, in one copy unless they run
-    across the ring's end, and each chunk fills its column buffer with one
-    copy from a strided view of every tap's window of the slab. The bias
-    and `act` then run once over all the rows. So a 3x3 run of one chunk,
-    clear of the plane's top and bottom, makes seven array operations,
-    each of which drops and retakes the GIL that worker threads share: the
-    pad columns' zeros, the slab, the columns, the GEMM, the bias and the
-    leaky ReLU's multiply and max; each further chunk adds two."""
+    The bias and `act` then run once over all the rows. So a 3x3 run of
+    one chunk, clear of the plane's top and bottom, makes seven array
+    operations, each of which drops and retakes the GIL that worker
+    threads share: the pad columns' zeros, the slab, the GEMM, the tap
+    sum, the bias and the leaky ReLU's multiply and max; each further
+    chunk adds two."""
     out_ch, n, w = out.shape
-    in_ch, pad = len(x), k.size // 2
-    m, kk = k.wmat.shape
-    direct = k.size == 1
-    if direct:
-        src = _ring_rows(x, r0, r0 + n)
+    in_ch, size, pad = len(x), k.size, k.size // 2
+    if size == 1:
+        src = _ring_rows(x, r0, r0 + n).transpose(1, 0, 2)
     else:
-        # zero-padded copy of just the input rows this run reads
+        # zero-padded copy of just the input rows this run reads, row-major
         top, bottom = r0 - pad, r0 + n + pad
         lo, hi = max(top, 0), min(bottom, h)
-        slab = np.empty((in_ch, bottom - top, w + 2 * pad), dtype=x.dtype)
+        slab = np.empty((bottom - top, in_ch, w + 2 * pad), dtype=x.dtype)
         if top < lo:
-            slab[:, : lo - top] = 0
+            slab[: lo - top] = 0
         if hi < bottom:
-            slab[:, hi - top :] = 0
+            slab[hi - top :] = 0
         if pad == 1:
             slab[:, :, :: w + 1] = 0  # both pad columns in one call
         else:
             slab[:, :, :pad] = 0
             slab[:, :, pad + w :] = 0
-        _ring_rows(x, lo, hi, slab[:, lo - top : hi - top, pad : pad + w])
-        # the slab's window under tap (di, dj) at output (r, j) is
-        # slab[:, di + r, dj + j]: one view of every tap's window, read
-        # once into the column buffers
-        sc, sr, sw = slab.strides
-        taps = np.ndarray((in_ch, k.size, k.size, n, w), slab.dtype, slab, 0, (sc, sr, sw, sr, sw))
-    chunks = row_bands(n, kk * w * x.itemsize)
-    most = max(c1 - c0 for c0, c1 in chunks)
-    if not direct:
-        buf = np.empty(kk * most * w, dtype=x.dtype)
-    # a one-channel conv's zero second row goes to chunk scratch
-    gemm_out = np.empty((most, m, w), dtype=x.dtype) if m != out_ch else None
-    for c0, c1 in chunks:
-        rows = c1 - c0
-        if direct:
-            cols = src[:, c0:c1]
-        else:
-            cols = buf[: kk * rows * w].reshape(in_ch, k.size, k.size, rows, w)
-            cols[...] = taps[:, :, :, c0:c1]
-            cols = cols.reshape(kk, rows, w)
-        if gemm_out is None:
-            np.matmul(k.wmat, cols.transpose(1, 0, 2), out=out[:, c0:c1].transpose(1, 0, 2))
-        else:
-            np.matmul(k.wmat, cols.transpose(1, 0, 2), out=gemm_out[:rows])
-            out[:, c0:c1] = gemm_out[:rows, :out_ch].transpose(1, 0, 2)
+        _ring_rows(x, lo, hi, slab[lo - top : hi - top, :, pad : pad + w].transpose(1, 0, 2))
+        # output row r reads slab rows r..r+k-1, one (kC, W + 2p) block
+        sr, sc, sw = slab.strides
+        src = np.ndarray((n, size * in_ch, w + 2 * pad), slab.dtype, slab, 0, (sr, sc, sw))
+    km = len(k.wmat)
+    if km == out_ch:  # a 1x1 conv of 2+ outputs multiplies into `out` itself
+        np.matmul(k.wmat, src, out=out.transpose(1, 0, 2))
+    else:
+        chunks = row_bands(n, km * (w + 2 * pad) * x.itemsize)
+        g = np.empty((max(c1 - c0 for c0, c1 in chunks), km, w + 2 * pad), dtype=x.dtype)
+        gr, gm, gw = g.strides
+        # tap dj of output (r, m, j) is g[r, dj*M + m, j + dj]; a one-channel
+        # 1x1 conv's tap is row 0 of its two (see _kernel)
+        taps = np.ndarray((size, len(g), out_ch, w), g.dtype, g, 0, (out_ch * gm + gw, gr, gm, gw))
+        for c0, c1 in chunks:
+            np.matmul(k.wmat, src[c0:c1], out=g[: c1 - c0])
+            np.add.reduce(taps[:, : c1 - c0], axis=0, out=out[:, c0:c1].transpose(1, 0, 2))
     band = out.reshape(out_ch, n * w)
     band += k.bias
     if act is not None:
@@ -756,7 +776,7 @@ def _bands(net: NetworkSpec, weights, sched: _Schedule, src: np.ndarray, dtype, 
     is a ring of rows (see _schedule): image row r sits in ring row
     r % rows, so the rows no reader needs any more are written over in
     place, and each layer's new rows go after the ones it made before, so
-    no row is computed twice or moved. A 3x3 conv copies its input rows
+    no row is computed twice or moved. A k x k conv copies its input rows
     from the ring into its padded slab; other rows that run across the end
     of a ring are read into, or made in, a copy.
     """

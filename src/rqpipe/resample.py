@@ -42,6 +42,10 @@ from .bands import row_bands
 from .errors import ConfigError
 from .frame_io import Frame, scaled_dims
 
+# the sums a resampled sample comes from, which a job's resume key takes
+# in. A constant, not a setting: a change that moves any sample changes it
+ARITHMETIC = "lanczos gemm, pairwise ties 1"
+
 __all__ = [
     "ResampleFilter",
     "LANCZOS3",

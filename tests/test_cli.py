@@ -380,7 +380,7 @@ class TestRunAndReport:
         # used to fail each post-processed job at its first frame
         text = (experiment_dir / "net.json").read_text()
         for edit, error in [
-            (lambda doc: doc["layers"][0].pop("pad"), "error: conv layer 'head': kernel 3, stride 1, pad 0;"),
+            (lambda doc: doc["layers"][0].update(pad=0), "error: conv layer 'head': kernel 3, stride 1, pad 0;"),
             (lambda doc: doc["layers"][-1].update(out_ch=2), "error: network output has 2 channels, expected 1\n"),
         ]:
             doc = json.loads(text)

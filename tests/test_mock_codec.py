@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.fft import dctn, idctn
 
-from rqpipe import Frame, VideoSpec, bands, mock_encode_decode
+from rqpipe import Frame, VideoSpec, bands, mock_encode_decode, synthetic_sequence
 from rqpipe.errors import ConfigError
 from rqpipe.metrics import mse_plane
 from rqpipe.pipeline import MockCodec
@@ -567,3 +568,19 @@ class TestCodecMemory:
             finally:
                 tracemalloc.stop()
             assert peak < result.nbytes + 3 * bands.BAND_BYTES
+
+
+class TestGolden:
+    """The codec's bits and samples on one fixed input, by the ARITHMETIC
+    the resume key takes in: a change that moves them fails here until it
+    states a new ARITHMETIC, so that old records of it are rerun."""
+
+    GOLDEN = {  # ARITHMETIC -> (bits, sha256 of the decoded planes as 16-bit words)
+        "dct gemm, pocketfft ties 1": (16306, "ee93942e06086ef3e780d74016228e30ce42ea0ab8a192e763014f763d44f584"),
+    }
+
+    def test_bits_and_recon_are_pinned(self):
+        frames = synthetic_sequence(VideoSpec(48, 32, 10, "420", frame_count=2), seed=7)
+        decoded, bits = mock_encode_decode(frames, 27, 10)
+        digest = sha256(b"".join(p.astype("<u2").tobytes() for f in decoded for p in f.planes())).hexdigest()
+        assert (bits, digest) == self.GOLDEN[codecs.ARITHMETIC]

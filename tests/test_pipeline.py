@@ -8,6 +8,8 @@ import os
 import re
 import shlex
 import signal
+import subprocess
+import sys
 import textwrap
 import threading
 import time
@@ -42,7 +44,8 @@ from rqpipe.pipeline import (
     dump_patch,
     load_experiment,
 )
-from rqpipe.pipeline import config, runner
+from rqpipe import postproc_cnn, resample
+from rqpipe.pipeline import codecs, config, runner
 from rqpipe.pipeline.config import ExperimentConfig
 from rqpipe.pipeline import manifest as manifest_module
 from rqpipe.pipeline.manifest import HASH_CHUNK, JobRecord, sha256_file
@@ -127,16 +130,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=metric):
             cfg.validate()
 
-    @pytest.mark.parametrize("stride, pad", [(1, None), (2, 1)], ids=["3x3-without-pad", "stride-2"])
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (2, 1)], ids=["3x3-pad-0", "stride-2"])
     def test_size_changing_net_rejected_at_load(self, experiment_dir, stride, pad):
         # such a net used to load, and every post-processed job then failed after its CNN ran
         doc = json.loads((experiment_dir / "net.json").read_text())
-        head = doc["layers"][0]
-        head["stride"] = stride
-        if pad is None:
-            del head["pad"]
+        doc["layers"][0].update(stride=stride, pad=pad)
         (experiment_dir / "net.json").write_text(json.dumps(doc))
-        with pytest.raises(ShapeError, match=rf"^conv layer 'head': kernel 3, stride {stride}, pad {pad or 0};"):
+        with pytest.raises(ShapeError, match=rf"^conv layer 'head': kernel 3, stride {stride}, pad {pad};"):
             load_experiment(experiment_dir / "exp.ini")
 
     def test_duplicate_method_labels_rejected(self, experiment_dir):
@@ -470,6 +470,13 @@ pairs = 0:0, 37:15
             assert np.mean(score["per_frame"]) == pytest.approx(score["sequence_value"], abs=1e-6)
 
 
+def cpu_flags():
+    try:
+        return Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return []
+
+
 class TestDeterminismAndResume:
     @staticmethod
     def strip_volatile(manifest):
@@ -799,6 +806,79 @@ pairs = 22:4, 37:15
             ("anchor", 1, "ok"), ("anchor", 2, "failed")  # a job cannot write over a folder
         ]
         assert redone[1]["error"].startswith("IsADirectoryError")
+
+    def test_recon_is_hashed_as_it_is_written(self, experiment_dir, monkeypatch):
+        # each record's recon sha256 is taken from the bytes write_sequence
+        # writes: a first run opens no recon to read it, and the hash is the
+        # file's, as a read-back gave it
+        reads = []
+        real_open = open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if str(file).endswith("_recon.yuv") and "r" in mode:
+                reads.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
+        monkeypatch.undo()
+        assert reads == []
+        assert len(manifest.ok_jobs()) == 12
+        for rec in manifest.jobs.values():
+            assert rec.artifacts["recon"]["sha256"] == sha256_file(rec.artifacts["recon"]["path"])
+
+    @staticmethod
+    def appended_jobs(path, before):
+        """(method, qp index) of every job record appended to the manifest
+        at `path` after its first `before` bytes."""
+        docs = map(json.loads, path.read_bytes()[before:].decode().splitlines())
+        return sorted((doc["method"], doc["qp_index"]) for doc in docs if doc["record"] == "job")
+
+    @pytest.mark.parametrize("engine, methods", [
+        (postproc_cnn, ["postproc"]),
+        (codecs, ["anchor", "postproc", "rescaled"]),
+        (resample, ["postproc", "rescaled"]),
+    ], ids=["postproc_cnn", "mock-codec", "resample"])
+    def test_resume_reruns_exactly_the_jobs_of_a_changed_arithmetic(self, experiment_dir, monkeypatch,
+                                                                      engine, methods):
+        # a record made with other sums than the running code's is not
+        # resumed: every job that runs the engine is redone once, and no other
+        manifest = experiment_dir / "out" / "manifest.jsonl"
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        before = manifest.stat().st_size
+        monkeypatch.setattr(engine, "ARITHMETIC", engine.ARITHMETIC + " changed")
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert self.appended_jobs(manifest, before) == [(m, qi) for m in methods for qi in range(4)]
+        before = manifest.stat().st_size
+        run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert manifest.stat().st_size == before
+
+    @pytest.mark.skipif("avx2" not in cpu_flags(), reason="OpenBLAS's Haswell kernels need AVX2")
+    def test_resume_under_another_blas_core_reruns_only_post_processed_jobs(self, experiment_dir):
+        # the CNN's sums follow the OpenBLAS kernels, the codec's and the
+        # resampler's do not: a workdir resumed under the Haswell kernels,
+        # which OpenBLAS picks as it loads, so in a child process, redoes
+        # its post-processed jobs once and no other
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
+        if manifest.header["environment"]["blas_core"] in (None, "Haswell"):
+            pytest.skip(f"this run's OpenBLAS core is {manifest.header['environment']['blas_core']}")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        resume = (
+            "import sys; from rqpipe import run_experiment; from rqpipe.pipeline.runner import _openblas;"
+            " print((_openblas() or [None] * 3)[2]); run_experiment(sys.argv[1], workers=2)"
+        )
+        path = experiment_dir / "out" / "manifest.jsonl"
+        for appended in ([("postproc", qi) for qi in range(4)], []):
+            before = path.stat().st_size
+            child = subprocess.run([sys.executable, "-c", resume, str(experiment_dir / "exp.ini")],
+                                   env=env, capture_output=True, text=True, timeout=300, check=True)
+            if child.stdout.strip() != "Haswell":
+                pytest.skip(f"numpy's BLAS did not load the Haswell kernels: {child.stdout.strip()}")
+            assert self.appended_jobs(path, before) == appended
+        redone = RunManifest.load(path).jobs[("synthA", "postproc", 0)]
+        assert redone.notes["blas_core"] == "Haswell"
 
     @pytest.fixture
     def pooled(self, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -57,28 +58,28 @@ def conv2d_oracle(x, w, b, stride=1, pad=0):
     return out
 
 
-def conv2d_im2col_oracle(x, weights, bias, stride=1, pad=0):
-    """conv2d before the storage plan: every kernel, 1x1 included, takes
-    its columns from a zero-padded copy of the whole input, one GEMM per
-    output row ((M, K) weights times the row's (K, W) columns, as the
-    engine multiplies), and the bias is added once after the last row."""
-    out_ch, in_ch, kh, kw = weights.shape
+def conv2d_row_window_oracle(x, weights, bias):
+    """conv2d over a zero-padded copy of the whole input stored row by row,
+    (H + 2p, C, W + 2p): for each output row, a contiguous copy of its
+    (kC, W + 2p) window of rows r..r+k-1 times the (kM, kC) weights, rows
+    in (dj, out) order and columns in (di, in) order (a one-channel 1x1
+    conv's over a zero second row, as the engine multiplies), then the k
+    column taps added in dj order, and the bias once after the last row."""
+    out_ch, in_ch, k, _ = weights.shape
     _, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    k = in_ch * kh * kw
-    m = max(out_ch, 2)
-    wmat = np.zeros((m, k), dtype=x.dtype)
-    wmat[:out_ch] = weights.reshape(out_ch, k)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((in_ch, kh, kw, ow), dtype=x.dtype)
-    out = np.empty((oh, m, ow), dtype=x.dtype)
-    for i in range(oh):
-        for di in range(kh):
-            for dj in range(kw):
-                cols[:, di, dj] = xp[:, i * stride + di, dj : dj + ow * stride : stride]
-        np.matmul(wmat, cols.reshape(k, ow), out=out[i])
-    out = out[:, :out_ch].transpose(1, 0, 2).copy()
+    p = k // 2
+    wmat = weights.transpose(3, 0, 2, 1).reshape(k * out_ch, k * in_ch).astype(x.dtype)
+    if len(wmat) == 1:
+        wmat = np.vstack([wmat, np.zeros_like(wmat)])
+    xp = np.zeros((h + 2 * p, in_ch, w + 2 * p), x.dtype)
+    xp[p : p + h, :, p : p + w] = x.transpose(1, 0, 2)
+    out = np.empty((out_ch, h, w), x.dtype)
+    for r in range(h):
+        g = np.matmul(wmat, xp[r : r + k].reshape(k * in_ch, w + 2 * p).copy())
+        acc = g[:out_ch, :w].copy()
+        for dj in range(1, k):
+            acc += g[dj * out_ch : (dj + 1) * out_ch, dj : dj + w]
+        out[:, r] = acc
     out += bias.astype(x.dtype)[:, None, None]
     return out
 
@@ -86,7 +87,7 @@ def conv2d_im2col_oracle(x, weights, bias, stride=1, pad=0):
 def run_layer_oracle(layer, ins, weights):
     if layer.op == "conv2d":
         w, b = weights[layer.id]
-        return conv2d_im2col_oracle(ins[0], w, b, layer.stride, layer.pad)
+        return conv2d_row_window_oracle(ins[0], w, b)
     if layer.op == "activation":
         v = ins[0]
         if layer.act == "relu":
@@ -187,18 +188,19 @@ def layers_in_bands(net, weights, x, rows):
 
 def planned_bytes(net, h, w):
     """The band pass's planned working set for an h x w plane in float32:
-    every store's ring of rows, plus the widest conv's column buffer for
-    the most rows one of its chunks fills."""
+    every store's ring of rows, plus the widest conv's GEMM output for the
+    most rows one of its chunks holds: kM x (W + 2p) values a row (a 1x1
+    conv of 2+ outputs multiplies into its ring and holds none)."""
     sched = postproc_cnn._schedule(net, (1, h, w), np.float32)
     rings = sum(c * r for c, r in zip(net.storage_plan.stores, sched.rows)) * w * 4
-    cols = 0
+    scratch = 0
     for band in sched.bands:
         for i, r0, r1 in band.work:
             l = net.layers[i] if i >= 0 else None
-            if l is not None and l.op == "conv2d":
-                k = l.in_ch * l.kernel**2
-                cols = max(cols, k * w * 4 * min(r1 - r0, max(1, bands.BAND_BYTES // (k * w * 4))))
-    return rings + cols
+            if l is not None and l.op == "conv2d" and (l.kernel > 1 or l.out_ch == 1):
+                row = max(2, l.kernel * l.out_ch) * (w + 2 * (l.kernel // 2)) * 4
+                scratch = max(scratch, row * min(r1 - r0, max(1, bands.BAND_BYTES // row)))
+    return rings + scratch
 
 
 def identity_net(residual=False):
@@ -410,7 +412,7 @@ class TestApplyNetwork:
 
     def test_default_net_peak_at_benchmark_size(self):
         # the default net on the 192x108 plane of the post-processing
-        # benchmark: its column buffers are chunks of one-row GEMMs under
+        # benchmark: its GEMM outputs are chunks of one-row GEMMs under
         # BAND_BYTES, and no run waits for rows to keep a GEMM wide. A
         # column budget of 8 MB, with waits and padded runs, peaked at 7.19 MiB
         net = build_mfrnet_style()
@@ -424,6 +426,23 @@ class TestApplyNetwork:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_default_net_peak_at_paper_width(self):
+        # one 8x4096 plane: the rings are a few rows of 4096, and a 3x3 conv
+        # holds its slab and one chunk of GEMM output, kM x (W + 2) values a
+        # row; an im2col column buffer of 9C x W values a row, and the slab
+        # it was filled from, made this peak 73.5 MiB
+        net = build_mfrnet_style()
+        weights = random_weights(net, seed=48)
+        plane = np.random.default_rng(49).integers(0, 1024, (8, 4096)).astype(np.uint16)
+        apply_network(net, weights, plane, 10)  # plans this size once
+        tracemalloc.start()
+        try:
+            apply_network(net, weights, plane, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 68 << 20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_loaded_weights_are_not_copied_per_call(self, tmp_path):
         # the same plane with the weights a job loads from its file: a copy
@@ -442,18 +461,22 @@ class TestApplyNetwork:
         assert peak < 5 << 20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_kernel_multiplies_the_weights_where_they_are(self):
-        # only a one-channel conv gets a new matrix: its weights over a zero
-        # second row (see _kernel)
+        # every conv's (kM, kC) matrix is a view of the weights, the 3x3 convs'
+        # and the one-channel tail's included; only a one-channel 1x1 conv
+        # gets a new matrix: its weights over a zero second row (see _kernel)
         convs = random_weights(build_mfrnet_style()).values()
-        assert any(w.shape[0] == 1 for w, _ in convs)
+        assert {w.shape[0] for w, _ in convs if w.shape[2] == 3} == {1, 16, 32}
         for w, b in convs:
+            m, c, size, _ = w.shape
             k = postproc_cnn._kernel(w, b, np.float32)
             assert np.shares_memory(k.bias, b)
-            if w.shape[0] > 1:
-                assert np.shares_memory(k.wmat, w)
-            else:
-                assert k.wmat.shape == (2, w.size)
-                assert np.array_equal(k.wmat[0], w.ravel()) and not k.wmat[1].any()
+            assert np.shares_memory(k.wmat, w) and k.wmat.shape == (size * m, size * c)
+            for dj in range(size):  # rows in (dj, out) order, columns in (di, in) order
+                block = k.wmat[dj * m : (dj + 1) * m].reshape(m, size, c).transpose(0, 2, 1)
+                assert np.array_equal(block, w[..., dj])
+        (w, b), = random_weights(identity_net()).values()
+        k = postproc_cnn._kernel(w, b, np.float32)
+        assert k.wmat.shape == (2, 1) and k.wmat[0, 0] == w.item() and k.wmat[1, 0] == 0
 
     @pytest.mark.parametrize("residual", [False, True])
     def test_no_whole_float64_plane(self, residual):
@@ -685,12 +708,14 @@ class TestStoragePlan:
         self.check(net, 12, 17)
 
     def test_peak_memory_with_small_column_buffer(self, monkeypatch):
-        # with a 2-row column budget (the conv's chunks follow the kernels'
-        # BAND_BYTES) the peak stays under what layer-at-a-time evaluation
-        # with concats as slices holds: one block's buffer and the reuse
-        # buffer, 192 whole-plane channels, plus one column buffer and one
-        # more budget for its padded slab and the band temporaries. The band
-        # pass peaks at 4.2 MB; copying every concat, at 7.0 MB
+        # with the kernels' BAND_BYTES cut to the widest conv's 2-row im2col
+        # budget (the bands and the convs' chunks of GEMM output follow it)
+        # the peak stays under what layer-at-a-time evaluation with concats
+        # as slices holds: one block's buffer and the reuse buffer, 192
+        # whole-plane channels, plus one budget for a chunk's GEMM output and
+        # one more for its padded slab and the band temporaries. The band
+        # pass peaked at 4.2 MB with im2col columns; copying every concat, at
+        # 7.0 MB
         net = build_mfrnet_style()
         h, w = 64, 96
         budget = 2 * 720 * w * 4
@@ -800,7 +825,7 @@ class TestTiledApply:
         assert runs == [(0, 21), (21, 42), (42, 64)]
 
     def test_working_set_at_paper_sizes(self):
-        # the default net's rings and column buffer: at 4096x2048 under
+        # the default net's rings and GEMM output: at 4096x2048 under
         # 512 MB, where the whole-plane evaluation needed 6.4 GB (four strips
         # of 1805 MB); at 1080p under 64 MB, against 1.6 GB whole
         net = build_mfrnet_style()
@@ -831,8 +856,9 @@ class TestTiledApply:
 
 class TestLayerContract:
     """Every value is as large as the plane, so NetworkSpec.validate rejects
-    a conv without a positive odd kernel, stride 1 and pad (kernel - 1) / 2,
-    and an activation that is not relu or leaky_relu, naming the layer."""
+    a conv without a positive odd kernel, and an activation that is not
+    relu or leaky_relu, naming the layer. A conv has no stride or pad of
+    its own: from_json rejects any but stride 1 and pad (kernel - 1) / 2."""
 
     BAD_CONVS = pytest.mark.parametrize(
         "kernel, stride, pad", [(3, 2, 1), (3, 1, 0), (3, 1, 2), (2, 1, 0), (-1, 1, -1)]
@@ -849,9 +875,10 @@ class TestLayerContract:
         with pytest.raises(ShapeError, match=self.conv_error(kernel, stride, pad)):
             NetworkSpec.from_json(json.dumps(doc))
 
-    @BAD_CONVS
+    @pytest.mark.parametrize("kernel, stride, pad", [(2, 1, 0), (-1, 1, -1)])
     def test_apply_network_names_the_layer(self, kernel, stride, pad):
-        conv = LayerSpec("c", CONV2D, ("input",), in_ch=1, out_ch=1, kernel=kernel, stride=stride, pad=pad)
+        conv = LayerSpec("c", CONV2D, ("input",), in_ch=1, out_ch=1, kernel=kernel)
+        assert (conv.stride, conv.pad) == (stride, pad)
         net = NetworkSpec(layers=(conv,), output_id="c")
         k = max(kernel, 1)
         weights = {"c": (np.ones((1, 1, k, k), np.float32), np.zeros(1, np.float32))}
@@ -859,11 +886,14 @@ class TestLayerContract:
             apply_network(net, weights, np.zeros((64, 64), np.uint8), 8)
 
     def test_json_3x3_conv_without_pad(self):
-        # LayerSpec's pad defaults to 0, which shrinks a 3x3 conv's output by two rows
-        second = {k: v for k, v in conv_entry("c", "h", 1, 1).items() if k != "pad"}
-        doc = {"layers": [conv_entry("h", "input", 1, 1), second], "output_id": "c"}
-        with pytest.raises(ShapeError, match=self.conv_error(3, 1, 0)):
-            NetworkSpec.from_json(json.dumps(doc))
+        # a conv has no pad of its own: an entry without one is same-size,
+        # and to_json writes neither stride nor pad, so they are not part of
+        # a network's hash
+        doc = {"layers": [{k: v for k, v in conv_entry("c", "input", 1, 1).items() if k != "pad"}], "output_id": "c"}
+        net = NetworkSpec.from_json(json.dumps(doc))
+        assert (net.layers[0].stride, net.layers[0].pad) == (1, 1)
+        assert all(not {"stride", "pad"} & entry.keys() for entry in json.loads(net.to_json())["layers"])
+        assert NetworkSpec.from_json(net.to_json()) == net
 
     def test_unknown_activation_kind_from_json(self):
         # it used to run as a leaky ReLU with alpha 0.2
@@ -917,17 +947,18 @@ class TestGemmBanding:
     @pytest.mark.parametrize("rows, width", [(1, 100), (7, 100), (4, 41), (3, 100)])
     def test_row_bands_equal_one_band(self, monkeypatch, rows, width):
         # the default net's widest conv: K = 80*3*3 = 720, 16 outputs, in
-        # chunks of at most `rows` rows (a budget of that many rows'
-        # columns) against one chunk. Every GEMM is (16, 720) @ (720, W)
-        # whatever the chunk, so OpenBLAS sums it the same way, also where
-        # it falls under the small-matrix cutoff (M*N*K <= 1e6), as all
-        # these do; at 41 wide the 4-row budget gives chunks of 3-4 rows
+        # chunks of at most `rows` rows (a budget of that many rows' GEMM
+        # output, 3*16 x (W + 2) values each) against one chunk. Every GEMM
+        # is (48, 240) @ (240, W + 2) whatever the chunk, so OpenBLAS sums it
+        # the same way, also where it falls under the small-matrix cutoff
+        # (M*N*K <= 1e6), as at 41 wide, where the 4-row budget gives chunks
+        # of 3-4 rows
         rng = np.random.default_rng(23)
         x = rng.normal(size=(80, 30, width)).astype(np.float32)
         w = rng.normal(0, 0.05, (16, 80, 3, 3)).astype(np.float32)
         b = rng.normal(0, 0.05, 16).astype(np.float32)
         one_band = conv2d(x, w, b)
-        monkeypatch.setattr(bands, "BAND_BYTES", rows * 80 * 3 * 3 * width * 4)
+        monkeypatch.setattr(bands, "BAND_BYTES", rows * 3 * 16 * (width + 2) * 4)
         assert np.array_equal(conv2d(x, w, b), one_band)
 
 
@@ -940,12 +971,20 @@ class TestShortRuns:
     conv2d's bits."""
 
     @pytest.mark.parametrize("out_ch, in_ch, kernel, h, w", [
-        (1, 4, 3, 10, 37),  # one-channel: the zero second weight row
+        (1, 4, 3, 10, 37),  # one-channel: a (3, 12) GEMM
+        (1, 4, 1, 10, 37),  # one-channel 1x1: the zero second weight row
         (2, 16, 3, 9, 45),
         (4, 4, 1, 10, 37),  # 1x1
         (32, 1, 3, 64, 96),  # the default head
         (16, 32, 3, 40, 100),
         (32, 32, 1, 40, 100),  # 1x1
+        # the default net's head, widest dense conv and tail at the widths
+        # the benchmark and the paper run
+        (16, 80, 3, 7, 192),
+        (32, 1, 3, 7, 1920),
+        (16, 80, 3, 7, 1920),
+        (1, 32, 3, 7, 1920),
+        (16, 80, 3, 7, 4096),
     ])
     def test_runs_equal_whole_plane(self, out_ch, in_ch, kernel, h, w):
         rng = np.random.default_rng(40)
@@ -954,7 +993,7 @@ class TestShortRuns:
         x = rng.random((in_ch, h, w)).astype(np.float32)
         whole = conv2d(x, weights, bias)
         k = postproc_cnn._kernel(weights, bias, np.float32)
-        for rows in (1, 3, 5):
+        for rows in (1, 2, 3, 5):
             out = np.empty_like(whole)
             for r0 in range(0, h, rows):
                 postproc_cnn._conv(k, x, h, out[:, r0 : r0 + rows], r0)
@@ -962,26 +1001,44 @@ class TestShortRuns:
 
 
 class TestWindowFill:
-    """A conv run copies its input rows into a padded slab in one copy
-    unless they run across a ring's end, and each chunk of it fills its
-    columns with one copy from a strided view of every tap's window of the
-    slab. The columns, so the GEMMs, must be the tap-by-tap oracle's bit
-    for bit."""
+    """A conv run copies its input rows into a padded slab, stored row by
+    row, in one copy unless they run across a ring's end; each output row's
+    GEMM reads a view of its window of slab rows, and each chunk of rows
+    adds its taps in one reduce. The output must be the row-window oracle's
+    bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     def test_conv2d_equals_slice_oracle(self, monkeypatch, kernel, dtype):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(3, 17, 23)).astype(dtype)
-        pad = kernel // 2
         for out_ch in (1, 4):
             w = rng.normal(0, 0.3, (out_ch, 3, kernel, kernel)).astype(np.float32)
             b = rng.normal(0, 0.3, out_ch).astype(np.float32)
-            assert_bits_equal(conv2d(x, w, b), conv2d_im2col_oracle(x, w, b, pad=pad))
+            assert_bits_equal(conv2d(x, w, b), conv2d_row_window_oracle(x, w, b))
             with monkeypatch.context() as m:
-                # chunks of at most 3 output rows, each filling its columns from the slab
-                m.setattr(bands, "BAND_BYTES", 3 * 3 * kernel**2 * 23 * x.itemsize)
-                assert_bits_equal(conv2d(x, w, b), conv2d_im2col_oracle(x, w, b, pad=pad))
+                # chunks of at most 3 output rows of GEMM output
+                m.setattr(bands, "BAND_BYTES", 3 * max(2, kernel * out_ch) * (23 + kernel - 1) * x.itemsize)
+                assert_bits_equal(conv2d(x, w, b), conv2d_row_window_oracle(x, w, b))
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_taps_sum_in_dj_order(self, kernel):
+        # on a plane of ones, with weights only in the middle kernel row,
+        # column tap dj of an interior output is exactly its weight v[dj].
+        # 2^25 - 2^25 + 1 + ... is exact only summed from dj = 0 up: any other
+        # order loses the ones to rounding
+        v = np.array([1.0] if kernel == 1 else [2.0**25, -(2.0**25)] + [1.0] * (kernel - 2), np.float32)
+        w = np.zeros((1, 1, kernel, kernel), np.float32)
+        w[0, 0, kernel // 2] = v
+        in_order = np.float32(0)
+        for tap in v:
+            in_order += tap
+        assert in_order == max(1, kernel - 2)
+        if kernel > 1:
+            assert v[-1] + v[1] + v[0] != in_order and v[0] + (v[1] + v[2]) != in_order
+        out = conv2d(np.ones((1, 6, 13), np.float32), w, np.zeros(1, np.float32))
+        p = kernel // 2
+        assert np.all(out[0, :, p : 13 - p] == in_order)
 
     @pytest.mark.parametrize("out_ch, in_ch, kernel, rows", [
         (16, 32, 3, 4),
@@ -1009,6 +1066,34 @@ class TestWindowFill:
         assert_bits_equal(out, conv2d(x, weights, bias)[:, r0 : r0 + rows])
 
 
+class TestGolden:
+    """The default net's float output on one fixed plane, by the ARITHMETIC
+    and the OpenBLAS core the resume key takes in. A change to the engine
+    that moves a bit fails here until it states a new ARITHMETIC, so that
+    old post-processed records are rerun. The Haswell hash is checked in
+    TestBlasKernels' child process."""
+
+    GOLDEN = {  # ARITHMETIC -> OpenBLAS core -> sha256 of the float32 output before the residual and rounding
+        "row-window gemm, dj-ordered taps 1": {
+            "SkylakeX": "aaa002faca35a0b5ddb886d97d2af150558a034eaf1ef2268fb6a59dd6ee8ccb",
+            "Haswell": "049391bf0f5b8cf1873f55f80f8b4bc6b26ae9e93dd4bcb020b9860967417cd8",
+        },
+    }
+
+    def test_default_net_output_is_pinned(self):
+        from rqpipe.pipeline.runner import _openblas
+
+        pinned = self.GOLDEN[postproc_cnn.ARITHMETIC]
+        core = (_openblas() or [None] * 3)[2]
+        if core not in pinned:
+            pytest.skip(f"no golden output for the OpenBLAS core {core}")
+        net = build_mfrnet_style()
+        plane = np.random.default_rng(0).integers(0, 1024, (24, 40))
+        x = (plane.astype(np.float32) / np.float32(1023))[None]
+        y = apply_layers(net, random_weights(net, seed=0), x)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == pinned[core]
+
+
 def cpu_flags():
     try:
         return Path("/proc/cpuinfo").read_text().split()
@@ -1033,7 +1118,7 @@ class TestBlasKernels:
         core = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         if core.stdout.strip() != "Haswell":
             pytest.skip(f"numpy's BLAS did not load the Haswell kernels: {core.stdout.strip()}")
-        classes = " or ".join(("TestGemmBanding", "TestShortRuns", "TestWindowFill", "TestStoragePlan"))
+        classes = " or ".join(("TestGemmBanding", "TestShortRuns", "TestWindowFill", "TestStoragePlan", "TestGolden"))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", classes],
             cwd=root, env=env, capture_output=True, text=True, timeout=600,
@@ -1075,8 +1160,8 @@ class TestBuildMfrnetStyle:
         net.validate()
 
     @pytest.mark.parametrize("args, sha256", [
-        ((), "c25c63d923dabbad6ea227458cb53c15906409c6376c2325ce4bfa11eea6c66d"),
-        ((1, 1, 4, 4), "f112c11004397ae3599232e76917f9d38f9f65376c8f7f49b3bec33811e0aa6c"),
+        ((), "844392b274eae4d860d444e55a1a0667551f0aab54f900b6d54105cb70b642de"),
+        ((1, 1, 4, 4), "ceac8945fd414115db18af97b694abd699256a405677a81ea7c76ba938bb773d"),
     ])
     def test_network_hash_is_pinned(self, args, sha256):
         # every post-processed job's config_sha256 includes this hash, so a

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from hashlib import sha256
 
 import numpy as np
 import pytest
 
-from rqpipe import Frame, bands, lanczos_weight, resample, resample_frame, resample_plane
+from rqpipe import Frame, VideoSpec, bands, lanczos_weight, resample, resample_frame, resample_plane, synthetic_sequence
 from rqpipe.errors import ConfigError, DimensionError
 from rqpipe.resample import LANCZOS3, NEAREST, ResampleFilter, _axis_taps, _filter_axis, parse_scale
 
@@ -537,3 +538,23 @@ class TestParsing:
     def test_lanczos_a_must_be_positive(self):
         with pytest.raises(ConfigError):
             ResampleFilter.lanczos(0)
+
+
+class TestGolden:
+    """Lanczos down and up on one fixed plane, by the ARITHMETIC the resume
+    key takes in: a change that moves a sample fails here until it states a
+    new ARITHMETIC, so that old records of it are rerun."""
+
+    GOLDEN = {  # ARITHMETIC -> sha256 of the 1/2 and then the 2x plane, as 16-bit words
+        "lanczos gemm, pairwise ties 1": (
+            "4875d82fde2c88b61f814584e9d7f6dd50329ab807c2b11e3646b67d808a1af7",
+            "d763a304710ff9340831e93ace73b8828ecf004774f7619703341bf35b9620c5",
+        ),
+    }
+
+    def test_lanczos_down_and_up_are_pinned(self):
+        plane = synthetic_sequence(VideoSpec(48, 32, 10, "420", frame_count=2), seed=7)[0].y
+        down = resample_plane(plane, Fraction(1, 2), LANCZOS3, 10)
+        up = resample_plane(down, Fraction(2), LANCZOS3, 10)
+        got = tuple(sha256(p.astype("<u2").tobytes()).hexdigest() for p in (down, up))
+        assert got == self.GOLDEN[resample.ARITHMETIC]
