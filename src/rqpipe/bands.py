@@ -5,7 +5,10 @@ plane in bands of rows under BAND_BYTES, so each holds its result plus
 scratch for one band instead of whole float64 planes. The CNN runs its
 whole graph in bands of input rows, as many as fit one row of each of its
 stores in BAND_BYTES, and rounds its output in bands under it; its convs
-split their GEMM output into chunks of rows under it too. Every sample
+split their GEMM output into chunks of rows under it too. For the default
+net that plans (postproc_cnn.planned_bytes) about 27 MiB at 1080p and
+57 MiB at 4096x2048, rings of a few rows and one conv run's slab and
+GEMM output, against 1.6 and 6.4 GB for whole-plane values. Every sample
 of a band is computed as it would be in one whole-plane pass, so the
 split never changes a result.
 """

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -114,10 +115,12 @@ class PostprocConfig:
     net: NetworkSpec
     weights_by_qp: dict[int, Path]
     luma_only: bool = True
-    # sha256 of each weight file by path, taken when validate() first reads
-    # and checks it, which later calls do not repeat; a job loads only
+    # sha256 of each weight file by path, taken when validate() reads and
+    # checks it, and the os.stat signature it was taken at: a later call
+    # hashes the file again only when that changed. A job loads only
     # weights that still hash to it
     weights_sha256: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    weights_stat: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def select_weights_qp(self, base_qp_texture: int) -> int:
         """Nearest configured base QP wins; ties go to the lower QP."""
@@ -195,10 +198,13 @@ class ExperimentConfig:
                         raise ConfigError(
                             f"method {method.label!r}: weights for qp {qp} missing: {path}"
                         )
-                    if str(path) not in method.postproc.weights_sha256:
-                        # read and checked once, when hashed: a job refuses weights that no longer hash to it
+                    st = os.stat(path)  # before the read, so a write during it shows next time
+                    signature = (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+                    if method.postproc.weights_stat.get(str(path)) != signature:
+                        # read and checked when hashed: a job refuses weights that no longer hash to it
                         validate_weights(method.postproc.net, load_weights(path))
                         method.postproc.weights_sha256[str(path)] = sha256_file(path)
+                        method.postproc.weights_stat[str(path)] = signature
         for seq in self.sequences:
             if seq.spec.frame_count < 1:
                 raise ConfigError(f"sequence {seq.label!r}: frame_count must be at least 1")

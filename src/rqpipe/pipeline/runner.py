@@ -82,6 +82,19 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak RSS in MiB: VmHWM from /proc/self/status, which
+    unlike ru_maxrss starts again at exec, or ru_maxrss (KiB on Linux)
+    where /proc is absent; None where neither is known."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            status = fh.read()
+        at = status.index(b"VmHWM:")
+        return round(int(status[at + 6 : status.index(b"kB", at)]) / 1024, 1)
+    except (OSError, ValueError):  # no /proc, or no VmHWM in it
+        return None if getrusage is None else round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 @cache
 def _openblas():
     """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
@@ -393,8 +406,10 @@ def run_experiment(
     Each finished job logs one INFO line to this module's logger: its key,
     status, wall seconds and how many of the jobs to run are done; a job
     logs its frames done at most once per PROGRESS_SECONDS of its time.
-    Its record's notes hold the process's peak RSS so far, where known,
-    and the OpenBLAS core and thread count its sums came from.
+    Its record's notes hold the process's peak RSS so far and as the run
+    starts its jobs, where known, so that a reader can tell what the
+    process held before the run from what the run added, and the OpenBLAS
+    core and thread count its sums came from.
     """
     n_workers = _worker_count(workers)
     if isinstance(config, ExperimentConfig):
@@ -457,6 +472,8 @@ def run_experiment(
                 intact = manifest.intact_jobs(
                     [(key, reference_hashes[key[0]], config_hashes[key]) for key in keys], submit
                 ) if resume else [False] * len(jobs)
+                # what the process held before its jobs: read only when one runs
+                start_peak_mb = None if all(intact) else _peak_rss_mb()
                 futures = [
                     submit(_timed_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
                     for (seq, method, qi, pair), skip in zip(jobs, intact)
@@ -469,6 +486,8 @@ def run_experiment(
                     rec.config_sha256 = config_hashes[rec.key]
                     if getrusage is not None:  # KiB on Linux; the process's, as workers are threads
                         rec.notes["process_peak_rss_mb"] = round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 1)
+                    if start_peak_mb is not None:  # in every record: a resume may write no header
+                        rec.notes["run_start_peak_rss_mb"] = start_peak_mb
                     # a post-processed recon's bits hold for this OpenBLAS core
                     rec.notes["blas_core"], rec.notes["blas_threads"] = blas["blas_core"], blas["blas_threads"]
                     manifest.append_job(rec)

@@ -478,9 +478,10 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
     once a row. So the GEMM's shape depends on W alone, and an output
     pixel is summed in the same order however the rows are split.
 
-    The bias and `act` then run once over all the rows. So a 3x3 run of
-    one chunk, clear of the plane's top and bottom, makes seven array
-    operations, each of which drops and retakes the GIL that worker
+    The bias and `act` then run once over all the rows; a leaky ReLU
+    multiplies into the spent GEMM output when that holds the run. So a
+    3x3 run of one chunk, clear of the plane's top and bottom, makes seven
+    array operations, each of which drops and retakes the GIL that worker
     threads share: the pad columns' zeros, the slab, the GEMM, the tap
     sum, the bias and the leaky ReLU's multiply and max; each further
     chunk adds two."""
@@ -507,6 +508,7 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
         sr, sc, sw = slab.strides
         src = np.ndarray((n, size * in_ch, w + 2 * pad), slab.dtype, slab, 0, (sr, sc, sw))
     km = len(k.wmat)
+    spent = None  # GEMM output no longer needed, as large as the run's values
     if km == out_ch:  # a 1x1 conv of 2+ outputs multiplies into `out` itself
         np.matmul(k.wmat, src, out=out.transpose(1, 0, 2))
     else:
@@ -519,21 +521,24 @@ def _conv(k: _Kernel, x: np.ndarray, h: int, out: np.ndarray, r0: int, act: Laye
         for c0, c1 in chunks:
             np.matmul(k.wmat, src[c0:c1], out=g[: c1 - c0])
             np.add.reduce(taps[:, : c1 - c0], axis=0, out=out[:, c0:c1].transpose(1, 0, 2))
+        if g.size >= out.size:  # a chunked run's g may be smaller than the run
+            spent = g.reshape(-1)[: out.size].reshape(out_ch, n * w)
     band = out.reshape(out_ch, n * w)
     band += k.bias
     if act is not None:
-        _activate_in_place(band, act)
+        _activate_in_place(band, act, spent)
 
 
-def _activate_in_place(v: np.ndarray, act: LayerSpec) -> None:
+def _activate_in_place(v: np.ndarray, act: LayerSpec, scratch: np.ndarray | None = None) -> None:
     # for 0 < alpha <= 1, max(v, alpha*v) is v for v >= 0 and alpha*v
     # below, bit for bit the np.where of _run_layer, -0.0, infinities and
     # NaN included. At alpha = 0 it is not: 0 * inf is NaN, so +inf would
-    # become NaN where np.where keeps it
+    # become NaN where np.where keeps it. alpha*v goes into `scratch`, of
+    # v's shape, when given
     if act.act == RELU:
         np.maximum(v, 0, out=v)
     else:
-        np.maximum(v, np.asarray(act.alpha, v.dtype) * v, out=v)
+        np.maximum(v, np.multiply(np.asarray(act.alpha, v.dtype), v, out=scratch), out=v)
 
 
 class _Step(NamedTuple):
@@ -676,8 +681,14 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
     conv to conv is worked off over the last bands, not held by the rings.
     A store keeps the rows from the first one any reader of its values
     still reads to the last one made: its ring is as tall as the most
-    rows that spans after any band. Planned once per plane size and kept
-    in the storage plan.
+    rows that spans after any band.
+    The drain, from the band that brings the input's last rows on, runs
+    within the rings the bands before it needed: each store's height is
+    frozen as it stands before that band, and a layer makes rows only up
+    to its store's first kept row plus that height. A layer that would
+    then make none runs as before, so the pass never stalls; the rings
+    still come from the spans reached, so none is too short. Planned once
+    per plane size and kept in the storage plan.
     """
     plan = net.storage_plan
     band_rows = _band_rows(net, shape, dtype)
@@ -701,6 +712,7 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
     out = net.output_id
     done = dict.fromkeys(ids, 0)
     rows = [0] * len(plan.stores)
+    drain = None  # the rings' heights before the input's last band
     bands = []
     while done[out] < h:
         # the first row of each value that a reader still reads: a conv's
@@ -716,6 +728,8 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
         e0 = done[out]
         work = []
         if done[net.input_id] in inputs:
+            if inputs[done[net.input_id]] == h:
+                drain = list(rows)
             work.append((-1, done[net.input_id], inputs[done[net.input_id]]))
             done[net.input_id] = inputs[done[net.input_id]]
         for i, l in enumerate(layers):
@@ -727,6 +741,11 @@ def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule
                 end = min(end, done[l.id] + 2 * band)
                 if end < h and end - done[l.id] < band:
                     continue
+            if drain is not None:
+                s = plan.slots[l.id][0]
+                cap = first[s] + drain[s]
+                if cap > done[l.id]:  # a layer the cap would stop runs as before
+                    end = min(end, cap)
             if end > done[l.id]:
                 if l.id not in skip:
                     work.append((i, done[l.id], end))
@@ -837,6 +856,48 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
             np.floor(band, out=band)
             out[r0 + a : r0 + b] = np.clip(band, 0, maxv, out=band)
     return out
+
+
+def planned_bytes(net: NetworkSpec, shape: tuple[int, int]) -> int:
+    """The bytes apply_network plans to hold over an (H, W) plane, besides
+    the integer output it returns: every store's ring (see _schedule); the
+    most that one step of the band pass holds besides; the rounding of the
+    largest band of output rows, whose last chunk apply_network still holds
+    while the next band runs; and the pass's Python objects, about 512
+    bytes a layer.
+
+    A run of n rows of a conv holds a copy of its n output rows, where
+    they run across the ring's end, or else its activation's products; a
+    k x k conv also its padded slab, one chunk of GEMM output and the tap
+    sum's two iterator buffers (np.getbufsize() values each; see _conv),
+    a 1x1 conv a copy of its input rows. Any other layer holds copies of
+    its input and output rows and one result. A band of output rows is a
+    copy of them and up to four float32 values a sample of rounding."""
+    h, w = shape
+    sched = _schedule(net, (1, h, w), np.float32)
+    channels = net.validate()
+    step = rounding = 0
+    for band in sched.bands:
+        for i, r0, r1 in band.work:
+            if i < 0:
+                continue
+            l, n = net.layers[i], r1 - r0
+            if l.op != CONV2D:
+                step = max(step, n * w * (sum(channels[v] for v in l.inputs) + 2 * channels[l.id]))
+                continue
+            run = values = n * l.out_ch * w
+            if l.kernel > 1 or l.out_ch == 1:
+                row = max(2, l.kernel * l.out_ch) * (w + 2 * l.pad)
+                run += row * max(c1 - c0 for c0, c1 in row_bands(n, row * 4))
+            if l.kernel > 1:
+                run += (n + 2 * l.pad) * l.in_ch * (w + 2 * l.pad) + 2 * min(np.getbufsize(), values)
+            else:
+                run += n * l.in_ch * w
+            step = max(step, run)
+        n = band.rows[1] - band.rows[0]
+        rounding = max(rounding, n * w + 4 * max(b - a for a, b in row_bands(n, w * 8)) * w)
+    rings = sum(c * r for c, r in zip(net.storage_plan.stores, sched.rows)) * w
+    return 4 * (rings + step + rounding) + 512 * len(net.layers)
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,8 @@ class TestDeterminismAndResume:
             doc = json.loads(manifest.jobs[key].to_line())
             doc.pop("stage_seconds")
             doc.pop("stage_cpu_seconds")
-            doc["notes"].pop("process_peak_rss_mb", None)  # a measurement, as the timings are
+            for name in ("process_peak_rss_mb", "run_start_peak_rss_mb"):
+                doc["notes"].pop(name, None)  # measurements, as the timings are
             doc["artifacts"] = {
                 name: info["sha256"] for name, info in doc["artifacts"].items()
             }
@@ -554,6 +555,21 @@ class TestDeterminismAndResume:
         peaks = [doc["notes"]["process_peak_rss_mb"] for doc in docs if doc["record"] == "job"]
         assert len(peaks) == 12 and peaks[0] > 0
         assert peaks == sorted(peaks)  # a high-water mark, read as each record is appended
+
+    def test_each_record_holds_the_peak_rss_at_its_run_start(self, experiment_dir):
+        # 64 MB touched before the run: every record's run-start peak holds
+        # it, and lies at or below the process's peak as the record is
+        # written, within 1 MB: the kernel reads ru_maxrss from its per-CPU
+        # RSS counters, which lag their exact sum, VmHWM, by up to a batch
+        # of pages a CPU
+        held = np.ones(64 << 20, np.uint8)
+        run_experiment(experiment_dir / "exp.ini", workers=1)
+        del held
+        docs = [json.loads(line) for line in (experiment_dir / "out" / "manifest.jsonl").read_text().splitlines()]
+        notes = [doc["notes"] for doc in docs if doc["record"] == "job"]
+        assert len(notes) == 12 and len({n["run_start_peak_rss_mb"] for n in notes}) == 1
+        for n in notes:
+            assert 64 <= n["run_start_peak_rss_mb"] <= n["process_peak_rss_mb"] + 1
 
     def test_inputs_in_another_directory_resume_appends_no_job(self, experiment_dir):
         # the config hash covers the files' contents, not their paths
@@ -679,6 +695,27 @@ pairs = 27:7
         assert (redone["method"], redone["qp_index"]) == ("postproc", 1)
         assert len(again.ok_jobs()) == 12
 
+    def test_resume_with_the_same_config_object_redoes_jobs_of_a_rewritten_weight_file(self, experiment_dir):
+        # validate() hashes a weight file again when its os.stat signature
+        # changed, so the config object that ran the jobs sees the new
+        # values of the same shapes; an untouched resume appends nothing
+        cfg = load_experiment(experiment_dir / "exp.ini")
+        first = run_experiment(cfg, workers=1)
+        path = experiment_dir / "out" / "manifest.jsonl"
+        size = path.stat().st_size
+        run_experiment(cfg, workers=1)
+        assert path.stat().st_size == size
+        save_weights(experiment_dir / "w27.rqpw", random_weights(build_mfrnet_style(1, 1, 4, 4), seed=1, scale=0.02))
+        again = run_experiment(cfg, workers=1)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 12 + 1
+        key = ("synthA", "postproc", 1)
+        assert json.loads(lines[-1])["qp_index"] == 1 and again.jobs[key].status == "ok"
+        assert again.jobs[key].config_sha256 != first.jobs[key].config_sha256
+        size = path.stat().st_size
+        run_experiment(cfg, workers=1)
+        assert path.stat().st_size == size
+
     def test_resume_redoes_records_without_a_config_hash(self, experiment_dir):
         run_experiment(experiment_dir / "exp.ini", workers=1)
         path = experiment_dir / "out" / "manifest.jsonl"
@@ -691,12 +728,19 @@ pairs = 27:7
         run_experiment(experiment_dir / "exp.ini", workers=1)
         assert len(path.read_text().splitlines()) == 1 + 12 + 12
 
-    def test_a_weight_file_changed_after_validation_fails_its_job(self, experiment_dir):
+    def test_a_weight_file_changed_after_validation_fails_its_job(self, experiment_dir, monkeypatch):
         # the config records each weight file's sha256 when it validates it;
-        # a job refuses weights that no longer hash to it
+        # a job refuses weights that no longer hash to it. The file changes
+        # after the run's own validate(), as a job starts
         cfg = load_experiment(experiment_dir / "exp.ini")
         run_experiment(cfg, workers=1)
-        save_weights(experiment_dir / "w27.rqpw", random_weights(build_mfrnet_style(1, 1, 4, 4), seed=1, scale=0.02))
+        validate = ExperimentConfig.validate
+
+        def validate_then_rewrite(self):
+            validate(self)
+            save_weights(experiment_dir / "w27.rqpw", random_weights(build_mfrnet_style(1, 1, 4, 4), seed=1, scale=0.02))
+
+        monkeypatch.setattr(ExperimentConfig, "validate", validate_then_rewrite)
         manifest = run_experiment(cfg, workers=1, resume=False)
         (failed,) = [r for r in manifest.jobs.values() if r.status != "ok"]
         assert (failed.method, failed.qp_index) == ("postproc", 1)
