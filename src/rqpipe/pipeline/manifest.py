@@ -20,7 +20,7 @@ import logging
 import os
 import stat
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -88,7 +88,9 @@ class JobRecord:
         return (self.sequence, self.method, self.qp_index)
 
     def to_line(self) -> str:
-        doc = {"record": "job", **asdict(self)}
+        # the fields as they are, with no deep copy: json.dumps only reads
+        # the nested dicts, and a record is written on its job's thread
+        doc = {"record": "job", **{name: getattr(self, name) for name in _RECORD_FIELDS}}
         return json.dumps(doc, sort_keys=True)
 
 

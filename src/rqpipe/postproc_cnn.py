@@ -18,8 +18,9 @@ its GEMM output bounded by BAND_BYTES; a 1x1 conv multiplies its input
 rows as they are. ARITHMETIC names these sums, which a run's resume key
 takes in.
 apply_network runs the whole graph in one pass of row bands, top to
-bottom (the fused-layer schedule of Alwani et al., MICRO 2016): each
-value lives in a ring of rows that keeps only what its readers still
+bottom (the fused-layer schedule of Alwani et al., MICRO 2016, line
+buffered: each value lags the input by the conv pads on its way), and
+each value lives in a ring of rows that keeps only what its readers still
 read, for a 3x3 conv's input its run plus the halo rows, so no row is
 computed twice or moved and the working set grows with the band, not the
 plane. A GEMM's shape depends on the plane's width alone, so the output
@@ -56,6 +57,7 @@ import hashlib
 import json
 import struct
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
@@ -555,14 +557,16 @@ class StoragePlan(NamedTuple):
 
     steps follows net.layers; stores holds the channel count of each store,
     shared or not; slots gives every value, the network input included, its
-    (store, first channel, channels). How many rows each store keeps
-    depends on the plane size: see _schedule, whose plans it keeps.
+    (store, first channel, channels). lags gives every value its lag behind
+    the input in rows, and reach each store the rows its ring keeps beside
+    a band's; _schedule turns them into a plane's bands and rings.
     """
 
     steps: tuple[_Step, ...]
     stores: tuple[int, ...]
     slots: dict[str, tuple[int, int, int]]
-    schedules: dict  # (input shape, band rows) -> _Schedule
+    lags: dict[str, int]
+    reach: tuple[int, ...]
 
 
 def _plan_storage(net: NetworkSpec) -> StoragePlan:
@@ -582,6 +586,9 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
     network input. Each group is placed once, so the groups of a store
     never share a channel. Every group left over, a copied concat included,
     gets a store of its own.
+    A value's lag is the longest path of conv pads from the input to it; a
+    store's reach, the most that a reader's lag plus its pad exceeds the
+    least lag of its values, a value's writer counting as a reader.
     """
     channels = net.validate()
     layers = {l.id: l for l in net.layers}
@@ -643,7 +650,18 @@ def _plan_storage(net: NetworkSpec) -> StoragePlan:
         )
         for l in net.layers
     )
-    return StoragePlan(steps, tuple(sizes), slots, {})
+
+    lags = {net.input_id: 0}
+    far = dict(lags)  # per value, the most of a reader's lag plus its pad
+    for l in net.layers:
+        pad = l.pad if l.op == CONV2D else 0
+        lags[l.id] = far[l.id] = max(lags[ref] for ref in l.inputs) + pad
+        for ref in l.inputs:
+            far[ref] = max(far[ref], lags[l.id] + pad)
+    hi, lo = [0] * len(sizes), [max(lags.values())] * len(sizes)
+    for v, (s, _, _) in slots.items():
+        hi[s], lo[s] = max(hi[s], far[v]), min(lo[s], lags[v])
+    return StoragePlan(steps, tuple(sizes), slots, lags, tuple(a - b for a, b in zip(hi, lo)))
 
 
 def _band_rows(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> int:
@@ -660,101 +678,75 @@ class _Band(NamedTuple):
     work: tuple[tuple[int, int, int], ...]  # (layer index, -1 for the input; first row; end row)
 
 
+class _Bands(Sequence):
+    """The bands of a pass over h input rows, each made when asked for (see
+    _schedule): n bands of the input, as row_bands cuts it, then bands of
+    b rows. runs holds (layer index, lag) of the input, as layer -1, and
+    of each layer the pass runs, in graph order; out is the output's lag."""
+
+    def __init__(self, h: int, n: int, b: int, runs: tuple[tuple[int, int], ...], out: int):
+        self.h, self.n, self.b, self.runs, self.out = h, n, b, runs, out
+
+    def edge(self, k: int) -> int:
+        """Band k's first input row, past the input's end included."""
+        n, h = self.n, self.h
+        return k * h // n if k < n else (n - 1) * h // n + (k - n + 1) * self.b
+
+    def __len__(self) -> int:
+        return self.n - 1 + -(-(self.h + self.out - self.edge(self.n - 1)) // self.b)
+
+    def __getitem__(self, k: int) -> _Band:
+        k = range(len(self))[k]
+        e0, e1, h = self.edge(k), self.edge(k + 1), self.h
+        work = []
+        for i, lag in self.runs:
+            r0, r1 = max(e0 - lag, 0), min(e1 - lag, h)
+            if r1 > r0:
+                work.append((i, r0, r1))
+        r0 = max(e0 - self.out, 0)
+        return _Band((r0, max(r0, min(e1 - self.out, h))), tuple(work))
+
+
 class _Schedule(NamedTuple):
-    bands: tuple[_Band, ...]
+    bands: _Bands
     rows: tuple[int, ...]  # rows of each store's ring
 
 
 def _schedule(net: NetworkSpec, shape: tuple[int, int, int], dtype) -> _Schedule:
     """For an input of `shape`, (1, H, W), which rows of each layer every
-    band computes, and how many rows each store keeps. Every value is H x W
+    band computes, and how many rows each store keeps, in closed form: the
+    line-buffered fused-layer schedule. Every value is H x W
     (NetworkSpec.validate), and a conv's row r reads its input's rows
     r - pad to r + pad.
 
-    The input comes in equal bands of at most band_rows rows (row_bands),
-    one a band. In each band, in graph order, a conv computes the rows its
-    input allows once they are at least a band's rows, and any other layer
-    catches up with its inputs; the output rows made yield at the end of
-    the band. A conv's GEMMs cover one output row each (see _conv), so
-    how many rows it runs at a time never changes its bits. A conv runs
-    at most two bands' rows at a time, so the lag that builds up from
-    conv to conv is worked off over the last bands, not held by the rings.
-    A store keeps the rows from the first one any reader of its values
-    still reads to the last one made: its ring is as tall as the most
-    rows that spans after any band.
-    The drain, from the band that brings the input's last rows on, runs
-    within the rings the bands before it needed: each store's height is
-    frozen as it stands before that band, and a layer makes rows only up
-    to its store's first kept row plus that height. A layer that would
-    then make none runs as before, so the pass never stalls; the rings
-    still come from the spans reached, so none is too short. Planned once
-    per plane size and kept in the storage plan.
+    The input comes in n bands of at most _band_rows rows, as row_bands
+    cuts it, the tallest c rows, and the bands go on every c rows past its
+    end. Band k, from input row e_k to e_(k+1), makes each layer's rows
+    e_k - lag to e_(k+1) - lag, clipped to [0, H), in graph order, and
+    yields the output's; a value's lag (StoragePlan.lags) is the longest
+    path of conv pads from the input to it. So a conv reads only rows its
+    input has made, the start-up and the drain are the same rule at the
+    plane's edges, and the pass ends with the band that yields the output's
+    last row: ceil((H + its lag) / c) bands where c divides H. An input of
+    one band is the whole pass in one band. A conv's GEMMs cover one output
+    row each (see _conv), so how many rows it runs at a time never changes
+    its bits.
+
+    While a band runs, a store holds from the first row a reader of its
+    values reads, the reader's lag plus its pad above the band's input
+    rows, to the last row the band makes of them, the least lag of its
+    values above their end: c rows plus the store's reach
+    (StoragePlan.reach). So each ring is min(H, c + reach) rows, and a
+    schedule is O(layers) numbers, made for each plane.
     """
     plan = net.storage_plan
-    band_rows = _band_rows(net, shape, dtype)
-    key = (tuple(shape), band_rows)
-    if key in plan.schedules:
-        return plan.schedules[key]
-    h = shape[1]
-    layers = net.layers
-    ids = [net.input_id, *(l.id for l in layers)]
-    readers: dict[str, list[LayerSpec]] = {v: [] for v in ids}
-    for l in layers:
-        for ref in dict.fromkeys(l.inputs):
-            readers[ref].append(l)
-    inputs = dict(row_bands(h, 1, band_rows))
-    band = min(r1 - r0 for r0, r1 in inputs.items())
-    in_store = [[] for _ in plan.stores]
-    for v in ids:
-        in_store[plan.slots[v][0]].append(v)
-    skip = {l.id for l, step in zip(layers, plan.steps) if step.out is None or step.view}
-
-    out = net.output_id
-    done = dict.fromkeys(ids, 0)
-    rows = [0] * len(plan.stores)
-    drain = None  # the rings' heights before the input's last band
-    bands = []
-    while done[out] < h:
-        # the first row of each value that a reader still reads: a conv's
-        # next run starts at its top tap's row
-        keep = {}
-        for v in ids:
-            k = done[v]
-            for r in readers[v]:
-                k = min(k, max(done[r.id] - r.pad, 0) if r.op == CONV2D else done[r.id])
-            keep[v] = k
-        first = [min(keep[v] for v in vals) for vals in in_store]  # first row each store keeps
-
-        e0 = done[out]
-        work = []
-        if done[net.input_id] in inputs:
-            if inputs[done[net.input_id]] == h:
-                drain = list(rows)
-            work.append((-1, done[net.input_id], inputs[done[net.input_id]]))
-            done[net.input_id] = inputs[done[net.input_id]]
-        for i, l in enumerate(layers):
-            if l.op != CONV2D:
-                end = min(done[ref] for ref in l.inputs)
-            else:
-                (ref,) = l.inputs
-                end = h if done[ref] == h else done[ref] - l.pad
-                end = min(end, done[l.id] + 2 * band)
-                if end < h and end - done[l.id] < band:
-                    continue
-            if drain is not None:
-                s = plan.slots[l.id][0]
-                cap = first[s] + drain[s]
-                if cap > done[l.id]:  # a layer the cap would stop runs as before
-                    end = min(end, cap)
-            if end > done[l.id]:
-                if l.id not in skip:
-                    work.append((i, done[l.id], end))
-                done[l.id] = end
-        for s, vals in enumerate(in_store):
-            rows[s] = max(rows[s], max(done[v] for v in vals) - first[s])
-        bands.append(_Band((e0, done[out]), tuple(work)))
-    plan.schedules[key] = _Schedule(tuple(bands), tuple(rows))
-    return plan.schedules[key]
+    h, out = shape[1], plan.lags[net.output_id]
+    n = max(1, -(-h // _band_rows(net, shape, dtype)))
+    c = -(-h // n)
+    runs = [(i, plan.lags[l.id]) for i, (l, step) in enumerate(zip(net.layers, plan.steps))
+            if step.out is not None and not step.view]
+    bands = _Bands(h, n, c if n > 1 else max(1, h + out), ((-1, 0), *runs), out)
+    return _Schedule(bands, tuple(min(h, c + r) for r in plan.reach))
 
 
 def _run_layer(layer: LayerSpec, step: _Step, ins: list[np.ndarray], out: np.ndarray) -> None:
@@ -855,16 +847,18 @@ def apply_network(net: NetworkSpec, weights, plane: np.ndarray, bit_depth: int) 
             band += 0.5
             np.floor(band, out=band)
             out[r0 + a : r0 + b] = np.clip(band, 0, maxv, out=band)
+        del band, y  # let go of the last chunk, and a wrapped band's copy, before the next band runs
     return out
 
 
 def planned_bytes(net: NetworkSpec, shape: tuple[int, int]) -> int:
     """The bytes apply_network plans to hold over an (H, W) plane, besides
     the integer output it returns: every store's ring (see _schedule); the
-    most that one step of the band pass holds besides; the rounding of the
-    largest band of output rows, whose last chunk apply_network still holds
-    while the next band runs; and the pass's Python objects, about 512
-    bytes a layer.
+    most that one step of the band pass, or the rounding of one band of
+    output rows, holds besides; and the pass's Python objects, about 5 KiB
+    and 512 bytes a layer. It is a closed form over the rings and n, the
+    rows of the tallest band (c of _schedule, or H where the input is one
+    band): no run of a layer, and no band of output rows, is longer.
 
     A run of n rows of a conv holds a copy of its n output rows, where
     they run across the ring's end, or else its activation's products; a
@@ -872,32 +866,31 @@ def planned_bytes(net: NetworkSpec, shape: tuple[int, int]) -> int:
     sum's two iterator buffers (np.getbufsize() values each; see _conv),
     a 1x1 conv a copy of its input rows. Any other layer holds copies of
     its input and output rows and one result. A band of output rows is a
-    copy of them and up to four float32 values a sample of rounding."""
+    copy of them and up to four float32 values a sample of rounding, which
+    apply_network lets go before the next band runs."""
     h, w = shape
     sched = _schedule(net, (1, h, w), np.float32)
     channels = net.validate()
-    step = rounding = 0
-    for band in sched.bands:
-        for i, r0, r1 in band.work:
-            if i < 0:
-                continue
-            l, n = net.layers[i], r1 - r0
-            if l.op != CONV2D:
-                step = max(step, n * w * (sum(channels[v] for v in l.inputs) + 2 * channels[l.id]))
-                continue
-            run = values = n * l.out_ch * w
-            if l.kernel > 1 or l.out_ch == 1:
-                row = max(2, l.kernel * l.out_ch) * (w + 2 * l.pad)
-                run += row * max(c1 - c0 for c0, c1 in row_bands(n, row * 4))
-            if l.kernel > 1:
-                run += (n + 2 * l.pad) * l.in_ch * (w + 2 * l.pad) + 2 * min(np.getbufsize(), values)
-            else:
-                run += n * l.in_ch * w
-            step = max(step, run)
-        n = band.rows[1] - band.rows[0]
-        rounding = max(rounding, n * w + 4 * max(b - a for a, b in row_bands(n, w * 8)) * w)
+    n = min(sched.bands.b, h)
+    chunk = lambda row_bytes: min(n, max(1, BAND_BYTES // row_bytes))  # row_bands' longest of a run
+    step = 0
+    for i, _ in sched.bands.runs[1:]:
+        l = net.layers[i]
+        if l.op != CONV2D:
+            step = max(step, n * w * (sum(channels[v] for v in l.inputs) + 2 * channels[l.id]))
+            continue
+        run = values = n * l.out_ch * w
+        if l.kernel > 1 or l.out_ch == 1:
+            row = max(2, l.kernel * l.out_ch) * (w + 2 * l.pad)
+            run += row * chunk(row * 4)
+        if l.kernel > 1:
+            run += (n + 2 * l.pad) * l.in_ch * (w + 2 * l.pad) + 2 * min(np.getbufsize(), values)
+        else:
+            run += n * l.in_ch * w
+        step = max(step, run)
+    rounding = n * w + 4 * chunk(w * 8) * w
     rings = sum(c * r for c, r in zip(net.storage_plan.stores, sched.rows)) * w
-    return 4 * (rings + step + rounding) + 512 * len(net.layers)
+    return 4 * (rings + max(step, rounding)) + 512 * (len(net.layers) + 10)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import types
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -1025,6 +1026,21 @@ class TestSha256File:
         data = np.random.default_rng(size).bytes(size)
         (tmp_path / "f").write_bytes(data)
         assert sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+
+
+class TestJobRecordLine:
+    def test_line_equals_the_deep_copied_fields(self):
+        # to_line writes the fields as they are; a line must be byte for
+        # byte the one dataclasses.asdict's deep copy of them gave
+        rec = synthetic_record("s", "postproc", 1, 812.5, 33.25)
+        rec.scores["vmaf"] = {"per_frame": [91.5, 92.0], "sequence_value": 91.75, "aggregation": "mean_of_per_frame"}
+        rec.stage_cpu_seconds = {"postproc": 0.75, "encode": 0.5}
+        rec.notes = {"blas_core": "SkylakeX", "process_peak_rss_mb": 47.5, "nested": {"tuple": (1, 2), "list": [None]}}
+        rec.artifacts = {"recon": {"path": "recon/s_postproc_qp1.yuv", "sha256": "ab" * 32}}
+        rec.postproc_weights_qp = 27
+        want = json.dumps({"record": "job", **asdict(rec)}, sort_keys=True)
+        assert rec.to_line() == want
+        assert json.loads(rec.to_line())["notes"]["nested"] == {"tuple": [1, 2], "list": [None]}
 
 
 class TestWorkerCount:

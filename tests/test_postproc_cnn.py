@@ -226,6 +226,42 @@ def ring_spans(net, sched):
     return spans
 
 
+def lags(net):
+    """Each value's lag behind the input: the longest path of conv pads."""
+    lag = {net.input_id: 0}
+    for l in net.layers:
+        lag[l.id] = max(lag[ref] for ref in l.inputs) + (l.pad if l.op == CONV2D else 0)
+    return lag
+
+
+def ring_formula(net, h, c):
+    """Each store's ring from the graph alone, for bands of c rows:
+    min(H, c + the most that a reader's lag plus its pad exceeds the least
+    lag of the store's values), the output's yield a reader at its lag."""
+    lag = lags(net)
+    rows = []
+    for s in range(len(net.storage_plan.stores)):
+        vals = {v for v, (t, _, _) in net.storage_plan.slots.items() if t == s}
+        far = [lag[l.id] + (l.pad if l.op == CONV2D else 0) for l in net.layers if vals & set(l.inputs)]
+        far += [lag[net.output_id]] * (net.output_id in vals)
+        rows.append(min(h, c + max(far) - min(lag[v] for v in vals)))
+    return tuple(rows)
+
+
+def five_by_five_net():
+    """A 5x5 conv, a concat that is copied (it takes the network input) and
+    an add beside the default net's 3x3 and 1x1 convs."""
+    return json_net([
+        conv_entry("a", "input", 1, 4, kernel=5),
+        conv_entry("b", "a", 4, 3),
+        {"id": "cat", "op": "concat", "inputs": ["input", "b", "a"]},
+        conv_entry("c", "cat", 8, 2, kernel=5),
+        {"id": "r", "op": "activation", "inputs": ["c"], "act": "relu"},
+        {"id": "s", "op": "add", "inputs": ["r", "c"]},
+        conv_entry("out", "s", 2, 1, kernel=1),
+    ], "out")
+
+
 def identity_net(residual=False):
     return NetworkSpec(
         layers=(conv_layer("c", "input", 1, 1, 1),),
@@ -475,6 +511,20 @@ class TestApplyNetwork:
         plane = np.random.default_rng(49).integers(0, 1024, (h, w)).astype(np.uint16)
         peak = traced_peak(net, weights, plane)
         planned = postproc_cnn.planned_bytes(net, (h, w)) + plane.nbytes
+        assert peak <= planned <= 1.5 * peak, f"planned {planned / 2**20:.2f}, peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_planned_bytes_bound_a_one_conv_peak(self, residual):
+        # one 1x1 conv over a 1080p plane runs bands of 68 rows, so a band's
+        # float64 rounding is as large as its conv run. apply_network lets
+        # the last chunk and the band's copied rows go before the next band
+        # runs, and the planner counts the larger of the two; holding them
+        # made this peak 8.45 MiB, against 7.44 MiB planned
+        net = identity_net(residual=residual)
+        weights = {"c": (np.full((1, 1, 1, 1), 0.5, np.float32), np.full(1, 0.01, np.float32))}
+        plane = np.random.default_rng(26).integers(0, 1024, (1080, 1920)).astype(np.uint16)
+        peak = traced_peak(net, weights, plane)
+        planned = postproc_cnn.planned_bytes(net, plane.shape) + plane.nbytes
         assert peak <= planned <= 1.5 * peak, f"planned {planned / 2**20:.2f}, peak {peak / 2**20:.2f} MiB"
 
     def test_loaded_weights_are_not_copied_per_call(self, tmp_path):
@@ -777,10 +827,9 @@ class TestStoragePlan:
 
     def test_drain_runs_within_the_steady_state_rings(self):
         # each store's ring is as tall as the most rows it spans before the
-        # band that brings the input's last rows: the drain after it, where
-        # every conv may run two bands' rows, spans no more. Both sides
-        # come from the schedule's work (ring_spans), and no band spans
-        # more than its ring
+        # band that brings the input's last rows: the drain after it spans
+        # no more. Both sides come from the schedule's work (ring_spans),
+        # and no band spans more than its ring
         net = build_mfrnet_style()
         h = 4320
         sched = postproc_cnn._schedule(net, (1, h, 1920), np.float32)
@@ -797,6 +846,42 @@ class TestStoragePlan:
         store = net.storage_plan.slots[net.input_id][0]
         for h, w in ((1080, 1920), (108, 192)):
             assert postproc_cnn._schedule(net, (1, h, w), np.float32).rows[store] <= 4
+
+    @pytest.mark.parametrize("make", [build_mfrnet_style, five_by_five_net], ids=["default", "5x5"])
+    @pytest.mark.parametrize("w", [1920, 192, 96, 40])
+    def test_rings_are_the_closed_form(self, make, w):
+        # in bands of b rows (1, 2, 5 and 12 for the default net) each ring
+        # is the formula over the graph's lags (see _schedule), and exactly
+        # the most rows its store spans in the schedule's work
+        net = make()
+        b = postproc_cnn._band_rows(net, (1, 1, w), np.float32)
+        assert make is five_by_five_net or b == {1920: 1, 192: 2, 96: 5, 40: 12}[w]
+        h = 40 * b
+        sched = postproc_cnn._schedule(net, (1, h, w), np.float32)
+        assert sched.rows == ring_formula(net, h, b) == tuple(max(col) for col in zip(*ring_spans(net, sched)))
+
+    @pytest.mark.parametrize("h, w", [(1, 5), (9, 7), (8, 4096)])
+    def test_band_count_is_the_closed_form(self, h, w):
+        # ceil((H + the output's lag) / b) bands, the last one yielding the
+        # output's last row; the default net's output lags its input by 18
+        net = build_mfrnet_style()
+        assert lags(net)[net.output_id] == 18
+        b = postproc_cnn._band_rows(net, (1, h, w), np.float32)
+        bands = postproc_cnn._schedule(net, (1, h, w), np.float32).bands
+        assert len(bands) == -(-(h + 18) // b) == len(list(bands))
+        assert bands[-1].rows[1] == h and [r for band in bands for r in range(*band.rows)] == list(range(h))
+
+    def test_a_plan_keeps_no_band(self):
+        # a fresh plan of a 2048x4096 plane is O(layers) numbers; simulating
+        # the pass and keeping each band's work took 6.0 MiB
+        net = build_mfrnet_style()
+        tracemalloc.start()
+        try:
+            sched = postproc_cnn._schedule(net, (1, 2048, 4096), np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sched.bands) == 2066 and peak < 64 << 10, f"peak {peak} bytes"
 
 
 class TestInPlaceLeakyRelu:
@@ -1179,10 +1264,10 @@ class TestBlasKernels:
 class TestThreads:
     def test_worker_threads_share_one_net(self):
         # the runner's worker threads share a method's NetworkSpec: each
-        # plans its plane size into StoragePlan.schedules and runs its band
-        # pass at the same time as the others, with a short switch interval
-        # to interleave them often. Every output must be the one a single
-        # thread gives, bit for bit
+        # plans its plane size from the shared storage plan and runs its
+        # band pass at the same time as the others, with a short switch
+        # interval to interleave them often. Every output must be the one a
+        # single thread gives, bit for bit
         weights = random_weights(build_mfrnet_style(), seed=45)
         rng = np.random.default_rng(46)
         planes = [rng.integers(0, 1024, shape).astype(np.uint16) for shape in ((108, 192), (54, 96)) * 2]
