@@ -27,7 +27,7 @@ from .pipeline import assemble_report, dump_patch, run_experiment
 from .pipeline.codecs import QP_MAX, QP_MIN, CodedStream, MockCodec
 from .pipeline.manifest import RunManifest
 from .pipeline.runner import one_blas_thread
-from .postproc_cnn import NetworkSpec, apply_network, load_weights
+from .postproc_cnn import NetworkSpec, apply_network, load_weights, validate_weights
 from .resample import ResampleFilter, parse_scale, resample_frame
 
 
@@ -135,6 +135,7 @@ def cmd_postproc(args) -> int:
     spec = _input_spec(args, args.infile)
     net = NetworkSpec.from_json(Path(args.net).read_text())
     weights = load_weights(args.weights)
+    validate_weights(net, weights)  # before the output is opened
     frames = (replace(f, y=apply_network(net, weights, f.y, spec.bit_depth))
               for f in read_sequence(args.infile, spec))
     with one_blas_thread():  # as `run` does, so the output is a run's recon of the same plane

@@ -176,6 +176,23 @@ def read_frame(path, spec: VideoSpec, index: int) -> Frame:
         return _read_frame(fh, spec, index)
 
 
+def write_frame(fh, frame: Frame, spec: VideoSpec, index: int, digest=None) -> int:
+    """Write frame `index` of a raw planar file at fh's position; returns
+    the byte count written. Checked as write_sequence's frames are, and
+    `digest`, a hashlib object, is fed every byte written."""
+    if not frame.matches(spec):
+        raise DimensionError(f"frame {index} does not match spec {spec.width}x{spec.height} {spec.chroma}")
+    written = 0
+    for p, plane in enumerate(frame.planes()):
+        if plane.min() < 0 or plane.max() > spec.max_value:
+            raise _range_error(fh.name, index, p, plane, spec)
+        data = np.ascontiguousarray(plane, dtype=_file_dtype(spec))
+        written += fh.write(data)
+        if digest is not None:
+            digest.update(data)
+    return written
+
+
 def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path, *, digest=None) -> int:
     """Write frames as a raw planar file; returns the byte count written.
 
@@ -189,17 +206,7 @@ def write_sequence(frames: Iterable[Frame], spec: VideoSpec, path, *, digest=Non
     k = 0
     with open(path, "wb") as fh:
         for frame in frames:
-            if not frame.matches(spec):
-                raise DimensionError(
-                    f"frame {k} does not match spec {spec.width}x{spec.height} {spec.chroma}"
-                )
-            for p, plane in enumerate(frame.planes()):
-                if plane.min() < 0 or plane.max() > spec.max_value:
-                    raise _range_error(path, k, p, plane, spec)
-                data = np.ascontiguousarray(plane, dtype=_file_dtype(spec))
-                written += fh.write(data)
-                if digest is not None:
-                    digest.update(data)
-            del frame, plane, data  # k, not enumerate(frames): that would hold the frame during the next pull
+            written += write_frame(fh, frame, spec, k, digest)
+            del frame  # k, not enumerate(frames): that would hold the frame during the next pull
             k += 1
     return written

@@ -36,6 +36,13 @@ Its raw input file is removed once the encoder returns, and its decoded
 file once the stream ends, is abandoned or fails, except when the file
 itself cannot be read (SampleRangeError, TruncatedFileError): then it is
 kept, so the file the failed record names can be inspected.
+
+A stream that several jobs share is coded once: a SharedStream tees the
+decoded frames of any adapter's stream, at the coded size, into a raw
+file of the workdir, and replays them from there for the other jobs,
+with the coder's bits, without calling the adapter again. As only this
+module reads an external codec's decoded file, only it writes and reads
+the stream file.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import numpy as np
 
 from ..bands import row_bands
 from ..errors import ConfigError, SampleRangeError, TruncatedFileError, check_template, run_tool
-from ..frame_io import Frame, VideoSpec, read_sequence, write_sequence
+from ..frame_io import Frame, VideoSpec, read_sequence, write_frame, write_sequence
 
 # the mock codec's sums, which a job's resume key takes in. A constant, not
 # a setting: a change that moves any bit or sample it outputs changes it
@@ -311,6 +318,58 @@ class CodedStream:
 
     def __iter__(self):
         self.bits = yield from self._frames
+
+
+class SharedStream:
+    """One coded stream that several jobs share, kept as a raw file at `path`.
+
+    The stream's coder runs `tee` over the adapter's stream: it writes each
+    decoded frame, at the coded size, to the file as the frame passes. Once
+    the coder has ended the texture stream and coded the depth stream, if
+    there is one, it calls `done` with their bits, and the stream is
+    complete. Only then do the other jobs `replay` the file in place of
+    coding. Completion is known only to this object, so no file that
+    another run left is trusted: a tee writes the file anew.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.bits: int | None = None  # the texture's bits, once complete
+        self.depth_bits: int | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.bits is not None
+
+    def tee(self, frames, spec: VideoSpec, timer):
+        """Yields the decoded frames of `frames`, an adapter's stream, and
+        writes each to the file, timed as 'write'; returns the stream's bits."""
+        coded = CodedStream(frames)
+        with open(self.path, "wb") as fh:
+            k = 0  # a count, not enumerate, which holds its last frame during the next pull
+            for frame in coded:
+                with timer("write"):
+                    write_frame(fh, frame, spec, k)
+                k += 1
+                yield frame
+                del frame  # not held while the next frame is pulled
+        return coded.bits
+
+    def done(self, bits: int, depth_bits: int | None) -> None:
+        """Mark the stream complete: its coder coded it whole, with these bits."""
+        self.bits, self.depth_bits = bits, depth_bits
+
+    def replay(self, spec: VideoSpec, timer):
+        """Yields the complete stream's decoded frames from the file, each
+        read timed as 'decode'; returns the texture's bits."""
+        frames = read_sequence(self.path, spec)
+        with closing(frames):
+            for _ in range(spec.frame_count):
+                with timer("decode"):
+                    frame = next(frames)
+                yield frame
+                del frame  # not held while the next frame is read
+        return self.bits
 
 
 def _code_frames(frames, qp: int, bit_depth: int, timer):

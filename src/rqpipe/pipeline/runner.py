@@ -14,15 +14,30 @@ first, does; the job then keeps none and scores the decoded frames
 against a second, streaming read of the source.
 External metrics run on the written recon file. Every stage is timed in
 wall and thread-CPU seconds, each second charged to the innermost stage
-running. Jobs run on a bounded worker pool, by default one worker per
-CPU this process may use, and each record is appended to the manifest
-as its job ends, so the lines come in completion order; the record set
-does not depend on the worker count. Each record carries a hash of the
-configuration its job ran with, input contents but no paths, and resume
-redoes a job whose hash changed. Before any job starts, the same pool
-hashes each source and depth file and, on resume, each job's recon, when
-the file is larger than the 1 MiB hash chunk; smaller files are hashed
-on the calling thread, where a pool task would cost more. For the run,
+running.
+
+Jobs that differ only after decoding (in the up filter or the CNN) code
+the same stream: they share its sequence, scale, down filters, codec and
+effective QP pair (_stream_key). Each such stream is one task on a
+bounded worker pool, by default one worker per CPU this process may use.
+Its first job in the config's method order is the coder: it runs as a
+lone job does and also tees its decoded frames, at the coded size, into
+a stream file in the workdir (codecs.SharedStream). The other jobs run
+after it, in config order. Once the coder has coded the texture and the
+depth stream whole, each of them replays the file in place of reading,
+downsampling and coding, takes the coder's bits, and scores its frames
+against one streaming read of the source, as after an external codec;
+until then, the next job codes and tees the stream itself. The file goes
+when the task ends. Each record is appended to the manifest as its job
+ends, so the lines come in completion order; the record set does not
+depend on the worker count or on which job coded a stream.
+
+Each record carries a hash of the configuration its job ran with, input
+contents but no paths, and resume redoes a job whose hash changed.
+Before any job starts, the same pool hashes each source and depth file
+and, on resume, each job's recon, when the file is larger than the 1 MiB
+hash chunk; smaller files are hashed on the calling thread, where a pool
+task would cost more. For the run,
 numpy's OpenBLAS runs at one thread: the workers use the CPUs, and the
 CNN's sums, whose order OpenBLAS picks by thread count, are the same
 whatever the worker count.
@@ -38,7 +53,7 @@ import logging
 import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed, wait
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed, wait
 from contextlib import contextmanager
 from functools import cache
 from itertools import repeat
@@ -192,18 +207,23 @@ def _read(path, spec, timer):
     return map(_timed(next, "read", timer), repeat(read_sequence(path, spec), spec.frame_count))
 
 
-def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer):
+def _code_stream(method, down_filter, frames, spec, qp, workdir, tag, timer, share=None):
     """Downsample with down_filter, code and restore one stream, a frame at a time.
 
-    Returns the codec's CodedStream, whose bits are set once the stream
-    ends, and an iterator of its decoded frames at the source size.
+    Returns a CodedStream, whose bits are set once the stream ends, and an
+    iterator of its decoded frames at the source size. With `share`, a
+    SharedStream, the coded frames are teed into its file, or, once it is
+    complete, replayed from that file, and `frames` is not read.
     """
-    coded_spec = spec
-    if method.resamples:
-        down = _timed(lambda f: resample_frame(f, method.scale, down_filter, spec.bit_depth), "downsample", timer)
-        frames = map(down, frames)
-        coded_spec = spec.scaled(method.scale)
-    coded = CodedStream(method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer))
+    coded_spec = spec.scaled(method.scale) if method.resamples else spec
+    if share is not None and share.complete:
+        coded = CodedStream(share.replay(coded_spec, timer))
+    else:
+        if method.resamples:
+            down = _timed(lambda f: resample_frame(f, method.scale, down_filter, spec.bit_depth), "downsample", timer)
+            frames = map(down, frames)
+        stream = method.codec.encode_decode(frames, coded_spec, qp, workdir, tag, timer)
+        coded = CodedStream(stream if share is None else share.tee(stream, coded_spec, timer))
     if not method.resamples:
         return coded, iter(coded)
     up = _timed(lambda f: resample_frame(f, 1 / method.scale, method.up_filter, spec.bit_depth), "upsample", timer)
@@ -218,6 +238,7 @@ def _run_job(
     cfg: ExperimentConfig,
     workdir: Path,
     reference_hash: str,
+    share: codecs.SharedStream | None = None,
 ) -> JobRecord:
     pair = method.effective_qp(base_pair)
     timer = _StageTimer()
@@ -248,10 +269,16 @@ def _run_job(
                 held.append(frame)
             return frame
 
-        frames = _read(seq.path, seq.spec, timer)
+        replay = share is not None and share.complete  # another job of the stream coded it whole
+        if replay:  # nothing to code: the replayed frames are scored against one read of the source
+            frames = None
+            rereads = None if psnr is None else _read(seq.path, seq.spec, timer)
+        else:
+            frames = _read(seq.path, seq.spec, timer)
+            if psnr is not None:
+                frames = map(source, frames)
         texture, frames = _code_stream(
-            method, method.down_filter, frames if psnr is None else map(source, frames),
-            seq.spec, pair.qp_texture, workdir, tag, timer,
+            method, method.down_filter, frames, seq.spec, pair.qp_texture, workdir, tag, timer, share
         )
 
         if method.postproc is not None:
@@ -290,15 +317,20 @@ def _run_job(
             write_sequence(map(_timed(measure, "metrics", timer), frames), seq.spec, recon_path, digest=recon_sha256)
         total_bits = texture.bits
 
-        if seq.depth_path is not None:
+        depth_bits = share.depth_bits if replay else None
+        if seq.depth_path is not None and not replay:
             depth, _ = _code_stream(
                 method, method.depth_down_filter or method.down_filter,
                 _read(seq.depth_path, seq.depth_spec, timer),
                 seq.depth_spec, pair.qp_depth, workdir, f"{tag}_depth", timer,
             )
             deque(depth, maxlen=0)  # only the bits count, so the decoded depth is not up-sampled
-            total_bits += depth.bits
-            rec.notes["depth_bits"] = depth.bits
+            depth_bits = depth.bits
+        if share is not None and not replay:
+            share.done(total_bits, depth_bits)  # both streams coded whole: the other jobs may replay
+        if depth_bits is not None:
+            total_bits += depth_bits
+            rec.notes["depth_bits"] = depth_bits
 
         rec.artifacts["recon"] = {"path": str(recon_path), "sha256": recon_sha256.hexdigest()}
 
@@ -335,6 +367,42 @@ def _timed_job(*job) -> tuple[JobRecord, float]:
     start = time.perf_counter()
     rec = _run_job(*job)
     return rec, time.perf_counter() - start
+
+
+def _stream_key(seq: SequenceConfig, method: MethodConfig, pair: QpPair) -> tuple:
+    """What the coded stream of a job at base QP pair `pair` depends on: its
+    sequence, scale, down filters where they run, codec and effective QP
+    pair. Jobs with one key code the same bits and decoded frames; the up
+    filter and the CNN act after decoding."""
+    depth_filter = method.depth_down_filter or method.down_filter
+    return (
+        seq.label,
+        method.scale,
+        str(method.down_filter) if method.resamples else None,
+        str(depth_filter) if method.resamples and seq.depth_path is not None else None,
+        json.dumps(method.codec.describe(), sort_keys=True),
+        method.effective_qp(pair),
+    )
+
+
+def _run_stream(jobs, futures, share, *args) -> None:
+    """Run the jobs of one stream in order, each ending its future with
+    _timed_job's result for (*job, *args, share): the first codes the
+    stream, and with `share` the others replay it once it is complete.
+    Stops at a cancelled future, and removes the shared file however the
+    task ends."""
+    try:
+        for job, future in zip(jobs, futures):
+            if not future.set_running_or_notify_cancel():
+                return  # the run is stopping
+            try:
+                future.set_result(_timed_job(*job, *args, share))
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+    finally:
+        if share is not None:
+            share.path.unlink(missing_ok=True)
 
 
 def _job_config_hashes(cfg: ExperimentConfig, echo: dict, depth_hashes: dict, blas_core) -> dict[tuple, str]:
@@ -394,9 +462,14 @@ def run_experiment(
     worker pool hashes each source file and, with resume=True, each
     artifact that is larger than manifest.HASH_CHUNK (1 MiB); smaller ones
     are hashed on the calling thread. The checks are read in job order, so
-    the same jobs run whatever the worker count. Post-processed jobs, the
-    longest, are submitted first, so that none starts last; otherwise jobs
-    go in sequence, method and QP order. A worker count below 1 is a
+    the same jobs run whatever the worker count. The jobs to run are
+    grouped by the stream they code, and each group is one pool task: its
+    first job in method order codes the stream and tees it to a file, and
+    the others replay that file once it is complete (see the module
+    docstring), so a resume groups only the jobs it redoes. Streams that
+    hold a post-processed job, the longest, are submitted first, so that
+    none starts last; otherwise streams go in the sequence, method and QP
+    order of their first job. A worker count below 1 is a
     ConfigError. A manifest whose header echoes another config gets a new
     header. While it runs, numpy's OpenBLAS uses one thread, so a
     post-processed job's bits do not depend on the worker count; the
@@ -443,7 +516,8 @@ def run_experiment(
             )
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            tasks = []  # every hash and job on the pool, so an error cancels the queued ones
+            tasks = []  # every hash and stream on the pool, so an error cancels the queued ones
+            futures = []  # one a job to run, each ended by its stream's task
 
             def submit(fn, *args):
                 tasks.append(pool.submit(fn, *args))
@@ -459,26 +533,31 @@ def run_experiment(
                 reference_hashes = {s.label: digest() for s, (digest, _) in zip(cfg.sequences, sources)}
                 depth_hashes = {s.label: digest() for s, (_, digest) in zip(cfg.sequences, sources)}
                 config_hashes = _job_config_hashes(cfg, echo, depth_hashes, blas["blas_core"])
-                jobs = sorted(  # post-processed jobs first
-                    (
-                        (seq, method, qi, pair)
-                        for seq in cfg.sequences
-                        for method in cfg.methods
-                        for qi, pair in enumerate(cfg.qp_pairs)
-                    ),
-                    key=lambda job: job[1].postproc is None,
-                )
+                jobs = [
+                    (seq, method, qi, pair)
+                    for seq in cfg.sequences
+                    for method in cfg.methods
+                    for qi, pair in enumerate(cfg.qp_pairs)
+                ]
                 keys = [(seq.label, method.label, qi) for seq, method, qi, _ in jobs]
                 intact = manifest.intact_jobs(
                     [(key, reference_hashes[key[0]], config_hashes[key]) for key in keys], submit
                 ) if resume else [False] * len(jobs)
                 # what the process held before its jobs: read only when one runs
                 start_peak_mb = None if all(intact) else _peak_rss_mb()
-                futures = [
-                    submit(_timed_job, seq, method, qi, pair, cfg, out, reference_hashes[seq.label])
-                    for (seq, method, qi, pair), skip in zip(jobs, intact)
-                    if not skip
-                ]
+                streams = {}  # the jobs to run, by the stream they code, in config order
+                for job, skip in zip(jobs, intact):
+                    if not skip:
+                        seq, method, _, pair = job
+                        streams.setdefault(_stream_key(seq, method, pair), []).append(job)
+                # streams that hold a post-processed job, the longest, first
+                for group in sorted(streams.values(), key=lambda jobs: all(job[1].postproc is None for job in jobs)):
+                    seq, method, qi, _ = group[0]
+                    stream_path = out / f"{seq.label}_{method.label}_qp{qi}_stream.yuv"
+                    share = codecs.SharedStream(stream_path) if len(group) > 1 else None
+                    ends = [Future() for _ in group]
+                    futures += ends
+                    submit(_run_stream, group, ends, share, cfg, out, reference_hashes[seq.label])
                 # append each record as its job ends, so a finished job is on
                 # disk while slower jobs submitted before it still run
                 for done, future in enumerate(as_completed(futures), 1):
@@ -497,7 +576,7 @@ def run_experiment(
                 # on Ctrl-C or any error: drop the queued hashes and jobs and
                 # kill the external tools of the running jobs (in sessions of
                 # their own, no terminal signal reaches them) until those end
-                for task in tasks:
+                for task in tasks + futures:  # a stream's task stops at a cancelled job
                     task.cancel()
                 pending = tasks
                 while pending:

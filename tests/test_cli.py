@@ -289,6 +289,21 @@ class TestPostprocCommand:
             assert capsys.readouterr().err.startswith(error)
             assert not out.exists()
 
+    def test_weights_that_do_not_fit_the_net_leave_the_output_alone(self, yuv, tmp_path, capsys):
+        # the weights are checked against the net before --out is opened, so
+        # an existing output keeps its bytes
+        path, _ = yuv
+        (tmp_path / "net.json").write_text(build_mfrnet_style(1, 1, 4, 4).to_json())
+        save_weights(tmp_path / "w.rqpw", random_weights(build_mfrnet_style(1, 1, 8, 4)))
+        out = tmp_path / "pp.yuv"
+        out.write_bytes(b"kept")
+        assert run_cli(
+            "postproc", "--net", tmp_path / "net.json", "--weights", tmp_path / "w.rqpw",
+            "--in", path, "--spec", "32x32:8:420", "--out", out,
+        ) == 2
+        assert capsys.readouterr().err == "error: layer 'head': weight shape (8, 1, 3, 3) != (4, 1, 3, 3)\n"
+        assert out.read_bytes() == b"kept"
+
 
 class TestMockCodecCommand:
     def test_encode_decode_reports_rate(self, yuv, tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import threading
 import time
 import tracemalloc
 import types
+from collections import deque
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -813,9 +815,10 @@ pairs = 22:4, 37:15
         assert len(manifest.ok_jobs()) == 12
 
     def test_post_processed_jobs_run_first(self, experiment_dir, monkeypatch):
-        # at one worker the jobs run as submitted: every post-processed job,
-        # the longest, before any other, then the config's order; the
-        # records are those of the config's order
+        # at one worker the jobs run as submitted, a stream at a time: every
+        # stream that holds a post-processed job, the longest, before any
+        # other, each its coder and then its replayers in the config's
+        # order; the records are those of the config's order
         (experiment_dir / "two.ini").write_text(
             (experiment_dir / "exp.ini").read_text() + "\n[sequence.synthB]\npath = synthA.yuv\n"
             "width = 64\nheight = 64\nbit_depth = 8\nchroma = 420\nframe_count = 2\nframe_rate = 30\n"
@@ -826,16 +829,19 @@ pairs = 22:4, 37:15
             order.append((seq.label, method.label, qi))
             return run_job(seq, method, qi, *args)
 
-        def jobs(*methods):
-            return [(s, m, qi) for s in ("synthA", "synthB") for m in methods for qi in range(4)]
+        def anchors(s):
+            return [(s, "anchor", qi) for qi in range(4)]
+
+        def shared(s):  # the streams that rescaled codes and postproc replays
+            return [(s, m, qi) for qi in range(4) for m in ("rescaled", "postproc")]
 
         monkeypatch.setattr(runner, "_run_job", spy)
         first = run_experiment(experiment_dir / "two.ini", workdir=experiment_dir / "first", workers=1)
-        assert order == jobs("postproc") + jobs("anchor", "rescaled")
+        assert order == shared("synthA") + shared("synthB") + anchors("synthA") + anchors("synthB")
         order.clear()
         monkeypatch.setattr(runner, "sorted", lambda jobs, key: list(jobs), raising=False)  # the config's order
         in_order = run_experiment(experiment_dir / "two.ini", workdir=experiment_dir / "in_order", workers=1)
-        assert order == jobs("anchor", "rescaled", "postproc")
+        assert order == anchors("synthA") + shared("synthA") + anchors("synthB") + shared("synthB")
         assert self.strip_volatile(first) == self.strip_volatile(in_order)
 
     def test_resume_redoes_a_missing_recon_and_a_recon_that_is_not_a_file(self, experiment_dir):
@@ -1018,6 +1024,201 @@ pairs = 22:4, 37:15
         big = 1024 * 512 * 3 // 2 * 2
         assert big > HASH_CHUNK > 768
         assert sorted(calls) == [(768, True), (768, True), (big, False), (big, False)]  # sources and recons
+
+
+class TestSharedStreams:
+    """Jobs whose coded streams are equal share one stream: the first of
+    them in the config's method order codes it, and the others replay its
+    decoded frames."""
+
+    strip_volatile = staticmethod(TestDeterminismAndResume.strip_volatile)
+
+    @staticmethod
+    def config(experiment_dir, name, methods, **changes):
+        """exp.ini with only the method sections `methods`, in that order,
+        each updated by changes[label], and workdir `name`; returns its path."""
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(experiment_dir / "exp.ini")
+        out = configparser.ConfigParser(interpolation=None)
+        out.read_dict({s: parser[s] for s in parser.sections() if not s.startswith("method.")})
+        out.read_dict({f"method.{m}": {**parser[f"method.{m}"], **changes.get(m, {})} for m in methods})
+        out["run"]["workdir"] = name
+        path = experiment_dir / f"{name}.ini"
+        with open(path, "w") as fh:
+            out.write(fh)
+        return path
+
+    @staticmethod
+    def replayed(rec):
+        """Whether the job replayed a stream that another job coded."""
+        return not {"downsample", "encode"} & set(rec.stage_seconds)
+
+    @staticmethod
+    def external(experiment_dir):
+        """A lossless external codec: both commands copy their input."""
+        codec = experiment_dir / "copycodec.py"
+        codec.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        return {
+            "codec": "external",
+            "encode_cmd": f"{sys.executable} {codec} {{in}} {{out}} --qp {{qp}} -w {{w}} -h {{h}}",
+            "decode_cmd": f"{sys.executable} {codec} {{in}} {{out}}",
+        }
+
+    @pytest.fixture
+    def encoded_qps(self, monkeypatch):
+        """The QP of every plane that mock_encode codes."""
+        encode, qps = codecs.mock_encode, []
+
+        def spy(frames, qp, bit_depth):
+            qps.extend([qp] * sum(len(list(frame.planes())) for frame in frames))
+            return encode(frames, qp, bit_depth)
+
+        monkeypatch.setattr(codecs, "mock_encode", spy)
+        return qps
+
+    def test_records_equal_those_of_each_method_alone(self, experiment_dir):
+        both = run_experiment(self.config(experiment_dir, "both", ("rescaled", "postproc")), workers=2)
+        for rec in both.jobs.values():
+            assert rec.status == "ok" and self.replayed(rec) == (rec.method == "postproc")
+        postproc = both.jobs[("synthA", "postproc", 0)]
+        assert {"read", "decode", "upsample", "postproc", "metrics", "write"} == set(postproc.stage_seconds)
+        alone = [doc for m in ("postproc", "rescaled")  # in the order strip_volatile sorts keys
+                 for doc in self.strip_volatile(run_experiment(self.config(experiment_dir, m, (m,)), workers=2))]
+        assert self.strip_volatile(both) == alone
+        assert not list((experiment_dir / "both").glob("*_stream.yuv"))
+
+    def test_each_shared_stream_is_encoded_once(self, experiment_dir, encoded_qps):
+        # 8 frames of 3 planes a stream: the anchor's 4 streams, and the 4
+        # that rescaled codes and postproc replays
+        manifest = run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert len(manifest.ok_jobs()) == 12
+        assert sorted(encoded_qps) == sorted([22, 27, 32, 37, 16, 21, 26, 31] * 24)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("depth_filter", ["nn", "lanczos:3"])
+    def test_a_depth_stream_is_coded_once_and_its_bits_replayed(self, tmp_path, depth_filter, workers, encoded_qps):
+        # two methods that differ in the up filter share a stream when their
+        # depth down filters are the same, and code their own when not
+        spec = VideoSpec(32, 32, 8, "420", frame_count=2, label="s")
+        write_sequence(synthetic_sequence(spec, seed=4), spec, tmp_path / "s.yuv")
+        depth_spec = VideoSpec(32, 32, 8, "400", frame_count=2)
+        write_sequence(synthetic_sequence(depth_spec, seed=5), depth_spec, tmp_path / "s_depth.yuv")
+        body = """
+[run]
+workdir = {workdir}
+
+[sequence.s]
+path = s.yuv
+depth_path = s_depth.yuv
+width = 32
+height = 32
+frame_count = 2
+frame_rate = 30
+{methods}
+[qps]
+pairs = 27:7
+"""
+        methods = {
+            "nn": "scale = 1/2\nqp_texture_offset = -6\ndepth_down_filter = nn\n",
+            "lanczos": f"scale = 1/2\nqp_texture_offset = -6\ndepth_down_filter = {depth_filter}\n"
+                       "up_filter = lanczos:3\n",
+        }
+        records = []
+        for labels in (("nn", "lanczos"), ("nn",), ("lanczos",)):
+            name = "_".join(labels)
+            sections = "".join(f"\n[method.{label}]\n{methods[label]}" for label in labels)
+            (tmp_path / f"{name}.ini").write_text(body.format(workdir=name, methods=sections))
+            records.append(run_experiment(tmp_path / f"{name}.ini", workers=workers))
+        both = records[0]
+        coder, other = both.jobs[("s", "nn", 0)], both.jobs[("s", "lanczos", 0)]
+        shared = depth_filter == "nn"
+        assert not self.replayed(coder) and self.replayed(other) == shared
+        assert (other.notes["depth_bits"] == coder.notes["depth_bits"]) == shared
+        # the texture (3 planes) and the depth (1 plane) of 2 frames, coded
+        # by each job that does not replay
+        assert sorted(encoded_qps) == sorted(([21] * 6 + [7] * 2) * (3 if shared else 4))
+        alone = self.strip_volatile(records[2]) + self.strip_volatile(records[1])
+        assert self.strip_volatile(both) == alone
+
+    @pytest.mark.parametrize("methods, changes, shared", [
+        (("rescaled", "postproc"), {}, True),
+        (("rescaled", "postproc"), {"up_filter": "lanczos:3"}, True),
+        (("anchor", "postproc"), {"scale": "1/1", "qp_texture_offset": "0", "up_filter": ""}, True),
+        (("rescaled", "postproc"), {"qp_texture_offset": "-5"}, False),
+        (("rescaled", "postproc"), {"down_filter": "lanczos:2"}, False),
+        (("rescaled", "postproc"), "external", False),
+    ], ids=["cnn", "up-filter", "full-size-cnn", "qp-offset", "down-filter", "codec"])
+    def test_jobs_share_a_stream_when_they_code_the_same(self, experiment_dir, methods, changes, shared):
+        if changes == "external":
+            changes = self.external(experiment_dir)
+        path = self.config(experiment_dir, "key", methods, postproc=changes)
+        manifest = run_experiment(path, workers=1)
+        assert len(manifest.ok_jobs()) == 8
+        for rec in manifest.jobs.values():
+            assert self.replayed(rec) == (shared and rec.method == "postproc")
+
+    def test_an_external_codec_stream_is_coded_once(self, experiment_dir):
+        # the coder's decoded file is teed as the mock codec's frames are;
+        # only the coder keeps a bitstream
+        external = self.external(experiment_dir)
+        path = self.config(experiment_dir, "ext", ("rescaled", "postproc"), rescaled=external, postproc=external)
+        both = run_experiment(path, workers=2)
+        assert [self.replayed(both.jobs[("synthA", m, 0)]) for m in ("rescaled", "postproc")] == [False, True]
+        workdir = experiment_dir / "ext"
+        assert sorted(p.name for p in workdir.iterdir() if not p.name.endswith("_recon.yuv")) == [
+            "manifest.jsonl", *(f"synthA_rescaled_qp{qi}.bin" for qi in range(4))
+        ]
+        alone = self.config(experiment_dir, "ext_alone", ("postproc",), postproc=external)
+        postproc = [doc for doc in self.strip_volatile(both) if doc["method"] == "postproc"]
+        assert postproc == self.strip_volatile(run_experiment(alone, workers=2))
+
+    @pytest.mark.parametrize("fails", ["cnn", "write", "stale"])
+    def test_a_coder_that_fails_leaves_the_others_whole_jobs(self, experiment_dir, monkeypatch, fails):
+        # qp index 0's coder fails: on its third frame, after it teed two,
+        # or, with a stream file that a killed run left, before its first.
+        # Its stream is not complete, so the other job codes the stream
+        # itself and ends with the record it has alone; at the other QPs
+        # it replays
+        coder, other = ("postproc", "rescaled") if fails == "cnn" else ("rescaled", "postproc")
+        if fails == "cnn":
+            apply, calls = runner.apply_network, []
+
+            def failing_apply(*args):
+                calls.append(args)
+                if len(calls) == 3:
+                    raise RuntimeError("the CNN failed")
+                return apply(*args)
+
+            monkeypatch.setattr(runner, "apply_network", failing_apply)
+        else:
+            write, frames_before = runner.write_sequence, 2 if fails == "write" else 0
+
+            def failing_write(frames, spec, path, **kwargs):
+                if Path(path).name == "synthA_rescaled_qp0_recon.yuv":
+                    deque(zip(range(frames_before), frames), maxlen=0)  # pulls that many frames
+                    raise OSError("the recon write failed")
+                return write(frames, spec, path, **kwargs)
+
+            monkeypatch.setattr(runner, "write_sequence", failing_write)
+        if fails == "stale":
+            (experiment_dir / "mixed").mkdir()
+            shutil.copy(experiment_dir / "synthA.yuv", experiment_dir / "mixed" / "synthA_rescaled_qp0_stream.yuv")
+        # one worker: the CNN's third call is then that of the first coder
+        manifest = run_experiment(self.config(experiment_dir, "mixed", (coder, other)), workers=1)
+        assert manifest.jobs[("synthA", coder, 0)].status == "failed"
+        assert [self.replayed(manifest.jobs[("synthA", other, qi)]) for qi in range(4)] == [False, True, True, True]
+        alone = self.strip_volatile(run_experiment(self.config(experiment_dir, other, (other,)), workers=2))
+        assert [doc for doc in self.strip_volatile(manifest) if doc["method"] == other] == alone
+        assert not list((experiment_dir / "mixed").glob("*_stream.yuv"))
+
+    def test_a_resume_that_redoes_only_a_replayer_codes_its_stream(self, experiment_dir, encoded_qps):
+        first = run_experiment(experiment_dir / "exp.ini", workers=2)
+        os.unlink(first.jobs[("synthA", "postproc", 2)].artifacts["recon"]["path"])
+        encoded_qps.clear()
+        again = run_experiment(experiment_dir / "exp.ini", workers=2)
+        assert encoded_qps == [26] * 24
+        assert not self.replayed(again.jobs[("synthA", "postproc", 2)])
+        assert self.strip_volatile(again) == self.strip_volatile(first)
 
 
 class TestSha256File:
